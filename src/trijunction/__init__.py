@@ -18,15 +18,32 @@ from .curvature import (DegenerateMetric, MetricShapeData, StructuralCertificate
                         F_eval, G_eval, conormal_defect, conormal_xi,
                         mean_curvature_scalar, metric_shape_data, structural_certificate)
 from .linear import (ContractionEstimates, ModeProblem, boundary_operator, decouple,
-                     mode_solve_collocation, mode_solve_dirichlet, mode_solve_mixed,
-                     recompose, schauder_probe, solve_dirichlet, solve_linear_system,
-                     solve_mixed)
+                     mode_solve_collocation, recompose, schauder_probe, solve_dirichlet,
+                     solve_linear_system, solve_mixed)
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
                      contraction_diagnostics, picard_step, residual_record,
                      solve_nonlinear)
 from .oracles import (AngleReport, exact_family, fd_linear_solve, fd_mean_curvature,
-                      junction_angle_check)
+                      junction_angle_check, mode_solve_dirichlet, mode_solve_mixed)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AliasingWarning", "BoundaryTriple", "Grid2D", "ScalarField", "TripleField",
+    "boundary_proxy", "diff", "laplacian", "load_field_csv", "norm_proxy",
+    "normal_derivative_inner", "periodic_proxy", "save_field_csv", "trace",
+    "CompatibilityReport", "CompatibilityViolation", "CutoffProfile", "JunctionFrame",
+    "SpineCurve", "SurfaceMesh", "check_c0_compatibility", "cutoff_eval", "cyclic_pred",
+    "cyclic_succ", "embed_point", "frame_vectors", "mesh_surface", "spine_from_traces",
+    "wall_offset", "write_obj",
+    "DegenerateMetric", "MetricShapeData", "StructuralCertificate", "F_eval", "G_eval",
+    "conormal_defect", "conormal_xi", "mean_curvature_scalar", "metric_shape_data",
+    "structural_certificate",
+    "ContractionEstimates", "ModeProblem", "boundary_operator", "decouple",
+    "mode_solve_collocation", "recompose", "schauder_probe", "solve_dirichlet",
+    "solve_linear_system", "solve_mixed",
+    "GuardViolation", "NoConvergence", "SolveOptions", "SolveReport",
+    "contraction_diagnostics", "picard_step", "residual_record", "solve_nonlinear",
+    "AngleReport", "exact_family", "fd_linear_solve", "fd_mean_curvature",
+    "junction_angle_check", "mode_solve_dirichlet", "mode_solve_mixed",
+]

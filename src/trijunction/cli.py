@@ -124,9 +124,8 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    raw = load_config_file(args.config) if getattr(args, "config", None) else {}
+def apply_config_values(cfg: RunConfig, raw: dict[str, str]):
+    """Set ``cfg`` fields from ``key = value`` text (config file, flags, artifact header)."""
     try:
         for key, val in raw.items():
             if key in ("delta", "alpha", "tol"):
@@ -151,22 +150,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
 
+
+def build_config(args: argparse.Namespace) -> RunConfig:
+    cfg = RunConfig()
+    if getattr(args, "config", None):
+        apply_config_values(cfg, load_config_file(args.config))
     for key in ("delta", "alpha", "nx", "ny", "tol", "max_iter", "r_guard", "out"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "family", None):
-        cfg.family = args.family
-    for i in (1, 2, 3):
-        val = getattr(args, f"phi{i}", None)
-        if val:
-            cfg.phi_coeffs[i] = parse_coeffs(val)
-    if getattr(args, "mesh_resolution", None):
-        a, _, b = args.mesh_resolution.partition("x")
-        try:
-            cfg.mesh_resolution = (int(a), int(b))
-        except ValueError as exc:
-            raise ConfigError(f"bad mesh resolution {args.mesh_resolution!r}") from exc
+    apply_config_values(cfg, {key: getattr(args, key) for key in
+                              ("family", "phi1", "phi2", "phi3", "mesh_resolution")
+                              if getattr(args, key, None)})
     cfg.validate()
     return cfg
 
@@ -311,14 +306,7 @@ def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, d
     u = TripleField(tuple(fields))
     phi = _load_boundary_csv(os.path.join(path, "phi.csv"))
     cfg = RunConfig(delta=delta)
-    for key in ("alpha", "tol"):
-        if key in header:
-            setattr(cfg, key, float(header[key]))
-    for key in ("nx", "ny", "max_iter"):
-        if key in header:
-            setattr(cfg, key, int(header[key]))
-    if header.get("family"):
-        cfg.family = header["family"]
+    apply_config_values(cfg, header)
     stored = _load_residuals_csv(os.path.join(path, "residuals.csv"))
     return cfg, u, phi, stored
 

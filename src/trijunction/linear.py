@@ -10,25 +10,20 @@ given data.  The change of variables
 decouples it into one Dirichlet scalar problem (v1) and two mixed
 Neumann/Dirichlet scalar problems (v2, v3).  Each scalar problem is solved
 per Fourier mode in y, where it reduces to the two-point ODE
-a'' - (2 pi k)^2 a = f_k on [0, 1].
-
-Two independent mode solvers are provided:
-
-* a Chebyshev collocation solve (production path, robust at every k);
-* the closed-form solution via exponential kernels and Clenshaw-Curtis
-  quadrature (formula path), rearranged so that every exponential carries a
-  non-positive argument; it serves as a verification oracle and stays finite
-  for wavenumbers in the hundreds.
+a'' - (2 pi k)^2 a = f_k on [0, 1].  Every mode shares the x operator, so
+the Chebyshev collocation solve diagonalizes it once per grid and kind and
+solves all modes with two matrix products.  The closed-form formula path,
+an independent check of this solve, lives in :mod:`trijunction.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import spectral
 from .fields import (BoundaryTriple, Grid2D, ScalarField, TripleField,
@@ -36,9 +31,6 @@ from .fields import (BoundaryTriple, Grid2D, ScalarField, TripleField,
                      warn_if_aliased)
 
 Kind = Literal["dirichlet", "mixed"]
-
-_EXP_WINDOW = 45.0        # kernel tail cut: exp(-45) is far below double round-off
-_N_QUAD = 96
 
 
 @dataclass(frozen=True)
@@ -66,177 +58,72 @@ class ModeProblem:
 
 
 # ---------------------------------------------------------------------------
-# Production path: Chebyshev collocation
+# Chebyshev collocation, all modes at once by matrix diagonalization
 # ---------------------------------------------------------------------------
 
-_LU_CACHE: dict[tuple[int, int, str], tuple] = {}
-
-
-def _mode_lu(nx: int, k: int, kind: Kind):
-    """Factorization of the mode operator with Dirichlet rows eliminated.
+@lru_cache(maxsize=None)
+def _mode_basis(nx: int, kind: Kind) -> tuple:
+    """Eigenbasis of the collocated mode operator with its boundary rows eliminated.
 
     Pinned values (a(0) for the Dirichlet kind, a(1) for both) are
     substituted out rather than kept as identity rows, so they hold exactly
-    in the solution; only genuinely coupled unknowns enter the LU solve.
-    Returns (lu_factorization, column multiplying the pinned a(1) value).
+    in the solution; for the mixed kind the Neumann row is solved for a(0)
+    and eliminated.  What remains acts on the interior values alone as
+    B - (2 pi k)^2 I, and B = V diag(w) V^-1 is shared by every k (Haidvogel
+    & Zang, J. Comput. Phys. 30, 1979).  Returns (V, V^-1, w, phi_col, g_col,
+    a0_row, a0_phi, a0_g): the right-hand-side columns multiplying the data
+    phi and g, and a(0) = a0_row . a_interior + a0_phi phi + a0_g g.
     """
-    key = (nx, k, kind)
-    hit = _LU_CACHE.get(key)
-    if hit is not None:
-        return hit
     D1 = spectral.cheb_diff_matrix(nx)
     D2 = spectral.cheb_diff2_matrix(nx)
-    lam = 2.0 * math.pi * k
-    M = D2 - lam ** 2 * np.eye(nx)
-    if kind == "dirichlet":
-        A = M[1:-1, 1:-1]
-        phi_col = M[1:-1, -1].copy()
-    else:
-        A = np.vstack([-D1[0:1, :-1], M[1:-1, :-1]])
-        phi_col = np.concatenate([-D1[0:1, -1], M[1:-1, -1]])
-    fac = (lu_factor(A), phi_col)
-    _LU_CACHE[key] = fac
-    return fac
+    B = D2[1:-1, 1:-1].copy()
+    phi_col = D2[1:-1, -1].copy()
+    g_col = a0_row = np.zeros(nx - 2)
+    a0_phi = a0_g = 0.0
+    if kind == "mixed":
+        # Neumann row -D1[0] . a = g, solved for a(0)
+        d = D1[0, 0]
+        a0_row, a0_phi, a0_g = -D1[0, 1:-1] / d, -D1[0, -1] / d, -1.0 / d
+        c0 = D2[1:-1, 0]
+        B += np.outer(c0, a0_row)
+        phi_col += c0 * a0_phi
+        g_col = c0 * a0_g
+    w, V = np.linalg.eig(B)
+    if np.iscomplexobj(V):
+        raise np.linalg.LinAlgError(
+            f"{kind} mode operator at nx = {nx} has no real eigenbasis")
+    return V, np.linalg.inv(V), w, phi_col, g_col, a0_row, a0_phi, a0_g
+
+
+def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g) -> np.ndarray:
+    """Solve a'' - lam2 a = f for every column of ``f`` at once.
+
+    ``f`` is (nx, m) on the Lobatto grid; ``lam2``, ``phi`` and ``g`` are
+    scalars or (m,) arrays of per-column (2 pi k)^2 and boundary data.
+    """
+    V, V_inv, w, phi_col, g_col, a0_row, a0_phi, a0_g = _mode_basis(f.shape[0], kind)
+    rhs = f[1:-1] - phi_col[:, None] * phi - g_col[:, None] * g
+    a = np.empty_like(f)
+    a[1:-1] = V @ ((V_inv @ rhs) / (w[:, None] - lam2))
+    a[0] = a0_row @ a[1:-1] + a0_phi * phi + a0_g * g
+    a[-1] = phi
+    return a
 
 
 def mode_solve_collocation(p: ModeProblem) -> np.ndarray:
     """Solve one mode problem by collocation on the sampling grid of ``p.f``."""
-    nx = p.f.shape[0]
-    fac, phi_col = _mode_lu(nx, p.k, p.kind)
-    a = np.empty(nx)
-    a[-1] = p.phi
-    if p.kind == "dirichlet":
-        a[0] = 0.0
-        a[1:-1] = lu_solve(fac, p.f[1:-1] - p.phi * phi_col)
-    else:
-        rhs = np.concatenate([[p.g], p.f[1:-1]]) - p.phi * phi_col
-        a[:-1] = lu_solve(fac, rhs)
-    return a
+    return _solve_modes(p.kind, (2.0 * math.pi * p.k) ** 2, p.f[:, None], p.phi, p.g)[:, 0]
 
 
-# ---------------------------------------------------------------------------
-# Formula path: exponential kernels, overflow-safe
-# ---------------------------------------------------------------------------
-
-def _series_evaluator(f: np.ndarray):
-    """Smooth extension of Lobatto samples: Chebyshev series via Clenshaw."""
-    coeffs = spectral.cheb_coefficients(f)
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        return np.polynomial.chebyshev.chebval(1.0 - 2.0 * np.asarray(t), coeffs)
-
-    return ev
-
-
-def _partial_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
-    """P1(x) = int_x^1 f e^{lam (x - t)} dt and P2(x) = int_0^x f e^{lam (t - x)} dt.
-
-    Both kernels peak at t = x with decay rate lam, so the integration window
-    is clipped where the kernel falls below round-off.
-    """
-    nx = f.shape[0]
-    x = spectral.cheb_nodes(nx)
-    ev = _series_evaluator(f)
-    width = 1.0 if lam == 0.0 else min(1.0, _EXP_WINDOW / lam)
-    nodes, weights = spectral.clenshaw_curtis(n_quad)
-
-    hi = np.minimum(1.0, x + width)
-    t1 = x[:, None] + nodes[None, :] * (hi - x)[:, None]
-    k1 = np.exp(lam * (x[:, None] - t1))
-    P1 = ((ev(t1) * k1) @ weights) * (hi - x)
-
-    lo = np.maximum(0.0, x - width)
-    t2 = lo[:, None] + nodes[None, :] * (x - lo)[:, None]
-    k2 = np.exp(lam * (t2 - x[:, None]))
-    P2 = ((ev(t2) * k2) @ weights) * (x - lo)
-    return P1, P2
-
-
-def _endpoint_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[float, float]:
-    """I_minus = int_0^1 f e^{-lam t} dt and I_plus = int_0^1 f e^{lam (t-1)} dt."""
-    nodes, weights = spectral.clenshaw_curtis(n_quad)
-    ev = _series_evaluator(f)
-    width = 1.0 if lam == 0.0 else min(1.0, _EXP_WINDOW / lam)
-
-    t = nodes * width
-    I_minus = float((ev(t) * np.exp(-lam * t)) @ weights * width)
-    t = 1.0 - width + nodes * width
-    I_plus = float((ev(t) * np.exp(lam * (t - 1.0))) @ weights * width)
-    return I_minus, I_plus
-
-
-def _double_integral(f: np.ndarray) -> np.ndarray:
-    """x -> int_0^x int_0^s f(t) dt ds on the Chebyshev grid."""
-    return spectral.cheb_cumulative_integral(spectral.cheb_cumulative_integral(f))
-
-
-def mode_solve_dirichlet(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
-    """Closed-form mode solution with a(0) = 0, a(1) = phi.
-
-    For k = 0 this is the double integral of the forcing plus the linear
-    interpolant of the boundary data; for k >= 1 the exponential-kernel
-    solution with its two integration constants, algebraically rearranged so
-    that every exponential has a non-positive argument (the constants'
-    numerators and the denominator are divided by the largest exponential,
-    and the outer exponentials are folded into the kernels).
-    """
-    if p.kind != "dirichlet":
-        raise ValueError("mode problem is not of Dirichlet kind")
-    nx = p.f.shape[0]
-    x = spectral.cheb_nodes(nx)
-    if p.k == 0:
-        dbl = _double_integral(p.f)
-        return dbl + (p.phi - dbl[-1]) * x
-
-    lam = 2.0 * math.pi * p.k
-    P1, P2 = _partial_integrals(p.f, lam, n_quad)
-    I_minus, I_plus = _endpoint_integrals(p.f, lam, n_quad)
-    den = 1.0 - math.exp(-2.0 * lam)
-    B = (2.0 * lam * p.phi * np.exp(lam * (x - 1.0))
-         - np.exp(lam * (x - 2.0)) * I_minus
-         + np.exp(lam * (x - 1.0)) * I_plus) / den
-    D = (2.0 * lam * p.phi * np.exp(-lam * (x + 1.0))
-         - np.exp(-lam * x) * I_minus
-         + np.exp(-lam * (x + 1.0)) * I_plus) / den
-    return (-P1 + B - P2 - D) / (2.0 * lam)
-
-
-def mode_solve_mixed(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
-    """Closed-form mode solution with a'(0) = -g, a(1) = phi (same stable form)."""
-    if p.kind != "mixed":
-        raise ValueError("mode problem is not of mixed kind")
-    nx = p.f.shape[0]
-    x = spectral.cheb_nodes(nx)
-    if p.k == 0:
-        dbl = _double_integral(p.f)
-        return dbl - p.g * x + p.phi - dbl[-1] + p.g
-
-    lam = 2.0 * math.pi * p.k
-    P1, P2 = _partial_integrals(p.f, lam, n_quad)
-    I_minus, I_plus = _endpoint_integrals(p.f, lam, n_quad)
-    den = 1.0 + math.exp(-2.0 * lam)
-    B = (2.0 * lam * p.phi * np.exp(lam * (x - 1.0))
-         - 2.0 * p.g * np.exp(lam * (x - 2.0))
-         + np.exp(lam * (x - 2.0)) * I_minus
-         + np.exp(lam * (x - 1.0)) * I_plus) / den
-    D = (-2.0 * lam * p.phi * np.exp(-lam * (x + 1.0))
-         - 2.0 * p.g * np.exp(-lam * x)
-         + np.exp(-lam * x) * I_minus
-         - np.exp(-lam * (x + 1.0)) * I_plus) / den
-    return (-P1 + B - P2 - D) / (2.0 * lam)
-
-
-def mode_solve_formula(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
-    return (mode_solve_dirichlet(p, n_quad) if p.kind == "dirichlet"
-            else mode_solve_mixed(p, n_quad))
+def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
+    """Max interior |a'' - lam2 a - f| over the node axis (per column)."""
+    res = spectral.cheb_diff2_matrix(a.shape[0]) @ a - lam2 * a - f
+    return np.max(np.abs(res[1:-1]), axis=0)
 
 
 def mode_residual(p: ModeProblem, a: np.ndarray) -> float:
     """Max interior defect |a'' - (2 pi k)^2 a - f| of a candidate mode solution."""
-    nx = a.shape[0]
-    lam = 2.0 * math.pi * p.k
-    res = spectral.cheb_diff2_matrix(nx) @ a - lam ** 2 * a - p.f
-    return float(np.max(np.abs(res[1:-1])))
+    return float(_interior_defect(a, (2.0 * math.pi * p.k) ** 2, p.f))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +131,7 @@ def mode_residual(p: ModeProblem, a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _solve_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray | None,
-                  kind: Kind, method: str, debug: list | None) -> ScalarField:
+                  kind: Kind, debug: list | None) -> ScalarField:
     grid = f.grid
     phi_out = np.asarray(phi_out, dtype=float)
     scale = max(float(np.max(np.abs(f.values))), float(np.max(np.abs(phi_out))),
@@ -260,41 +147,32 @@ def _solve_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray | None,
     else:
         gc = gs = np.zeros(pc.shape)
 
+    # one column per cos and per sin mode; the sin parts of k = 0 and of the
+    # Nyquist mode vanish on the even grid and solve to exact zeros
     K = grid.ny // 2
-    ac = np.zeros((grid.nx, K + 1))
-    as_ = np.zeros((grid.nx, K + 1))
-    for k in range(K + 1):
-        parts = [("cos", fc[:, k], pc[k], gc[k])]
-        if 0 < k < K:
-            parts.append(("sin", fs[:, k], ps[k], gs[k]))
-        for part, fk, phik, gk in parts:
-            prob = ModeProblem(k=k, kind=kind, f=fk, phi=float(phik), g=float(gk))
-            if method == "collocation":
-                a = mode_solve_collocation(prob)
-            elif method == "formula":
-                a = mode_solve_formula(prob)
-            else:
-                raise ValueError(f"unknown solve method {method!r}")
-            if debug is not None:
-                debug.append({"k": k, "part": part, "kind": kind, "path": method,
-                              "residual": mode_residual(prob, a)})
-            if part == "cos":
-                ac[:, k] = a
-            else:
-                as_[:, k] = a
-    return ScalarField(grid, spectral.fourier_synthesis(ac, as_, grid.ny, axis=1))
+    lam2 = np.tile((2.0 * math.pi * np.arange(K + 1)) ** 2, 2)
+    rhs = np.hstack([fc, fs])
+    a = _solve_modes(kind, lam2, rhs, np.concatenate([pc, ps]), np.concatenate([gc, gs]))
+    if debug is not None:
+        residual = _interior_defect(a, lam2, rhs).reshape(2, K + 1)
+        debug.extend({"k": k, "part": part, "kind": kind, "path": "collocation",
+                      "residual": float(residual[j, k])}
+                     for k in range(K + 1) for j, part in enumerate(("cos", "sin"))
+                     if part == "cos" or 0 < k < K)
+    return ScalarField(grid, spectral.fourier_synthesis(a[:, :K + 1], a[:, K + 1:],
+                                                        grid.ny, axis=1))
 
 
 def solve_dirichlet(f: ScalarField, phi_out: np.ndarray,
-                    method: str = "collocation", debug: list | None = None) -> ScalarField:
+                    debug: list | None = None) -> ScalarField:
     """Solve Lap v = f with v(0, .) = 0 and v(1, .) = phi_out."""
-    return _solve_scalar(f, phi_out, None, "dirichlet", method, debug)
+    return _solve_scalar(f, phi_out, None, "dirichlet", debug)
 
 
 def solve_mixed(f: ScalarField, g: np.ndarray, phi_out: np.ndarray,
-                method: str = "collocation", debug: list | None = None) -> ScalarField:
+                debug: list | None = None) -> ScalarField:
     """Solve Lap v = f with outward normal derivative g at x = 0, v(1, .) = phi_out."""
-    return _solve_scalar(f, phi_out, g, "mixed", method, debug)
+    return _solve_scalar(f, phi_out, g, "mixed", debug)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +235,12 @@ def boundary_operator(u: TripleField) -> np.ndarray:
 
 
 def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
-                        phi: BoundaryTriple, method: str = "collocation",
-                        debug: list | None = None) -> TripleField:
+                        phi: BoundaryTriple, debug: list | None = None) -> TripleField:
     """Solve the coupled system: Lap u = F, junction conditions (0, G1, G2), u(1,.) = phi."""
     probs = decouple(F, G, phi)
-    v1 = solve_dirichlet(probs.dirichlet_f, probs.dirichlet_phi, method, debug)
-    v2 = solve_mixed(probs.diff_f, probs.diff_g, probs.diff_phi, method, debug)
-    v3 = solve_mixed(probs.mean_f, probs.mean_g, probs.mean_phi, method, debug)
+    v1 = solve_dirichlet(probs.dirichlet_f, probs.dirichlet_phi, debug)
+    v2 = solve_mixed(probs.diff_f, probs.diff_g, probs.diff_phi, debug)
+    v3 = solve_mixed(probs.mean_f, probs.mean_g, probs.mean_phi, debug)
     return recompose(v1, v2, v3)
 
 

@@ -3,20 +3,26 @@
 Everything here deliberately avoids the closed-form geometry and the
 spectral solvers: mean curvature is re-derived from finite differences of
 embedded surface points alone, and the linear problems are re-solved with
-second-order finite differences on a uniform grid.  Agreement between these
-oracles and the production paths is what certifies the latter.
+second-order finite differences on a uniform grid, or mode by mode with the
+closed-form exponential-kernel solutions.  Agreement between these oracles
+and the production paths is what certifies the latter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .fields import BoundaryTriple, Grid2D, TripleField
+from . import spectral
+from .fields import BoundaryTriple, Grid2D, ScalarField, TripleField
 from .geometry import CutoffProfile, JunctionFrame, embed_point, frame_vectors
 from .curvature import conormal_xi
+from .linear import ModeProblem, decouple, recompose
+
+_EXP_WINDOW = 45.0        # kernel tail cut: exp(-45) is far below double round-off
+_N_QUAD = 96
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +106,132 @@ def fd_linear_solve(f, g, phi, shape: tuple[int, int],
 
     K = my // 2
     sym = 4.0 * np.sin(np.pi * np.arange(K + 1) * hy) ** 2 / hy ** 2
-    out = np.empty((mx, K + 1), dtype=complex)
-    for k in range(K + 1):
-        # rows 1..mx-2: standard second difference minus the FD mode symbol
-        band = np.zeros((3, mx), dtype=complex)
-        rhs = fh[:, k].astype(complex)
-        band[0, 1:] = 1.0 / hx ** 2          # superdiagonal
-        band[1, :] = -2.0 / hx ** 2 - sym[k]
-        band[2, :-1] = 1.0 / hx ** 2         # subdiagonal
-        if kind == "dirichlet":
-            band[1, 0] = 1.0
-            band[0, 1] = 0.0
-            rhs[0] = 0.0
-        else:
-            # ghost point at x = -hx: (v1 - v_-1)/(2 hx) = v'(0) = -g
-            band[0, 1] = 2.0 / hx ** 2
-            rhs[0] = fh[0, k] - 2.0 * gh[k] / hx
-        band[1, -1] = 1.0
-        band[2, -2] = 0.0
-        rhs[-1] = ph[k]
-        out[:, k] = solve_banded((1, 1), band, rhs)
+    # one (mx, mx) system per mode, solved as a batch; rows 1..mx-2: standard
+    # second difference minus the FD mode symbol
+    D2 = (np.eye(mx, k=1) - 2.0 * np.eye(mx) + np.eye(mx, k=-1)) / hx ** 2
+    A = D2 - sym[:, None, None] * np.eye(mx)
+    rhs = fh.copy()
+    if kind == "dirichlet":
+        A[:, 0] = np.eye(mx)[0]
+        rhs[0] = 0.0
+    else:
+        # ghost point at x = -hx: (v1 - v_-1)/(2 hx) = v'(0) = -g
+        A[:, 0, 1] = 2.0 / hx ** 2
+        rhs[0] = fh[0] - 2.0 * gh / hx
+    A[:, -1] = np.eye(mx)[-1]
+    rhs[-1] = ph
+    out = np.linalg.solve(A, rhs.T[:, :, None])[:, :, 0].T
     values = np.fft.irfft(out, n=my, axis=1)
     return xs, ys, values
+
+
+# ---------------------------------------------------------------------------
+# Closed-form mode solutions: exponential kernels, overflow-safe
+# ---------------------------------------------------------------------------
+
+def _partial_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """P1(x) = int_x^1 f e^{lam (x - t)} dt and P2(x) = int_0^x f e^{lam (t - x)} dt.
+
+    Both kernels peak at t = x with decay rate lam, so the integration window
+    is clipped where the kernel falls below round-off.  Off the grid f is
+    its Chebyshev series, summed by Clenshaw.
+    """
+    nx = f.shape[0]
+    x = spectral.cheb_nodes(nx)
+    coeffs = spectral.cheb_coefficients(f)
+
+    def ev(t: np.ndarray) -> np.ndarray:
+        return np.polynomial.chebyshev.chebval(1.0 - 2.0 * t, coeffs)
+
+    width = 1.0 if lam == 0.0 else min(1.0, _EXP_WINDOW / lam)
+    nodes, weights = spectral.clenshaw_curtis(n_quad)
+
+    hi = np.minimum(1.0, x + width)
+    t1 = x[:, None] + nodes[None, :] * (hi - x)[:, None]
+    k1 = np.exp(lam * (x[:, None] - t1))
+    P1 = ((ev(t1) * k1) @ weights) * (hi - x)
+
+    lo = np.maximum(0.0, x - width)
+    t2 = lo[:, None] + nodes[None, :] * (x - lo)[:, None]
+    k2 = np.exp(lam * (t2 - x[:, None]))
+    P2 = ((ev(t2) * k2) @ weights) * (x - lo)
+    return P1, P2
+
+
+def mode_solve_formula(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
+    """Closed-form mode solution: a(1) = phi, and a(0) = 0 or a'(0) = -g by kind.
+
+    For k = 0 this is the double integral of the forcing plus the affine
+    function meeting the boundary data; for k >= 1 the exponential-kernel
+    solution with its two integration constants, algebraically rearranged so
+    that every exponential has a non-positive argument (the constants'
+    numerators and the denominator are divided by the largest exponential,
+    and the outer exponentials are folded into the kernels).  The kinds
+    differ only in the sign s and the Neumann datum g.
+    """
+    x = spectral.cheb_nodes(p.f.shape[0])
+    s, g = (-1.0, 0.0) if p.kind == "dirichlet" else (1.0, p.g)
+    if p.k == 0:
+        dbl = spectral.cheb_cumulative_integral(spectral.cheb_cumulative_integral(p.f))
+        if p.kind == "dirichlet":
+            return dbl + (p.phi - dbl[-1]) * x
+        return dbl - g * x + p.phi - dbl[-1] + g
+
+    lam = 2.0 * math.pi * p.k
+    P1, P2 = _partial_integrals(p.f, lam, n_quad)
+    # int_0^1 f e^{-lam t} dt and int_0^1 f e^{lam (t - 1)} dt
+    I_minus, I_plus = P1[0], P2[-1]
+    den = 1.0 + s * math.exp(-2.0 * lam)
+    B = ((2.0 * lam * p.phi + I_plus) * np.exp(lam * (x - 1.0))
+         + (s * I_minus - 2.0 * g) * np.exp(lam * (x - 2.0))) / den
+    D = (-s * (2.0 * lam * p.phi + I_plus) * np.exp(-lam * (x + 1.0))
+         + (s * I_minus - 2.0 * g) * np.exp(-lam * x)) / den
+    return (-P1 + B - P2 - D) / (2.0 * lam)
+
+
+def mode_solve_dirichlet(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
+    """:func:`mode_solve_formula` for a problem of Dirichlet kind."""
+    if p.kind != "dirichlet":
+        raise ValueError("mode problem is not of Dirichlet kind")
+    return mode_solve_formula(p, n_quad)
+
+
+def mode_solve_mixed(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
+    """:func:`mode_solve_formula` for a problem of mixed kind."""
+    if p.kind != "mixed":
+        raise ValueError("mode problem is not of mixed kind")
+    return mode_solve_formula(p, n_quad)
+
+
+def _formula_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray,
+                    kind: str) -> ScalarField:
+    grid = f.grid
+    fc, fs = spectral.fourier_coefficients(f.values, axis=1)
+    pc, ps = spectral.fourier_coefficients(phi_out)
+    gc, gs = spectral.fourier_coefficients(g)
+    K = grid.ny // 2
+    ac = np.zeros((grid.nx, K + 1))
+    as_ = np.zeros((grid.nx, K + 1))
+    for k in range(K + 1):
+        ac[:, k] = mode_solve_formula(ModeProblem(k, kind, fc[:, k], pc[k], gc[k]))
+        if 0 < k < K:
+            as_[:, k] = mode_solve_formula(ModeProblem(k, kind, fs[:, k], ps[k], gs[k]))
+    return ScalarField(grid, spectral.fourier_synthesis(ac, as_, grid.ny, axis=1))
+
+
+def formula_linear_solve(F: TripleField, G: tuple[np.ndarray, np.ndarray],
+                         phi: BoundaryTriple) -> TripleField:
+    """The coupled linear solve with every mode taken from the closed forms.
+
+    Same decoupling as :func:`trijunction.linear.solve_linear_system`, but
+    each scalar problem is solved mode by mode with the exponential-kernel
+    formulas, independently of the collocation solve.
+    """
+    p = decouple(F, G, phi)
+    return recompose(
+        _formula_scalar(p.dirichlet_f, p.dirichlet_phi, np.zeros(phi.ny), "dirichlet"),
+        _formula_scalar(p.diff_f, p.diff_phi, p.diff_g, "mixed"),
+        _formula_scalar(p.mean_f, p.mean_phi, p.mean_g, "mixed"))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +102,11 @@ def cheb_interp(values: np.ndarray, xq: np.ndarray) -> np.ndarray:
     return out.reshape(xq.shape + values.shape[1:])
 
 
+def _dct1(values: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I along axis 0: the real FFT of the even extension."""
+    return np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real
+
+
 def cheb_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev series coefficients (in xi = 1 - 2x) of Lobatto samples.
 
@@ -110,7 +114,7 @@ def cheb_coefficients(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     N = values.shape[0] - 1
-    a = dct(values, type=1, axis=0) / N
+    a = _dct1(values) / N
     a[0] /= 2.0
     a[-1] /= 2.0
     return a
@@ -121,7 +125,7 @@ def cheb_values(coeffs: np.ndarray) -> np.ndarray:
     b = np.asarray(coeffs, dtype=float).copy()
     b[0] *= 2.0
     b[-1] *= 2.0
-    return dct(b, type=1, axis=0) / 2.0
+    return _dct1(b) / 2.0
 
 
 def cheb_derivative_values(values: np.ndarray, order: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, GuardViolation,
                          solve_linear_system, solve_mixed, solve_nonlinear, trace,
                          F_eval, G_eval)
 from trijunction.curvature import random_compatible_field, scaled_to_proxy
-from trijunction.linear import mode_solve_formula, random_smooth_field, random_smooth_map
+from trijunction.linear import random_smooth_field, random_smooth_map
+from trijunction.oracles import mode_solve_formula
 from trijunction.spectral import cheb_nodes
 
 from conftest import random_boundary

@@ -1,11 +1,15 @@
 """End-to-end command-line workflows: solve, verify, sweep, export-mesh."""
 
 import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 
+import trijunction
 from trijunction.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_NO_CONVERGENCE, EXIT_OK,
-                             EXIT_VERIFY_FAIL, main)
+                             EXIT_VERIFY_FAIL, load_artifacts, main)
 from trijunction import load_field_csv
 
 
@@ -54,6 +58,7 @@ def test_solve_config_errors(tmp_path):
     assert run(["solve", "--family", "bogus:1", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--delta", "0.7", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--ny", "63", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert run(["solve", "--phi1", "a:1:2", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--family", "translate:0.01,0", "--phi1", "0:1:0",
                 "--out", str(tmp_path)]) == EXIT_CONFIG
     # family magnitude beyond delta/20 is a data error surfaced as config
@@ -174,3 +179,43 @@ def test_verify_failed_run_artifacts(tmp_path):
                 "--phi3", "1:-0.2:-0.1", "--out", out])
     assert code in (EXIT_GUARD, EXIT_NO_CONVERGENCE)
     assert run(["verify", out]) == EXIT_VERIFY_FAIL
+
+
+def test_solve_artifacts_get_umask_mode(tmp_path):
+    out = str(tmp_path / "run")
+    old = os.umask(0o027)
+    try:
+        assert run(["solve", "--out", out]) == EXIT_OK
+    finally:
+        os.umask(old)
+    for name in os.listdir(out):
+        assert stat.S_IMODE(os.stat(os.path.join(out, name)).st_mode) == 0o640, name
+
+
+def test_load_artifacts_round_trips_config(tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--phi1", "1:1e-6:0", "--phi2", "1:-5e-7:1e-6",
+                "--phi3", "1:-5e-7:-1e-6", "--r-guard", "0.05",
+                "--mesh-resolution", "9x12", "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "config_used.txt")) as fh:
+        written = dict(ln.split(" = ", 1) for ln in fh.read().splitlines())
+    assert {"r_guard", "phi1", "phi2", "phi3", "mesh_resolution"} <= set(written)
+    cfg, _, _, _ = load_artifacts(out)
+    assert {k: str(v) for k, v in cfg.echo().items()} == written
+    target = os.path.join(out, "export.obj")
+    assert run(["export-mesh", out, "--out", target]) == EXIT_OK
+    with open(target) as fh:
+        header = dict(ln[2:].rstrip("\n").split(" = ", 1) for ln in fh
+                      if ln.startswith("# ") and " = " in ln)
+    assert {k: header[k] for k in written} == written
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(trijunction.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, trijunction.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

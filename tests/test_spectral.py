@@ -34,6 +34,22 @@ def test_interp_and_coefficients_roundtrip():
     assert np.max(np.abs(sp.cheb_interp(f, xq) - (np.sin(3 * xq) + xq ** 2))) < 1e-12
 
 
+def test_cheb_coefficients_match_cosine_sum():
+    # a_n = (2 / N) sum'' f_j cos(pi n j / N), the outer terms (j and n at
+    # 0 or N) halved: the DCT-I definition of the Lobatto series
+    rng = np.random.default_rng(0)
+    for nx in (2, 3, 8, 49):
+        N = nx - 1
+        j = np.arange(nx)
+        half = np.where((j == 0) | (j == N), 0.5, 1.0)
+        C = (2.0 / N) * half[:, None] * np.cos(np.pi * np.outer(j, j) / N) * half[None, :]
+        for f in (rng.standard_normal(nx), rng.standard_normal((nx, 3))):
+            a = sp.cheb_coefficients(f)
+            assert a.shape == f.shape
+            assert np.max(np.abs(a - C @ f)) < 1e-13 * max(1.0, np.max(np.abs(f))), nx
+            assert np.max(np.abs(sp.cheb_values(a) - f)) < 1e-13 * np.max(np.abs(f)), nx
+
+
 def test_cumulative_integral():
     x = sp.cheb_nodes(32)
     cum = sp.cheb_cumulative_integral(3 * np.cos(3 * x))
