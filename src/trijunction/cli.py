@@ -9,9 +9,14 @@ Subcommands:
 
 Configuration is a flat ``key = value`` text file plus command-line
 overrides; every artifact embeds the effective configuration in its header
-for reproducibility.  Exit codes: 0 success, 1 verification failure or
-unreadable artifacts, 2 no convergence, 3 guard violation, 4 bad
-configuration.
+for reproducibility.  Exit codes:
+
+* 0  success
+* 1  verification failure or unreadable artifacts
+* 2  no convergence (``sweep``: no scale converged)
+* 3  guard violation
+* 4  bad configuration
+* 5  converged, but the residual gates failed
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_GUARD = 3
 EXIT_CONFIG = 4
+EXIT_GATES = 5
 
 RESIDUAL_GATES = {"conormal_sup": 1e-6, "trace_sum": 1e-10, "outer_trace": 1e-10}
 
@@ -349,7 +355,7 @@ def cmd_solve(args) -> int:
                    for name, bound in RESIDUAL_GATES.items())
     if not gates_ok:
         print("converged, but residual gates failed", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_GATES
     print(f"artifacts written to {cfg.out}")
     return EXIT_OK
 
@@ -450,7 +456,7 @@ def cmd_sweep(args) -> int:
         monotone = all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]))
         print(f"iterations vs scale monotone nondecreasing: {monotone}")
     print(f"sweep written to {path}")
-    return EXIT_OK
+    return EXIT_OK if iter_counts else EXIT_NO_CONVERGENCE
 
 
 def cmd_export_mesh(args) -> int:
@@ -466,6 +472,7 @@ def cmd_export_mesh(args) -> int:
         print(f"bad resolution {args.resolution!r}", file=sys.stderr)
         return EXIT_CONFIG
     cutoff = CutoffProfile(cfg.delta)
+    cfg.mesh_resolution = resolution
     header = cfg.echo()
     header.update({f"residual_{k}": f"{v:.6e}" for k, v in stored.items()})
     mesh = mesh_surface(u, resolution, cutoff, header=header)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .fields import Grid2D, ScalarField, TripleField, diff, laplacian, norm_proxy
+from .fields import Grid2D, ScalarField, TripleField, laplacian, norm_proxy
 from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
                        spine_from_traces, wall_scalars)
 
@@ -68,12 +68,7 @@ def metric_shape_data(i: int, u: TripleField, cutoff: CutoffProfile,
     n_i = frame.n_vec(i)
     nu_i = frame.nu_vec(i)
 
-    ui = u.sheet(i)
-    ux = diff(ui, 1, 0).values
-    uy = diff(ui, 0, 1).values
-    uxx = diff(ui, 2, 0).values
-    uxy = diff(ui, 1, 1).values
-    uyy = diff(ui, 0, 2).values
+    ux, uy, uxx, uxy, uyy = u.sheet(i).jet
 
     w = wall_scalars(u.traces())[i - 1]                     # (ny,)
     w1 = spectral.fourier_derivative(w, 1)
@@ -158,14 +153,27 @@ def F_eval(u: TripleField, cutoff: CutoffProfile,
 # ---------------------------------------------------------------------------
 
 def _spine_quantities(u: TripleField, frame: JunctionFrame):
-    tr = u.traces()
-    spine = spine_from_traces(tr, frame)
-    vprime = spine.derivative()                    # (ny, 2)
-    dxu0 = np.stack([
-        spectral.cheb_derivative_values(u.sheet(i).values, 1)[0]
-        for i in (1, 2, 3)])                       # (3, ny)
-    dyu0 = spectral.fourier_derivative(tr, 1, axis=1)
+    """Spine slope v' (ny, 2) and the inner rows of d_x u_i and d_y u_i (3, ny)."""
+    vprime = spine_from_traces(u.traces(), frame).derivative()
+    dxu0 = np.stack([f.jet.ux[0] for f in u.components])
+    dyu0 = np.stack([f.jet.uy[0] for f in u.components])
     return vprime, dxu0, dyu0
+
+
+def _conormal(i: int, vprime: np.ndarray, dxu0: np.ndarray,
+              frame: JunctionFrame) -> np.ndarray:
+    ny = vprime.shape[0]
+    tau = np.empty((ny, 3))
+    tau[:, :2] = -frame.n_vec(i) + dxu0[i - 1][:, None] * frame.nu_vec(i)
+    tau[:, 2] = 0.0
+    T = np.column_stack([vprime, np.ones(ny)])
+    coef = (tau * T).sum(axis=1) / (T * T).sum(axis=1)
+    proj = tau - coef[:, None] * T
+    return proj / np.linalg.norm(proj, axis=1, keepdims=True)
+
+
+def _conormal_sum(vprime: np.ndarray, dxu0: np.ndarray, frame: JunctionFrame) -> np.ndarray:
+    return sum(_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3))
 
 
 def conormal_xi(i: int, u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
@@ -177,19 +185,14 @@ def conormal_xi(i: int, u: TripleField, frame: JunctionFrame | None = None) -> n
     """
     frame = frame or frame_vectors()
     vprime, dxu0, _ = _spine_quantities(u, frame)
-    tau = np.empty((u.grid.ny, 3))
-    tau[:, :2] = -frame.n_vec(i) + dxu0[i - 1][:, None] * frame.nu_vec(i)
-    tau[:, 2] = 0.0
-    T = np.column_stack([vprime, np.ones(u.grid.ny)])
-    coef = (tau * T).sum(axis=1) / (T * T).sum(axis=1)
-    proj = tau - coef[:, None] * T
-    return proj / np.linalg.norm(proj, axis=1, keepdims=True)
+    return _conormal(i, vprime, dxu0, frame)
 
 
 def conormal_defect(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
     """S(y) = xi_1 + xi_2 + xi_3; identically zero at stationarity."""
     frame = frame or frame_vectors()
-    return sum(conormal_xi(i, u, frame) for i in (1, 2, 3))
+    vprime, dxu0, _ = _spine_quantities(u, frame)
+    return _conormal_sum(vprime, dxu0, frame)
 
 
 def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +211,7 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarr
     """
     frame = frame or frame_vectors()
     vprime, dxu0, dyu0 = _spine_quantities(u, frame)
-    S = conormal_defect(u, frame)
+    S = _conormal_sum(vprime, dxu0, frame)
     ny = u.grid.ny
 
     b1 = np.empty((ny, 3))

@@ -17,6 +17,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,16 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return out
 
 
+class Jet(NamedTuple):
+    """Spectral first and second derivatives of one field, read-only (nx, ny) arrays."""
+
+    ux: np.ndarray
+    uy: np.ndarray
+    uxx: np.ndarray
+    uxy: np.ndarray
+    uyy: np.ndarray
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real samples of shape (nx, ny); immutable, implicitly 1-periodic in y."""
@@ -99,6 +110,22 @@ class ScalarField:
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    @cached_property
+    def jet(self) -> Jet:
+        """Every derivative of total order <= 2, computed once per field.
+
+        The x-derivatives share one Chebyshev coefficient pass; the field is
+        immutable, so the cached arrays never go stale.
+        """
+        v = self.values
+        ux, uxx = spectral.cheb_derivative_values(v, (1, 2))
+        jet = Jet(ux=ux, uy=spectral.fourier_derivative(v, 1, axis=1), uxx=uxx,
+                  uxy=spectral.fourier_derivative(ux, 1, axis=1),
+                  uyy=spectral.fourier_derivative(v, 2, axis=1))
+        for a in jet:
+            a.flags.writeable = False
+        return jet
 
     def eval(self, x, y) -> np.ndarray:
         """Spectral interpolation at arbitrary points (Fourier in y, barycentric in x)."""
@@ -222,16 +249,13 @@ def diff(field: ScalarField, order_x: int, order_y: int) -> ScalarField:
     """Mixed spectral derivative; order_x + order_y <= 2."""
     if order_x < 0 or order_y < 0 or order_x + order_y > 2:
         raise ValueError("supported derivative orders: total degree <= 2")
-    v = field.values
-    if order_x:
-        v = spectral.cheb_derivative_values(v, order_x)
-    if order_y:
-        v = spectral.fourier_derivative(v, order_y, axis=1)
-    return ScalarField(field.grid, v)
+    if order_x + order_y == 0:
+        return ScalarField(field.grid, field.values)
+    return ScalarField(field.grid, getattr(field.jet, "u" + "x" * order_x + "y" * order_y))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
-    return diff(field, 2, 0) + diff(field, 0, 2)
+    return ScalarField(field.grid, field.jet.uxx + field.jet.uyy)
 
 
 def trace(field: ScalarField, end: str) -> np.ndarray:
@@ -245,7 +269,7 @@ def trace(field: ScalarField, end: str) -> np.ndarray:
 
 def normal_derivative_inner(field: ScalarField) -> np.ndarray:
     """Outward normal derivative on the inner circle; the normal points in -x."""
-    return -spectral.cheb_derivative_values(field.values, 1)[0]
+    return -field.jet.ux[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +318,9 @@ def scalar_field_proxy(field: ScalarField, alpha: float, order: int = 2) -> floa
     """Discrete stand-in for the C^{order, alpha} norm of one field."""
     derivs = [[field.values]]
     if order >= 1:
-        derivs.append([diff(field, 1, 0).values, diff(field, 0, 1).values])
+        derivs.append([field.jet.ux, field.jet.uy])
     if order >= 2:
-        derivs.append([diff(field, 2, 0).values, diff(field, 1, 1).values,
-                       diff(field, 0, 2).values])
+        derivs.append([field.jet.uxx, field.jet.uxy, field.jet.uyy])
     sup_part = max(float(np.max(np.abs(a))) for group in derivs for a in group)
     return sup_part + _holder_seminorm_2d(derivs[-1], field.grid, alpha)
 

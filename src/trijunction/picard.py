@@ -24,8 +24,7 @@ import numpy as np
 from .curvature import DegenerateMetric, F_eval, G_eval, conormal_defect
 from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy,
                      laplacian, norm_proxy, trace)
-from .geometry import (CompatibilityReport, CutoffProfile, JunctionFrame,
-                       check_c0_compatibility, frame_vectors)
+from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
 from .linear import ContractionEstimates, boundary_operator, solve_linear_system
 
 
@@ -136,7 +135,7 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
 
 
 def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile,
-                  eps_warned: bool) -> tuple[GuardRecord, CompatibilityReport]:
+                  eps_warned: bool) -> GuardRecord:
     comp = check_c0_compatibility(u, cutoff, opts.alpha)
     r = opts.guard_radius(cutoff.delta)
     return GuardRecord(
@@ -146,7 +145,7 @@ def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile,
         embed_margin=comp.monotonic_margin,
         smallness_ok=comp.smallness_ok,
         eps_warned=eps_warned,
-    ), comp
+    )
 
 
 def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
@@ -175,13 +174,14 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     u = TripleField.zero(grid)
     updates: list[float] = []
     r = opts.guard_radius(cutoff.delta)
+    guards = None
 
     for it in range(1, opts.max_iter + 1):
         try:
             u_next = picard_step(u, phi, cutoff, frame)
         except DegenerateMetric as exc:
-            # the previous iterate already left the embeddable regime
-            guards, _ = _guard_record(u, opts, cutoff, eps_warned)
+            # the previous iterate already left the embeddable regime; the
+            # zero start has the flat metric, so that iterate has a guard record
             report = _assemble_report(it - 1, updates, u, phi, cutoff, frame, guards,
                                       converged=False)
             raise GuardViolation(
@@ -190,22 +190,19 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
         upd = (u_next - u).sup()
         updates.append(upd)
         u = u_next
+        guards = _guard_record(u, opts, cutoff, eps_warned)
 
-        proxy = norm_proxy(u, opts.alpha)
-        if proxy > r:
-            guards, _ = _guard_record(u, opts, cutoff, eps_warned)
+        if guards.norm_proxy > r:
             report = _assemble_report(it, updates, u, phi, cutoff, frame, guards,
                                       converged=False)
             raise GuardViolation(
-                f"iterate {it} has proxy norm {proxy:.3e} > guard radius {r:.3e}",
+                f"iterate {it} has proxy norm {guards.norm_proxy:.3e} > guard radius {r:.3e}",
                 u, report)
         if upd < opts.tol:
-            guards, _ = _guard_record(u, opts, cutoff, eps_warned)
             report = _assemble_report(it, updates, u, phi, cutoff, frame, guards,
                                       converged=True)
             return u, report
 
-    guards, _ = _guard_record(u, opts, cutoff, eps_warned)
     report = _assemble_report(opts.max_iter, updates, u, phi, cutoff, frame, guards,
                               converged=False)
     trend = "non-decreasing" if len(updates) >= 2 and updates[-1] >= updates[-2] \
@@ -283,7 +280,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
         if proxy_next > r:
             # the orbits left the trust ball: the data is outside the
             # contraction regime and must fail loudly, not produce quiet ratios
-            guards, _ = _guard_record(Au, opts, cutoff, False)
+            guards = _guard_record(Au, opts, cutoff, False)
             report = _assemble_report(it + 1, [], Au, phi, cutoff, frame, guards,
                                       converged=False)
             raise GuardViolation(

@@ -128,24 +128,48 @@ def cheb_values(coeffs: np.ndarray) -> np.ndarray:
     return _dct1(b) / 2.0
 
 
-def cheb_derivative_values(values: np.ndarray, order: int) -> np.ndarray:
-    """Spectral x-derivative of Lobatto samples via coefficient recurrence.
+@lru_cache(maxsize=None)
+def cheb_coefficient_diff_matrix(n: int, order: int) -> np.ndarray:
+    """Maps Chebyshev coefficients (in xi) of length n to those of the order-th xi-derivative.
+
+    d/dxi T_j = 2 j sum' T_k over k < j with j - k odd, the k = 0 term
+    halved (Trefethen, Spectral Methods in MATLAB, ch. 6-7).  The entries
+    are integers or halves, and so are those of the powers, so the matrix is
+    exact in floating point.
+    """
+    j = np.arange(n)
+    odd_gap = (j[None, :] > j[:, None]) & ((j[None, :] - j[:, None]) % 2 == 1)
+    C1 = np.where(odd_gap, 2.0 * j[None, :], 0.0)
+    C1[0] /= 2.0
+    C = np.linalg.matrix_power(C1, order)
+    C.flags.writeable = False
+    return C
+
+
+def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...]) -> np.ndarray:
+    """Spectral x-derivative of Lobatto samples, differentiated in coefficient space.
 
     Transform-space differentiation avoids the large cancellations of dense
     differentiation matrices: polynomials of low degree come out exact, and
-    constants map to exactly zero.  Node axis first.
+    constants map to exactly zero.  Node axis first.  ``order`` is an int,
+    or a tuple of ints for several derivatives from one coefficient pass,
+    stacked along a new leading axis.
     """
     values = np.asarray(values, dtype=float)
+    n = values.shape[0]
     a = cheb_coefficients(values)
     # chop sub-round-off tail coefficients (per column): they carry no
-    # information and the derivative recurrence would amplify them by
-    # O(N^2) per order
+    # information and differentiation would amplify them by O(N^2) per order
     scale = np.max(np.abs(a), axis=0, keepdims=True)
-    a = np.where(np.abs(a) < 4.0 * np.finfo(float).eps * scale, 0.0, a)
-    b = np.polynomial.chebyshev.chebder(a, m=order, axis=0)
-    pad = np.zeros((values.shape[0] - b.shape[0],) + b.shape[1:])
-    b = np.concatenate([b, pad], axis=0)
-    return (-2.0) ** order * cheb_values(b)
+    a = np.where(np.abs(a) < 4.0 * np.finfo(float).eps * scale, 0.0, a).reshape(n, -1)
+
+    def derivative(k: int) -> np.ndarray:
+        b = cheb_coefficient_diff_matrix(n, k) @ a
+        return (-2.0) ** k * cheb_values(b).reshape(values.shape)
+
+    if isinstance(order, tuple):
+        return np.stack([derivative(k) for k in order])
+    return derivative(order)
 
 
 def cheb_cumulative_integral(values: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 
 import trijunction
-from trijunction.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_NO_CONVERGENCE, EXIT_OK,
-                             EXIT_VERIFY_FAIL, load_artifacts, main)
+from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
+                             EXIT_OK, EXIT_VERIFY_FAIL, load_artifacts, main)
 from trijunction import load_field_csv
 
 
@@ -52,6 +52,16 @@ def test_solve_oversized_boundary_trips_guard(tmp_path):
     # diagnostic artifacts are still written
     assert os.path.exists(os.path.join(out, "summary.txt"))
     assert os.path.exists(os.path.join(out, "report.csv"))
+
+
+def test_solve_converged_but_gates_failed(tmp_path):
+    # tol = 1 stops at the first (linear) iterate, whose conormal defect is
+    # quadratic in the data and far above its 1e-6 gate
+    out = str(tmp_path / "loose")
+    assert run(["solve", "--phi1", "1:0.2:0", "--phi2", "1:-0.1:0.2",
+                "--phi3", "1:-0.1:-0.2", "--tol", "1", "--r-guard", "1000",
+                "--out", out]) == EXIT_GATES
+    assert "converged          : True" in open(os.path.join(out, "summary.txt")).read()
 
 
 def test_solve_config_errors(tmp_path):
@@ -140,6 +150,15 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert lines[2].split(",")[1] in ("error", "guard_violation", "no_convergence")
 
 
+def test_sweep_without_convergence_exits_no_convergence(tmp_path):
+    out = str(tmp_path / "sweep3")
+    assert run(["sweep", "--phi1", "0:0.25:0", "--phi2", "1:0.2:0.1",
+                "--phi3", "1:-0.2:-0.1", "--scales", "0.5,1.0",
+                "--out", out]) == EXIT_NO_CONVERGENCE
+    lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["guard_violation"] * 2
+
+
 def test_sweep_requires_boundary(tmp_path):
     assert run(["sweep", "--scales", "1.0", "--out", str(tmp_path)]) == EXIT_CONFIG
 
@@ -207,6 +226,9 @@ def test_load_artifacts_round_trips_config(tmp_path):
     with open(target) as fh:
         header = dict(ln[2:].rstrip("\n").split(" = ", 1) for ln in fh
                       if ln.startswith("# ") and " = " in ln)
+    # the export names the resolution it meshed at, not the stored one
+    assert header.pop("mesh_resolution") == "33x64"
+    del written["mesh_resolution"]
     assert {k: header[k] for k in written} == written
 
 

@@ -183,6 +183,25 @@ def test_fields_immutable(grid_small):
     f = ScalarField.zero(grid_small)
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+    for arr in f.jet:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_jet_is_cached_and_matches_fresh_derivatives(grid_small):
+    from trijunction import spectral
+    rng = np.random.default_rng(4)
+    f = ScalarField(grid_small, rng.standard_normal((grid_small.nx, grid_small.ny)))
+    assert f.jet is f.jet
+    ux = spectral.cheb_derivative_values(f.values, 1)
+    fresh = {"ux": ux,
+             "uy": spectral.fourier_derivative(f.values, 1, axis=1),
+             "uxx": spectral.cheb_derivative_values(f.values, 2),
+             "uxy": spectral.fourier_derivative(ux, 1, axis=1),
+             "uyy": spectral.fourier_derivative(f.values, 2, axis=1)}
+    for name, arr in f.jet._asdict().items():
+        assert np.array_equal(arr, fresh[name]), name
+    assert np.array_equal(diff(f, 1, 1).values, fresh["uxy"])
 
 
 def test_aliasing_warning_fires_and_floor_suppresses():

@@ -65,10 +65,19 @@ def test_solve_rotation_family(grid, frame):
     assert report.converged and report.iterations <= 10
 
 
-def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame):
+def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, monkeypatch):
+    from trijunction import spectral
+    calls = []
+    transform = spectral.cheb_coefficients
+    monkeypatch.setattr(spectral, "cheb_coefficients",
+                        lambda values: calls.append(1) or transform(values))
     rng = np.random.default_rng(20)
     phi = random_boundary(grid.ny, rng, 0.005)
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
+    # the sheets of u0, u1 and u2 are the only fields differentiated: one
+    # x-transform each is 9, and 18 would allow two
+    assert report.iterations == 2
+    assert len(calls) <= 18
     r = report.final_residuals
     assert r.trace_sum < 1e-10
     assert r.outer_trace < 1e-10

@@ -50,6 +50,18 @@ def test_cheb_coefficients_match_cosine_sum():
             assert np.max(np.abs(sp.cheb_values(a) - f)) < 1e-13 * np.max(np.abs(f)), nx
 
 
+def test_coefficient_diff_matrix_matches_chebder():
+    rng = np.random.default_rng(3)
+    for nx in (8, 9, 48, 96):
+        a = rng.standard_normal((nx, 4))
+        for order in (1, 2):
+            ref = np.polynomial.chebyshev.chebder(a, m=order, axis=0)
+            got = sp.cheb_coefficient_diff_matrix(nx, order) @ a
+            assert np.all(got[nx - order:] == 0.0)
+            assert np.max(np.abs(got[:nx - order] - ref)) < 1e-13 * np.max(np.abs(ref)), \
+                (nx, order)
+
+
 def test_cumulative_integral():
     x = sp.cheb_nodes(32)
     cum = sp.cheb_cumulative_integral(3 * np.cos(3 * x))
