@@ -32,8 +32,8 @@ from . import spectral
 from .curvature import DegenerateMetric, F_eval, G_eval
 from .fields import (BoundaryTriple, Grid2D, TripleField, atomic_write_text,
                      load_field_csv, save_field_csv)
-from .geometry import (CompatibilityViolation, CutoffProfile, frame_vectors,
-                       mesh_surface, spine_from_traces, write_obj)
+from .geometry import (CompatibilityViolation, CutoffProfile, check_mesh_resolution,
+                       frame_vectors, mesh_surface, spine_from_traces, write_obj)
 from .linear import mode_debug_csv, solve_linear_system
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
@@ -93,6 +93,10 @@ class RunConfig:
             for k, c, s in triples:
                 if k < 0 or not (np.isfinite(c) and np.isfinite(s)):
                     raise ConfigError(f"bad phi{i} coefficient triple ({k},{c},{s})")
+        try:
+            check_mesh_resolution(self.mesh_resolution)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def parse_coeffs(text: str) -> list[tuple[int, float, float]]:
@@ -468,8 +472,9 @@ def cmd_export_mesh(args) -> int:
     try:
         a, _, b = args.resolution.partition("x")
         resolution = (int(a), int(b))
-    except ValueError:
-        print(f"bad resolution {args.resolution!r}", file=sys.stderr)
+        check_mesh_resolution(resolution)
+    except ValueError as exc:
+        print(f"config error: bad resolution {args.resolution!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     cutoff = CutoffProfile(cfg.delta)
     cfg.mesh_resolution = resolution

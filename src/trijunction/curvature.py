@@ -20,17 +20,23 @@ rather than encoded term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .fields import Grid2D, ScalarField, TripleField, laplacian, norm_proxy
+from .fields import Grid2D, Jet, ScalarField, TripleField, norm_proxy
 from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
                        spine_from_traces, wall_scalars)
 
 
 class DegenerateMetric(RuntimeError):
     """The perturbation is too large: the induced metric lost definiteness."""
+
+
+def _mean_curvature(g11, g12, g22, det, h11, h12, h22) -> np.ndarray:
+    """tr(g^{-1} h) from the metric and shape-form entries."""
+    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det
 
 
 @dataclass(frozen=True)
@@ -55,44 +61,58 @@ class MetricShapeData:
     h22: np.ndarray
 
     def mean_curvature(self) -> np.ndarray:
-        return (self.g[..., 1, 1] * self.h11
-                - 2.0 * self.g[..., 0, 1] * self.h12
-                + self.g[..., 0, 0] * self.h22) / self.det_g
+        return _mean_curvature(self.g[..., 0, 0], self.g[..., 0, 1], self.g[..., 1, 1],
+                               self.det_g, self.h11, self.h12, self.h22)
 
 
-def metric_shape_data(i: int, u: TripleField, cutoff: CutoffProfile,
-                      frame: JunctionFrame | None = None) -> MetricShapeData:
-    """Assemble tangents, metric, normal and second fundamental form of sheet i."""
-    frame = frame or frame_vectors()
-    grid = u.grid
-    n_i = frame.n_vec(i)
-    nu_i = frame.nu_vec(i)
+def _wall_data(u: TripleField, cutoff: CutoffProfile):
+    """Wall data the three sheets share.
 
-    ux, uy, uxx, uxy, uyy = u.sheet(i).jet
+    The (3, ny) wall scalars <w_i, n_i> and their first and second
+    y-derivatives, then the cutoff eta, eta', eta'' as (nx, 1) columns.
+    """
+    w = wall_scalars(u.traces())
+    eta, eta1, eta2 = cutoff(u.grid.x)
+    return (w, spectral.fourier_derivative(w, 1), spectral.fourier_derivative(w, 2),
+            eta[:, None], eta1[:, None], eta2[:, None])
 
-    w = wall_scalars(u.traces())[i - 1]                     # (ny,)
-    w1 = spectral.fourier_derivative(w, 1)
-    w2 = spectral.fourier_derivative(w, 2)
-    eta, eta1, eta2 = cutoff(grid.x)
-    W = np.broadcast_to(w, (grid.nx, grid.ny))
-    W1 = np.broadcast_to(w1, (grid.nx, grid.ny))
-    W2 = np.broadcast_to(w2, (grid.nx, grid.ny))
-    E = eta[:, None]
-    E1 = eta1[:, None]
-    E2 = eta2[:, None]
 
-    # tangents: e1 = (-n + u_x nu + eta' w, 0), e2 = (u_y nu + eta w', 1)
-    a1 = E1 * W - 1.0            # n-component of the plane part of e1
-    b1 = ux                      # nu-component
+class _SheetScalars(NamedTuple):
+    """Pointwise (nx, ny) metric and shape scalars of one sheet."""
+
+    a1: np.ndarray           # n-components of the plane parts of e1, e2
+    a2: np.ndarray
+    g11: np.ndarray
+    g12: np.ndarray
+    g22: np.ndarray
+    det: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    norm: np.ndarray         # |N| = sqrt(1 + beta^2 + gamma^2)
+    h11: np.ndarray
+    h12: np.ndarray
+    h22: np.ndarray
+    H: np.ndarray            # tr(g^{-1} h)
+
+
+def _sheet_scalars(i: int, jet: Jet, wall) -> _SheetScalars:
+    """Metric, shape form and mean curvature of sheet i from its jet and the wall data."""
+    ux, uy, uxx, uxy, uyy = jet
+    w, w1, w2, E, E1, E2 = wall
+    W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
+
+    # tangents: e1 = (-n + u_x nu + eta' w, 0), e2 = (u_y nu + eta w', 1);
+    # a1, a2 are their n-components, u_x, u_y their nu-components
+    E1W = E1 * W
+    a1 = E1W - 1.0
     a2 = E * W1
-    b2 = uy
 
-    g11 = a1 ** 2 + b1 ** 2
-    g12 = a1 * a2 + b1 * b2
-    g22 = a2 ** 2 + b2 ** 2 + 1.0
+    g11 = a1 ** 2 + ux ** 2
+    g12 = a1 * a2 + ux * uy
+    g22 = a2 ** 2 + uy ** 2 + 1.0
     det = g11 * g22 - g12 ** 2
 
-    denom = 1.0 - E1 * W
+    denom = 1.0 - E1W
     if float(np.min(denom)) < 1e-3 or float(np.min(det)) < 1e-6:
         raise DegenerateMetric(
             f"sheet {i}: min(1 - eta' <w,n>) = {float(np.min(denom)):.3e}, "
@@ -105,28 +125,40 @@ def metric_shape_data(i: int, u: TripleField, cutoff: CutoffProfile,
     h11 = (uxx + beta * E2 * W) / norm
     h12 = (uxy + beta * E1 * W1) / norm
     h22 = (uyy + beta * E * W2) / norm
+    return _SheetScalars(a1, a2, g11, g12, g22, det, beta, gamma, norm, h11, h12, h22,
+                         _mean_curvature(g11, g12, g22, det, h11, h12, h22))
 
-    plane1 = a1[..., None] * n_i + b1[..., None] * nu_i
-    plane2 = a2[..., None] * n_i + b2[..., None] * nu_i
+
+def metric_shape_data(i: int, u: TripleField, cutoff: CutoffProfile,
+                      frame: JunctionFrame | None = None) -> MetricShapeData:
+    """Assemble tangents, metric, normal and second fundamental form of sheet i."""
+    frame = frame or frame_vectors()
+    n_i = frame.n_vec(i)
+    nu_i = frame.nu_vec(i)
+    jet = u.sheet(i).jet
+    s = _sheet_scalars(i, jet, _wall_data(u, cutoff))
+
+    plane1 = s.a1[..., None] * n_i + jet.ux[..., None] * nu_i
+    plane2 = s.a2[..., None] * n_i + jet.uy[..., None] * nu_i
     e1 = np.concatenate([plane1, np.zeros(plane1.shape[:-1] + (1,))], axis=-1)
     e2 = np.concatenate([plane2, np.ones(plane2.shape[:-1] + (1,))], axis=-1)
-    nu_plane = beta[..., None] * n_i + nu_i
-    nu_tilde = np.concatenate([nu_plane, gamma[..., None]], axis=-1) / norm[..., None]
+    nu_plane = s.beta[..., None] * n_i + nu_i
+    nu_tilde = np.concatenate([nu_plane, s.gamma[..., None]], axis=-1) / s.norm[..., None]
 
-    g = np.empty(g11.shape + (2, 2))
-    g[..., 0, 0] = g11
-    g[..., 0, 1] = g12
-    g[..., 1, 0] = g12
-    g[..., 1, 1] = g22
+    g = np.empty(s.g11.shape + (2, 2))
+    g[..., 0, 0] = s.g11
+    g[..., 0, 1] = s.g12
+    g[..., 1, 0] = s.g12
+    g[..., 1, 1] = s.g22
     g_inv = np.empty_like(g)
-    g_inv[..., 0, 0] = g22 / det
-    g_inv[..., 0, 1] = -g12 / det
-    g_inv[..., 1, 0] = -g12 / det
-    g_inv[..., 1, 1] = g11 / det
+    g_inv[..., 0, 0] = s.g22 / s.det
+    g_inv[..., 0, 1] = -s.g12 / s.det
+    g_inv[..., 1, 0] = -s.g12 / s.det
+    g_inv[..., 1, 1] = s.g11 / s.det
 
-    return MetricShapeData(e1=e1, e2=e2, g=g, g_inv=g_inv, det_g=det,
-                           nu_tilde=nu_tilde, beta=beta, gamma=gamma,
-                           h11=h11, h12=h12, h22=h22)
+    return MetricShapeData(e1=e1, e2=e2, g=g, g_inv=g_inv, det_g=s.det,
+                           nu_tilde=nu_tilde, beta=s.beta, gamma=s.gamma,
+                           h11=s.h11, h12=s.h12, h22=s.h22)
 
 
 def mean_curvature_scalar(i: int, u: TripleField, cutoff: CutoffProfile,
@@ -138,13 +170,17 @@ def mean_curvature_scalar(i: int, u: TripleField, cutoff: CutoffProfile,
 
 def F_eval(u: TripleField, cutoff: CutoffProfile,
            frame: JunctionFrame | None = None) -> TripleField:
-    """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i, one field per sheet."""
-    frame = frame or frame_vectors()
+    """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i, one field per sheet.
+
+    Reads only the mean-curvature scalars of each sheet; the mean curvature
+    is frame-independent, so ``frame`` is accepted for symmetry with
+    :func:`G_eval` and not used.
+    """
+    wall = _wall_data(u, cutoff)
     out = []
     for i in (1, 2, 3):
-        lap = laplacian(u.sheet(i)).values
-        H = metric_shape_data(i, u, cutoff, frame).mean_curvature()
-        out.append(lap - H)
+        jet = u.sheet(i).jet
+        out.append(jet.uxx + jet.uyy - _sheet_scalars(i, jet, wall).H)
     return TripleField.from_arrays(u.grid, out)
 
 
@@ -209,7 +245,12 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarr
     small, and the fixed-point equations dn u_2 - dn u_3 = G_1,
     dn u_1 - (dn u_2 + dn u_3)/2 = G_2 are equivalent to S = 0.
     """
-    frame = frame or frame_vectors()
+    G1, G2, _ = _junction_defect(u, frame or frame_vectors())
+    return G1, G2
+
+
+def _junction_defect(u: TripleField, frame: JunctionFrame):
+    """(G_1, G_2, S) from one spine and conormal pass; see :func:`G_eval`."""
     vprime, dxu0, dyu0 = _spine_quantities(u, frame)
     S = _conormal_sum(vprime, dxu0, frame)
     ny = u.grid.ny
@@ -227,7 +268,7 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarr
     dn = -dxu0
     G1 = (dn[1] - dn[2]) - (2.0 / SQRT3) * P1
     G2 = (dn[0] - 0.5 * (dn[1] + dn[2])) + P2
-    return G1, G2
+    return G1, G2, S
 
 
 # ---------------------------------------------------------------------------

@@ -286,31 +286,30 @@ def _dyadic_lags(n: int) -> list[int]:
 
 def _holder_seminorm_2d(arrays, grid: Grid2D, alpha: float) -> float:
     """max |A(p) - A(q)| / dist(p, q)^alpha over row/column pairs at dyadic lags."""
-    best = 0.0
-    x = grid.x
-    for A in arrays:
-        for lag in _dyadic_lags(grid.ny):
-            d = min(lag, grid.ny - lag) / grid.ny
-            if d == 0.0:
-                continue
-            num = np.max(np.abs(np.roll(A, -lag, axis=1) - A))
-            best = max(best, num / d ** alpha)
-        for lag in _dyadic_lags(grid.nx):
-            dx = np.abs(x[lag:] - x[:-lag]) ** alpha
-            num = np.max(np.abs(A[lag:, :] - A[:-lag, :]), axis=1)
-            best = max(best, float(np.max(num / dx)))
+    A = np.stack(arrays)
+    best = _holder_seminorm_1d(A, alpha)        # the periodic y-lags
+    x, nx = grid.x, grid.nx
+    diff = np.empty_like(A)                     # one buffer for every lag
+    for lag in _dyadic_lags(nx):
+        dx = np.abs(x[lag:] - x[:-lag]) ** alpha
+        D = np.subtract(A[:, lag:, :], A[:, :-lag, :], out=diff[:, :nx - lag, :])
+        num = np.max(np.abs(D, out=D), axis=(0, 2))
+        best = max(best, float(np.max(num / dx)))
     return best
 
 
 def _holder_seminorm_1d(values: np.ndarray, alpha: float) -> float:
+    """Divided differences at dyadic lags along the periodic last axis."""
     n = values.shape[-1]
+    diff = np.empty_like(values)
     best = 0.0
     for lag in _dyadic_lags(n):
         d = min(lag, n - lag) / n
-        if d == 0.0:
-            continue
-        num = np.max(np.abs(np.roll(values, -lag, axis=-1) - values))
-        best = max(best, num / d ** alpha)
+        # np.roll(values, -lag, axis=-1) - values without the roll copy:
+        # the unwrapped part, then the wrap past the seam
+        np.subtract(values[..., lag:], values[..., :-lag], out=diff[..., :n - lag])
+        np.subtract(values[..., :lag], values[..., n - lag:], out=diff[..., n - lag:])
+        best = max(best, float(np.max(np.abs(diff, out=diff))) / d ** alpha)
     return best
 
 

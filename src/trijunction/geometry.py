@@ -280,6 +280,13 @@ class SurfaceMesh:
         return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
 
 
+def check_mesh_resolution(resolution: tuple[int, int]):
+    """Raise ValueError unless the mesh has at least 2 points in x and 3 in y."""
+    mx, my = resolution
+    if mx < 2 or my < 3:
+        raise ValueError(f"mesh resolution must be at least 2x3, got {mx}x{my}")
+
+
 def mesh_surface(u: TripleField, resolution: tuple[int, int],
                  cutoff: CutoffProfile | None = None,
                  frame: JunctionFrame | None = None,
@@ -289,9 +296,8 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int],
     The y seam at 0 is cut (vertices at y = 0 and y = 1 are distinct), and
     the spine row is shared by the three sheets so the junction is watertight.
     """
+    check_mesh_resolution(resolution)
     mx, my = resolution
-    if mx < 2 or my < 3:
-        raise ValueError("resolution must be at least (2, 3)")
     frame = frame or frame_vectors()
     cutoff = cutoff or CutoffProfile()
     xs = np.linspace(0.0, 1.0, mx)

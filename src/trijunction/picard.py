@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import DegenerateMetric, F_eval, G_eval, conormal_defect
+from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
 from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy,
                      laplacian, norm_proxy, trace)
 from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
@@ -117,12 +117,11 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
     """Evaluate all stationarity residuals of a candidate solution."""
     frame = frame or frame_vectors()
     F = F_eval(u, cutoff, frame)
-    G1, G2 = G_eval(u, frame)
+    G1, G2, S = _junction_defect(u, frame)
     lap = max(float(np.max(np.abs(
         (laplacian(u.sheet(i)) - F.sheet(i)).values[1:-1, :]))) for i in (1, 2, 3))
     B = boundary_operator(u)
     bres = max(float(np.max(np.abs(B[1] - G1))), float(np.max(np.abs(B[2] - G2))))
-    S = conormal_defect(u, frame)
     outer = max(float(np.max(np.abs(trace(u.sheet(i), "outer") - phi.component(i))))
                 for i in (1, 2, 3))
     return ResidualRecord(

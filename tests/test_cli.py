@@ -175,6 +175,20 @@ def test_export_mesh(tmp_path):
     assert run(["export-mesh", out, "--resolution", "bad"]) == EXIT_CONFIG
 
 
+def test_mesh_resolution_below_minimum_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    # rejected before the solve, so no artifact directory is left behind
+    assert run(["solve", "--family", "translate:0.01,0", "--mesh-resolution", "1x2",
+                "--out", out]) == EXIT_CONFIG
+    assert not os.path.exists(out)
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["export-mesh", out, "--resolution", "1x2"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least 2x3" in err
+    assert run(["export-mesh", out, "--resolution", "2x3"]) == EXIT_OK
+
+
 def test_phi_coefficient_boundary(tmp_path):
     out = str(tmp_path / "modes")
     assert run(["solve", "--phi1", "1:1e-6:0", "--phi2", "1:-5e-7:1e-6",

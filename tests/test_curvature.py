@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval,
-                         conormal_defect, conormal_xi, mean_curvature_scalar,
+                         conormal_defect, conormal_xi, laplacian, mean_curvature_scalar,
                          metric_shape_data, structural_certificate)
 from trijunction.curvature import random_compatible_field, scaled_to_proxy
 
@@ -47,6 +47,19 @@ def test_degenerate_metric_raises(grid_small, cutoff, frame):
         grid_small, [np.full((grid_small.nx, grid_small.ny), v) for v in (0.0, d, -d)])
     with pytest.raises(DegenerateMetric):
         mean_curvature_scalar(1, u, cutoff, frame)
+    with pytest.raises(DegenerateMetric):
+        F_eval(u, cutoff, frame)
+
+
+def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
+    # one formula for H: the interior defect is Lap(u_i) minus the full metric/shape
+    # data's mean curvature, bit for bit (compared as F, since a - (a - H) need
+    # not round back to H)
+    u = random_small(grid, frame, 0.02, seed=3)
+    F = F_eval(u, cutoff, frame)
+    for i in (1, 2, 3):
+        H = metric_shape_data(i, u, cutoff, frame).mean_curvature()
+        assert np.array_equal(F.sheet(i).values, laplacian(u.sheet(i)).values - H)
 
 
 # ---------------------------------------------------------------------------

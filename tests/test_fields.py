@@ -7,7 +7,8 @@ from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField,
                          TripleField, boundary_proxy, diff, laplacian,
                          load_field_csv, norm_proxy, normal_derivative_inner,
                          periodic_proxy, save_field_csv, trace)
-from trijunction.fields import scalar_field_proxy, warn_if_aliased
+from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
+                               scalar_field_proxy, warn_if_aliased)
 
 from conftest import translation_field
 
@@ -146,6 +147,42 @@ def test_norm_proxy_triangle_inequality(grid_small):
         b = TripleField.from_arrays(
             grid_small, [rng.standard_normal((grid_small.nx, grid_small.ny)) for _ in range(3)])
         assert norm_proxy(a + b, 0.5) <= norm_proxy(a, 0.5) + norm_proxy(b, 0.5) + 1e-12
+
+
+def _roll_seminorm_2d(arrays, grid, alpha):
+    """Reference: every periodic y-lag as an ``np.roll`` copy, one array at a time."""
+    best = 0.0
+    x = grid.x
+    for A in arrays:
+        for lag in _dyadic_lags(grid.ny):
+            d = min(lag, grid.ny - lag) / grid.ny
+            best = max(best, np.max(np.abs(np.roll(A, -lag, axis=1) - A)) / d ** alpha)
+        for lag in _dyadic_lags(grid.nx):
+            dx = np.abs(x[lag:] - x[:-lag]) ** alpha
+            num = np.max(np.abs(A[lag:, :] - A[:-lag, :]), axis=1)
+            best = max(best, float(np.max(num / dx)))
+    return best
+
+
+def _roll_seminorm_1d(values, alpha):
+    n = values.shape[-1]
+    best = 0.0
+    for lag in _dyadic_lags(n):
+        d = min(lag, n - lag) / n
+        best = max(best, np.max(np.abs(np.roll(values, -lag, axis=-1) - values)) / d ** alpha)
+    return best
+
+
+@pytest.mark.parametrize("nx,ny", [(8, 8), (9, 10), (48, 64)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_holder_seminorms_equal_roll_reference(nx, ny, alpha):
+    rng = np.random.default_rng(nx * ny)
+    grid = Grid2D(nx, ny)
+    for _ in range(4):
+        arrays = list(rng.standard_normal((3, nx, ny)))
+        assert _holder_seminorm_2d(arrays, grid, alpha) == _roll_seminorm_2d(arrays, grid, alpha)
+        row = rng.standard_normal(ny)
+        assert _holder_seminorm_1d(row, alpha) == _roll_seminorm_1d(row, alpha)
 
 
 def test_periodic_proxy_orders():

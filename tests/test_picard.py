@@ -66,11 +66,15 @@ def test_solve_rotation_family(grid, frame):
 
 
 def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, monkeypatch):
-    from trijunction import spectral
+    from trijunction import curvature, spectral
     calls = []
     transform = spectral.cheb_coefficients
     monkeypatch.setattr(spectral, "cheb_coefficients",
                         lambda values: calls.append(1) or transform(values))
+    shape_calls = []
+    shape_data = curvature.metric_shape_data
+    monkeypatch.setattr(curvature, "metric_shape_data",
+                        lambda *a, **k: shape_calls.append(1) or shape_data(*a, **k))
     rng = np.random.default_rng(20)
     phi = random_boundary(grid.ny, rng, 0.005)
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
@@ -78,6 +82,8 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     # x-transform each is 9, and 18 would allow two
     assert report.iterations == 2
     assert len(calls) <= 18
+    # F reads only the mean-curvature scalars, never the full metric/shape data
+    assert shape_calls == []
     r = report.final_residuals
     assert r.trace_sum < 1e-10
     assert r.outer_trace < 1e-10
