@@ -73,8 +73,8 @@ def _wall_data(u: TripleField, cutoff: CutoffProfile):
     """
     w = wall_scalars(u.traces())
     eta, eta1, eta2 = cutoff(u.grid.x)
-    return (w, spectral.fourier_derivative(w, 1), spectral.fourier_derivative(w, 2),
-            eta[:, None], eta1[:, None], eta2[:, None])
+    w1, w2 = spectral.fourier_derivative(w, (1, 2))
+    return w, w1, w2, eta[:, None], eta1[:, None], eta2[:, None]
 
 
 class _SheetScalars(NamedTuple):

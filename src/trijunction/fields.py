@@ -115,14 +115,15 @@ class ScalarField:
     def jet(self) -> Jet:
         """Every derivative of total order <= 2, computed once per field.
 
-        The x-derivatives share one Chebyshev coefficient pass; the field is
-        immutable, so the cached arrays never go stale.
+        The x-derivatives share one Chebyshev coefficient pass, u_y and u_yy
+        one Fourier pass; the field is immutable, so the cached arrays never
+        go stale.
         """
         v = self.values
         ux, uxx = spectral.cheb_derivative_values(v, (1, 2))
-        jet = Jet(ux=ux, uy=spectral.fourier_derivative(v, 1, axis=1), uxx=uxx,
-                  uxy=spectral.fourier_derivative(ux, 1, axis=1),
-                  uyy=spectral.fourier_derivative(v, 2, axis=1))
+        uy, uyy = spectral.fourier_derivative(v, (1, 2), axis=1)
+        jet = Jet(ux=ux, uy=uy, uxx=uxx,
+                  uxy=spectral.fourier_derivative(ux, 1, axis=1), uyy=uyy)
         for a in jet:
             a.flags.writeable = False
         return jet

@@ -177,10 +177,16 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
 
     for it in range(1, opts.max_iter + 1):
         try:
-            u_next = picard_step(u, phi, cutoff, frame)
+            if it == 1:
+                # the zero start is the stationary cone, where F and G vanish:
+                # the first step is the linear solve of the boundary data
+                no_junction_data = np.zeros(grid.ny)
+                u_next = solve_linear_system(u, (no_junction_data, no_junction_data), phi)
+            else:
+                u_next = picard_step(u, phi, cutoff, frame)
         except DegenerateMetric as exc:
-            # the previous iterate already left the embeddable regime; the
-            # zero start has the flat metric, so that iterate has a guard record
+            # the previous iterate already left the embeddable regime; only
+            # steps after the first evaluate the metric, so it has a guard record
             report = _assemble_report(it - 1, updates, u, phi, cutoff, frame, guards,
                                       converged=False)
             raise GuardViolation(

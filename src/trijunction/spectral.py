@@ -146,14 +146,34 @@ def cheb_coefficient_diff_matrix(n: int, order: int) -> np.ndarray:
     return C
 
 
+@lru_cache(maxsize=None)
+def _cheb_synthesis_matrix(n: int, orders: tuple[int, ...]) -> np.ndarray:
+    """Maps Chebyshev coefficients (in xi) to the x-derivative values at the nodes.
+
+    One (n, n) block per order, stacked: (-2)^k T C_k, where C_k is
+    :func:`cheb_coefficient_diff_matrix` and T[j, m] = cos(pi j m / (n - 1))
+    = T_m(xi_j) evaluates a series at the Lobatto nodes.  The factor
+    (-2)^k is (dxi/dx)^k.
+    """
+    jm = np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))
+    T = np.cos(np.pi * jm / (n - 1))
+    M = np.concatenate([(-2.0) ** k * (T @ cheb_coefficient_diff_matrix(n, k))
+                        for k in orders])
+    M.flags.writeable = False
+    return M
+
+
 def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...]) -> np.ndarray:
     """Spectral x-derivative of Lobatto samples, differentiated in coefficient space.
 
-    Transform-space differentiation avoids the large cancellations of dense
+    One Chebyshev analysis (a DCT-I) gives the series coefficients; one
+    product with the cached synthesis matrix of every requested order
+    differentiates them and evaluates the result at the nodes.  Going
+    through coefficients avoids the large cancellations of dense
     differentiation matrices: polynomials of low degree come out exact, and
     constants map to exactly zero.  Node axis first.  ``order`` is an int,
-    or a tuple of ints for several derivatives from one coefficient pass,
-    stacked along a new leading axis.
+    or a tuple of ints for several derivatives from one pass, stacked along
+    a new leading axis.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -162,14 +182,9 @@ def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...]) -> 
     # information and differentiation would amplify them by O(N^2) per order
     scale = np.max(np.abs(a), axis=0, keepdims=True)
     a = np.where(np.abs(a) < 4.0 * np.finfo(float).eps * scale, 0.0, a).reshape(n, -1)
-
-    def derivative(k: int) -> np.ndarray:
-        b = cheb_coefficient_diff_matrix(n, k) @ a
-        return (-2.0) ** k * cheb_values(b).reshape(values.shape)
-
-    if isinstance(order, tuple):
-        return np.stack([derivative(k) for k in order])
-    return derivative(order)
+    orders = order if isinstance(order, tuple) else (order,)
+    out = (_cheb_synthesis_matrix(n, orders) @ a).reshape((len(orders),) + values.shape)
+    return out if isinstance(order, tuple) else out[0]
 
 
 def cheb_cumulative_integral(values: np.ndarray) -> np.ndarray:
@@ -248,19 +263,28 @@ def fourier_synthesis(c: np.ndarray, s: np.ndarray, n: int, axis: int = -1) -> n
     return np.moveaxis(out, -1, axis)
 
 
-def fourier_derivative(values: np.ndarray, order: int, axis: int = -1) -> np.ndarray:
-    """Spectral derivative of order 1 or 2 along a periodic axis."""
+def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
+                       axis: int = -1) -> np.ndarray:
+    """Spectral derivative along a periodic axis.
+
+    ``order`` is an int, or a tuple of ints for several derivatives from one
+    forward transform and one inverse transform of the stacked products,
+    stacked along a new leading axis.  An odd derivative zeroes the Nyquist
+    mode on an even grid.
+    """
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
+    axis %= values.ndim
     A = np.fft.rfft(values, axis=axis)
     k = np.arange(n // 2 + 1)
-    factor = (2j * np.pi * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        factor[-1] = 0.0                      # odd derivative of the Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = len(k)
-    A = A * factor.reshape(shape)
-    return np.fft.irfft(A, n=n, axis=axis)
+    orders = order if isinstance(order, tuple) else (order,)
+    factors = np.stack([(2j * np.pi * k) ** m for m in orders])
+    if n % 2 == 0:
+        factors[[m % 2 == 1 for m in orders], -1] = 0.0
+    shape = [len(orders)] + [1] * values.ndim
+    shape[axis + 1] = len(k)
+    out = np.fft.irfft(A * factors.reshape(shape), n=n, axis=axis + 1)
+    return out if isinstance(order, tuple) else out[0]
 
 
 def trig_eval(c: np.ndarray, s: np.ndarray, yq: np.ndarray) -> np.ndarray:

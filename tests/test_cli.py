@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import trijunction
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
-                             EXIT_OK, EXIT_VERIFY_FAIL, load_artifacts, main)
+                             EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, apply_config_values,
+                             load_artifacts, main)
 from trijunction import load_field_csv
 
 
@@ -244,6 +246,45 @@ def test_load_artifacts_round_trips_config(tmp_path):
     assert header.pop("mesh_resolution") == "33x64"
     del written["mesh_resolution"]
     assert {k: header[k] for k in written} == written
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+COEFFS = st.lists(st.tuples(st.integers(0, 64), FINITE, FINITE), max_size=4)
+FAMILIES = st.one_of(
+    st.none(),
+    st.builds(lambda cx, cy: f"translate:{cx!r},{cy!r}", FINITE, FINITE),
+    st.builds(lambda beta: f"rotate:{beta!r}", FINITE))
+
+
+@st.composite
+def _valid_configs(draw):
+    family = draw(FAMILIES)
+    phis = {} if family else draw(st.dictionaries(st.sampled_from([1, 2, 3]), COEFFS))
+    cfg = RunConfig(
+        delta=draw(st.floats(min_value=1e-6, max_value=0.5, exclude_max=True)),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+        nx=draw(st.integers(8, 512)),
+        ny=2 * draw(st.integers(4, 512)),
+        tol=draw(POSITIVE),
+        max_iter=draw(st.integers(1, 10_000)),
+        r_guard=draw(st.none() | POSITIVE),
+        family=family,
+        phi_coeffs=phis,
+        mesh_resolution=(draw(st.integers(2, 400)), draw(st.integers(3, 400))))
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=_valid_configs())
+def test_config_echo_is_a_fixed_point(cfg):
+    # config_used.txt writes `key = str(value)`; reading it back must give
+    # the same echo
+    again = RunConfig()
+    apply_config_values(again, {k: str(v) for k, v in cfg.echo().items()})
+    again.validate()
+    assert again.echo() == cfg.echo()
 
 
 def test_cli_import_loads_no_scipy():

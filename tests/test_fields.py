@@ -1,14 +1,19 @@
 """Discrete fields: spectral calculus, traces, norm proxies, CSV round trips."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField,
                          TripleField, boundary_proxy, diff, laplacian,
                          load_field_csv, norm_proxy, normal_derivative_inner,
                          periodic_proxy, save_field_csv, trace)
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
-                               scalar_field_proxy, warn_if_aliased)
+                               field_to_csv, scalar_field_proxy, warn_if_aliased)
 
 from conftest import translation_field
 
@@ -214,6 +219,30 @@ def test_field_csv_roundtrip(tmp_path, grid_small):
     assert delta == 0.25
     assert header["family"] == "translate:0.01,0"
     assert np.array_equal(g.values, f.values)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _finite_fields(draw):
+    nx = draw(st.integers(8, 11))
+    ny = draw(st.sampled_from([8, 10, 12]))
+    return ScalarField(Grid2D(nx, ny), draw(hnp.arrays(float, (nx, ny), elements=FINITE)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(f=_finite_fields(), delta=FINITE)
+def test_field_csv_roundtrips_any_finite_field(f, delta):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.csv")
+        with open(path, "w") as fh:
+            fh.write(field_to_csv(f, delta))
+        g, delta_back, header = load_field_csv(path)
+    assert g.grid == f.grid
+    assert np.array_equal(g.values, f.values)
+    assert delta_back == delta
+    assert header == {}
 
 
 def test_fields_immutable(grid_small):

@@ -5,7 +5,8 @@ import pytest
 
 from trijunction import (BoundaryTriple, GuardViolation, NoConvergence, SolveOptions,
                          TripleField, boundary_operator, check_c0_compatibility,
-                         contraction_diagnostics, picard_step, solve_nonlinear, trace)
+                         contraction_diagnostics, picard_step, solve_linear_system,
+                         solve_nonlinear, trace)
 from trijunction.picard import report_summary, report_to_csv, residual_record
 
 from conftest import random_boundary, rotation_field, translation_field
@@ -66,7 +67,7 @@ def test_solve_rotation_family(grid, frame):
 
 
 def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, monkeypatch):
-    from trijunction import curvature, spectral
+    from trijunction import curvature, picard, spectral
     calls = []
     transform = spectral.cheb_coefficients
     monkeypatch.setattr(spectral, "cheb_coefficients",
@@ -75,13 +76,19 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     shape_data = curvature.metric_shape_data
     monkeypatch.setattr(curvature, "metric_shape_data",
                         lambda *a, **k: shape_calls.append(1) or shape_data(*a, **k))
+    F_calls = []
+    defect = picard.F_eval
+    monkeypatch.setattr(picard, "F_eval",
+                        lambda *a, **k: F_calls.append(1) or defect(*a, **k))
     rng = np.random.default_rng(20)
     phi = random_boundary(grid.ny, rng, 0.005)
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
-    # the sheets of u0, u1 and u2 are the only fields differentiated: one
-    # x-transform each is 9, and 18 would allow two
+    # the zero start is never differentiated, so the sheets of u1 and u2 are
+    # the only fields that are: one x-transform each; F is evaluated at u1
+    # for the second step and at u2 for the residuals
     assert report.iterations == 2
-    assert len(calls) <= 18
+    assert len(calls) == 6
+    assert len(F_calls) == 2
     # F reads only the mean-curvature scalars, never the full metric/shape data
     assert shape_calls == []
     r = report.final_residuals
@@ -93,6 +100,20 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     comp = check_c0_compatibility(u, cutoff)
     assert comp.monotonic_margin > 0.0
     assert comp.smallness_ok
+
+
+def test_first_iterate_is_linear_solve_of_boundary_data(grid, cutoff, frame):
+    # F(0) = 0 and G(0) = 0 on the stationary cone, so the first step is the
+    # linear solve of phi with no forcing and no junction data
+    rng = np.random.default_rng(24)
+    phi = random_boundary(grid.ny, rng, 0.005)
+    u, report = solve_nonlinear(phi, SolveOptions(tol=1.0, max_iter=1), grid, cutoff, frame)
+    zero = np.zeros(grid.ny)
+    expected = solve_linear_system(TripleField.zero(grid), (zero, zero), phi)
+    assert report.iterations == 1 and report.converged
+    for i in (1, 2, 3):
+        assert np.array_equal(u.sheet(i).values, expected.sheet(i).values)
+    assert report.update_norms == (expected.sup(),)
 
 
 def test_update_norms_decay_and_ratios_recorded(grid, cutoff, frame):

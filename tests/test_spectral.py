@@ -62,6 +62,35 @@ def test_coefficient_diff_matrix_matches_chebder():
                 (nx, order)
 
 
+def _transform_route(values, k):
+    # the route the synthesis matrix replaces: chop, differentiate the
+    # coefficients, then one inverse DCT-I per order
+    n = values.shape[0]
+    a = sp.cheb_coefficients(values)
+    scale = np.max(np.abs(a), axis=0, keepdims=True)
+    a = np.where(np.abs(a) < 4.0 * np.finfo(float).eps * scale, 0.0, a).reshape(n, -1)
+    b = sp.cheb_coefficient_diff_matrix(n, k) @ a
+    return ((-2.0) ** k * sp.cheb_values(b)).reshape(values.shape)
+
+
+@pytest.mark.parametrize("nx", [8, 9, 33, 48, 96, 97])
+def test_synthesis_matrix_matches_transform_route(nx):
+    rng = np.random.default_rng(nx)
+    x = sp.cheb_nodes(nx)
+    for f in (rng.standard_normal(nx), rng.standard_normal((nx, 5)), np.exp(2 * x),
+              np.outer(np.sin(3 * x), rng.standard_normal(4))):
+        refs = {k: _transform_route(f, k) for k in (1, 2)}
+        both = sp.cheb_derivative_values(f, (1, 2))
+        assert both.shape == (2,) + f.shape
+        for j, k in enumerate((1, 2)):
+            bound = 1e-13 * np.max(np.abs(refs[k]))
+            assert np.max(np.abs(sp.cheb_derivative_values(f, k) - refs[k])) <= bound, (nx, k)
+            assert np.max(np.abs(both[j] - refs[k])) <= bound, (nx, k)
+    for const in (np.full(nx, 3.7), np.full((nx, 3), -0.25)):
+        for order in (1, 2, (1, 2)):
+            assert np.all(sp.cheb_derivative_values(const, order) == 0.0), (nx, order)
+
+
 def test_cumulative_integral():
     x = sp.cheb_nodes(32)
     cum = sp.cheb_cumulative_integral(3 * np.cos(3 * x))
@@ -89,6 +118,38 @@ def test_fourier_roundtrip_and_derivatives():
     exact = (-(2 * np.pi) ** 2 * 1.5 * np.cos(2 * np.pi * y)
              - (6 * np.pi) ** 2 * 0.7 * np.sin(6 * np.pi * y))
     assert np.max(np.abs(d2 - exact)) < 1e-10
+
+
+def _one_order_derivative(values, m, axis):
+    # one rfft/irfft pair per order, odd orders dropping the Nyquist mode
+    n = values.shape[axis]
+    k = np.arange(n // 2 + 1)
+    factor = (2j * np.pi * k) ** m
+    if m % 2 == 1 and n % 2 == 0:
+        factor[-1] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = len(k)
+    return np.fft.irfft(np.fft.rfft(values, axis=axis) * factor.reshape(shape), n=n, axis=axis)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_fourier_derivative_orders_share_one_transform(n):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((5, n))
+    for axis, values in ((-1, f), (0, f.T.copy())):
+        for orders in ((1, 2), (2, 1, 3)):
+            stacked = sp.fourier_derivative(values, orders, axis=axis)
+            assert stacked.shape == (len(orders),) + values.shape
+            for j, m in enumerate(orders):
+                ref = _one_order_derivative(values, m, axis)
+                assert np.array_equal(stacked[j], ref), (n, axis, orders, m)
+                assert np.array_equal(sp.fourier_derivative(values, m, axis=axis), ref)
+    if n % 2 == 0:
+        # odd orders zero the Nyquist mode, even orders keep it
+        nyq = np.cos(np.pi * np.arange(n))
+        d1, d2 = sp.fourier_derivative(nyq, (1, 2))
+        assert np.max(np.abs(d1)) < 1e-12
+        assert np.max(np.abs(d2 + (np.pi * n) ** 2 * nyq)) < 1e-9 * (np.pi * n) ** 2
 
 
 def test_trig_eval_off_grid():
