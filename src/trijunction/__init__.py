@@ -12,19 +12,19 @@ from .fields import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField, Tripl
                      normal_derivative_inner, periodic_proxy, save_field_csv, trace)
 from .geometry import (CompatibilityReport, CompatibilityViolation, CutoffProfile,
                        JunctionFrame, SpineCurve, SurfaceMesh, check_c0_compatibility,
-                       cutoff_eval, cyclic_pred, cyclic_succ, embed_point, frame_vectors,
-                       mesh_surface, spine_from_traces, wall_offset, write_obj)
-from .curvature import (DegenerateMetric, MetricShapeData, StructuralCertificate,
-                        F_eval, G_eval, conormal_defect, conormal_xi,
-                        mean_curvature_scalar, metric_shape_data, structural_certificate)
-from .linear import (ContractionEstimates, ModeProblem, boundary_operator, decouple,
-                     mode_solve_collocation, recompose, schauder_probe, solve_dirichlet,
+                       embed_point, frame_vectors, mesh_surface, spine_from_traces,
+                       write_obj)
+from .curvature import (DegenerateMetric, MetricShapeData, F_eval, G_eval, conormal_xi,
+                        metric_shape_data)
+from .linear import (boundary_operator, decouple, recompose, solve_dirichlet,
                      solve_linear_system, solve_mixed)
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
-                     contraction_diagnostics, picard_step, residual_record,
-                     solve_nonlinear)
-from .oracles import (AngleReport, exact_family, fd_linear_solve, fd_mean_curvature,
-                      junction_angle_check, mode_solve_dirichlet, mode_solve_mixed)
+                     picard_step, residual_record, solve_nonlinear)
+from .oracles import (AngleReport, ContractionEstimates, ModeProblem,
+                      StructuralCertificate, contraction_diagnostics, exact_family,
+                      fd_linear_solve, fd_mean_curvature, junction_angle_check,
+                      mode_solve_dirichlet, mode_solve_mixed, schauder_probe,
+                      structural_certificate)
 
 __version__ = "0.1.0"
 
@@ -33,17 +33,16 @@ __all__ = [
     "boundary_proxy", "diff", "laplacian", "load_field_csv", "norm_proxy",
     "normal_derivative_inner", "periodic_proxy", "save_field_csv", "trace",
     "CompatibilityReport", "CompatibilityViolation", "CutoffProfile", "JunctionFrame",
-    "SpineCurve", "SurfaceMesh", "check_c0_compatibility", "cutoff_eval", "cyclic_pred",
-    "cyclic_succ", "embed_point", "frame_vectors", "mesh_surface", "spine_from_traces",
-    "wall_offset", "write_obj",
-    "DegenerateMetric", "MetricShapeData", "StructuralCertificate", "F_eval", "G_eval",
-    "conormal_defect", "conormal_xi", "mean_curvature_scalar", "metric_shape_data",
-    "structural_certificate",
-    "ContractionEstimates", "ModeProblem", "boundary_operator", "decouple",
-    "mode_solve_collocation", "recompose", "schauder_probe", "solve_dirichlet",
+    "SpineCurve", "SurfaceMesh", "check_c0_compatibility", "embed_point",
+    "frame_vectors", "mesh_surface", "spine_from_traces", "write_obj",
+    "DegenerateMetric", "MetricShapeData", "F_eval", "G_eval", "conormal_xi",
+    "metric_shape_data",
+    "boundary_operator", "decouple", "recompose", "solve_dirichlet",
     "solve_linear_system", "solve_mixed",
-    "GuardViolation", "NoConvergence", "SolveOptions", "SolveReport",
-    "contraction_diagnostics", "picard_step", "residual_record", "solve_nonlinear",
-    "AngleReport", "exact_family", "fd_linear_solve", "fd_mean_curvature",
+    "GuardViolation", "NoConvergence", "SolveOptions", "SolveReport", "picard_step",
+    "residual_record", "solve_nonlinear",
+    "AngleReport", "ContractionEstimates", "ModeProblem", "StructuralCertificate",
+    "contraction_diagnostics", "exact_family", "fd_linear_solve", "fd_mean_curvature",
     "junction_angle_check", "mode_solve_dirichlet", "mode_solve_mixed",
+    "schauder_probe", "structural_certificate",
 ]

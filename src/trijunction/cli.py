@@ -382,9 +382,12 @@ def cmd_verify(args) -> int:
     results.append(("mean curvature (FD oracle)", worst <= 1e-4,
                     f"max |H| = {worst:.3e} (h = {h})"))
 
-    angles = junction_angle_check(u, frame)
-    results.append(("junction angles", angles.max_deviation <= 1e-4,
-                    f"max deviation from 120 deg = {angles.max_deviation:.3e} rad"))
+    try:
+        angles = junction_angle_check(u, frame)
+        results.append(("junction angles", angles.max_deviation <= 1e-4,
+                        f"max deviation from 120 deg = {angles.max_deviation:.3e} rad"))
+    except CompatibilityViolation as exc:
+        results.append(("junction angles", False, f"no common spine: {exc}"))
 
     try:
         rec = residual_record(u, phi, cutoff, frame)
@@ -403,6 +406,8 @@ def cmd_verify(args) -> int:
     except DegenerateMetric as exc:
         results.append(("junction conditions", False,
                         f"field outside the embeddable regime: {exc}"))
+    except CompatibilityViolation as exc:
+        results.append(("trace sum", False, str(exc)))
 
     width = max(len(name) for name, _, _ in results)
     all_ok = True

@@ -13,8 +13,9 @@ Two defect quantities drive the fixed-point iteration:
 
 Both vanish identically on the two exact families (rigid translations of the
 cone and rotations of its rays) and are quadratically small in the height
-functions, which is certified numerically by :func:`structural_certificate`
-rather than encoded term by term.
+functions, which is certified numerically by
+:func:`trijunction.oracles.structural_certificate` rather than encoded term
+by term.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .fields import Grid2D, Jet, ScalarField, TripleField, norm_proxy
+from .fields import Jet, TripleField
 from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
                        spine_from_traces, wall_scalars)
 
@@ -161,13 +162,6 @@ def metric_shape_data(i: int, u: TripleField, cutoff: CutoffProfile,
                            h11=s.h11, h12=s.h12, h22=s.h22)
 
 
-def mean_curvature_scalar(i: int, u: TripleField, cutoff: CutoffProfile,
-                          frame: JunctionFrame | None = None) -> ScalarField:
-    """tr(g^{-1} h) of sheet i on the grid."""
-    data = metric_shape_data(i, u, cutoff, frame)
-    return ScalarField(u.grid, data.mean_curvature())
-
-
 def F_eval(u: TripleField, cutoff: CutoffProfile,
            frame: JunctionFrame | None = None) -> TripleField:
     """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i, one field per sheet.
@@ -208,10 +202,6 @@ def _conormal(i: int, vprime: np.ndarray, dxu0: np.ndarray,
     return proj / np.linalg.norm(proj, axis=1, keepdims=True)
 
 
-def _conormal_sum(vprime: np.ndarray, dxu0: np.ndarray, frame: JunctionFrame) -> np.ndarray:
-    return sum(_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3))
-
-
 def conormal_xi(i: int, u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
     """Unit conormal of the spine inside sheet i, sampled over y; shape (ny, 3).
 
@@ -222,13 +212,6 @@ def conormal_xi(i: int, u: TripleField, frame: JunctionFrame | None = None) -> n
     frame = frame or frame_vectors()
     vprime, dxu0, _ = _spine_quantities(u, frame)
     return _conormal(i, vprime, dxu0, frame)
-
-
-def conormal_defect(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
-    """S(y) = xi_1 + xi_2 + xi_3; identically zero at stationarity."""
-    frame = frame or frame_vectors()
-    vprime, dxu0, _ = _spine_quantities(u, frame)
-    return _conormal_sum(vprime, dxu0, frame)
 
 
 def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +235,7 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarr
 def _junction_defect(u: TripleField, frame: JunctionFrame):
     """(G_1, G_2, S) from one spine and conormal pass; see :func:`G_eval`."""
     vprime, dxu0, dyu0 = _spine_quantities(u, frame)
-    S = _conormal_sum(vprime, dxu0, frame)
+    S = sum(_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3))
     ny = u.grid.ny
 
     b1 = np.empty((ny, 3))
@@ -269,98 +252,3 @@ def _junction_defect(u: TripleField, frame: JunctionFrame):
     G1 = (dn[1] - dn[2]) - (2.0 / SQRT3) * P1
     G2 = (dn[0] - 0.5 * (dn[1] + dn[2])) + P2
     return G1, G2, S
-
-
-# ---------------------------------------------------------------------------
-# Numerical certification of quadratic smallness
-# ---------------------------------------------------------------------------
-
-def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
-                            frame: JunctionFrame | None = None,
-                            max_mode: int = 3, amplitude: float = 1.0) -> TripleField:
-    """Random smooth triple field whose inner traces sum to zero.
-
-    Traces are manufactured as <v(y), nu_i> for a random plane curve v, so
-    compatibility holds by construction; a random interior part vanishing at
-    x = 0 is added on top.
-    """
-    frame = frame or frame_vectors()
-    x, y = grid.x, grid.y
-    K = max_mode + 1
-    vc = rng.standard_normal((2, K))
-    vs = rng.standard_normal((2, K))
-    vy = spectral.trig_eval(vc, vs, y)                  # (2, ny)
-    profile = np.cos(0.5 * np.pi * x)[:, None]          # 1 at x=0, 0 at x=1
-    arrays = []
-    for i in (1, 2, 3):
-        tr_part = (frame.nu_vec(i) @ vy)[None, :] * profile
-        bulk_c = rng.standard_normal((3, K))
-        bulk_s = rng.standard_normal((3, K))
-        modes = spectral.trig_eval(bulk_c, bulk_s, y)   # (3, ny)
-        poly = np.stack([x, x ** 2, x ** 3], axis=0)    # all vanish at x = 0
-        arrays.append(amplitude * (tr_part + poly.T @ modes))
-    return TripleField.from_arrays(grid, arrays)
-
-
-def scaled_to_proxy(u: TripleField, target: float, alpha: float) -> TripleField:
-    """Rescale a nonzero field so its norm proxy equals ``target``."""
-    p = norm_proxy(u, alpha)
-    if p == 0.0:
-        raise ValueError("cannot rescale the zero field")
-    return u * (target / p)
-
-
-@dataclass(frozen=True)
-class StructuralCertificate:
-    """Empirical quadratic-smallness constants for the two defects."""
-
-    c_F: float               # max ||F(u)||_inf / proxy(u)^2 over the samples
-    c_G: float
-    sample_radius: float
-    n_samples: int
-    alpha: float
-    ratios_F: np.ndarray
-    ratios_G: np.ndarray
-
-    def to_text(self) -> str:
-        lines = [
-            "structural smallness certificate",
-            f"  samples          : {self.n_samples}",
-            f"  proxy radius     : {self.sample_radius:.6g}",
-            f"  holder exponent  : {self.alpha}",
-            f"  C_F estimate     : {self.c_F:.6g}",
-            f"  C_G estimate     : {self.c_G:.6g}",
-            f"  per-sample F quotients: min {self.ratios_F.min():.3g} "
-            f"max {self.ratios_F.max():.3g}",
-            f"  per-sample G quotients: min {self.ratios_G.min():.3g} "
-            f"max {self.ratios_G.max():.3g}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
-                           cutoff: CutoffProfile, frame: JunctionFrame | None = None,
-                           alpha: float = 0.5, seed: int = 0) -> StructuralCertificate:
-    """Estimate the smallest constants with ||F||, ||G|| <= C * proxy(u)^2.
-
-    Samples random compatible fields of the given proxy radius.  The radius
-    must respect the smallness regime (at most delta / 10).
-    """
-    if sample_radius > cutoff.delta / 10.0:
-        raise ValueError("sample radius exceeds the smallness regime delta/10")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    frame = frame or frame_vectors()
-    rng = np.random.default_rng(seed)
-    qF, qG = [], []
-    for _ in range(n_samples):
-        u = scaled_to_proxy(random_compatible_field(grid, rng, frame), sample_radius, alpha)
-        F = F_eval(u, cutoff, frame)
-        G1, G2 = G_eval(u, frame)
-        p2 = sample_radius ** 2
-        qF.append(F.sup() / p2)
-        qG.append(max(np.max(np.abs(G1)), np.max(np.abs(G2))) / p2)
-    return StructuralCertificate(
-        c_F=float(np.max(qF)), c_G=float(np.max(qG)),
-        sample_radius=sample_radius, n_samples=n_samples, alpha=alpha,
-        ratios_F=np.array(qF), ratios_G=np.array(qG))

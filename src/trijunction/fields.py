@@ -238,9 +238,6 @@ class BoundaryTriple:
 
     __rmul__ = __mul__
 
-    def aliasing_suspect(self, threshold: float = 1e-8) -> bool:
-        return any(spectral.aliasing_fraction(row) > threshold for row in self.values)
-
 
 # ---------------------------------------------------------------------------
 # Spectral calculus on fields
@@ -325,12 +322,8 @@ def scalar_field_proxy(field: ScalarField, alpha: float, order: int = 2) -> floa
     return sup_part + _holder_seminorm_2d(derivs[-1], field.grid, alpha)
 
 
-def norm_proxy(u: TripleField, alpha: float) -> float:
+def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
     """Triple proxy: sum of the per-sheet proxies."""
-    return sum(scalar_field_proxy(f, alpha) for f in u.components)
-
-
-def triple_field_proxy(u: TripleField, alpha: float, order: int) -> float:
     return sum(scalar_field_proxy(f, alpha, order) for f in u.components)
 
 
@@ -420,19 +413,20 @@ def load_field_csv(path: str) -> tuple[ScalarField, float, dict]:
     return ScalarField(grid, values), delta, header
 
 
-def warn_if_aliased(values: np.ndarray, label: str, threshold: float = 1e-8,
-                    floor: float = 0.0) -> bool:
-    """Flag periodic data whose top-third spectral energy is non-negligible.
+def checked_fourier_coefficients(values: np.ndarray, label: str, threshold: float = 1e-8,
+                                 floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Cos/sin coefficients along the last axis; warn if the top third carries energy.
 
-    Data below ``floor`` in sup norm is skipped: round-off-level inputs have
-    white spectra and would trip the relative check meaninglessly.
+    The check reads the same coefficients the caller gets, so periodic data
+    is analysed once.  Data below ``floor`` in sup norm is not checked:
+    round-off-level inputs have white spectra and would trip the relative
+    check meaninglessly.
     """
     values = np.asarray(values, dtype=float)
-    if float(np.max(np.abs(values))) <= floor:
-        return False
-    frac = spectral.aliasing_fraction(values, axis=-1)
-    if frac > threshold:
-        warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
-                      f"exceeds {threshold:.0e}", AliasingWarning, stacklevel=3)
-        return True
-    return False
+    c, s = spectral.fourier_coefficients(values)
+    if float(np.max(np.abs(values))) > floor:
+        frac = spectral.aliasing_fraction(c, s, values.shape[-1])
+        if frac > threshold:
+            warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
+                          f"exceeds {threshold:.0e}", AliasingWarning, stacklevel=3)
+    return c, s

@@ -31,18 +31,6 @@ class CompatibilityViolation(ValueError):
     """Inner traces do not sum to zero, so the sheets cannot share a spine."""
 
 
-def cyclic_succ(i: int) -> int:
-    """Successor in the cyclic order 1 -> 2 -> 3 -> 1."""
-    _check_sheet(i)
-    return 1 + i % 3
-
-
-def cyclic_pred(i: int) -> int:
-    """Predecessor in the cyclic order (pred(1) = 3)."""
-    _check_sheet(i)
-    return 1 + (i + 1) % 3
-
-
 def _check_sheet(i: int):
     if i not in (1, 2, 3):
         raise ValueError(f"sheet index must be 1, 2 or 3, got {i!r}")
@@ -113,11 +101,6 @@ class CutoffProfile:
         return eta, eta1, eta2
 
 
-def cutoff_eval(profile: CutoffProfile, x):
-    """Evaluate (eta, eta', eta'') of the profile at x in [0, 1]."""
-    return profile(x)
-
-
 # ---------------------------------------------------------------------------
 # Junction offsets and the spine
 # ---------------------------------------------------------------------------
@@ -130,18 +113,6 @@ def wall_scalars(traces: np.ndarray) -> np.ndarray:
     prev = np.roll(traces, 1, axis=0)      # row i holds trace i-1 (cyclic)
     nxt = np.roll(traces, -1, axis=0)
     return (prev - nxt) / SQRT3
-
-
-def wall_offset(traces, i: int, frame: JunctionFrame | None = None) -> np.ndarray:
-    """Periodic 2-vector map w_i(y) for sheet i; shape (ny, 2)."""
-    frame = frame or frame_vectors()
-    rows = [np.asarray(t, dtype=float) for t in traces]
-    if len(rows) != 3 or any(t.ndim != 1 for t in rows):
-        raise ValueError("traces must be three periodic scalar maps")
-    if len({t.shape[0] for t in rows}) != 1:
-        raise ValueError("traces sampled on mismatched y grids")
-    w = wall_scalars(np.stack(rows))[i - 1]
-    return np.outer(w, frame.n_vec(i))
 
 
 @dataclass(frozen=True)

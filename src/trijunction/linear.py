@@ -26,35 +26,10 @@ from typing import Literal
 import numpy as np
 
 from . import spectral
-from .fields import (BoundaryTriple, Grid2D, ScalarField, TripleField,
-                     normal_derivative_inner, periodic_proxy, triple_field_proxy,
-                     warn_if_aliased)
+from .fields import (BoundaryTriple, ScalarField, TripleField, checked_fourier_coefficients,
+                     normal_derivative_inner)
 
 Kind = Literal["dirichlet", "mixed"]
-
-
-@dataclass(frozen=True)
-class ModeProblem:
-    """One Fourier mode's two-point boundary value problem.
-
-    ``f`` holds the forcing coefficient function on the Chebyshev grid,
-    ``phi`` the Dirichlet datum at x = 1, and ``g`` the Neumann datum at the
-    inner circle (mixed kind only; the outward normal there points in -x, so
-    the ODE-side condition is a'(0) = -g).  Dirichlet kind pins a(0) = 0.
-    """
-
-    k: int
-    kind: Kind
-    f: np.ndarray
-    phi: float
-    g: float = 0.0
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("wavenumber must be nonnegative")
-        if self.kind not in ("dirichlet", "mixed"):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +85,10 @@ def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g) -> np.ndarray:
     return a
 
 
-def mode_solve_collocation(p: ModeProblem) -> np.ndarray:
-    """Solve one mode problem by collocation on the sampling grid of ``p.f``."""
-    return _solve_modes(p.kind, (2.0 * math.pi * p.k) ** 2, p.f[:, None], p.phi, p.g)[:, 0]
-
-
 def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
     """Max interior |a'' - lam2 a - f| over the node axis (per column)."""
     res = spectral.cheb_diff2_matrix(a.shape[0]) @ a - lam2 * a - f
     return np.max(np.abs(res[1:-1]), axis=0)
-
-
-def mode_residual(p: ModeProblem, a: np.ndarray) -> float:
-    """Max interior defect |a'' - (2 pi k)^2 a - f| of a candidate mode solution."""
-    return float(_interior_defect(a, (2.0 * math.pi * p.k) ** 2, p.f))
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +102,10 @@ def _solve_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray | None,
     scale = max(float(np.max(np.abs(f.values))), float(np.max(np.abs(phi_out))),
                 0.0 if g is None else float(np.max(np.abs(g))))
     floor = 5e-14 * max(1.0, scale)
-    warn_if_aliased(f.values, "forcing", floor=floor)
-    warn_if_aliased(phi_out, "outer boundary data", floor=floor)
-    fc, fs = spectral.fourier_coefficients(f.values, axis=1)
-    pc, ps = spectral.fourier_coefficients(phi_out)
+    fc, fs = checked_fourier_coefficients(f.values, "forcing", floor=floor)
+    pc, ps = checked_fourier_coefficients(phi_out, "outer boundary data", floor=floor)
     if g is not None:
-        warn_if_aliased(np.asarray(g), "inner Neumann data", floor=floor)
-        gc, gs = spectral.fourier_coefficients(np.asarray(g, dtype=float))
+        gc, gs = checked_fourier_coefficients(g, "inner Neumann data", floor=floor)
     else:
         gc = gs = np.zeros(pc.shape)
 
@@ -242,75 +204,6 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
     v2 = solve_mixed(probs.diff_f, probs.diff_g, probs.diff_phi, debug)
     v3 = solve_mixed(probs.mean_f, probs.mean_g, probs.mean_phi, debug)
     return recompose(v1, v2, v3)
-
-
-# ---------------------------------------------------------------------------
-# Empirical stability probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ContractionEstimates:
-    """Empirical constants of the solve map; all probed, none proved.
-
-    ``c_lin`` bounds proxy(solution) / proxy(data) over random inputs;
-    ``c1`` and ``c2`` are the absorption and difference constants of the
-    fixed-point argument, filled in by the contraction diagnostics.
-    """
-
-    c_lin: float
-    c1: float | None = None
-    c2: float | None = None
-
-    @property
-    def r_tilde(self) -> float | None:
-        if self.c1 is None or self.c2 is None:
-            return None
-        return min(1.0 / self.c1, 1.0 / (4.0 * self.c2), 1.0)
-
-
-def random_smooth_field(grid: Grid2D, rng: np.random.Generator,
-                        max_mode: int = 3) -> ScalarField:
-    """Band-limited random field: low Fourier modes in y, low polynomials in x."""
-    K = max_mode + 1
-    c = rng.standard_normal((4, K))
-    s = rng.standard_normal((4, K))
-    modes = spectral.trig_eval(c, s, grid.y)            # (4, ny)
-    poly = np.stack([np.ones_like(grid.x), grid.x, grid.x ** 2, grid.x ** 3])
-    return ScalarField(grid, poly.T @ modes)
-
-
-def random_smooth_map(ny: int, rng: np.random.Generator, max_mode: int = 3) -> np.ndarray:
-    K = max_mode + 1
-    c = rng.standard_normal(K)
-    s = rng.standard_normal(K)
-    return spectral.trig_eval(c, s, spectral.fourier_nodes(ny))
-
-
-def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
-                   seed: int = 0) -> tuple[ContractionEstimates, np.ndarray]:
-    """Probe the solution-to-data proxy-norm ratio over random unit inputs.
-
-    Returns the estimates (c_lin filled) and the per-sample ratios.  The
-    continuum estimate bounds the solution's order-2 norm by the forcing's
-    order-0, the Neumann data's order-1 and the boundary data's order-2
-    norms; the probe measures the discrete analogue.
-    """
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(n_samples):
-        F = TripleField((random_smooth_field(grid, rng),
-                         random_smooth_field(grid, rng),
-                         random_smooth_field(grid, rng)))
-        G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
-        phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
-                                                for _ in range(3)]))
-        data_norm = (triple_field_proxy(F, alpha, order=0)
-                     + sum(periodic_proxy(g, alpha, order=1) for g in G)
-                     + sum(periodic_proxy(row, alpha, order=2) for row in phi.values))
-        u = solve_linear_system(F, G, phi)
-        ratios.append(triple_field_proxy(u, alpha, order=2) / data_norm)
-    ratios = np.array(ratios)
-    return ContractionEstimates(c_lin=float(ratios.max())), ratios
 
 
 def mode_debug_csv(records: list[dict]) -> str:

@@ -1,11 +1,16 @@
-"""Independent low-tech checks of the spectral machinery.
+"""Verification of the production path: independent oracles and empirical certificates.
 
-Everything here deliberately avoids the closed-form geometry and the
-spectral solvers: mean curvature is re-derived from finite differences of
-embedded surface points alone, and the linear problems are re-solved with
+The oracles deliberately avoid the closed-form geometry and the spectral
+solvers: mean curvature is re-derived from finite differences of embedded
+surface points alone, and the linear problems are re-solved with
 second-order finite differences on a uniform grid, or mode by mode with the
 closed-form exponential-kernel solutions.  Agreement between these oracles
 and the production paths is what certifies the latter.
+
+The certificates run the production path itself on random inputs and
+report the constants the fixed-point argument needs, as measured, not
+proved: quadratic smallness of F and G, the linear solve's data-to-solution
+ratio, and the step map's contraction along two nearby orbits.
 """
 
 from __future__ import annotations
@@ -16,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .fields import BoundaryTriple, Grid2D, ScalarField, TripleField
+from .fields import (BoundaryTriple, Grid2D, ScalarField, TripleField, boundary_proxy,
+                     norm_proxy, periodic_proxy)
 from .geometry import CutoffProfile, JunctionFrame, embed_point, frame_vectors
-from .curvature import conormal_xi
-from .linear import ModeProblem, decouple, recompose
+from .curvature import F_eval, G_eval, conormal_xi
+from .linear import Kind, decouple, recompose, solve_linear_system
+from .picard import (GuardViolation, SolveOptions, _assemble_report, _guard_record,
+                     picard_step)
 
 _EXP_WINDOW = 45.0        # kernel tail cut: exp(-45) is far below double round-off
 _N_QUAD = 96
@@ -128,6 +136,30 @@ def fd_linear_solve(f, g, phi, shape: tuple[int, int],
 # ---------------------------------------------------------------------------
 # Closed-form mode solutions: exponential kernels, overflow-safe
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModeProblem:
+    """One Fourier mode's two-point boundary value problem.
+
+    ``f`` holds the forcing coefficient function on the Chebyshev grid,
+    ``phi`` the Dirichlet datum at x = 1, and ``g`` the Neumann datum at the
+    inner circle (mixed kind only; the outward normal there points in -x, so
+    the ODE-side condition is a'(0) = -g).  Dirichlet kind pins a(0) = 0.
+    """
+
+    k: int
+    kind: Kind
+    f: np.ndarray
+    phi: float
+    g: float = 0.0
+
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError("wavenumber must be nonnegative")
+        if self.kind not in ("dirichlet", "mixed"):
+            raise ValueError(f"unknown problem kind {self.kind!r}")
+        object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
+
 
 def _partial_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
     """P1(x) = int_x^1 f e^{lam (x - t)} dt and P2(x) = int_0^x f e^{lam (t - x)} dt.
@@ -290,3 +322,228 @@ def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
         raise ValueError(f"unknown family kind {kind!r}")
     u = TripleField.from_arrays(grid, arrays)
     return BoundaryTriple(grid.ny, u.traces("outer")), u
+
+
+# ---------------------------------------------------------------------------
+# Empirical certificates: quadratic smallness, linear stability, contraction
+# ---------------------------------------------------------------------------
+
+def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
+                            frame: JunctionFrame | None = None,
+                            max_mode: int = 3, amplitude: float = 1.0) -> TripleField:
+    """Random smooth triple field whose inner traces sum to zero.
+
+    Traces are manufactured as <v(y), nu_i> for a random plane curve v, so
+    compatibility holds by construction; a random interior part vanishing at
+    x = 0 is added on top.
+    """
+    frame = frame or frame_vectors()
+    x, y = grid.x, grid.y
+    K = max_mode + 1
+    vc = rng.standard_normal((2, K))
+    vs = rng.standard_normal((2, K))
+    vy = spectral.trig_eval(vc, vs, y)                  # (2, ny)
+    profile = np.cos(0.5 * np.pi * x)[:, None]          # 1 at x=0, 0 at x=1
+    arrays = []
+    for i in (1, 2, 3):
+        tr_part = (frame.nu_vec(i) @ vy)[None, :] * profile
+        bulk_c = rng.standard_normal((3, K))
+        bulk_s = rng.standard_normal((3, K))
+        modes = spectral.trig_eval(bulk_c, bulk_s, y)   # (3, ny)
+        poly = np.stack([x, x ** 2, x ** 3], axis=0)    # all vanish at x = 0
+        arrays.append(amplitude * (tr_part + poly.T @ modes))
+    return TripleField.from_arrays(grid, arrays)
+
+
+def scaled_to_proxy(u: TripleField, target: float, alpha: float) -> TripleField:
+    """Rescale a nonzero field so its norm proxy equals ``target``."""
+    p = norm_proxy(u, alpha)
+    if p == 0.0:
+        raise ValueError("cannot rescale the zero field")
+    return u * (target / p)
+
+
+@dataclass(frozen=True)
+class StructuralCertificate:
+    """Empirical quadratic-smallness constants for the two defects."""
+
+    c_F: float               # max ||F(u)||_inf / proxy(u)^2 over the samples
+    c_G: float
+    sample_radius: float
+    n_samples: int
+    alpha: float
+    ratios_F: np.ndarray
+    ratios_G: np.ndarray
+
+    def to_text(self) -> str:
+        lines = [
+            "structural smallness certificate",
+            f"  samples          : {self.n_samples}",
+            f"  proxy radius     : {self.sample_radius:.6g}",
+            f"  holder exponent  : {self.alpha}",
+            f"  C_F estimate     : {self.c_F:.6g}",
+            f"  C_G estimate     : {self.c_G:.6g}",
+            f"  per-sample F quotients: min {self.ratios_F.min():.3g} "
+            f"max {self.ratios_F.max():.3g}",
+            f"  per-sample G quotients: min {self.ratios_G.min():.3g} "
+            f"max {self.ratios_G.max():.3g}",
+        ]
+        return "\n".join(lines) + "\n"
+
+
+def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
+                           cutoff: CutoffProfile, frame: JunctionFrame | None = None,
+                           alpha: float = 0.5, seed: int = 0) -> StructuralCertificate:
+    """Estimate the smallest constants with ||F||, ||G|| <= C * proxy(u)^2.
+
+    Samples random compatible fields of the given proxy radius.  The radius
+    must respect the smallness regime (at most delta / 10).
+    """
+    if sample_radius > cutoff.delta / 10.0:
+        raise ValueError("sample radius exceeds the smallness regime delta/10")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    frame = frame or frame_vectors()
+    rng = np.random.default_rng(seed)
+    qF, qG = [], []
+    for _ in range(n_samples):
+        u = scaled_to_proxy(random_compatible_field(grid, rng, frame), sample_radius, alpha)
+        F = F_eval(u, cutoff, frame)
+        G1, G2 = G_eval(u, frame)
+        p2 = sample_radius ** 2
+        qF.append(F.sup() / p2)
+        qG.append(max(np.max(np.abs(G1)), np.max(np.abs(G2))) / p2)
+    return StructuralCertificate(
+        c_F=float(np.max(qF)), c_G=float(np.max(qG)),
+        sample_radius=sample_radius, n_samples=n_samples, alpha=alpha,
+        ratios_F=np.array(qF), ratios_G=np.array(qG))
+
+
+@dataclass
+class ContractionEstimates:
+    """Empirical constants of the solve map; all probed, none proved.
+
+    ``c_lin`` bounds proxy(solution) / proxy(data) over random inputs;
+    ``c1`` and ``c2`` are the absorption and difference constants of the
+    fixed-point argument, filled in by the contraction diagnostics.
+    """
+
+    c_lin: float
+    c1: float | None = None
+    c2: float | None = None
+
+    @property
+    def r_tilde(self) -> float | None:
+        if self.c1 is None or self.c2 is None:
+            return None
+        return min(1.0 / self.c1, 1.0 / (4.0 * self.c2), 1.0)
+
+
+def random_smooth_field(grid: Grid2D, rng: np.random.Generator,
+                        max_mode: int = 3) -> ScalarField:
+    """Band-limited random field: low Fourier modes in y, low polynomials in x."""
+    K = max_mode + 1
+    c = rng.standard_normal((4, K))
+    s = rng.standard_normal((4, K))
+    modes = spectral.trig_eval(c, s, grid.y)            # (4, ny)
+    poly = np.stack([np.ones_like(grid.x), grid.x, grid.x ** 2, grid.x ** 3])
+    return ScalarField(grid, poly.T @ modes)
+
+
+def random_smooth_map(ny: int, rng: np.random.Generator, max_mode: int = 3) -> np.ndarray:
+    K = max_mode + 1
+    c = rng.standard_normal(K)
+    s = rng.standard_normal(K)
+    return spectral.trig_eval(c, s, spectral.fourier_nodes(ny))
+
+
+def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
+                   seed: int = 0) -> tuple[ContractionEstimates, np.ndarray]:
+    """Probe the solution-to-data proxy-norm ratio over random unit inputs.
+
+    Returns the estimates (c_lin filled) and the per-sample ratios.  The
+    continuum estimate bounds the solution's order-2 norm by the forcing's
+    order-0, the Neumann data's order-1 and the boundary data's order-2
+    norms; the probe measures the discrete analogue.
+    """
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(n_samples):
+        F = TripleField((random_smooth_field(grid, rng),
+                         random_smooth_field(grid, rng),
+                         random_smooth_field(grid, rng)))
+        G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
+        phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
+                                                for _ in range(3)]))
+        data_norm = (norm_proxy(F, alpha, order=0)
+                     + sum(periodic_proxy(g, alpha, order=1) for g in G)
+                     + sum(periodic_proxy(row, alpha, order=2) for row in phi.values))
+        u = solve_linear_system(F, G, phi)
+        ratios.append(norm_proxy(u, alpha) / data_norm)
+    ratios = np.array(ratios)
+    return ContractionEstimates(c_lin=float(ratios.max())), ratios
+
+
+def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
+                            cutoff: CutoffProfile, frame: JunctionFrame | None = None,
+                            n_iter: int = 6, seed: int = 0,
+                            start_scale: float = 1e-4) -> tuple[ContractionEstimates, list[float]]:
+    """Measure the step map's Lipschitz behavior along two nearby orbits.
+
+    Runs the iteration from zero and from a small random start and reports
+    proxy(A u_n - A v_n) / proxy(u_n - v_n) per iteration, stopping once the
+    orbits have merged to round-off.  Also assembles empirical constants:
+    c_lin from a linear-solve probe, c1 and c2 from quadratic-smallness and
+    difference quotients along the orbits.
+    """
+    frame = frame or frame_vectors()
+    rng = np.random.default_rng(seed)
+    u = TripleField.zero(grid)
+    v = scaled_to_proxy(random_compatible_field(grid, rng, frame), start_scale, opts.alpha)
+
+    r = opts.guard_radius(cutoff.delta)
+    ratios: list[float] = []
+    diff_quotients: list[float] = []
+    for it in range(n_iter):
+        du = norm_proxy(u - v, opts.alpha)
+        # stop once the two orbits have merged to round-off: below that the
+        # quotients measure noise, not the step map (the absolute floor covers
+        # the solve's own round-off level in proxy units)
+        scale = max(norm_proxy(u, opts.alpha), norm_proxy(v, opts.alpha))
+        if du < max(1e-9 * scale, 1e-11):
+            break
+        Au = picard_step(u, phi, cutoff, frame)
+        Av = picard_step(v, phi, cutoff, frame)
+        proxy_next = norm_proxy(Au, opts.alpha)
+        if proxy_next > r:
+            # the orbits left the trust ball: the data is outside the
+            # contraction regime and must fail loudly, not produce quiet ratios
+            guards = _guard_record(Au, opts, cutoff)
+            report = _assemble_report(it + 1, [], Au, phi, cutoff, frame, guards,
+                                      converged=False)
+            raise GuardViolation(
+                f"diagnostic orbit left the trust ball at iteration {it + 1} "
+                f"(proxy {proxy_next:.3e} > guard {r:.3e})", Au, report)
+        dA = norm_proxy(Au - Av, opts.alpha)
+        ratios.append(dA / du)
+        denom = du * (norm_proxy(u, opts.alpha) + norm_proxy(v, opts.alpha))
+        if denom > 0:
+            diff_quotients.append(dA / denom)
+        u, v = Au, Av
+
+    est, _ = schauder_probe(4, grid, opts.alpha, seed=seed)
+    c2 = max(diff_quotients) if diff_quotients else None
+
+    # absorption constant: ||A(u)|| <= c1 (||u||^2 + ||phi||), probed on the orbit
+    phi_norm = boundary_proxy(phi, opts.alpha)
+    c1_samples = []
+    w = TripleField.zero(grid)
+    for _ in range(min(n_iter, 4)):
+        w = picard_step(w, phi, cutoff, frame)
+        nw = norm_proxy(w, opts.alpha)
+        base = nw ** 2 + phi_norm
+        if base > 0:
+            c1_samples.append(norm_proxy(picard_step(w, phi, cutoff, frame), opts.alpha) / base)
+    c1 = max(c1_samples) if c1_samples else None
+
+    return ContractionEstimates(c_lin=est.c_lin, c1=c1, c2=c2), ratios

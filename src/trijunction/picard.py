@@ -16,16 +16,15 @@ junction defect, conormal balance, and trace errors are all reported.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
-from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy,
-                     laplacian, norm_proxy, trace)
+from .fields import BoundaryTriple, Grid2D, TripleField, laplacian, trace
 from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
-from .linear import ContractionEstimates, boundary_operator, solve_linear_system
+from .linear import boundary_operator, solve_linear_system
 
 
 class NoConvergence(RuntimeError):
@@ -51,24 +50,26 @@ class SolveOptions:
     """Knobs of the fixed-point driver.
 
     ``r_guard`` defaults to min(delta/10, 0.05): the smallness radius the
-    embedding argument needs.  ``eps_warn`` is a data-size warning threshold
-    only (the existence theory is not constructive about it); when crossed
-    the solve proceeds and flags the report.
+    embedding argument needs.  ``alpha`` is the Hoelder exponent of the
+    guard proxy.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
     r_guard: float | None = None
     alpha: float = 0.5
-    eps_warn: float | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # each test is false for NaN, so a NaN knob fails here instead of
+        # silently disabling the stop test, the guard or the Hoelder term
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.r_guard is not None and self.r_guard <= 0:
-            raise ValueError("r_guard must be positive")
+        if self.r_guard is not None and not 0.0 < self.r_guard < math.inf:
+            raise ValueError(f"r_guard must be finite and positive, got {self.r_guard!r}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
 
     def guard_radius(self, delta: float) -> float:
         return self.r_guard if self.r_guard is not None else min(delta / 10.0, 0.05)
@@ -92,7 +93,6 @@ class GuardRecord:
     within_guard: bool
     embed_margin: float
     smallness_ok: bool
-    eps_warned: bool
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,7 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
     )
 
 
-def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile,
-                  eps_warned: bool) -> GuardRecord:
+def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> GuardRecord:
     comp = check_c0_compatibility(u, cutoff, opts.alpha)
     r = opts.guard_radius(cutoff.delta)
     return GuardRecord(
@@ -143,7 +142,6 @@ def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile,
         within_guard=bool(comp.norm_proxy <= r),
         embed_margin=comp.monotonic_margin,
         smallness_ok=comp.smallness_ok,
-        eps_warned=eps_warned,
     )
 
 
@@ -159,16 +157,6 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     frame = frame or frame_vectors()
     if phi.ny != grid.ny:
         raise ValueError("boundary data and grid disagree on ny")
-
-    eps_warned = False
-    if opts.eps_warn is not None:
-        phi_norm = boundary_proxy(phi, opts.alpha)
-        if phi_norm > opts.eps_warn:
-            eps_warned = True
-            warnings.warn(
-                f"boundary proxy norm {phi_norm:.3e} exceeds the smallness "
-                f"threshold {opts.eps_warn:.3e}; convergence is not guaranteed",
-                stacklevel=2)
 
     u = TripleField.zero(grid)
     updates: list[float] = []
@@ -195,7 +183,7 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
         upd = (u_next - u).sup()
         updates.append(upd)
         u = u_next
-        guards = _guard_record(u, opts, cutoff, eps_warned)
+        guards = _guard_record(u, opts, cutoff)
 
         if guards.norm_proxy > r:
             report = _assemble_report(it, updates, u, phi, cutoff, frame, guards,
@@ -245,97 +233,6 @@ def _assemble_report(iterations: int, updates: list[float], u: TripleField,
 
 
 # ---------------------------------------------------------------------------
-# Contraction diagnostics
-# ---------------------------------------------------------------------------
-
-def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
-                            cutoff: CutoffProfile, frame: JunctionFrame | None = None,
-                            n_iter: int = 6, seed: int = 0,
-                            start_scale: float = 1e-4) -> tuple[ContractionEstimates, list[float]]:
-    """Measure the step map's Lipschitz behavior along two nearby orbits.
-
-    Runs the iteration from zero and from a small random start and reports
-    proxy(A u_n - A v_n) / proxy(u_n - v_n) per iteration, stopping once the
-    orbits have merged to round-off.  Also assembles empirical constants:
-    c_lin from a linear-solve probe, c1 and c2 from quadratic-smallness and
-    difference quotients along the orbits.
-    """
-    from .curvature import random_compatible_field, scaled_to_proxy
-    from .linear import schauder_probe
-
-    frame = frame or frame_vectors()
-    rng = np.random.default_rng(seed)
-    u = TripleField.zero(grid)
-    v = scaled_to_proxy(random_compatible_field(grid, rng, frame), start_scale, opts.alpha)
-
-    r = opts.guard_radius(cutoff.delta)
-    ratios: list[float] = []
-    diff_quotients: list[float] = []
-    for it in range(n_iter):
-        du = norm_proxy(u - v, opts.alpha)
-        # stop once the two orbits have merged to round-off: below that the
-        # quotients measure noise, not the step map (the absolute floor covers
-        # the solve's own round-off level in proxy units)
-        scale = max(norm_proxy(u, opts.alpha), norm_proxy(v, opts.alpha))
-        if du < max(1e-9 * scale, 1e-11):
-            break
-        Au = picard_step(u, phi, cutoff, frame)
-        Av = picard_step(v, phi, cutoff, frame)
-        proxy_next = norm_proxy(Au, opts.alpha)
-        if proxy_next > r:
-            # the orbits left the trust ball: the data is outside the
-            # contraction regime and must fail loudly, not produce quiet ratios
-            guards = _guard_record(Au, opts, cutoff, False)
-            report = _assemble_report(it + 1, [], Au, phi, cutoff, frame, guards,
-                                      converged=False)
-            raise GuardViolation(
-                f"diagnostic orbit left the trust ball at iteration {it + 1} "
-                f"(proxy {proxy_next:.3e} > guard {r:.3e})", Au, report)
-        dA = norm_proxy(Au - Av, opts.alpha)
-        ratios.append(dA / du)
-        denom = du * (norm_proxy(u, opts.alpha) + norm_proxy(v, opts.alpha))
-        if denom > 0:
-            diff_quotients.append(dA / denom)
-        u, v = Au, Av
-
-    est, _ = schauder_probe(4, grid, opts.alpha, seed=seed)
-    c2 = max(diff_quotients) if diff_quotients else None
-
-    # absorption constant: ||A(u)|| <= c1 (||u||^2 + ||phi||), probed on the orbit
-    phi_norm = boundary_proxy(phi, opts.alpha)
-    c1_samples = []
-    w = TripleField.zero(grid)
-    for _ in range(min(n_iter, 4)):
-        w = picard_step(w, phi, cutoff, frame)
-        nw = norm_proxy(w, opts.alpha)
-        base = nw ** 2 + phi_norm
-        if base > 0:
-            c1_samples.append(norm_proxy(picard_step(w, phi, cutoff, frame), opts.alpha) / base)
-    c1 = max(c1_samples) if c1_samples else None
-
-    return ContractionEstimates(c_lin=est.c_lin, c1=c1, c2=c2), ratios
-
-
-def suggest_eps_threshold(grid: Grid2D, cutoff: CutoffProfile,
-                          frame: JunctionFrame | None = None, alpha: float = 0.5,
-                          r: float | None = None, n_samples: int = 4,
-                          seed: int = 0) -> float:
-    """Empirical data-size threshold eps ~ r (1/C1 - r) from probed constants."""
-    from .curvature import structural_certificate
-    from .linear import schauder_probe
-
-    frame = frame or frame_vectors()
-    r = min(cutoff.delta / 10.0, 0.05) if r is None else r
-    est, _ = schauder_probe(n_samples, grid, alpha, seed=seed)
-    cert = structural_certificate(cutoff.delta / 20.0, n_samples, grid, cutoff, frame,
-                                  alpha, seed=seed)
-    c1 = est.c_lin * max(cert.c_F + cert.c_G, 1.0)
-    if 1.0 / c1 <= r:
-        return 0.0
-    return r * (1.0 / c1 - r)
-
-
-# ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
 
@@ -367,6 +264,5 @@ def report_summary(report: SolveReport) -> str:
         f"within: {g.within_guard})",
         f"  embed margin       : {g.embed_margin:.6f}",
         f"  smallness flag     : {g.smallness_ok}",
-        f"  eps warning        : {g.eps_warned}",
     ]
     return "\n".join(lines) + "\n"

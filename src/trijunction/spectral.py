@@ -120,14 +120,6 @@ def cheb_coefficients(values: np.ndarray) -> np.ndarray:
     return a
 
 
-def cheb_values(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`cheb_coefficients`."""
-    b = np.asarray(coeffs, dtype=float).copy()
-    b[0] *= 2.0
-    b[-1] *= 2.0
-    return _dct1(b) / 2.0
-
-
 @lru_cache(maxsize=None)
 def cheb_coefficient_diff_matrix(n: int, order: int) -> np.ndarray:
     """Maps Chebyshev coefficients (in xi) of length n to those of the order-th xi-derivative.
@@ -304,19 +296,20 @@ def trig_eval(c: np.ndarray, s: np.ndarray, yq: np.ndarray) -> np.ndarray:
     return np.tensordot(c, cosv, axes=([-1], [-1])) + np.tensordot(s, sinv, axes=([-1], [-1]))
 
 
-def aliasing_fraction(values: np.ndarray, axis: int = -1) -> float:
-    """Fraction of spectral energy in the top third of the periodic spectrum."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
-    A = np.moveaxis(np.fft.rfft(values, axis=axis), axis, -1)
-    K = n // 2
-    weight = np.full(A.shape[-1], 2.0)
-    weight[0] = 1.0
+def aliasing_fraction(c: np.ndarray, s: np.ndarray, n: int) -> float:
+    """Fraction of spectral energy in the top third of the periodic spectrum.
+
+    Reads the :func:`fourier_coefficients` of n-point data, mode axis last,
+    over all leading axes together.  By Parseval the energy of mode k is
+    c_0^2 for k = 0, c_K^2 for the Nyquist mode of an even grid, and
+    (c_k^2 + s_k^2) / 2 otherwise.
+    """
+    energy = 0.5 * (c ** 2 + s ** 2)
+    energy[..., 0] = c[..., 0] ** 2
     if n % 2 == 0:
-        weight[-1] = 1.0
-    energy = weight * np.abs(A) ** 2
+        energy[..., -1] = c[..., -1] ** 2
     total = energy.sum()
     if total == 0.0:
         return 0.0
-    cut = (2 * K) // 3
+    cut = 2 * (n // 2) // 3
     return float(energy[..., cut + 1:].sum() / total)

@@ -3,6 +3,7 @@ import pytest
 
 from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, TripleField,
                          boundary_proxy, frame_vectors)
+from trijunction.linear import _solve_modes
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,8 @@ def random_boundary(ny, rng, proxy_target, alpha=0.5, max_mode=2):
                      + s[:, None] * np.sin(2 * np.pi * np.outer(k, y))).sum(axis=0))
     phi = BoundaryTriple(ny, np.stack(rows))
     return phi * (proxy_target / boundary_proxy(phi, alpha))
+
+
+def mode_solve_collocation(p):
+    """One ``oracles.ModeProblem`` through the production solve, as a single column."""
+    return _solve_modes(p.kind, (2.0 * np.pi * p.k) ** 2, p.f[:, None], p.phi, p.g)[:, 0]

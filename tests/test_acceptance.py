@@ -13,16 +13,14 @@ from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, GuardViolation,
                          ModeProblem, NoConvergence, ScalarField, SolveOptions,
                          TripleField, boundary_operator, exact_family,
                          fd_linear_solve, fd_mean_curvature, frame_vectors,
-                         junction_angle_check, mean_curvature_scalar,
-                         mode_solve_collocation, recompose, solve_dirichlet,
-                         solve_linear_system, solve_mixed, solve_nonlinear, trace,
-                         F_eval, G_eval)
-from trijunction.curvature import random_compatible_field, scaled_to_proxy
-from trijunction.linear import random_smooth_field, random_smooth_map
-from trijunction.oracles import mode_solve_formula
+                         junction_angle_check, metric_shape_data, recompose,
+                         solve_dirichlet, solve_linear_system, solve_mixed,
+                         solve_nonlinear, trace, F_eval, G_eval)
+from trijunction.oracles import (mode_solve_formula, random_compatible_field,
+                                 random_smooth_field, random_smooth_map, scaled_to_proxy)
 from trijunction.spectral import cheb_nodes
 
-from conftest import random_boundary
+from conftest import mode_solve_collocation, random_boundary
 
 GRID = Grid2D(48, 64)
 FRAME = frame_vectors()
@@ -177,7 +175,7 @@ def test_criterion_7_fd_oracle_orders():
     rng = np.random.default_rng(505)
     u = scaled_to_proxy(random_compatible_field(GRID, rng, FRAME), 0.012, 0.5)
     pt = (0.52, 0.77)
-    ref = ScalarField(GRID, mean_curvature_scalar(2, u, cutoff, FRAME).values).eval(*pt)
+    ref = ScalarField(GRID, metric_shape_data(2, u, cutoff, FRAME).mean_curvature()).eval(*pt)
     errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, FRAME) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes_h = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]

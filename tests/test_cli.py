@@ -205,6 +205,34 @@ def test_solver_option_errors_exit_config(tmp_path):
     assert run(["solve", "--max-iter", "0", "--out", out]) == EXIT_CONFIG
     assert run(["sweep", "--family", "rotate:0.01", "--scales", "1.0",
                 "--tol=-1", "--out", out]) == EXIT_CONFIG
+    # a NaN r_guard or tol never compares true, and a NaN alpha drops the
+    # Hoelder term: each is a config error before anything is written
+    for flags in (["--r-guard", "nan"], ["--tol", "nan"], ["--tol", "inf"],
+                  ["--alpha", "nan"], ["--alpha=-3"], ["--alpha", "1.5"]):
+        assert run(["solve", *flags, "--out", out]) == EXIT_CONFIG, flags
+        assert run(["sweep", "--family", "rotate:0.01", "--scales", "1.0", *flags,
+                    "--out", out]) == EXIT_CONFIG, flags
+    assert not os.path.exists(out)
+
+
+def test_verify_reports_incompatible_traces(tmp_path, capsys):
+    # traces that no longer sum to zero have no common spine: verify prints
+    # FAIL rows instead of dying in the angle oracle
+    out = str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    path = os.path.join(out, "u1.csv")
+    lines = open(path).read().splitlines()
+    inner = next(j for j, ln in enumerate(lines) if ln == "nx,ny,delta") + 2
+    row = [float(t) for t in lines[inner].split(",")]
+    row[5] += 1e-6
+    lines[inner] = ",".join(f"{v:.17g}" for v in row)
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", out]) == EXIT_VERIFY_FAIL
+    printed = capsys.readouterr().out.splitlines()
+    for name in ("junction angles", "trace sum"):
+        assert any(ln.startswith(name) and ln[len(name):].split()[0] == "FAIL"
+                   for ln in printed), name
 
 
 def test_verify_failed_run_artifacts(tmp_path):

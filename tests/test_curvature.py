@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval,
-                         conormal_defect, conormal_xi, laplacian, mean_curvature_scalar,
-                         metric_shape_data, structural_certificate)
-from trijunction.curvature import random_compatible_field, scaled_to_proxy
+from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval, conormal_xi,
+                         laplacian, metric_shape_data, structural_certificate)
+from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import rotation_field, translation_field
 
@@ -14,6 +13,15 @@ from conftest import rotation_field, translation_field
 def G_sup(u, frame):
     G1, G2 = G_eval(u, frame)
     return max(np.max(np.abs(G1)), np.max(np.abs(G2)))
+
+
+def H_sup(i, u, cutoff, frame):
+    return np.max(np.abs(metric_shape_data(i, u, cutoff, frame).mean_curvature()))
+
+
+def conormal_sum(u, frame):
+    """S(y) = xi_1 + xi_2 + xi_3; identically zero at stationarity."""
+    return sum(conormal_xi(i, u, frame) for i in (1, 2, 3))
 
 
 def random_small(grid, frame, proxy, seed):
@@ -46,7 +54,7 @@ def test_degenerate_metric_raises(grid_small, cutoff, frame):
     u = TripleField.from_arrays(
         grid_small, [np.full((grid_small.nx, grid_small.ny), v) for v in (0.0, d, -d)])
     with pytest.raises(DegenerateMetric):
-        mean_curvature_scalar(1, u, cutoff, frame)
+        metric_shape_data(1, u, cutoff, frame)
     with pytest.raises(DegenerateMetric):
         F_eval(u, cutoff, frame)
 
@@ -67,16 +75,15 @@ def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
 # ---------------------------------------------------------------------------
 
 def test_mean_curvature_zero_on_flat(grid, cutoff, frame):
-    H = mean_curvature_scalar(1, TripleField.zero(grid), cutoff, frame)
-    assert H.sup() == 0.0
+    assert H_sup(1, TripleField.zero(grid), cutoff, frame) == 0.0
 
 
 def test_mean_curvature_zero_on_exact_families(grid, cutoff, frame):
     ut = translation_field(grid, frame, (0.01, 0.0))
     ub = rotation_field(grid, 0.01)
     for i in (1, 2, 3):
-        assert mean_curvature_scalar(i, ut, cutoff, frame).sup() < 1e-12
-        assert mean_curvature_scalar(i, ub, cutoff, frame).sup() < 1e-12
+        assert H_sup(i, ut, cutoff, frame) < 1e-12
+        assert H_sup(i, ub, cutoff, frame) < 1e-12
 
 
 def test_F_zero_cases(grid, cutoff, frame):
@@ -131,13 +138,13 @@ def test_conormal_rotation_closed_form(grid, frame):
 
 
 def test_conormal_defect_cases(grid, grid_small, frame):
-    assert np.max(np.abs(conormal_defect(TripleField.zero(grid), frame))) < 1e-15
-    assert np.max(np.abs(conormal_defect(rotation_field(grid, 0.01), frame))) < 1e-14
+    assert np.max(np.abs(conormal_sum(TripleField.zero(grid), frame))) < 1e-15
+    assert np.max(np.abs(conormal_sum(rotation_field(grid, 0.01), frame))) < 1e-14
     # linear scaling in the field size
     sups = []
     for t in (1.0, 0.5, 0.25):
         u = t * random_small(grid_small, frame, 0.01, seed=3)
-        sups.append(np.max(np.abs(conormal_defect(u, frame))))
+        sups.append(np.max(np.abs(conormal_sum(u, frame))))
     assert sups[0] / sups[1] == pytest.approx(2.0, rel=0.2)
     assert sups[1] / sups[2] == pytest.approx(2.0, rel=0.2)
 
@@ -165,7 +172,7 @@ def test_G_is_junction_condition_minus_projection(grid_small, frame):
 
     u = random_small(grid_small, frame, 0.01, seed=5)
     G1, G2 = G_eval(u, frame)
-    S = conormal_defect(u, frame)
+    S = conormal_sum(u, frame)
     dn = np.stack([normal_derivative_inner(u.sheet(i)) for i in (1, 2, 3)])
     dy0 = fourier_derivative(u.traces(), 1, axis=1)
     b1 = np.column_stack([np.tile(frame.n_vec(1), (grid_small.ny, 1)),

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField,
                          load_field_csv, norm_proxy, normal_derivative_inner,
                          periodic_proxy, save_field_csv, trace)
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
-                               field_to_csv, scalar_field_proxy, warn_if_aliased)
+                               checked_fourier_coefficients, field_to_csv,
+                               scalar_field_proxy)
+from trijunction.spectral import fourier_coefficients
 
 from conftest import translation_field
 
@@ -275,9 +278,15 @@ def test_aliasing_warning_fires_and_floor_suppresses():
     y = np.arange(ny) / ny
     noisy = np.sin(2 * np.pi * 30 * y)
     with pytest.warns(AliasingWarning):
-        warn_if_aliased(noisy, "test data")
-    # round-off-level data is ignored
-    assert not warn_if_aliased(1e-15 * noisy, "tiny", floor=5e-14)
+        c, s = checked_fourier_coefficients(noisy, "test data")
+    # the check hands back the one analysis it read
+    ref_c, ref_s = fourier_coefficients(noisy)
+    assert np.array_equal(c, ref_c) and np.array_equal(s, ref_s)
+    # round-off-level data is ignored, and clean data passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checked_fourier_coefficients(1e-15 * noisy, "tiny", floor=5e-14)
+        checked_fourier_coefficients(np.cos(2 * np.pi * y), "clean")
 
 
 def test_scalar_field_proxy_order0_is_sup_plus_seminorm(grid_small):
@@ -290,14 +299,3 @@ def test_triple_field_requires_shared_grid():
     b = ScalarField.zero(Grid2D(16, 32))
     with pytest.raises(ValueError):
         TripleField((a, a, b))
-
-
-def test_boundary_aliasing_flag():
-    ny = 64
-    y = np.arange(ny) / ny
-    clean = BoundaryTriple(ny, np.stack([np.cos(2 * np.pi * y)] * 3))
-    assert not clean.aliasing_suspect()
-    dirty = BoundaryTriple(ny, np.stack([np.cos(2 * np.pi * y),
-                                         np.sin(2 * np.pi * 30 * y),
-                                         np.zeros(ny)]))
-    assert dirty.aliasing_suspect()

@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from trijunction import (CompatibilityViolation, CutoffProfile, TripleField,
-                         check_c0_compatibility, cutoff_eval, cyclic_pred, cyclic_succ,
-                         embed_point, frame_vectors, mesh_surface, spine_from_traces,
-                         wall_offset)
+                         check_c0_compatibility, embed_point, frame_vectors, mesh_surface,
+                         spine_from_traces)
 from trijunction.geometry import mesh_to_obj, wall_scalars
+from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import rotation_field, translation_field
 
 ULP4 = 4 * np.finfo(float).eps
+PRED = (3, 1, 2)            # cyclic order 1 -> 2 -> 3 -> 1: PRED[i - 1] precedes i
+SUCC = (2, 3, 1)
 
 
-def test_cyclic_indexing():
-    assert [cyclic_succ(i) for i in (1, 2, 3)] == [2, 3, 1]
-    assert [cyclic_pred(i) for i in (1, 2, 3)] == [3, 1, 2]
+def test_cyclic_indexing(frame):
+    # the wall scalar of sheet i is (u_pred(i) - u_succ(i)) / sqrt 3
+    traces = np.random.default_rng(0).standard_normal((3, 8))
+    w = wall_scalars(traces)
+    for i in (1, 2, 3):
+        expected = (traces[PRED[i - 1] - 1] - traces[SUCC[i - 1] - 1]) / np.sqrt(3.0)
+        assert np.array_equal(w[i - 1], expected)
     with pytest.raises(ValueError):
-        cyclic_succ(0)
+        frame.n_vec(0)
     with pytest.raises(ValueError):
-        cyclic_pred(4)
+        frame.nu_vec(4)
 
 
 def test_frame_vector_values(frame):
@@ -45,20 +51,20 @@ def test_frame_sums_and_inner_products(frame):
             if i != j:
                 assert abs(np.dot(frame.n_vec(i), frame.n_vec(j)) + 0.5) <= ULP4
                 assert abs(np.dot(frame.nu_vec(i), frame.nu_vec(j)) + 0.5) <= ULP4
-        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(cyclic_pred(i))) - s3h) <= ULP4
-        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(cyclic_succ(i))) + s3h) <= ULP4
+        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(PRED[i - 1])) - s3h) <= ULP4
+        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(SUCC[i - 1])) + s3h) <= ULP4
 
 
 def test_cutoff_plateaus_and_midpoint():
     prof = CutoffProfile(0.25)
     d = prof.delta
-    assert cutoff_eval(prof, d / 2) == (1.0, 0.0, 0.0)
-    assert cutoff_eval(prof, 2 * d) == (0.0, 0.0, 0.0)
-    eta, _, _ = cutoff_eval(prof, 3 * d / 2)
+    assert prof(d / 2) == (1.0, 0.0, 0.0)
+    assert prof(2 * d) == (0.0, 0.0, 0.0)
+    eta, _, _ = prof(3 * d / 2)
     assert eta == pytest.approx(0.5, abs=1e-15)
     # C^2 joins
     for x in (d, 2 * d):
-        _, d1, d2 = cutoff_eval(prof, x)
+        _, d1, d2 = prof(x)
         assert d1 == 0.0 and d2 == 0.0
 
 
@@ -98,17 +104,14 @@ def test_cutoff_rejects_out_of_range():
 
 def test_wall_offset_zero_and_constant(grid, frame):
     ny = grid.ny
-    zeros = [np.zeros(ny)] * 3
-    assert np.max(np.abs(wall_offset(zeros, 1, frame))) == 0.0
+    zeros = np.zeros((3, ny))
+    assert np.max(np.abs(np.outer(wall_scalars(zeros)[0], frame.n_vec(1)))) == 0.0
 
     c = np.array([0.01, 0.0])
-    traces = [np.full(ny, frame.nu_vec(i) @ c) for i in (1, 2, 3)]
-    w1 = wall_offset(traces, 1, frame)
+    traces = np.stack([np.full(ny, frame.nu_vec(i) @ c) for i in (1, 2, 3)])
+    w1 = np.outer(wall_scalars(traces)[0], frame.n_vec(1))
     # equals <c, n_1> n_1 = (0.01, 0)
     assert np.max(np.abs(w1 - np.array([0.01, 0.0]))) < 1e-15
-
-    with pytest.raises(ValueError):
-        wall_offset([np.zeros(8), np.zeros(8), np.zeros(16)], 1, frame)
 
 
 def test_wall_offset_matches_spine_projection(frame):
@@ -122,7 +125,7 @@ def test_wall_offset_matches_spine_projection(frame):
     spine = spine_from_traces(np.stack(traces), frame)
     v = spine.values()
     for i in (1, 2, 3):
-        wi = wall_offset(traces, i, frame)
+        wi = np.outer(wall_scalars(np.stack(traces))[i - 1], frame.n_vec(i))
         expected = (v @ frame.n_vec(i))[:, None] * frame.n_vec(i)
         assert np.max(np.abs(wi - expected)) < 1e-12
 
@@ -207,7 +210,7 @@ def test_embed_point_equivariance(grid, frame, cutoff):
     xs = np.array([0.1, 0.45, 0.88])
     ys = np.array([0.3, 0.72, 0.05])
     for i in (1, 2, 3):
-        base = embed_point(cyclic_pred(i), xs, ys, u, frame, cutoff)
+        base = embed_point(PRED[i - 1], xs, ys, u, frame, cutoff)
         rotated = embed_point(i, xs, ys, shifted, frame, cutoff)
         assert np.max(np.abs(rotated[:, :2] - base[:, :2] @ R.T)) < 1e-13
         assert np.max(np.abs(rotated[:, 2] - base[:, 2])) < 1e-15
@@ -249,7 +252,6 @@ def test_mesh_surface_flat_and_translated(grid, frame, cutoff):
 
 def test_mesh_triangles_nonzero_on_random_field(grid_small, frame):
     cutoff = CutoffProfile(0.25)
-    from trijunction.curvature import random_compatible_field, scaled_to_proxy
     rng = np.random.default_rng(10)
     u = scaled_to_proxy(random_compatible_field(grid_small, rng, frame), 0.01, 0.5)
     mesh = mesh_surface(u, (8, 12), cutoff, frame)
@@ -279,7 +281,6 @@ def test_obj_export_structure(grid, frame, cutoff, tmp_path):
 
 def test_spine_sup_norm_within_regime(grid_small, frame, cutoff):
     # in the smallness regime (proxy < delta/10) the spine stays within delta/5
-    from trijunction.curvature import random_compatible_field, scaled_to_proxy
     rng = np.random.default_rng(40)
     for _ in range(3):
         u = scaled_to_proxy(random_compatible_field(grid_small, rng, frame),

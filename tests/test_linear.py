@@ -1,17 +1,21 @@
 """Mode solvers (collocation and closed-form paths), decoupling, field solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from trijunction import (BoundaryTriple, Grid2D, ModeProblem, ScalarField, TripleField,
-                         boundary_operator, decouple, laplacian,
-                         mode_solve_collocation, mode_solve_dirichlet, mode_solve_mixed,
-                         normal_derivative_inner, recompose, schauder_probe,
-                         solve_dirichlet, solve_linear_system, solve_mixed, trace)
-from trijunction.linear import (mode_debug_csv, mode_residual, random_smooth_map,
-                                random_smooth_field)
-from trijunction.oracles import formula_linear_solve, mode_solve_formula
+from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ModeProblem, ScalarField, TripleField,
+                         boundary_operator, decouple, laplacian, mode_solve_dirichlet,
+                         mode_solve_mixed, normal_derivative_inner, recompose,
+                         schauder_probe, solve_dirichlet, solve_linear_system, solve_mixed,
+                         trace)
+from trijunction.linear import _interior_defect, mode_debug_csv
+from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
+                                 random_smooth_map)
 from trijunction.spectral import cheb_nodes
+
+from conftest import mode_solve_collocation
 
 ULP4 = 4 * np.finfo(float).eps
 
@@ -118,7 +122,8 @@ def test_mode_residual_production_path():
                 p = ModeProblem(k=k, kind=kind, f=f, phi=0.4, g=0.2)
                 a = mode_solve_collocation(p)
                 scale = np.max(np.abs(f)) + abs(p.phi) + abs(p.g)
-                assert mode_residual(p, a) < 1e-8 * scale, (nx, k, kind)
+                residual = _interior_defect(a, (2.0 * np.pi * k) ** 2, f)
+                assert residual < 1e-8 * scale, (nx, k, kind)
 
 
 def test_mode_problem_validation():
@@ -278,6 +283,47 @@ def test_solve_linear_system_formula_path_agrees(grid_small):
     assert diff < 1e-8 * max(1.0, u_col.sup())
 
 
+def _random_linear_data(grid, rng):
+    F = TripleField(tuple(random_smooth_field(grid, rng) for _ in range(3)))
+    G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
+    phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
+                                            for _ in range(3)]))
+    return F, G, phi
+
+
+def test_linear_solve_takes_one_fourier_analysis_per_input(grid_small, monkeypatch):
+    # three scalar problems: forcing and outer data each, Neumann data for the
+    # two mixed ones; the aliasing check reads the same analysis
+    F, G, phi = _random_linear_data(grid_small, np.random.default_rng(13))
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # smooth data: no aliasing warning
+        solve_linear_system(F, G, phi)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("which, label", [("F", "forcing"), ("phi", "outer boundary data"),
+                                          ("G", "inner Neumann data")])
+def test_linear_solve_warns_on_aliased_inputs(grid_small, which, label):
+    F, G, phi = _random_linear_data(grid_small, np.random.default_rng(14))
+    noise = np.sin(2 * np.pi * 14 * grid_small.y)      # mode 14 of 16: top third
+    if which == "F":
+        F = F + TripleField.from_arrays(grid_small, [np.outer(1.0 + grid_small.x, noise)] * 3)
+    elif which == "phi":
+        phi = BoundaryTriple(grid_small.ny, phi.values + noise)
+    else:
+        G = (G[0] + noise, G[1])
+    with pytest.warns(AliasingWarning, match=label):
+        solve_linear_system(F, G, phi)
+
+
 def test_mode_debug_records(grid_small):
     rng = np.random.default_rng(7)
     debug = []
@@ -306,14 +352,14 @@ def test_schauder_probe_stable_and_bounded(grid_small):
 def test_schauder_probe_phi_only_ratio_at_least_one(grid_small):
     # the solution attains its boundary data, so its order-2 proxy cannot be
     # smaller than the data's
-    from trijunction.fields import periodic_proxy, triple_field_proxy
+    from trijunction.fields import norm_proxy, periodic_proxy
     rng = np.random.default_rng(9)
     phi = BoundaryTriple(grid_small.ny, np.stack([random_smooth_map(grid_small.ny, rng)
                                                   for _ in range(3)]))
     u = solve_linear_system(TripleField.zero(grid_small),
                             (np.zeros(grid_small.ny), np.zeros(grid_small.ny)), phi)
     data = sum(periodic_proxy(row, 0.5, order=2) for row in phi.values)
-    assert triple_field_proxy(u, 0.5, order=2) >= data * (1.0 - 1e-9)
+    assert norm_proxy(u, 0.5, order=2) >= data * (1.0 - 1e-9)
 
 
 def test_schauder_probe_grid_insensitive():

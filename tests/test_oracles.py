@@ -5,9 +5,9 @@ import pytest
 
 from trijunction import (ScalarField, SolveOptions, TripleField,
                          exact_family, fd_linear_solve, fd_mean_curvature,
-                         junction_angle_check, mean_curvature_scalar, solve_mixed,
+                         junction_angle_check, metric_shape_data, solve_mixed,
                          solve_nonlinear, F_eval, G_eval)
-from trijunction.curvature import random_compatible_field, scaled_to_proxy
+from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import random_boundary, rotation_field
 
@@ -24,8 +24,8 @@ def test_fd_mean_curvature_matches_spectral(grid, cutoff, frame):
     rng = np.random.default_rng(30)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.012, 0.5)
     pt = (0.4371, 0.2619)
-    H = mean_curvature_scalar(1, u, cutoff, frame)
-    H_at = ScalarField(grid, H.values).eval(*pt)
+    H = metric_shape_data(1, u, cutoff, frame).mean_curvature()
+    H_at = ScalarField(grid, H).eval(*pt)
     fd_h = fd_mean_curvature(1, u, pt, 1e-3, cutoff, frame)
     fd_h2 = fd_mean_curvature(1, u, pt, 5e-4, cutoff, frame)
     # Richardson: the h-step error bounds the truncation constant
@@ -37,7 +37,7 @@ def test_fd_mean_curvature_refinement_slope(grid, cutoff, frame):
     rng = np.random.default_rng(31)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.012, 0.5)
     pt = (0.52, 0.77)
-    ref = ScalarField(grid, mean_curvature_scalar(2, u, cutoff, frame).values).eval(*pt)
+    ref = ScalarField(grid, metric_shape_data(2, u, cutoff, frame).mean_curvature()).eval(*pt)
     errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, frame) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]
@@ -156,7 +156,7 @@ def test_fd_mean_curvature_across_periodic_seam(grid, cutoff, frame):
     # the stencil wraps around y = 0 without a jump
     rng = np.random.default_rng(34)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
-    ref = ScalarField(grid, mean_curvature_scalar(3, u, cutoff, frame).values)
+    ref = ScalarField(grid, metric_shape_data(3, u, cutoff, frame).mean_curvature())
     for y0 in (0.001, 0.999):
         fd = fd_mean_curvature(3, u, (0.45, y0), 1e-3, cutoff, frame)
         assert abs(fd - ref.eval(0.45, y0)) < 1e-6

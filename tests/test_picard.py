@@ -1,5 +1,7 @@
 """Fixed-point driver: exact families, guards, contraction reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,24 @@ from conftest import random_boundary, rotation_field, translation_field
 
 
 OPTS = SolveOptions()
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+    {"r_guard": float("nan")}, {"r_guard": float("inf")}, {"r_guard": -0.1},
+    {"alpha": float("nan")}, {"alpha": -3.0}, {"alpha": 0.0}, {"alpha": 1.5},
+    {"max_iter": 0}])
+def test_solve_options_reject_nan_and_out_of_range(bad):
+    # a NaN tol or r_guard never compares true, so it would silently disable
+    # the stop test or the guard; a NaN alpha would drop the Hoelder term
+    with pytest.raises(ValueError):
+        SolveOptions(**bad)
+
+
+def test_solve_options_fields_and_edges():
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == \
+        ["tol", "max_iter", "r_guard", "alpha"]
+    SolveOptions(tol=1e-300, r_guard=1e300, alpha=1.0)
 
 
 def test_picard_step_zero(grid, cutoff, frame):
@@ -156,15 +176,6 @@ def test_no_convergence_carries_history(grid_small, cutoff, frame):
     assert len(exc_info.value.report.update_norms) == 3
 
 
-def test_eps_warning_flagged(grid_small, cutoff, frame):
-    rng = np.random.default_rng(25)
-    phi = random_boundary(grid_small.ny, rng, 0.004)
-    opts = SolveOptions(eps_warn=1e-6)
-    with pytest.warns(UserWarning, match="smallness"):
-        _, report = solve_nonlinear(phi, opts, grid_small, cutoff, frame)
-    assert report.guards.eps_warned
-
-
 def test_determinism_bit_identical(grid_small, cutoff, frame):
     rng = np.random.default_rng(26)
     phi = random_boundary(grid_small.ny, rng, 0.004)
@@ -227,14 +238,6 @@ def test_residual_record_zero_field(grid, cutoff, frame):
     assert rec.trace_sum == 0.0
     assert rec.outer_trace == 0.0
     assert rec.conormal_sup < 1e-15
-
-
-def test_suggest_eps_threshold(grid_small, cutoff, frame):
-    from trijunction.picard import suggest_eps_threshold
-    eps = suggest_eps_threshold(grid_small, cutoff, frame, n_samples=2, seed=1)
-    assert np.isfinite(eps) and eps >= 0.0
-    # the probed threshold should admit the data sizes the solver handles
-    assert eps > 1e-4
 
 
 def test_solution_grid_independent(cutoff, frame):

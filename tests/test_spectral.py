@@ -25,11 +25,19 @@ def test_derivative_spectral_on_analytic():
     assert np.max(np.abs(sp.cheb_derivative_values(f, 2) - 4 * f)) < 1e-10
 
 
+def cheb_values(coeffs):
+    """Lobatto samples of a Chebyshev series: the inverse DCT-I of cheb_coefficients."""
+    b = np.asarray(coeffs, dtype=float).copy()
+    b[0] *= 2.0
+    b[-1] *= 2.0
+    return sp._dct1(b) / 2.0
+
+
 def test_interp_and_coefficients_roundtrip():
     x = sp.cheb_nodes(24)
     f = np.sin(3 * x) + x ** 2
     a = sp.cheb_coefficients(f)
-    assert np.max(np.abs(sp.cheb_values(a) - f)) < 1e-14
+    assert np.max(np.abs(cheb_values(a) - f)) < 1e-14
     xq = np.array([0.0, 0.1331, 0.5, 0.99, 1.0])
     assert np.max(np.abs(sp.cheb_interp(f, xq) - (np.sin(3 * xq) + xq ** 2))) < 1e-12
 
@@ -47,7 +55,7 @@ def test_cheb_coefficients_match_cosine_sum():
             a = sp.cheb_coefficients(f)
             assert a.shape == f.shape
             assert np.max(np.abs(a - C @ f)) < 1e-13 * max(1.0, np.max(np.abs(f))), nx
-            assert np.max(np.abs(sp.cheb_values(a) - f)) < 1e-13 * np.max(np.abs(f)), nx
+            assert np.max(np.abs(cheb_values(a) - f)) < 1e-13 * np.max(np.abs(f)), nx
 
 
 def test_coefficient_diff_matrix_matches_chebder():
@@ -70,7 +78,7 @@ def _transform_route(values, k):
     scale = np.max(np.abs(a), axis=0, keepdims=True)
     a = np.where(np.abs(a) < 4.0 * np.finfo(float).eps * scale, 0.0, a).reshape(n, -1)
     b = sp.cheb_coefficient_diff_matrix(n, k) @ a
-    return ((-2.0) ** k * sp.cheb_values(b)).reshape(values.shape)
+    return ((-2.0) ** k * cheb_values(b)).reshape(values.shape)
 
 
 @pytest.mark.parametrize("nx", [8, 9, 33, 48, 96, 97])
@@ -173,9 +181,29 @@ def test_nyquist_mode_handling():
     assert np.max(np.abs(sp.fourier_derivative(f, 1))) < 1e-12
 
 
+def _aliasing_fraction(values):
+    return sp.aliasing_fraction(*sp.fourier_coefficients(values), values.shape[-1])
+
+
 def test_aliasing_fraction():
     ny = 64
     y = sp.fourier_nodes(ny)
-    assert sp.aliasing_fraction(np.cos(2 * np.pi * y)) < 1e-30
-    assert sp.aliasing_fraction(np.sin(2 * np.pi * 30 * y)) > 0.99
-    assert sp.aliasing_fraction(np.zeros(ny)) == 0.0
+    assert _aliasing_fraction(np.cos(2 * np.pi * y)) < 1e-30
+    assert _aliasing_fraction(np.sin(2 * np.pi * 30 * y)) > 0.99
+    assert _aliasing_fraction(np.zeros(ny)) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(64,), (63,), (5, 32), (5, 33)])
+def test_aliasing_fraction_is_the_rfft_energy_fraction(shape):
+    # Parseval: the cos/sin weights c_0^2, (c_k^2 + s_k^2) / 2 and c_K^2 give
+    # the fraction of the rfft energies |A_0|^2, 2 |A_k|^2 and |A_K|^2
+    n = shape[-1]
+    v = np.random.default_rng(n).standard_normal(shape)
+    A = np.fft.rfft(v, axis=-1)
+    weight = np.full(A.shape[-1], 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    energy = weight * np.abs(A) ** 2
+    ref = energy[..., (2 * (n // 2)) // 3 + 1:].sum() / energy.sum()
+    assert _aliasing_fraction(v) == pytest.approx(ref, rel=1e-13)
