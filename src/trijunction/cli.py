@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .curvature import DegenerateMetric, F_eval, G_eval
-from .fields import (BoundaryTriple, Grid2D, TripleField, atomic_write_text,
-                     load_field_csv, save_field_csv)
+from .curvature import DegenerateMetric
+from .fields import (BoundaryTriple, Grid2D, TripleField, atomic_write_text, csv_text,
+                     load_field_csv, parse_table, read_csv, save_field_csv)
 from .geometry import (CompatibilityViolation, CutoffProfile, check_mesh_resolution,
                        frame_vectors, mesh_surface, spine_from_traces, write_obj)
-from .linear import mode_debug_csv, solve_linear_system
+from .linear import mode_debug_csv
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
                      report_summary, report_to_csv, residual_record, solve_nonlinear)
@@ -214,67 +214,43 @@ def boundary_from_config(cfg: RunConfig, grid: Grid2D, cutoff: CutoffProfile,
 # Artifact I/O
 # ---------------------------------------------------------------------------
 
+RESIDUAL_NAMES = ("laplace", "boundary", "conormal_sup", "outer_trace", "trace_sum")
+
+
 def _boundary_csv(phi: BoundaryTriple, header: dict) -> str:
-    lines = [f"# {k} = {v}" for k, v in header.items()]
-    lines.append("ny")
-    lines.append(str(phi.ny))
-    for row in phi.values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text("ny", ",".join(["%.17g"] * phi.ny), phi.values.tolist(), header,
+                    (str(phi.ny),))
 
 
 def _load_boundary_csv(path: str) -> BoundaryTriple:
-    rows = []
-    ny = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ny is None:
-                if line != "ny":
-                    raise ValueError(f"unexpected boundary CSV header {line!r}")
-                ny = -1
-            elif ny == -1:
-                ny = int(line)
-            else:
-                rows.append([float(t) for t in line.split(",")])
-    return BoundaryTriple(ny, np.array(rows))
+    _, lines = read_csv(path)
+    if lines[:1] != ["ny"] or len(lines) < 2:
+        raise ValueError(f"malformed boundary CSV {path}: no 'ny' size header")
+    return BoundaryTriple(int(lines[1]), parse_table(lines[2:]))
 
 
 def _residuals_csv(rec, header: dict) -> str:
-    lines = [f"# {k} = {v}" for k, v in header.items()]
-    lines.append("name,value")
-    for name in ("laplace", "boundary", "conormal_sup", "outer_trace", "trace_sum"):
-        lines.append(f"{name},{getattr(rec, name):.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("name,value", "%s,%.17g",
+                    [(name, getattr(rec, name)) for name in RESIDUAL_NAMES], header)
 
 
 def _load_residuals_csv(path: str) -> dict[str, float]:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line == "name,value":
-                continue
-            name, _, val = line.partition(",")
-            out[name] = float(val)
-    return out
+    _, lines = read_csv(path)
+    return {name: float(val) for name, _, val in
+            (line.partition(",") for line in lines if line != "name,value")}
 
 
 def _spine_csv(u: TripleField, header: dict) -> str:
     spine = spine_from_traces(u.traces(), tol=np.inf)
-    vals = spine.values()
     ys = spectral.fourier_nodes(u.grid.ny)
-    lines = [f"# {k} = {v}" for k, v in header.items()]
-    lines.append("y,v1,v2")
-    for y, (v1, v2) in zip(ys, vals):
-        lines.append(f"{y:.17g},{v1:.17g},{v2:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("y,v1,v2", "%.17g,%.17g,%.17g",
+                    np.column_stack([ys, spine.values()]).tolist(), header)
 
 
 def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTriple,
-                    report: SolveReport):
+                    report: SolveReport, modes: list[dict]):
+    """Write every artifact of a run; ``modes`` are the mode records of the
+    linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``)."""
     os.makedirs(out, exist_ok=True)
     echo = cfg.echo()
     for i in (1, 2, 3):
@@ -290,20 +266,13 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
     atomic_write_text(os.path.join(out, "config_used.txt"),
                       "".join(f"{k} = {v}\n" for k, v in echo.items()))
 
-    cutoff = CutoffProfile(cfg.delta)
     header = dict(echo)
     r = report.final_residuals
     header["residual_laplace"] = f"{r.laplace:.6e}"
     header["residual_conormal"] = f"{r.conormal_sup:.6e}"
-    mesh = mesh_surface(u, cfg.mesh_resolution, cutoff, header=header)
+    mesh = mesh_surface(u, cfg.mesh_resolution, CutoffProfile(cfg.delta), header=header)
     write_obj(mesh, os.path.join(out, "surface.obj"))
-
-    try:
-        debug: list = []
-        solve_linear_system(F_eval(u, cutoff), G_eval(u), phi, debug=debug)
-        atomic_write_text(os.path.join(out, "modes.csv"), mode_debug_csv(debug))
-    except (DegenerateMetric, CompatibilityViolation):
-        pass        # defect fields are not evaluable on an out-of-regime iterate
+    atomic_write_text(os.path.join(out, "modes.csv"), mode_debug_csv(modes))
 
 
 def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, dict]:
@@ -340,20 +309,21 @@ def cmd_solve(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    modes: list[dict] = []
     try:
-        u, report = solve_nonlinear(phi, opts, grid, cutoff)
+        u, report = solve_nonlinear(phi, opts, grid, cutoff, debug=modes)
     except GuardViolation as exc:
-        write_artifacts(cfg.out, cfg, exc.field, phi, exc.report)
+        write_artifacts(cfg.out, cfg, exc.field, phi, exc.report, modes)
         print(f"guard violation: {exc}", file=sys.stderr)
         print(report_summary(exc.report), file=sys.stderr)
         return EXIT_GUARD
     except NoConvergence as exc:
-        write_artifacts(cfg.out, cfg, exc.field, phi, exc.report)
+        write_artifacts(cfg.out, cfg, exc.field, phi, exc.report, modes)
         print(f"no convergence: {exc}", file=sys.stderr)
         print(report_summary(exc.report), file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    write_artifacts(cfg.out, cfg, u, phi, report)
+    write_artifacts(cfg.out, cfg, u, phi, report, modes)
     print(report_summary(report))
     gates_ok = all(getattr(report.final_residuals, name) <= bound
                    for name, bound in RESIDUAL_GATES.items())
@@ -375,12 +345,18 @@ def cmd_verify(args) -> int:
 
     results: list[tuple[str, bool, str]] = []
 
+    # fixed probes plus the cutoff joins x = delta, 2 delta, where the
+    # solution is least smooth; a probe whose stencil leaves [0, 1] is skipped
     h = 1e-3
-    points = [(x, y) for x in (0.3, 0.5, 0.7) for y in (0.1, 0.45, 0.8)]
-    worst = max(abs(fd_mean_curvature(i, u, pt, h, cutoff, frame))
-                for i in (1, 2, 3) for pt in points)
+    xs = [x for x in sorted({0.3, 0.5, 0.7, cfg.delta, 2 * cfg.delta})
+          if 2 * h <= x <= 1.0 - 2 * h]
+    points = np.array([(x, y) for x in xs for y in (0.1, 0.45, 0.8)])
+    H = np.abs([fd_mean_curvature(i, u, points, h, cutoff, frame) for i in (1, 2, 3)])
+    i, j = np.unravel_index(np.argmax(H), H.shape)
+    worst = float(H[i, j])
     results.append(("mean curvature (FD oracle)", worst <= 1e-4,
-                    f"max |H| = {worst:.3e} (h = {h})"))
+                    f"max |H| = {worst:.3e} (h = {h}) at sheet {i + 1}, "
+                    f"(x, y) = ({points[j, 0]:.6g}, {points[j, 1]:.6g})"))
 
     try:
         angles = junction_angle_check(u, frame)
@@ -399,8 +375,7 @@ def cmd_verify(args) -> int:
         stored_ok = all(
             abs(stored.get(name, np.nan) - getattr(rec, name))
             <= 1e-12 + 1e-9 * abs(getattr(rec, name))
-            for name in ("laplace", "boundary", "conormal_sup", "outer_trace",
-                         "trace_sum"))
+            for name in RESIDUAL_NAMES)
         results.append(("stored residual match", stored_ok,
                         "recomputed residuals reproduce stored values"))
     except DegenerateMetric as exc:

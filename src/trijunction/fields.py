@@ -135,17 +135,9 @@ class ScalarField:
         x, y = np.broadcast_arrays(x, y)
         c, s = spectral.fourier_coefficients(self.values, axis=1)
         cols = spectral.trig_eval(c, s, y.reshape(-1))      # (nx, q)
-        xq = x.reshape(-1)
-        # column-wise barycentric interpolation at per-point x targets
-        nodes = self.grid.x
-        w = spectral._bary_weights(self.grid.nx)
-        diff = xq[None, :] - nodes[:, None]
-        hit = np.isclose(diff, 0.0, rtol=0.0, atol=1e-15)
-        kern = w[:, None] / np.where(hit, 1.0, diff)
-        flat = (kern * cols).sum(axis=0) / kern.sum(axis=0)
-        rows, q = np.nonzero(hit)
-        if rows.size:
-            flat[q] = cols[rows, q]
+        # point q reads its own column: the diagonal of bary_matrix @ cols
+        B = spectral.bary_matrix(self.grid.nx, x)           # (q, nx)
+        flat = np.einsum("qj,jq->q", B, cols)
         return flat.reshape(x.shape) if x.shape else float(flat[0])
 
 
@@ -364,15 +356,45 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
+def csv_text(columns: str, row_format: str, rows, header: dict | None = None,
+             preamble: tuple[str, ...] = ()) -> str:
+    """The text of one CSV artifact: a ``# key = value`` comment per header
+    entry, the column line, any ``preamble`` lines, then one ``row_format``
+    line per row, all rows formatted by one %-format."""
+    lines = [f"# {k} = {v}" for k, v in (header or {}).items()]
+    lines.append(columns)
+    lines.extend(preamble)
+    rows = list(rows)
+    flat = tuple(v for row in rows for v in row)
+    return "\n".join(lines) + "\n" + (row_format + "\n") * len(rows) % flat
+
+
+def read_csv(path: str) -> tuple[dict[str, str], list[str]]:
+    """Inverse of :func:`csv_text` up to parsing: the header dict and the other
+    non-blank lines (column line first), stripped."""
+    header: dict[str, str] = {}
+    lines: list[str] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    header[key.strip()] = val.strip()
+            elif line:
+                lines.append(line)
+    return header, lines
+
+
+def parse_table(lines: list[str]) -> np.ndarray:
+    """Comma-separated float rows, parsed in one conversion."""
+    return np.array([line.split(",") for line in lines], dtype=float)
+
+
 def field_to_csv(field: ScalarField, delta: float, header: dict | None = None) -> str:
-    lines = []
-    for key, val in (header or {}).items():
-        lines.append(f"# {key} = {val}")
-    lines.append("nx,ny,delta")
-    lines.append(f"{field.grid.nx},{field.grid.ny},{delta!r}")
-    for row in field.values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text("nx,ny,delta", ",".join(["%.17g"] * field.grid.ny),
+                    field.values.tolist(), header,
+                    (f"{field.grid.nx},{field.grid.ny},{delta!r}",))
 
 
 def save_field_csv(field: ScalarField, path: str, delta: float, header: dict | None = None):
@@ -381,36 +403,12 @@ def save_field_csv(field: ScalarField, path: str, delta: float, header: dict | N
 
 def load_field_csv(path: str) -> tuple[ScalarField, float, dict]:
     """Inverse of :func:`save_field_csv`; returns (field, delta, header dict)."""
-    header: dict[str, str] = {}
-    rows: list[list[float]] = []
-    nx = ny = None
-    delta = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip()
-                continue
-            if nx is None:
-                if line != "nx,ny,delta":
-                    raise ValueError(f"unexpected CSV header line: {line!r}")
-                nx = -1
-                continue
-            if nx == -1:
-                a, b, c = line.split(",")
-                nx, ny, delta = int(a), int(b), float(c)
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if nx is None or nx == -1:
-        raise ValueError("malformed field CSV: missing size header")
-    values = np.array(rows)
-    grid = Grid2D(nx, ny)
-    return ScalarField(grid, values), delta, header
+    header, lines = read_csv(path)
+    if lines[:1] != ["nx,ny,delta"] or len(lines) < 2:
+        raise ValueError("malformed field CSV: no 'nx,ny,delta' size header")
+    a, b, c = lines[1].split(",")
+    grid = Grid2D(int(a), int(b))
+    return ScalarField(grid, parse_table(lines[2:])), float(c), header
 
 
 def checked_fourier_coefficients(values: np.ndarray, label: str, threshold: float = 1e-8,

@@ -192,11 +192,15 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame | None = None
     c, s = spectral.fourier_coefficients(wall_scalars(tr)[i - 1])
     wi = spectral.trig_eval(c, s, y)
     eta, _, _ = cutoff(x)
-    p = (np.multiply.outer(-x, frame.n_vec(i))
-         + np.multiply.outer(ui, frame.nu_vec(i))
-         + np.multiply.outer(eta * wi, frame.n_vec(i)))
-    out = np.concatenate([p, np.mod(y, 1.0)[..., None]], axis=-1)
-    return out
+    p = _sheet_map(i, x, ui, eta * wi, frame)
+    return np.concatenate([p, np.mod(y, 1.0)[..., None]], axis=-1)
+
+
+def _sheet_map(i: int, x, height, offset, frame: JunctionFrame) -> np.ndarray:
+    """(p1, p2) of sheet i: -x n_i + u_i nu_i + eta w_i n_i, broadcast over the inputs."""
+    return (np.multiply.outer(-x, frame.n_vec(i))
+            + np.multiply.outer(height, frame.nu_vec(i))
+            + np.multiply.outer(offset, frame.n_vec(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +270,16 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int],
 
     The y seam at 0 is cut (vertices at y = 0 and y = 1 are distinct), and
     the spine row is shared by the three sheets so the junction is watertight.
+    The sheet parametrization of :func:`embed_point` is evaluated on the
+    tensor grid at once: one Fourier analysis of the three sheets, the
+    trigonometric interpolant at the mesh y's, then one barycentric matrix
+    for the mesh x's.
     """
     check_mesh_resolution(resolution)
     mx, my = resolution
     frame = frame or frame_vectors()
     cutoff = cutoff or CutoffProfile()
-    xs = np.linspace(0.0, 1.0, mx)
+    xs = np.linspace(0.0, 1.0, mx)[1:]          # x = 0 is the spine row
     ys = np.linspace(0.0, 1.0, my + 1)          # duplicated seam
 
     tr = u.traces()
@@ -279,36 +287,32 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int],
     spine_pts = np.column_stack([spine.values(ys), ys])
     spine_pts[-1, 2] = 1.0
 
+    values = np.stack([f.values for f in u.components])            # (3, nx, ny)
+    cols = spectral.trig_eval(*spectral.fourier_coefficients(values), ys)
+    heights = spectral.bary_matrix(u.grid.nx, xs) @ cols           # (3, mx-1, my+1)
+    walls = spectral.trig_eval(*spectral.fourier_coefficients(wall_scalars(tr)), ys)
+    eta, _, _ = cutoff(xs)
     verts = [spine_pts]
-    faces = []
-    tags = []
-    offset = spine_pts.shape[0]
     for i in (1, 2, 3):
-        X, Y = np.meshgrid(xs[1:], ys, indexing="ij")
-        pts = embed_point(i, X, Y, u, frame, cutoff).reshape(-1, 3)
-        pts[:, 2] = Y.reshape(-1)               # keep the duplicated seam at y=1
-        verts.append(pts)
+        p = _sheet_map(i, xs[:, None], heights[i - 1], np.outer(eta, walls[i - 1]), frame)
+        z = np.broadcast_to(ys, p.shape[:2])[..., None]
+        verts.append(np.concatenate([p, z], axis=-1).reshape(-1, 3))
 
-        def vid(j, m):
-            if j == 0:
-                return m
-            return offset + (j - 1) * (my + 1) + m
-
-        for j in range(mx - 1):
-            for m in range(my):
-                a, b = vid(j, m), vid(j + 1, m)
-                cc, d = vid(j + 1, m + 1), vid(j, m + 1)
-                faces.append((a, b, cc))
-                faces.append((a, cc, d))
-                tags.extend((i, i))
-        offset += (mx - 1) * (my + 1)
-
-    face_arr = np.array(faces, dtype=int)
-    face_arr.flags.writeable = False
+    # vertex ids on each sheet's (mx, my+1) grid: row 0 is the shared spine
+    per_sheet = (mx - 1) * (my + 1)
+    ids = np.empty((3, mx, my + 1), dtype=int)
+    ids[:, 0] = np.arange(my + 1)
+    ids[:, 1:] = (my + 1 + np.arange(3 * per_sheet)).reshape(3, mx - 1, my + 1)
+    a, b = ids[:, :-1, :-1], ids[:, 1:, :-1]
+    c, d = ids[:, 1:, 1:], ids[:, :-1, 1:]
+    # two triangles per cell, cells in (x, y) order within each sheet
+    faces = np.stack([np.stack([a, b, c], axis=-1),
+                      np.stack([a, c, d], axis=-1)], axis=3).reshape(-1, 3)
+    faces.flags.writeable = False
     return SurfaceMesh(
         vertices=_ro(np.vstack(verts)),
-        faces=face_arr,
-        face_sheet=np.array(tags, dtype=int),
+        faces=faces,
+        face_sheet=np.repeat([1, 2, 3], 2 * (mx - 1) * my),
         header=dict(header or {}),
     )
 
@@ -318,17 +322,17 @@ def mesh_to_obj(mesh: SurfaceMesh) -> str:
 
     Coordinates are the unrolled chart (p1, p2, y); the ambient R^2 x S^1
     has no isometric embedding into R^3, so the y axis is exported as-is.
+    Each block is one %-format over all its numbers.
     """
-    lines = ["# triple-junction surface mesh (unrolled coordinates p1 p2 y)"]
-    for key, val in mesh.header.items():
-        lines.append(f"# {key} = {val}")
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}")
+    parts = ["# triple-junction surface mesh (unrolled coordinates p1 p2 y)\n"]
+    parts += [f"# {key} = {val}\n" for key, val in mesh.header.items()]
+    parts.append("v %.12g %.12g %.12g\n" * len(mesh.vertices)
+                 % tuple(mesh.vertices.ravel().tolist()))
     for i in (1, 2, 3):
-        lines.append(f"g sheet{i}")
-        for f in mesh.faces[mesh.face_sheet == i]:
-            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    return "\n".join(lines) + "\n"
+        faces = mesh.faces[mesh.face_sheet == i] + 1
+        parts.append(f"g sheet{i}\n" + "f %d %d %d\n" * len(faces)
+                     % tuple(faces.ravel().tolist()))
+    return "".join(parts)
 
 
 def write_obj(mesh: SurfaceMesh, path: str):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectral
 from .fields import (BoundaryTriple, ScalarField, TripleField, checked_fourier_coefficients,
-                     normal_derivative_inner)
+                     csv_text, normal_derivative_inner)
 
 Kind = Literal["dirichlet", "mixed"]
 
@@ -207,7 +207,5 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
 
 
 def mode_debug_csv(records: list[dict]) -> str:
-    lines = ["k,part,kind,path,residual"]
-    for r in records:
-        lines.append(f"{r['k']},{r['part']},{r['kind']},{r['path']},{r['residual']:.6e}")
-    return "\n".join(lines) + "\n"
+    return csv_text("k,part,kind,path,residual", "%d,%s,%s,%s,%.6e",
+                    ((r["k"], r["part"], r["kind"], r["path"], r["residual"]) for r in records))

@@ -37,46 +37,51 @@ _N_QUAD = 96
 # Finite-difference mean curvature from embedded points only
 # ---------------------------------------------------------------------------
 
-def fd_mean_curvature(i: int, u: TripleField, point: tuple[float, float], h: float,
-                      cutoff: CutoffProfile, frame: JunctionFrame | None = None) -> float:
-    """Mean curvature of sheet i at an interior point, from surface samples.
+def fd_mean_curvature(i: int, u: TripleField, point: tuple[float, float] | np.ndarray,
+                      h: float, cutoff: CutoffProfile,
+                      frame: JunctionFrame | None = None) -> float | np.ndarray:
+    """Mean curvature of sheet i at interior points, from surface samples.
 
     Builds the first and second fundamental forms by centered differences of
     a 5 x 5 block of embedded points at spacing h in the unrolled chart
     (where the ambient metric is the identity) and returns tr(g^{-1} h).
+    ``point`` is one (x, y) pair, which gives a float, or an (n, 2) array,
+    which gives n values from one embedding of all n stencils.
     Wholly independent of the closed-form curvature path: only the sheet
     parametrization is shared.
     """
     frame = frame or frame_vectors()
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("step size h must lie in [1e-5, 1e-2]")
-    x0, y0 = point
-    if x0 - 2 * h < 0.0 or x0 + 2 * h > 1.0:
+    pts = np.asarray(point, dtype=float)
+    x0, y0 = pts.reshape(-1, 2).T
+    if np.any(x0 - 2 * h < 0.0) or np.any(x0 + 2 * h > 1.0):
         raise ValueError("finite-difference stencil leaves the domain")
 
-    offs = np.arange(-2, 3)
-    X = x0 + h * offs[:, None] * np.ones(5)[None, :]
-    Y = y0 + h * np.ones(5)[:, None] * offs[None, :]    # y wraps periodically
-    P = embed_point(i, X, Y, u, frame, cutoff)           # (5, 5, 3)
+    offs = h * np.arange(-2, 3)
+    X = np.broadcast_to(x0[:, None, None] + offs[:, None], (x0.size, 5, 5))
+    Y = np.broadcast_to(y0[:, None, None] + offs[None, :], (x0.size, 5, 5))
+    P = embed_point(i, X, Y, u, frame, cutoff)           # (n, 5, 5, 3), y wraps
     # undo the seam wrap so differences across y = 0 stay smooth
     P[..., 2] = Y
 
-    c = P[2, 2]
-    Px = (P[3, 2] - P[1, 2]) / (2 * h)
-    Py = (P[2, 3] - P[2, 1]) / (2 * h)
-    Pxx = (P[3, 2] - 2 * c + P[1, 2]) / h ** 2
-    Pyy = (P[2, 3] - 2 * c + P[2, 1]) / h ** 2
-    Pxy = (P[3, 3] - P[3, 1] - P[1, 3] + P[1, 1]) / (4 * h ** 2)
+    c = P[:, 2, 2]
+    Px = (P[:, 3, 2] - P[:, 1, 2]) / (2 * h)
+    Py = (P[:, 2, 3] - P[:, 2, 1]) / (2 * h)
+    Pxx = (P[:, 3, 2] - 2 * c + P[:, 1, 2]) / h ** 2
+    Pyy = (P[:, 2, 3] - 2 * c + P[:, 2, 1]) / h ** 2
+    Pxy = (P[:, 3, 3] - P[:, 3, 1] - P[:, 1, 3] + P[:, 1, 1]) / (4 * h ** 2)
 
-    E = Px @ Px
-    Fm = Px @ Py
-    G = Py @ Py
+    E = np.einsum("nk,nk->n", Px, Px)
+    Fm = np.einsum("nk,nk->n", Px, Py)
+    G = np.einsum("nk,nk->n", Py, Py)
     normal = np.cross(Px, Py)
-    normal /= np.linalg.norm(normal)
-    L = Pxx @ normal
-    M = Pxy @ normal
-    N = Pyy @ normal
-    return float((G * L - 2 * Fm * M + E * N) / (E * G - Fm ** 2))
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    L = np.einsum("nk,nk->n", Pxx, normal)
+    M = np.einsum("nk,nk->n", Pxy, normal)
+    N = np.einsum("nk,nk->n", Pyy, normal)
+    H = (G * L - 2 * Fm * M + E * N) / (E * G - Fm ** 2)
+    return float(H[0]) if pts.ndim == 1 else H
 
 
 # ---------------------------------------------------------------------------

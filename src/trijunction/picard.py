@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
-from .fields import BoundaryTriple, Grid2D, TripleField, laplacian, trace
+from .fields import BoundaryTriple, Grid2D, TripleField, csv_text, laplacian, trace
 from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
 from .linear import boundary_operator, solve_linear_system
 
@@ -106,10 +106,11 @@ class SolveReport:
 
 
 def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
-                frame: JunctionFrame | None = None) -> TripleField:
+                frame: JunctionFrame | None = None,
+                debug: list | None = None) -> TripleField:
     """One application of the step map: linear solve with frozen nonlinearities."""
     frame = frame or frame_vectors()
-    return solve_linear_system(F_eval(u, cutoff, frame), G_eval(u, frame), phi)
+    return solve_linear_system(F_eval(u, cutoff, frame), G_eval(u, frame), phi, debug)
 
 
 def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
@@ -147,12 +148,16 @@ def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> 
 
 def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
                     cutoff: CutoffProfile,
-                    frame: JunctionFrame | None = None) -> tuple[TripleField, SolveReport]:
+                    frame: JunctionFrame | None = None,
+                    debug: list | None = None) -> tuple[TripleField, SolveReport]:
     """Iterate the step map from zero until the sup-norm update drops below tol.
 
     Raises :class:`GuardViolation` when an iterate leaves the trust ball and
     :class:`NoConvergence` when the iteration budget runs out; both carry the
-    last iterate and the full report for post-mortem inspection.
+    last iterate and the full report for post-mortem inspection.  A ``debug``
+    list, when given, ends up holding the per-mode records (see
+    :func:`~trijunction.linear.solve_linear_system`) of the linear solve that
+    produced the returned or carried iterate: the last completed step's.
     """
     frame = frame or frame_vectors()
     if phi.ny != grid.ny:
@@ -164,14 +169,16 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     guards = None
 
     for it in range(1, opts.max_iter + 1):
+        step_debug = None if debug is None else []
         try:
             if it == 1:
                 # the zero start is the stationary cone, where F and G vanish:
                 # the first step is the linear solve of the boundary data
                 no_junction_data = np.zeros(grid.ny)
-                u_next = solve_linear_system(u, (no_junction_data, no_junction_data), phi)
+                u_next = solve_linear_system(u, (no_junction_data, no_junction_data), phi,
+                                             step_debug)
             else:
-                u_next = picard_step(u, phi, cutoff, frame)
+                u_next = picard_step(u, phi, cutoff, frame, step_debug)
         except DegenerateMetric as exc:
             # the previous iterate already left the embeddable regime; only
             # steps after the first evaluate the metric, so it has a guard record
@@ -180,6 +187,8 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
             raise GuardViolation(
                 f"iteration {it}: the iterate left the embeddable regime ({exc})",
                 u, report) from exc
+        if debug is not None:
+            debug[:] = step_debug
         upd = (u_next - u).sup()
         updates.append(upd)
         u = u_next
@@ -237,13 +246,10 @@ def _assemble_report(iterations: int, updates: list[float], u: TripleField,
 # ---------------------------------------------------------------------------
 
 def report_to_csv(report: SolveReport, header: dict | None = None) -> str:
-    lines = [f"# {k} = {v}" for k, v in (header or {}).items()]
-    lines.append("iteration,update_norm,contraction_ratio")
-    for j, upd in enumerate(report.update_norms):
-        ratio = f"{report.contraction_ratios[j - 1]:.17g}" \
-            if 1 <= j <= len(report.contraction_ratios) else ""
-        lines.append(f"{j + 1},{upd:.17g},{ratio}")
-    return "\n".join(lines) + "\n"
+    ratios = [""] + [f"{r:.17g}" for r in report.contraction_ratios]
+    rows = [(j + 1, upd, ratios[j] if j < len(ratios) else "")
+            for j, upd in enumerate(report.update_norms)]
+    return csv_text("iteration,update_norm,contraction_ratio", "%d,%.17g,%s", rows, header)
 
 
 def report_summary(report: SolveReport) -> str:

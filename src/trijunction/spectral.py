@@ -75,6 +75,24 @@ def _bary_weights(nx: int) -> np.ndarray:
     return w
 
 
+def bary_matrix(nx: int, xq) -> np.ndarray:
+    """(q, nx) barycentric interpolation matrix from Lobatto samples to the q points xq.
+
+    Row j holds the normalized weights w_m / (xq_j - x_m) of the second
+    barycentric formula (Berrut & Trefethen, SIAM Rev. 46, 2004), so one
+    product with the samples interpolates.  A target within 1e-15 of a node
+    gets that node's unit row: node hits are returned verbatim.
+    """
+    diff = np.asarray(xq, dtype=float).reshape(-1, 1) - cheb_nodes(nx)
+    hit = np.abs(diff) <= 1e-15
+    kern = _bary_weights(nx) / np.where(hit, 1.0, diff)
+    B = kern / kern.sum(axis=1, keepdims=True)
+    rows, cols = np.nonzero(hit)
+    B[rows] = 0.0
+    B[rows, cols] = 1.0
+    return B
+
+
 def cheb_interp(values: np.ndarray, xq: np.ndarray) -> np.ndarray:
     """Barycentric interpolation from Lobatto samples to arbitrary x in [0, 1].
 
@@ -82,23 +100,9 @@ def cheb_interp(values: np.ndarray, xq: np.ndarray) -> np.ndarray:
     may be any shape.  Exact node hits are returned verbatim.
     """
     values = np.asarray(values, dtype=float)
-    nx = values.shape[0]
-    nodes = cheb_nodes(nx)
-    w = _bary_weights(nx)
     xq = np.asarray(xq, dtype=float)
-    flat = xq.reshape(-1)
-
-    diff = flat[:, None] - nodes[None, :]          # (q, nx)
-    hit = np.isclose(diff, 0.0, rtol=0.0, atol=1e-15)
-    diff_safe = np.where(hit, 1.0, diff)
-    kern = w[None, :] / diff_safe
-    num = kern @ values.reshape(nx, -1)            # (q, rest)
-    den = kern.sum(axis=1)
-    out = num / den[:, None]
-
-    rows, cols = np.nonzero(hit)
-    if rows.size:
-        out[rows] = values.reshape(nx, -1)[cols]
+    nx = values.shape[0]
+    out = bary_matrix(nx, xq) @ values.reshape(nx, -1)
     return out.reshape(xq.shape + values.shape[1:])
 
 

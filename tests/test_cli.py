@@ -9,10 +9,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import trijunction
+from trijunction import (CutoffProfile, Grid2D, GuardViolation, NoConvergence, SolveOptions,
+                         fd_mean_curvature, load_field_csv, solve_nonlinear,
+                         spine_from_traces)
+from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
-                             EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, apply_config_values,
-                             load_artifacts, main)
-from trijunction import load_field_csv
+                             EXIT_OK, EXIT_VERIFY_FAIL, RESIDUAL_NAMES, RunConfig,
+                             apply_config_values, load_artifacts, main)
+from trijunction.linear import mode_debug_csv
+from trijunction.picard import SolveReport, report_to_csv, residual_record
 
 
 def run(argv):
@@ -274,6 +279,97 @@ def test_load_artifacts_round_trips_config(tmp_path):
     assert header.pop("mesh_resolution") == "33x64"
     del written["mesh_resolution"]
     assert {k: header[k] for k in written} == written
+
+
+def _direct_solve_modes(out):
+    """The mode records of a library solve on the run's stored input and config."""
+    cfg, _, phi, _ = load_artifacts(out)
+    opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter, r_guard=cfg.r_guard,
+                        alpha=cfg.alpha)
+    debug = []
+    try:
+        solve_nonlinear(phi, opts, Grid2D(cfg.nx, cfg.ny), CutoffProfile(cfg.delta),
+                        debug=debug)
+    except (GuardViolation, NoConvergence):
+        pass
+    return debug
+
+
+def test_modes_csv_comes_from_the_solve_that_produced_the_fields(tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--phi1", "1:1e-5:0", "--phi2", "1:-5e-6:1e-5",
+                "--phi3", "1:-5e-6:-1e-5", "--out", out]) == EXIT_OK
+    debug = _direct_solve_modes(out)
+    assert len(debug) == 3 * 64            # three scalar solves of 64 modes each
+    with open(os.path.join(out, "modes.csv")) as fh:
+        assert fh.read() == mode_debug_csv(debug)
+
+
+def test_modes_csv_written_on_guard_violation(tmp_path):
+    out = str(tmp_path / "big")
+    assert run(["solve", "--phi1", "0:0.25:0", "--phi2", "1:0.2:0.1",
+                "--phi3", "1:-0.2:-0.1", "--out", out]) == EXIT_GUARD
+    debug = _direct_solve_modes(out)
+    assert debug
+    with open(os.path.join(out, "modes.csv")) as fh:
+        assert fh.read() == mode_debug_csv(debug)
+
+
+def test_artifact_csv_text_matches_per_line_writers(tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--phi1", "0:1e-5:0, 2:2e-6:-1e-6", "--phi2", "1:-5e-6:1e-5",
+                "--phi3", "1:-5e-6:-1e-5", "--out", out]) == EXIT_OK
+    cfg, u, phi, _ = load_artifacts(out)
+    head = [f"# {k} = {v}" for k, v in cfg.echo().items()]
+    rec = residual_record(u, phi, CutoffProfile(cfg.delta))
+    spine = spine_from_traces(u.traces(), tol=np.inf)
+    ys = np.arange(cfg.ny) / cfg.ny
+    expected = {
+        "phi.csv": head + ["ny", str(phi.ny)]
+        + [",".join(f"{v:.17g}" for v in row) for row in phi.values],
+        "residuals.csv": head + ["name,value"]
+        + [f"{name},{getattr(rec, name):.17g}" for name in RESIDUAL_NAMES],
+        "spine.csv": head + ["y,v1,v2"]
+        + [f"{y:.17g},{v1:.17g},{v2:.17g}" for y, (v1, v2) in zip(ys, spine.values())],
+    }
+    for name, lines in expected.items():
+        with open(os.path.join(out, name)) as fh:
+            assert fh.read() == "\n".join(lines) + "\n", name
+    report = SolveReport(3, (0.5, 0.25, 0.0), (0.5,), rec, None, False)
+    assert report_to_csv(report, {"a": 1}) == (
+        "# a = 1\niteration,update_norm,contraction_ratio\n"
+        "1,0.5,\n2,0.25,0.5\n3,0,\n")
+    records = [{"k": 3, "part": "sin", "kind": "mixed", "path": "collocation",
+                "residual": 1.25e-13}]
+    assert mode_debug_csv(records) == "k,part,kind,path,residual\n3,sin,mixed,collocation,1.250000e-13\n"
+    assert mode_debug_csv([]) == "k,part,kind,path,residual\n"
+
+
+def test_verify_probes_the_cutoff_joins(tmp_path, monkeypatch, capsys):
+    probes = []
+
+    def spy(i, u, points, h, cutoff, frame=None):
+        probes.append(np.asarray(points))
+        return fd_mean_curvature(i, u, points, h, cutoff, frame)
+
+    monkeypatch.setattr(cli, "fd_mean_curvature", spy)
+    for delta, xs in (("0.2", [0.2, 0.3, 0.4, 0.5, 0.7]),
+                      ("0.25", [0.25, 0.3, 0.5, 0.7]),
+                      # the x = delta stencil would leave [0, 1]: skipped
+                      ("0.001", [0.002, 0.3, 0.5, 0.7])):
+        out = str(tmp_path / delta)
+        assert run(["solve", "--delta", delta, "--family", "translate:1e-5,0",
+                    "--out", out]) == EXIT_OK
+        probes.clear()
+        capsys.readouterr()
+        assert run(["verify", out]) == EXIT_OK
+        assert len(probes) == 3                # one batched call per sheet
+        for pts in probes:
+            assert sorted(set(pts[:, 0])) == xs
+            assert pts.shape == (3 * len(xs), 2)
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("mean curvature (FD oracle)"))
+        assert "PASS" in line and " at sheet " in line and "(x, y) = (" in line
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

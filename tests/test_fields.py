@@ -16,7 +16,7 @@ from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField,
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
                                checked_fourier_coefficients, field_to_csv,
                                scalar_field_proxy)
-from trijunction.spectral import fourier_coefficients
+from trijunction.spectral import bary_matrix, cheb_interp, fourier_coefficients, trig_eval
 
 from conftest import translation_field
 
@@ -222,6 +222,40 @@ def test_field_csv_roundtrip(tmp_path, grid_small):
     assert delta == 0.25
     assert header["family"] == "translate:0.01,0"
     assert np.array_equal(g.values, f.values)
+
+
+def _field_csv_per_value(field, delta, header=None):
+    """Reference field writer: one f-string per value."""
+    lines = [f"# {key} = {val}" for key, val in (header or {}).items()]
+    lines.append("nx,ny,delta")
+    lines.append(f"{field.grid.nx},{field.grid.ny},{delta!r}")
+    lines += [",".join(f"{v:.17g}" for v in row) for row in field.values]
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_text_matches_per_value_writer(grid_small):
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((grid_small.nx, grid_small.ny))
+    values *= 10.0 ** rng.integers(-300, 300, size=values.shape)
+    values[0, :6] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.0, 1e16]
+    f = ScalarField(grid_small, values)
+    for delta, header in ((0.25, None), (0.1 + 0.2, {"family": "", "phi1": "1:0.5:0"})):
+        assert field_to_csv(f, delta, header) == _field_csv_per_value(f, delta, header)
+
+
+def test_eval_matches_cheb_interp_of_trig_eval(grid):
+    # one barycentric kernel: eval is cheb_interp of the y-interpolated columns
+    rng = np.random.default_rng(7)
+    f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
+    c, s = fourier_coefficients(f.values, axis=1)
+    xq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.x[[0, 5, 17, -1]]])
+    yq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.y[[0, 3, 40, -1]]])
+    ref = np.array([cheb_interp(trig_eval(c, s, y), x) for x, y in zip(xq, yq)])
+    assert np.max(np.abs(f.eval(xq, yq) - ref)) <= 1e-14
+    # node hits in x are exact rows of the barycentric matrix
+    B = bary_matrix(grid.nx, xq)
+    assert np.array_equal(B[-4:], np.eye(grid.nx)[[0, 5, 17, -1]])
+    assert np.max(np.abs(B.sum(axis=1) - 1.0)) <= 1e-14
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -6,7 +6,7 @@ import pytest
 from trijunction import (CompatibilityViolation, CutoffProfile, TripleField,
                          check_c0_compatibility, embed_point, frame_vectors, mesh_surface,
                          spine_from_traces)
-from trijunction.geometry import mesh_to_obj, wall_scalars
+from trijunction.geometry import SurfaceMesh, mesh_to_obj, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import rotation_field, translation_field
@@ -277,6 +277,71 @@ def test_obj_export_structure(grid, frame, cutoff, tmp_path):
         if ln.startswith("f "):
             idx = [int(t) for t in ln.split()[1:]]
             assert all(1 <= j <= nv for j in idx)
+
+
+def _mesh_per_point(u, resolution, cutoff, frame):
+    """Reference meshing: embed_point at every vertex, faces from a vertex-id double loop."""
+    mx, my = resolution
+    xs = np.linspace(0.0, 1.0, mx)
+    ys = np.linspace(0.0, 1.0, my + 1)
+    spine = spine_from_traces(u.traces(), frame, tol=np.inf)
+    verts = [np.column_stack([spine.values(ys), ys])]
+    faces, tags = [], []
+    offset = my + 1
+    for i in (1, 2, 3):
+        X, Y = np.meshgrid(xs[1:], ys, indexing="ij")
+        pts = embed_point(i, X, Y, u, frame, cutoff).reshape(-1, 3)
+        pts[:, 2] = Y.reshape(-1)
+        verts.append(pts)
+
+        def vid(j, m):
+            return m if j == 0 else offset + (j - 1) * (my + 1) + m
+
+        for j in range(mx - 1):
+            for m in range(my):
+                a, b, c, d = vid(j, m), vid(j + 1, m), vid(j + 1, m + 1), vid(j, m + 1)
+                faces += [(a, b, c), (a, c, d)]
+                tags += [i, i]
+        offset += (mx - 1) * (my + 1)
+    return np.vstack(verts), np.array(faces, dtype=int), np.array(tags, dtype=int)
+
+
+def _obj_per_line(mesh):
+    """Reference OBJ writer: one f-string per line."""
+    lines = ["# triple-junction surface mesh (unrolled coordinates p1 p2 y)"]
+    lines += [f"# {key} = {val}" for key, val in mesh.header.items()]
+    lines += [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}" for v in mesh.vertices]
+    for i in (1, 2, 3):
+        lines.append(f"g sheet{i}")
+        lines += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}"
+                  for f in mesh.faces[mesh.face_sheet == i]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("resolution", [(2, 3), (4, 6), (33, 64)])
+def test_mesh_surface_matches_per_point_meshing(grid, frame, resolution):
+    cutoff = CutoffProfile(0.2)
+    rng = np.random.default_rng(11)
+    u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
+    mesh = mesh_surface(u, resolution, cutoff, frame)
+    verts, faces, tags = _mesh_per_point(u, resolution, cutoff, frame)
+    assert np.array_equal(mesh.faces, faces)
+    assert np.array_equal(mesh.face_sheet, tags)
+    assert mesh.vertices.shape == verts.shape
+    assert np.max(np.abs(mesh.vertices - verts)) <= 1e-14
+
+
+def test_obj_text_matches_per_line_writer(grid, frame, cutoff):
+    rng = np.random.default_rng(12)
+    u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
+    mesh = mesh_surface(u, (9, 16), cutoff, frame, header={"delta": 0.25, "note": "a = b"})
+    assert mesh_to_obj(mesh) == _obj_per_line(mesh)
+    # awkward values: negative zero, subnormals, exponents, exact integers
+    odd = SurfaceMesh(vertices=np.array([[-0.0, 5e-324, 1e300], [1.0, -2.5e-7, 123456789012.5],
+                                         [0.1, 1 / 3, -1e-5]]),
+                      faces=np.array([[0, 1, 2], [2, 1, 0]]), face_sheet=np.array([1, 3]),
+                      header={})
+    assert mesh_to_obj(odd) == _obj_per_line(odd)
 
 
 def test_spine_sup_norm_within_regime(grid_small, frame, cutoff):

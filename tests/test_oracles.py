@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trijunction import (ScalarField, SolveOptions, TripleField,
+from trijunction import (CutoffProfile, ScalarField, SolveOptions, TripleField,
                          exact_family, fd_linear_solve, fd_mean_curvature,
                          junction_angle_check, metric_shape_data, solve_mixed,
                          solve_nonlinear, F_eval, G_eval)
@@ -160,3 +160,25 @@ def test_fd_mean_curvature_across_periodic_seam(grid, cutoff, frame):
     for y0 in (0.001, 0.999):
         fd = fd_mean_curvature(3, u, (0.45, y0), 1e-3, cutoff, frame)
         assert abs(fd - ref.eval(0.45, y0)) < 1e-6
+
+
+def test_fd_mean_curvature_batch_matches_single_points(grid, frame):
+    # one embedding of all stencils gives the single-point values; the probes
+    # include stencils across the y = 0 seam, at the cutoff joins and at the
+    # edge of the domain
+    cutoff = CutoffProfile(0.2)
+    rng = np.random.default_rng(35)
+    u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
+    h = 1e-3
+    xs = (2 * h, cutoff.delta, 0.3, 2 * cutoff.delta, 0.7, 1.0 - 2 * h)
+    points = np.array([(x, y) for x in xs for y in (0.0005, 0.1, 0.45, 0.999)])
+    for i in (1, 2, 3):
+        batch = fd_mean_curvature(i, u, points, h, cutoff, frame)
+        single = [fd_mean_curvature(i, u, tuple(pt), h, cutoff, frame) for pt in points]
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
+        assert all(isinstance(v, float) for v in single)
+        assert np.max(np.abs(batch - single)) <= 1e-12
+        one = fd_mean_curvature(i, u, points[:1], h, cutoff, frame)
+        assert one.shape == (1,) and abs(one[0] - single[0]) <= 1e-12
+    with pytest.raises(ValueError):
+        fd_mean_curvature(1, u, np.array([(0.5, 0.3), (h, 0.3)]), h, cutoff, frame)

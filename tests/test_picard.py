@@ -265,3 +265,28 @@ def test_solution_grid_independent(cutoff, frame):
     d = max(np.max(np.abs(sols[(48, 64)].sheet(i).eval(X, Y)
                           - sols[(64, 96)].sheet(i).eval(X, Y))) for i in (1, 2, 3))
     assert d < 1e-10
+
+
+def test_debug_holds_the_modes_of_the_last_completed_step(grid_small, cutoff, frame):
+    rng = np.random.default_rng(31)
+    phi = random_boundary(grid_small.ny, rng, 0.004)
+    u, report = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame)
+    debug = []
+    u_dbg, report_dbg = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame, debug=debug)
+    assert report.iterations == report_dbg.iterations == 2
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(u.components, u_dbg.components))
+    # the returned iterate is step 2 applied to step 1's iterate
+    u1, _ = solve_nonlinear(phi, SolveOptions(tol=1.0), grid_small, cutoff, frame)
+    step2 = []
+    u2 = picard_step(u1, phi, cutoff, frame, debug=step2)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(u2.components, u.components))
+    assert debug == step2 and len(debug) == 3 * grid_small.ny
+    # a one-step run holds the first linear solve's records
+    first = []
+    solve_nonlinear(phi, SolveOptions(tol=1.0), grid_small, cutoff, frame, debug=first)
+    zero = np.zeros(grid_small.ny)
+    step1 = []
+    solve_linear_system(TripleField.zero(grid_small), (zero, zero), phi, debug=step1)
+    assert first == step1 and first != step2
