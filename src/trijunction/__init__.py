@@ -16,7 +16,7 @@ from .geometry import (CompatibilityReport, CompatibilityViolation, CutoffProfil
                        write_obj)
 from .curvature import (DegenerateMetric, MetricShapeData, F_eval, G_eval, conormal_xi,
                         metric_shape_data)
-from .linear import (boundary_operator, decouple, recompose, solve_dirichlet,
+from .linear import (DECOUPLE, RECOMPOSE, boundary_operator, solve_dirichlet,
                      solve_linear_system, solve_mixed)
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
                      picard_step, residual_record, solve_nonlinear)
@@ -37,7 +37,7 @@ __all__ = [
     "frame_vectors", "mesh_surface", "spine_from_traces", "write_obj",
     "DegenerateMetric", "MetricShapeData", "F_eval", "G_eval", "conormal_xi",
     "metric_shape_data",
-    "boundary_operator", "decouple", "recompose", "solve_dirichlet",
+    "DECOUPLE", "RECOMPOSE", "boundary_operator", "solve_dirichlet",
     "solve_linear_system", "solve_mixed",
     "GuardViolation", "NoConvergence", "SolveOptions", "SolveReport", "picard_step",
     "residual_record", "solve_nonlinear",

@@ -81,12 +81,7 @@ class RunConfig:
         return d
 
     def validate(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ConfigError("delta must lie in (0, 1/2)")
-        if self.ny % 2 != 0 or self.ny < 8:
-            raise ConfigError("ny must be even and at least 8")
-        if self.nx < 8:
-            raise ConfigError("nx must be at least 8")
+        """The checks no solver type owns; :meth:`setup` runs the others."""
         if self.family is not None and self.phi_coeffs:
             raise ConfigError("give either a named family or phi coefficient lists, not both")
         for i, triples in self.phi_coeffs.items():
@@ -95,6 +90,16 @@ class RunConfig:
                     raise ConfigError(f"bad phi{i} coefficient triple ({k},{c},{s})")
         try:
             check_mesh_resolution(self.mesh_resolution)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    def setup(self) -> tuple[Grid2D, CutoffProfile, SolveOptions]:
+        """The grid, cutoff and solver options of this run; a value they
+        reject is a :class:`ConfigError`."""
+        try:
+            return (Grid2D(self.nx, self.ny), CutoffProfile(self.delta),
+                    SolveOptions(tol=self.tol, max_iter=self.max_iter,
+                                 r_guard=self.r_guard, alpha=self.alpha))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -161,17 +166,17 @@ def apply_config_values(cfg: RunConfig, raw: dict[str, str]):
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
+CONFIG_FLAGS = ("nx", "ny", "delta", "alpha", "tol", "max_iter", "r_guard", "family",
+                "phi1", "phi2", "phi3", "out", "mesh_resolution")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The config file, then the flags given, each read as a ``key = value`` line."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         apply_config_values(cfg, load_config_file(args.config))
-    for key in ("delta", "alpha", "nx", "ny", "tol", "max_iter", "r_guard", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    apply_config_values(cfg, {key: getattr(args, key) for key in
-                              ("family", "phi1", "phi2", "phi3", "mesh_resolution")
-                              if getattr(args, key, None)})
+    apply_config_values(cfg, {key: getattr(args, key) for key in CONFIG_FLAGS
+                              if getattr(args, key) is not None})
     cfg.validate()
     return cfg
 
@@ -247,6 +252,14 @@ def _spine_csv(u: TripleField, header: dict) -> str:
                     np.column_stack([ys, spine.values()]).tolist(), header)
 
 
+def _mesh_header(cfg: RunConfig, residuals: dict[str, float]) -> dict:
+    """The OBJ header: the config echo and ``residual_<name>`` for every residual."""
+    header = cfg.echo()
+    header.update({f"residual_{name}": f"{residuals.get(name, np.nan):.6e}"
+                   for name in RESIDUAL_NAMES})
+    return header
+
+
 def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTriple,
                     report: SolveReport, modes: list[dict]):
     """Write every artifact of a run; ``modes`` are the mode records of the
@@ -266,23 +279,16 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
     atomic_write_text(os.path.join(out, "config_used.txt"),
                       "".join(f"{k} = {v}\n" for k, v in echo.items()))
 
-    header = dict(echo)
-    r = report.final_residuals
-    header["residual_laplace"] = f"{r.laplace:.6e}"
-    header["residual_conormal"] = f"{r.conormal_sup:.6e}"
-    mesh = mesh_surface(u, cfg.mesh_resolution, CutoffProfile(cfg.delta), header=header)
+    mesh = mesh_surface(u, cfg.mesh_resolution, CutoffProfile(cfg.delta),
+                        header=_mesh_header(cfg, vars(report.final_residuals)))
     write_obj(mesh, os.path.join(out, "surface.obj"))
     atomic_write_text(os.path.join(out, "modes.csv"), mode_debug_csv(modes))
 
 
 def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, dict]:
-    fields = []
-    delta = None
-    header: dict = {}
-    for i in (1, 2, 3):
-        f, delta, header = load_field_csv(os.path.join(path, f"u{i}.csv"))
-        fields.append(f)
-    u = TripleField(tuple(fields))
+    loaded = [load_field_csv(os.path.join(path, f"u{i}.csv")) for i in (1, 2, 3)]
+    f, delta, header = loaded[-1]
+    u = TripleField(f.grid, [g.values for g, _, _ in loaded])
     phi = _load_boundary_csv(os.path.join(path, "phi.csv"))
     cfg = RunConfig(delta=delta)
     apply_config_values(cfg, header)
@@ -297,16 +303,9 @@ def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, d
 def cmd_solve(args) -> int:
     try:
         cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        grid = Grid2D(cfg.nx, cfg.ny)
-        cutoff = CutoffProfile(cfg.delta)
+        grid, cutoff, opts = cfg.setup()
         phi = boundary_from_config(cfg, grid, cutoff)
-        opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter, r_guard=cfg.r_guard,
-                            alpha=cfg.alpha)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:           # ConfigError, or data exact_family rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     modes: list[dict] = []
@@ -400,16 +399,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError("empty scale list")
         if not cfg.family and not cfg.phi_coeffs:
             raise ConfigError("sweep needs a boundary family or phi coefficients")
+        grid, cutoff, opts = cfg.setup()
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        grid = Grid2D(cfg.nx, cfg.ny)
-        cutoff = CutoffProfile(cfg.delta)
-        opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter, r_guard=cfg.r_guard,
-                            alpha=cfg.alpha)
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rows = ["scale,status,iterations,final_residual,last_contraction_ratio"]
@@ -456,11 +447,9 @@ def cmd_export_mesh(args) -> int:
     except ValueError as exc:
         print(f"config error: bad resolution {args.resolution!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    cutoff = CutoffProfile(cfg.delta)
     cfg.mesh_resolution = resolution
-    header = cfg.echo()
-    header.update({f"residual_{k}": f"{v:.6e}" for k, v in stored.items()})
-    mesh = mesh_surface(u, resolution, cutoff, header=header)
+    mesh = mesh_surface(u, resolution, CutoffProfile(cfg.delta),
+                        header=_mesh_header(cfg, stored))
     out = args.out or os.path.join(args.artifacts, "surface.obj")
     write_obj(mesh, out)
     print(f"mesh written to {out}")
@@ -468,14 +457,16 @@ def cmd_export_mesh(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    # every flag is a string that apply_config_values parses like a config
+    # line, so a malformed number is a config error (exit 4), not argparse's 2
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--r-guard", dest="r_guard", type=float)
+    p.add_argument("--nx")
+    p.add_argument("--ny")
+    p.add_argument("--delta")
+    p.add_argument("--alpha")
+    p.add_argument("--tol")
+    p.add_argument("--max-iter", dest="max_iter")
+    p.add_argument("--r-guard", dest="r_guard")
     p.add_argument("--family", help="translate:cx,cy or rotate:beta")
     p.add_argument("--phi1", help="boundary modes for sheet 1 as k:cos:sin,...")
     p.add_argument("--phi2")

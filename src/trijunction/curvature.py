@@ -175,7 +175,7 @@ def F_eval(u: TripleField, cutoff: CutoffProfile,
     for i in (1, 2, 3):
         jet = u.sheet(i).jet
         out.append(jet.uxx + jet.uyy - _sheet_scalars(i, jet, wall).H)
-    return TripleField.from_arrays(u.grid, out)
+    return TripleField(u.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,9 @@ def F_eval(u: TripleField, cutoff: CutoffProfile,
 def _spine_quantities(u: TripleField, frame: JunctionFrame):
     """Spine slope v' (ny, 2) and the inner rows of d_x u_i and d_y u_i (3, ny)."""
     vprime = spine_from_traces(u.traces(), frame).derivative()
-    dxu0 = np.stack([f.jet.ux[0] for f in u.components])
-    dyu0 = np.stack([f.jet.uy[0] for f in u.components])
+    jets = [u.sheet(i).jet for i in (1, 2, 3)]
+    dxu0 = np.stack([jet.ux[0] for jet in jets])
+    dyu0 = np.stack([jet.uy[0] for jet in jets])
     return vprime, dxu0, dyu0
 
 

@@ -148,52 +148,63 @@ def _check_same_grid(a: Grid2D, b: Grid2D):
 
 @dataclass(frozen=True)
 class TripleField:
-    """Three scalar fields (one per sheet) on a shared grid."""
+    """Heights of the three sheets: one read-only (3, nx, ny) array on one grid.
 
-    components: tuple[ScalarField, ScalarField, ScalarField]
+    ``values`` may also be given as a list of three (nx, ny) arrays.
+    """
+
+    grid: Grid2D
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.components) != 3:
-            raise ValueError("a triple field has exactly three components")
-        g = self.components[0].grid
-        for f in self.components[1:]:
-            _check_same_grid(g, f.grid)
-
-    @classmethod
-    def from_arrays(cls, grid: Grid2D, arrays) -> "TripleField":
-        return cls(tuple(ScalarField(grid, a) for a in arrays))
+        v = _frozen(self.values)
+        if v.shape != (3, self.grid.nx, self.grid.ny):
+            raise ValueError(f"values shape {v.shape} does not match (3, "
+                             f"{self.grid.nx}, {self.grid.ny})")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("field values must be finite")
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def zero(cls, grid: Grid2D) -> "TripleField":
-        return cls.from_arrays(grid, [np.zeros((grid.nx, grid.ny))] * 3)
+        return cls(grid, np.zeros((3, grid.nx, grid.ny)))
 
-    @property
-    def grid(self) -> Grid2D:
-        return self.components[0].grid
+    @cached_property
+    def _sheets(self) -> tuple[ScalarField, ScalarField, ScalarField]:
+        # views into the frozen, already checked array: no copy, no second check
+        sheets = tuple(object.__new__(ScalarField) for _ in range(3))
+        for f, v in zip(sheets, self.values):
+            object.__setattr__(f, "grid", self.grid)
+            object.__setattr__(f, "values", v)
+        return sheets
 
     def sheet(self, i: int) -> ScalarField:
-        """Component for sheet i in {1, 2, 3}."""
+        """Sheet i in {1, 2, 3} as a scalar field viewing ``values[i - 1]``."""
         if i not in (1, 2, 3):
             raise ValueError("sheet index must be 1, 2 or 3")
-        return self.components[i - 1]
+        return self._sheets[i - 1]
 
     def traces(self, end: str = "inner") -> np.ndarray:
-        """(3, ny) boundary rows of the components."""
-        return np.stack([trace(f, end) for f in self.components])
+        """(3, ny) boundary rows: 'inner' is the x = 0 circle, 'outer' the x = 1 circle."""
+        if end not in ("inner", "outer"):
+            raise ValueError("end must be 'inner' or 'outer'")
+        return self.values[:, 0 if end == "inner" else -1]
 
     def __add__(self, other: "TripleField") -> "TripleField":
-        return TripleField(tuple(a + b for a, b in zip(self.components, other.components)))
+        _check_same_grid(self.grid, other.grid)
+        return TripleField(self.grid, self.values + other.values)
 
     def __sub__(self, other: "TripleField") -> "TripleField":
-        return TripleField(tuple(a - b for a, b in zip(self.components, other.components)))
+        _check_same_grid(self.grid, other.grid)
+        return TripleField(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "TripleField":
-        return TripleField(tuple(f * scalar for f in self.components))
+        return TripleField(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
     def sup(self) -> float:
-        return max(f.sup() for f in self.components)
+        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -214,11 +225,6 @@ class BoundaryTriple:
     @classmethod
     def zero(cls, ny: int) -> "BoundaryTriple":
         return cls(ny, np.zeros((3, ny)))
-
-    @classmethod
-    def from_functions(cls, ny: int, fns) -> "BoundaryTriple":
-        y = spectral.fourier_nodes(ny)
-        return cls(ny, np.stack([np.asarray(fn(y), dtype=float) for fn in fns]))
 
     def component(self, i: int) -> np.ndarray:
         if i not in (1, 2, 3):
@@ -316,7 +322,7 @@ def scalar_field_proxy(field: ScalarField, alpha: float, order: int = 2) -> floa
 
 def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
     """Triple proxy: sum of the per-sheet proxies."""
-    return sum(scalar_field_proxy(f, alpha, order) for f in u.components)
+    return sum(scalar_field_proxy(u.sheet(i), alpha, order) for i in (1, 2, 3))
 
 
 def periodic_proxy(values: np.ndarray, alpha: float, order: int = 2) -> float:
@@ -411,9 +417,10 @@ def load_field_csv(path: str) -> tuple[ScalarField, float, dict]:
     return ScalarField(grid, parse_table(lines[2:])), float(c), header
 
 
-def checked_fourier_coefficients(values: np.ndarray, label: str, threshold: float = 1e-8,
+def checked_fourier_coefficients(values: np.ndarray, label: str,
                                  floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Cos/sin coefficients along the last axis; warn if the top third carries energy.
+    """Cos/sin coefficients along the last axis; warn if the top third carries
+    more than 1e-8 of the energy.
 
     The check reads the same coefficients the caller gets, so periodic data
     is analysed once.  Data below ``floor`` in sup norm is not checked:
@@ -424,7 +431,7 @@ def checked_fourier_coefficients(values: np.ndarray, label: str, threshold: floa
     c, s = spectral.fourier_coefficients(values)
     if float(np.max(np.abs(values))) > floor:
         frac = spectral.aliasing_fraction(c, s, values.shape[-1])
-        if frac > threshold:
+        if frac > 1e-8:
             warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
-                          f"exceeds {threshold:.0e}", AliasingWarning, stacklevel=3)
+                          "exceeds 1e-8", AliasingWarning, stacklevel=3)
     return c, s

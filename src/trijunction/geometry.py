@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .fields import TripleField, norm_proxy
+from .fields import TripleField, atomic_write_text, norm_proxy
 
 SQRT3 = math.sqrt(3.0)
 
@@ -173,8 +173,8 @@ def _ro(a: np.ndarray) -> np.ndarray:
 # Sheet parametrization
 # ---------------------------------------------------------------------------
 
-def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame | None = None,
-                cutoff: CutoffProfile | None = None) -> np.ndarray:
+def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
+                cutoff: CutoffProfile) -> np.ndarray:
     """Map parameter points of sheet i into R^2 x S^1 (unrolled as R^3).
 
     Returns (..., 3) arrays (p1, p2, y); scalar inputs give a flat (3,)
@@ -182,8 +182,6 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame | None = None
     points.
     """
     _check_sheet(i)
-    frame = frame or frame_vectors()
-    cutoff = cutoff or CutoffProfile()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
@@ -262,8 +260,7 @@ def check_mesh_resolution(resolution: tuple[int, int]):
         raise ValueError(f"mesh resolution must be at least 2x3, got {mx}x{my}")
 
 
-def mesh_surface(u: TripleField, resolution: tuple[int, int],
-                 cutoff: CutoffProfile | None = None,
+def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProfile,
                  frame: JunctionFrame | None = None,
                  header: dict | None = None) -> SurfaceMesh:
     """Triangulate the perturbed surface.
@@ -278,7 +275,6 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int],
     check_mesh_resolution(resolution)
     mx, my = resolution
     frame = frame or frame_vectors()
-    cutoff = cutoff or CutoffProfile()
     xs = np.linspace(0.0, 1.0, mx)[1:]          # x = 0 is the spine row
     ys = np.linspace(0.0, 1.0, my + 1)          # duplicated seam
 
@@ -287,8 +283,7 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int],
     spine_pts = np.column_stack([spine.values(ys), ys])
     spine_pts[-1, 2] = 1.0
 
-    values = np.stack([f.values for f in u.components])            # (3, nx, ny)
-    cols = spectral.trig_eval(*spectral.fourier_coefficients(values), ys)
+    cols = spectral.trig_eval(*spectral.fourier_coefficients(u.values), ys)
     heights = spectral.bary_matrix(u.grid.nx, xs) @ cols           # (3, mx-1, my+1)
     walls = spectral.trig_eval(*spectral.fourier_coefficients(wall_scalars(tr)), ys)
     eta, _, _ = cutoff(xs)
@@ -336,5 +331,4 @@ def mesh_to_obj(mesh: SurfaceMesh) -> str:
 
 
 def write_obj(mesh: SurfaceMesh, path: str):
-    from .fields import atomic_write_text
     atomic_write_text(path, mesh_to_obj(mesh))

@@ -3,9 +3,9 @@
 The linearized problem asks for three heights with prescribed interior
 forcing, prescribed outer (x = 1) traces, and junction conditions on the
 inner circle: the traces sum to zero and two Neumann combinations match
-given data.  The change of variables
+given data.  The change of variables v = DECOUPLE u,
 
-    v1 = u1 + u2 + u3,   v2 = u2 - u3,   v3 = u1 - (u2 + u3) / 2
+    v1 = u1 + u2 + u3,   v2 = u2 - u3,   v3 = u1 - (u2 + u3) / 2,
 
 decouples it into one Dirichlet scalar problem (v1) and two mixed
 Neumann/Dirichlet scalar problems (v2, v3).  Each scalar problem is solved
@@ -19,7 +19,6 @@ an independent check of this solve, lives in :mod:`trijunction.oracles`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
@@ -30,6 +29,18 @@ from .fields import (BoundaryTriple, ScalarField, TripleField, checked_fourier_c
                      csv_text, normal_derivative_inner)
 
 Kind = Literal["dirichlet", "mixed"]
+
+# the junction change of variables v = DECOUPLE u and its exact inverse; row
+# j of DECOUPLE also gives junction condition j (trace sum, then the two
+# Neumann combinations)
+DECOUPLE = np.array([[1.0, 1.0, 1.0],
+                     [0.0, 1.0, -1.0],
+                     [1.0, -0.5, -0.5]])
+RECOMPOSE = np.array([[1.0, 0.0, 2.0],
+                      [1.0, 1.5, -1.0],
+                      [1.0, -1.5, -1.0]]) / 3.0
+DECOUPLE.flags.writeable = False
+RECOMPOSE.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +106,14 @@ def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
 # Scalar solvers on the full grid
 # ---------------------------------------------------------------------------
 
-def _solve_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray | None,
-                  kind: Kind, debug: list | None) -> ScalarField:
-    grid = f.grid
+def _solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None,
+                  kind: Kind, debug: list | None) -> np.ndarray:
+    """Solve Lap v = f on (nx, ny) samples; ``g`` is the Neumann datum of the mixed kind."""
     phi_out = np.asarray(phi_out, dtype=float)
-    scale = max(float(np.max(np.abs(f.values))), float(np.max(np.abs(phi_out))),
+    scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(phi_out))),
                 0.0 if g is None else float(np.max(np.abs(g))))
     floor = 5e-14 * max(1.0, scale)
-    fc, fs = checked_fourier_coefficients(f.values, "forcing", floor=floor)
+    fc, fs = checked_fourier_coefficients(f, "forcing", floor=floor)
     pc, ps = checked_fourier_coefficients(phi_out, "outer boundary data", floor=floor)
     if g is not None:
         gc, gs = checked_fourier_coefficients(g, "inner Neumann data", floor=floor)
@@ -111,7 +122,8 @@ def _solve_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray | None,
 
     # one column per cos and per sin mode; the sin parts of k = 0 and of the
     # Nyquist mode vanish on the even grid and solve to exact zeros
-    K = grid.ny // 2
+    ny = f.shape[1]
+    K = ny // 2
     lam2 = np.tile((2.0 * math.pi * np.arange(K + 1)) ** 2, 2)
     rhs = np.hstack([fc, fs])
     a = _solve_modes(kind, lam2, rhs, np.concatenate([pc, ps]), np.concatenate([gc, gs]))
@@ -121,89 +133,47 @@ def _solve_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray | None,
                       "residual": float(residual[j, k])}
                      for k in range(K + 1) for j, part in enumerate(("cos", "sin"))
                      if part == "cos" or 0 < k < K)
-    return ScalarField(grid, spectral.fourier_synthesis(a[:, :K + 1], a[:, K + 1:],
-                                                        grid.ny, axis=1))
+    return spectral.fourier_synthesis(a[:, :K + 1], a[:, K + 1:], ny, axis=1)
 
 
 def solve_dirichlet(f: ScalarField, phi_out: np.ndarray,
                     debug: list | None = None) -> ScalarField:
     """Solve Lap v = f with v(0, .) = 0 and v(1, .) = phi_out."""
-    return _solve_scalar(f, phi_out, None, "dirichlet", debug)
+    return ScalarField(f.grid, _solve_scalar(f.values, phi_out, None, "dirichlet", debug))
 
 
 def solve_mixed(f: ScalarField, g: np.ndarray, phi_out: np.ndarray,
                 debug: list | None = None) -> ScalarField:
     """Solve Lap v = f with outward normal derivative g at x = 0, v(1, .) = phi_out."""
-    return _solve_scalar(f, phi_out, g, "mixed", debug)
+    return ScalarField(f.grid, _solve_scalar(f.values, phi_out, g, "mixed", debug))
 
 
 # ---------------------------------------------------------------------------
-# Decoupling / recomposition of the triple system
+# The coupled junction system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecoupledProblems:
-    """The three scalar problems produced from (F, G, phi)."""
-
-    dirichlet_f: ScalarField
-    dirichlet_phi: np.ndarray
-    diff_f: ScalarField             # v2 = u2 - u3
-    diff_g: np.ndarray
-    diff_phi: np.ndarray
-    mean_f: ScalarField             # v3 = u1 - (u2 + u3)/2
-    mean_g: np.ndarray
-    mean_phi: np.ndarray
-
-
-def decouple(F: TripleField, G: tuple[np.ndarray, np.ndarray],
-             phi: BoundaryTriple) -> DecoupledProblems:
-    """Split the coupled junction system into its three scalar problems.
-
-    Linearity of the Laplacian forces the forcing of the difference problem
-    to be F_2 - F_3 (matching v2 = u2 - u3).
-    """
-    F1, F2, F3 = (F.sheet(i) for i in (1, 2, 3))
-    G1, G2 = (np.asarray(g, dtype=float) for g in G)
-    p1, p2, p3 = (phi.component(i) for i in (1, 2, 3))
-    return DecoupledProblems(
-        dirichlet_f=F1 + F2 + F3,
-        dirichlet_phi=p1 + p2 + p3,
-        diff_f=F2 - F3,
-        diff_g=G1,
-        diff_phi=p2 - p3,
-        mean_f=F1 - 0.5 * (F2 + F3),
-        mean_g=G2,
-        mean_phi=p1 - 0.5 * (p2 + p3),
-    )
-
-
-def recompose(v1: ScalarField, v2: ScalarField, v3: ScalarField) -> TripleField:
-    """Invert the decoupling: exact linear-algebra identity."""
-    u1 = (1.0 / 3.0) * (v1 + 2.0 * v3)
-    u2 = (1.0 / 3.0) * (v1 - v3) + 0.5 * v2
-    u3 = (1.0 / 3.0) * (v1 - v3) - 0.5 * v2
-    return TripleField((u1, u2, u3))
-
 
 def boundary_operator(u: TripleField) -> np.ndarray:
-    """(3, ny) rows: trace sum, dn u2 - dn u3, dn u1 - (dn u2 + dn u3)/2 at x = 0."""
-    tr = u.traces()
+    """(3, ny) junction-condition rows at x = 0: the first row of DECOUPLE
+    applied to the traces (their sum), the other two to the outward normal
+    derivatives (dn u2 - dn u3, dn u1 - (dn u2 + dn u3)/2)."""
     dn = np.stack([normal_derivative_inner(u.sheet(i)) for i in (1, 2, 3)])
-    return np.stack([
-        tr.sum(axis=0),
-        dn[1] - dn[2],
-        dn[0] - 0.5 * (dn[1] + dn[2]),
-    ])
+    return np.vstack([DECOUPLE[:1] @ u.traces(), DECOUPLE[1:] @ dn])
 
 
 def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
                         phi: BoundaryTriple, debug: list | None = None) -> TripleField:
-    """Solve the coupled system: Lap u = F, junction conditions (0, G1, G2), u(1,.) = phi."""
-    probs = decouple(F, G, phi)
-    v1 = solve_dirichlet(probs.dirichlet_f, probs.dirichlet_phi, debug)
-    v2 = solve_mixed(probs.diff_f, probs.diff_g, probs.diff_phi, debug)
-    v3 = solve_mixed(probs.mean_f, probs.mean_g, probs.mean_phi, debug)
-    return recompose(v1, v2, v3)
+    """Solve the coupled system: Lap u = F, junction conditions (0, G1, G2), u(1,.) = phi.
+
+    The decoupled unknowns v = DECOUPLE u solve one Dirichlet problem (v1)
+    and two mixed problems (v2, v3) with Neumann data G1 and G2; u is
+    RECOMPOSE v.
+    """
+    f = np.tensordot(DECOUPLE, F.values, axes=1)
+    p = DECOUPLE @ phi.values
+    v = np.stack([_solve_scalar(f[0], p[0], None, "dirichlet", debug),
+                  _solve_scalar(f[1], p[1], G[0], "mixed", debug),
+                  _solve_scalar(f[2], p[2], G[1], "mixed", debug)])
+    return TripleField(F.grid, np.tensordot(RECOMPOSE, v, axes=1))
 
 
 def mode_debug_csv(records: list[dict]) -> str:

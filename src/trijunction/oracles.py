@@ -25,7 +25,7 @@ from .fields import (BoundaryTriple, Grid2D, ScalarField, TripleField, boundary_
                      norm_proxy, periodic_proxy)
 from .geometry import CutoffProfile, JunctionFrame, embed_point, frame_vectors
 from .curvature import F_eval, G_eval, conormal_xi
-from .linear import Kind, decouple, recompose, solve_linear_system
+from .linear import DECOUPLE, RECOMPOSE, Kind, solve_linear_system
 from .picard import (GuardViolation, SolveOptions, _assemble_report, _guard_record,
                      picard_step)
 
@@ -166,7 +166,7 @@ class ModeProblem:
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
 
 
-def _partial_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+def _partial_integrals(f: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """P1(x) = int_x^1 f e^{lam (x - t)} dt and P2(x) = int_0^x f e^{lam (t - x)} dt.
 
     Both kernels peak at t = x with decay rate lam, so the integration window
@@ -181,7 +181,7 @@ def _partial_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[np.ndarr
         return np.polynomial.chebyshev.chebval(1.0 - 2.0 * t, coeffs)
 
     width = 1.0 if lam == 0.0 else min(1.0, _EXP_WINDOW / lam)
-    nodes, weights = spectral.clenshaw_curtis(n_quad)
+    nodes, weights = spectral.clenshaw_curtis(_N_QUAD)
 
     hi = np.minimum(1.0, x + width)
     t1 = x[:, None] + nodes[None, :] * (hi - x)[:, None]
@@ -195,7 +195,7 @@ def _partial_integrals(f: np.ndarray, lam: float, n_quad: int) -> tuple[np.ndarr
     return P1, P2
 
 
-def mode_solve_formula(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
+def mode_solve_formula(p: ModeProblem) -> np.ndarray:
     """Closed-form mode solution: a(1) = phi, and a(0) = 0 or a'(0) = -g by kind.
 
     For k = 0 this is the double integral of the forcing plus the affine
@@ -215,7 +215,7 @@ def mode_solve_formula(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
         return dbl - g * x + p.phi - dbl[-1] + g
 
     lam = 2.0 * math.pi * p.k
-    P1, P2 = _partial_integrals(p.f, lam, n_quad)
+    P1, P2 = _partial_integrals(p.f, lam)
     # int_0^1 f e^{-lam t} dt and int_0^1 f e^{lam (t - 1)} dt
     I_minus, I_plus = P1[0], P2[-1]
     den = 1.0 + s * math.exp(-2.0 * lam)
@@ -226,49 +226,51 @@ def mode_solve_formula(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
     return (-P1 + B - P2 - D) / (2.0 * lam)
 
 
-def mode_solve_dirichlet(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
+def mode_solve_dirichlet(p: ModeProblem) -> np.ndarray:
     """:func:`mode_solve_formula` for a problem of Dirichlet kind."""
     if p.kind != "dirichlet":
         raise ValueError("mode problem is not of Dirichlet kind")
-    return mode_solve_formula(p, n_quad)
+    return mode_solve_formula(p)
 
 
-def mode_solve_mixed(p: ModeProblem, n_quad: int = _N_QUAD) -> np.ndarray:
+def mode_solve_mixed(p: ModeProblem) -> np.ndarray:
     """:func:`mode_solve_formula` for a problem of mixed kind."""
     if p.kind != "mixed":
         raise ValueError("mode problem is not of mixed kind")
-    return mode_solve_formula(p, n_quad)
+    return mode_solve_formula(p)
 
 
-def _formula_scalar(f: ScalarField, phi_out: np.ndarray, g: np.ndarray,
-                    kind: str) -> ScalarField:
-    grid = f.grid
-    fc, fs = spectral.fourier_coefficients(f.values, axis=1)
+def _formula_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray,
+                    kind: str) -> np.ndarray:
+    nx, ny = f.shape
+    fc, fs = spectral.fourier_coefficients(f, axis=1)
     pc, ps = spectral.fourier_coefficients(phi_out)
     gc, gs = spectral.fourier_coefficients(g)
-    K = grid.ny // 2
-    ac = np.zeros((grid.nx, K + 1))
-    as_ = np.zeros((grid.nx, K + 1))
+    K = ny // 2
+    ac = np.zeros((nx, K + 1))
+    as_ = np.zeros((nx, K + 1))
     for k in range(K + 1):
         ac[:, k] = mode_solve_formula(ModeProblem(k, kind, fc[:, k], pc[k], gc[k]))
         if 0 < k < K:
             as_[:, k] = mode_solve_formula(ModeProblem(k, kind, fs[:, k], ps[k], gs[k]))
-    return ScalarField(grid, spectral.fourier_synthesis(ac, as_, grid.ny, axis=1))
+    return spectral.fourier_synthesis(ac, as_, ny, axis=1)
 
 
 def formula_linear_solve(F: TripleField, G: tuple[np.ndarray, np.ndarray],
                          phi: BoundaryTriple) -> TripleField:
     """The coupled linear solve with every mode taken from the closed forms.
 
-    Same decoupling as :func:`trijunction.linear.solve_linear_system`, but
-    each scalar problem is solved mode by mode with the exponential-kernel
-    formulas, independently of the collocation solve.
+    Same change of variables as :func:`trijunction.linear.solve_linear_system`
+    (``DECOUPLE``, then ``RECOMPOSE``), but each scalar problem is solved
+    mode by mode with the exponential-kernel formulas, independently of the
+    collocation solve.
     """
-    p = decouple(F, G, phi)
-    return recompose(
-        _formula_scalar(p.dirichlet_f, p.dirichlet_phi, np.zeros(phi.ny), "dirichlet"),
-        _formula_scalar(p.diff_f, p.diff_phi, p.diff_g, "mixed"),
-        _formula_scalar(p.mean_f, p.mean_phi, p.mean_g, "mixed"))
+    f = np.tensordot(DECOUPLE, F.values, axes=1)
+    p = DECOUPLE @ phi.values
+    v = np.stack([_formula_scalar(f[0], p[0], np.zeros(phi.ny), "dirichlet"),
+                  _formula_scalar(f[1], p[1], G[0], "mixed"),
+                  _formula_scalar(f[2], p[2], G[1], "mixed")])
+    return TripleField(F.grid, np.tensordot(RECOMPOSE, v, axes=1))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,7 @@ def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
         arrays = [np.tile(beta * grid.x[:, None], (1, grid.ny)) for _ in range(3)]
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    u = TripleField.from_arrays(grid, arrays)
+    u = TripleField(grid, arrays)
     return BoundaryTriple(grid.ny, u.traces("outer")), u
 
 
@@ -357,7 +359,7 @@ def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
         modes = spectral.trig_eval(bulk_c, bulk_s, y)   # (3, ny)
         poly = np.stack([x, x ** 2, x ** 3], axis=0)    # all vanish at x = 0
         arrays.append(amplitude * (tr_part + poly.T @ modes))
-    return TripleField.from_arrays(grid, arrays)
+    return TripleField(grid, arrays)
 
 
 def scaled_to_proxy(u: TripleField, target: float, alpha: float) -> TripleField:
@@ -474,9 +476,7 @@ def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(n_samples):
-        F = TripleField((random_smooth_field(grid, rng),
-                         random_smooth_field(grid, rng),
-                         random_smooth_field(grid, rng)))
+        F = TripleField(grid, [random_smooth_field(grid, rng).values for _ in range(3)])
         G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
         phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
                                                 for _ in range(3)]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
-from .fields import BoundaryTriple, Grid2D, TripleField, csv_text, laplacian, trace
+from .fields import BoundaryTriple, Grid2D, TripleField, csv_text, laplacian
 from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
 from .linear import boundary_operator, solve_linear_system
 
@@ -120,16 +120,14 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
     F = F_eval(u, cutoff, frame)
     G1, G2, S = _junction_defect(u, frame)
     lap = max(float(np.max(np.abs(
-        (laplacian(u.sheet(i)) - F.sheet(i)).values[1:-1, :]))) for i in (1, 2, 3))
+        (laplacian(u.sheet(i)).values - F.values[i - 1])[1:-1, :]))) for i in (1, 2, 3))
     B = boundary_operator(u)
     bres = max(float(np.max(np.abs(B[1] - G1))), float(np.max(np.abs(B[2] - G2))))
-    outer = max(float(np.max(np.abs(trace(u.sheet(i), "outer") - phi.component(i))))
-                for i in (1, 2, 3))
     return ResidualRecord(
         laplace=lap,
         boundary=bres,
         conormal_sup=float(np.max(np.linalg.norm(S, axis=1))),
-        outer_trace=outer,
+        outer_trace=float(np.max(np.abs(u.traces("outer") - phi.values))),
         trace_sum=float(np.max(np.abs(B[0]))),
     )
 
@@ -226,11 +224,10 @@ def _assemble_report(iterations: int, updates: list[float], u: TripleField,
         # the iterate is outside the regime where the defects make sense;
         # report what can still be evaluated
         B = boundary_operator(u)
-        outer = max(float(np.max(np.abs(trace(u.sheet(i), "outer") - phi.component(i))))
-                    for i in (1, 2, 3))
         residuals = ResidualRecord(
             laplace=float("nan"), boundary=float("nan"), conormal_sup=float("nan"),
-            outer_trace=outer, trace_sum=float(np.max(np.abs(B[0]))))
+            outer_trace=float(np.max(np.abs(u.traces("outer") - phi.values))),
+            trace_sum=float(np.max(np.abs(B[0]))))
     return SolveReport(
         iterations=iterations,
         update_norms=tuple(updates),

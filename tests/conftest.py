@@ -31,13 +31,13 @@ def grid_small():
 def translation_field(grid, frame, c):
     """Exact stationary family: constant heights <c, nu_i>."""
     c = np.asarray(c, dtype=float)
-    return TripleField.from_arrays(
+    return TripleField(
         grid, [np.full((grid.nx, grid.ny), float(frame.nu_vec(i) @ c)) for i in (1, 2, 3)])
 
 
 def rotation_field(grid, beta):
     """Exact stationary family: tilted rays, heights beta * x."""
-    return TripleField.from_arrays(
+    return TripleField(
         grid, [np.tile(beta * grid.x[:, None], (1, grid.ny)) for _ in range(3)])
 
 

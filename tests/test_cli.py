@@ -81,6 +81,11 @@ def test_solve_config_errors(tmp_path):
     # family magnitude beyond delta/20 is a data error surfaced as config
     assert run(["solve", "--family", "translate:0.2,0", "--out", str(tmp_path)]) \
         == EXIT_CONFIG
+    # malformed numbers are config errors, not argparse's usage error (2)
+    for flags in (["--nx", "abc"], ["--delta", "x"], ["--max-iter", "1.5"]):
+        assert run(["solve", *flags, "--out", str(tmp_path)]) == EXIT_CONFIG, flags
+        assert run(["sweep", "--family", "rotate:0.01", "--scales", "1.0", *flags,
+                    "--out", str(tmp_path)]) == EXIT_CONFIG, flags
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -182,6 +187,23 @@ def test_export_mesh(tmp_path):
     assert run(["export-mesh", out, "--resolution", "bad"]) == EXIT_CONFIG
 
 
+def _obj_header(path):
+    with open(path) as fh:
+        return dict(ln[2:].rstrip("\n").split(" = ", 1) for ln in fh
+                    if ln.startswith("# ") and " = " in ln)
+
+
+def test_solve_and_export_mesh_write_the_same_obj_header(tmp_path):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    target = os.path.join(out, "export.obj")
+    assert run(["export-mesh", out, "--out", target]) == EXIT_OK
+    solved, exported = _obj_header(os.path.join(out, "surface.obj")), _obj_header(target)
+    assert set(solved) == set(exported)
+    assert {f"residual_{name}" for name in RESIDUAL_NAMES} <= set(solved)
+    assert solved == exported
+
+
 def test_mesh_resolution_below_minimum_is_a_config_error(tmp_path, capsys):
     out = str(tmp_path / "run")
     # rejected before the solve, so no artifact directory is left behind
@@ -272,9 +294,7 @@ def test_load_artifacts_round_trips_config(tmp_path):
     assert {k: str(v) for k, v in cfg.echo().items()} == written
     target = os.path.join(out, "export.obj")
     assert run(["export-mesh", out, "--out", target]) == EXIT_OK
-    with open(target) as fh:
-        header = dict(ln[2:].rstrip("\n").split(" = ", 1) for ln in fh
-                      if ln.startswith("# ") and " = " in ln)
+    header = _obj_header(target)
     # the export names the resolution it meshed at, not the stored one
     assert header.pop("mesh_resolution") == "33x64"
     del written["mesh_resolution"]

@@ -51,7 +51,7 @@ def test_metric_shape_normal_orthogonal_unit(grid_small, cutoff, frame):
 
 def test_degenerate_metric_raises(grid_small, cutoff, frame):
     d = cutoff.delta
-    u = TripleField.from_arrays(
+    u = TripleField(
         grid_small, [np.full((grid_small.nx, grid_small.ny), v) for v in (0.0, d, -d)])
     with pytest.raises(DegenerateMetric):
         metric_shape_data(1, u, cutoff, frame)

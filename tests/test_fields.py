@@ -140,8 +140,7 @@ def test_norm_proxy_zero_and_translation(grid, frame):
 
 def test_norm_proxy_homogeneous(grid_small):
     rng = np.random.default_rng(3)
-    u = TripleField.from_arrays(
-        grid_small, [rng.standard_normal((grid_small.nx, grid_small.ny)) for _ in range(3)])
+    u = TripleField(grid_small, rng.standard_normal((3, grid_small.nx, grid_small.ny)))
     p = norm_proxy(u, 0.5)
     assert norm_proxy(0.5 * u, 0.5) == pytest.approx(0.5 * p, rel=1e-14)
     assert norm_proxy(0.3 * u, 0.5) == pytest.approx(0.3 * p, rel=1e-12)
@@ -150,10 +149,8 @@ def test_norm_proxy_homogeneous(grid_small):
 def test_norm_proxy_triangle_inequality(grid_small):
     rng = np.random.default_rng(4)
     for _ in range(5):
-        a = TripleField.from_arrays(
-            grid_small, [rng.standard_normal((grid_small.nx, grid_small.ny)) for _ in range(3)])
-        b = TripleField.from_arrays(
-            grid_small, [rng.standard_normal((grid_small.nx, grid_small.ny)) for _ in range(3)])
+        a = TripleField(grid_small, rng.standard_normal((3, grid_small.nx, grid_small.ny)))
+        b = TripleField(grid_small, rng.standard_normal((3, grid_small.nx, grid_small.ny)))
         assert norm_proxy(a + b, 0.5) <= norm_proxy(a, 0.5) + norm_proxy(b, 0.5) + 1e-12
 
 
@@ -291,6 +288,24 @@ def test_fields_immutable(grid_small):
             arr[0, 0] = 1.0
 
 
+def test_triple_sheets_are_read_only_views(grid_small):
+    rng = np.random.default_rng(6)
+    source = rng.standard_normal((3, grid_small.nx, grid_small.ny))
+    u = TripleField(grid_small, source)
+    source[0, 0, 0] = 5.0                     # the triple holds its own copy
+    assert u.values[0, 0, 0] != 5.0
+    with pytest.raises(ValueError):
+        u.values[0, 0, 0] = 1.0
+    for i in (1, 2, 3):
+        f = u.sheet(i)
+        assert f is u.sheet(i)
+        assert f.values.base is u.values and np.array_equal(f.values, u.values[i - 1])
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 1.0
+    assert np.array_equal(u.traces(), u.values[:, 0])
+    assert np.array_equal(u.traces("outer"), u.values[:, -1])
+
+
 def test_jet_is_cached_and_matches_fresh_derivatives(grid_small):
     from trijunction import spectral
     rng = np.random.default_rng(4)
@@ -329,7 +344,14 @@ def test_scalar_field_proxy_order0_is_sup_plus_seminorm(grid_small):
 
 
 def test_triple_field_requires_shared_grid():
-    a = ScalarField.zero(Grid2D(16, 16))
-    b = ScalarField.zero(Grid2D(16, 32))
+    g, h = Grid2D(16, 16), Grid2D(16, 32)
+    for bad in (np.zeros((3, 16, 32)), np.zeros((2, 16, 16)),
+                [np.zeros((16, 16)), np.zeros((16, 16)), np.zeros((16, 32))]):
+        with pytest.raises(ValueError):
+            TripleField(g, bad)
     with pytest.raises(ValueError):
-        TripleField((a, a, b))
+        TripleField(g, np.full((3, 16, 16), np.nan))
+    a, b = TripleField.zero(g), TripleField.zero(h)
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(ValueError):
+            op()

@@ -186,7 +186,7 @@ def test_embed_point_spine_independence(grid, frame, cutoff):
     y = grid.y
     v = np.stack([0.01 * np.cos(2 * np.pi * y), 0.005 * np.sin(2 * np.pi * y)])
     arrays = [np.tile(frame.nu_vec(i) @ v, (grid.nx, 1)) for i in (1, 2, 3)]
-    u = TripleField.from_arrays(grid, arrays)
+    u = TripleField(grid, arrays)
     ys = np.array([0.0, 0.11, 0.5, 0.93])
     pts = [embed_point(i, np.zeros_like(ys), ys, u, frame, cutoff) for i in (1, 2, 3)]
     assert max(np.max(np.abs(pts[a] - pts[b])) for a in range(3) for b in range(3)) < 1e-13
@@ -202,8 +202,8 @@ def test_embed_point_equivariance(grid, frame, cutoff):
     for i in (1, 2, 3):
         interior = 0.002 * np.outer(grid.x, np.sin(2 * np.pi * y + i))
         arrays.append(np.tile(frame.nu_vec(i) @ v, (grid.nx, 1)) + interior)
-    u = TripleField.from_arrays(grid, arrays)
-    shifted = TripleField((u.components[2], u.components[0], u.components[1]))
+    u = TripleField(grid, arrays)
+    shifted = TripleField(grid, u.values[[2, 0, 1]])
 
     th = 2 * np.pi / 3
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -228,7 +228,7 @@ def test_check_c0_compatibility(grid, frame, cutoff):
 
     # artificially large traces break the monotonicity margin and smallness
     d = cutoff.delta
-    big = TripleField.from_arrays(
+    big = TripleField(
         grid, [np.full((grid.nx, grid.ny), v) for v in (d, 0.0, -d)])
     rep = check_c0_compatibility(big, cutoff)
     assert rep.monotonic_margin < 1.0

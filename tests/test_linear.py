@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ModeProblem, ScalarField, TripleField,
-                         boundary_operator, decouple, laplacian, mode_solve_dirichlet,
-                         mode_solve_mixed, normal_derivative_inner, recompose,
+from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
+                         ModeProblem, ScalarField, TripleField, boundary_operator, laplacian,
+                         mode_solve_dirichlet, mode_solve_mixed, normal_derivative_inner,
                          schauder_probe, solve_dirichlet, solve_linear_system, solve_mixed,
                          trace)
 from trijunction.linear import _interior_defect, mode_debug_csv
@@ -142,44 +142,37 @@ def test_mode_problem_validation():
 
 def test_decouple_constant_examples(grid):
     ny = grid.ny
-    F0 = TripleField.zero(grid)
-    G0 = (np.zeros(ny), np.zeros(ny))
-    phi = BoundaryTriple(ny, np.ones((3, ny)))
-    probs = decouple(F0, G0, phi)
-    assert np.allclose(probs.dirichlet_phi, 3.0, atol=ULP4)
-    assert np.max(np.abs(probs.diff_phi)) <= ULP4
-    assert np.max(np.abs(probs.mean_phi)) <= ULP4
+    p = DECOUPLE @ np.ones((3, ny))
+    assert np.allclose(p[0], 3.0, atol=ULP4)
+    assert np.max(np.abs(p[1])) <= ULP4
+    assert np.max(np.abs(p[2])) <= ULP4
 
-    F = TripleField.from_arrays(grid, [np.full((grid.nx, ny), v) for v in (1.0, 2.0, 3.0)])
-    probs = decouple(F, G0, BoundaryTriple.zero(ny))
-    assert np.allclose(probs.dirichlet_f.values, 6.0, atol=ULP4)
-    assert np.allclose(probs.diff_f.values, -1.0, atol=ULP4)
-    assert np.allclose(probs.mean_f.values, -1.5, atol=ULP4)
+    F = TripleField(grid, [np.full((grid.nx, ny), v) for v in (1.0, 2.0, 3.0)])
+    f = np.tensordot(DECOUPLE, F.values, axes=1)
+    assert np.allclose(f[0], 6.0, atol=ULP4)
+    assert np.allclose(f[1], -1.0, atol=ULP4)
+    assert np.allclose(f[2], -1.5, atol=ULP4)
 
 
 def test_recompose_examples(grid):
     ones = np.ones((grid.nx, grid.ny))
     z = np.zeros_like(ones)
-    u = recompose(ScalarField(grid, 3 * ones), ScalarField(grid, z), ScalarField(grid, z))
+    u = np.tensordot(RECOMPOSE, np.stack([3 * ones, z, z]), axes=1)
     for i in (1, 2, 3):
-        assert np.allclose(u.sheet(i).values, 1.0, atol=ULP4)
-    u = recompose(ScalarField(grid, z), ScalarField(grid, 2 * ones), ScalarField(grid, z))
-    assert np.allclose(u.sheet(1).values, 0.0, atol=ULP4)
-    assert np.allclose(u.sheet(2).values, 1.0, atol=ULP4)
-    assert np.allclose(u.sheet(3).values, -1.0, atol=ULP4)
+        assert np.allclose(u[i - 1], 1.0, atol=ULP4)
+    u = np.tensordot(RECOMPOSE, np.stack([z, 2 * ones, z]), axes=1)
+    assert np.allclose(u[0], 0.0, atol=ULP4)
+    assert np.allclose(u[1], 1.0, atol=ULP4)
+    assert np.allclose(u[2], -1.0, atol=ULP4)
 
 
 def test_decouple_recompose_roundtrip_4ulp(grid_small):
     rng = np.random.default_rng(2)
-    u = TripleField.from_arrays(
-        grid_small, [rng.standard_normal((grid_small.nx, grid_small.ny)) for _ in range(3)])
-    v1 = u.sheet(1) + u.sheet(2) + u.sheet(3)
-    v2 = u.sheet(2) - u.sheet(3)
-    v3 = u.sheet(1) - 0.5 * (u.sheet(2) + u.sheet(3))
-    back = recompose(v1, v2, v3)
+    u = TripleField(grid_small, rng.standard_normal((3, grid_small.nx, grid_small.ny)))
+    back = np.tensordot(RECOMPOSE, np.tensordot(DECOUPLE, u.values, axes=1), axes=1)
     scale = u.sup()
     for i in (1, 2, 3):
-        assert np.max(np.abs(back.sheet(i).values - u.sheet(i).values)) <= 4 * ULP4 * scale
+        assert np.max(np.abs(back[i - 1] - u.sheet(i).values)) <= 4 * ULP4 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +241,8 @@ def test_solve_linear_system_constant_phi_traces(grid):
 
 def test_solve_linear_system_residual_oracle(grid_small):
     rng = np.random.default_rng(5)
-    F = TripleField((random_smooth_field(grid_small, rng),
-                     random_smooth_field(grid_small, rng),
-                     random_smooth_field(grid_small, rng)))
+    F = TripleField(grid_small, [random_smooth_field(grid_small, rng).values
+                                 for _ in range(3)])
     G = (random_smooth_map(grid_small.ny, rng), random_smooth_map(grid_small.ny, rng))
     phi = BoundaryTriple(grid_small.ny, np.stack([random_smooth_map(grid_small.ny, rng)
                                                   for _ in range(3)]))
@@ -271,9 +263,8 @@ def test_solve_linear_system_residual_oracle(grid_small):
 
 def test_solve_linear_system_formula_path_agrees(grid_small):
     rng = np.random.default_rng(6)
-    F = TripleField((random_smooth_field(grid_small, rng),
-                     random_smooth_field(grid_small, rng),
-                     random_smooth_field(grid_small, rng)))
+    F = TripleField(grid_small, [random_smooth_field(grid_small, rng).values
+                                 for _ in range(3)])
     G = (random_smooth_map(grid_small.ny, rng), random_smooth_map(grid_small.ny, rng))
     phi = BoundaryTriple(grid_small.ny, np.stack([random_smooth_map(grid_small.ny, rng)
                                                   for _ in range(3)]))
@@ -284,7 +275,7 @@ def test_solve_linear_system_formula_path_agrees(grid_small):
 
 
 def _random_linear_data(grid, rng):
-    F = TripleField(tuple(random_smooth_field(grid, rng) for _ in range(3)))
+    F = TripleField(grid, [random_smooth_field(grid, rng).values for _ in range(3)])
     G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
     phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
                                             for _ in range(3)]))
@@ -315,7 +306,7 @@ def test_linear_solve_warns_on_aliased_inputs(grid_small, which, label):
     F, G, phi = _random_linear_data(grid_small, np.random.default_rng(14))
     noise = np.sin(2 * np.pi * 14 * grid_small.y)      # mode 14 of 16: top third
     if which == "F":
-        F = F + TripleField.from_arrays(grid_small, [np.outer(1.0 + grid_small.x, noise)] * 3)
+        F = F + TripleField(grid_small, [np.outer(1.0 + grid_small.x, noise)] * 3)
     elif which == "phi":
         phi = BoundaryTriple(grid_small.ny, phi.values + noise)
     else:

@@ -274,14 +274,12 @@ def test_debug_holds_the_modes_of_the_last_completed_step(grid_small, cutoff, fr
     debug = []
     u_dbg, report_dbg = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame, debug=debug)
     assert report.iterations == report_dbg.iterations == 2
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(u.components, u_dbg.components))
+    assert np.array_equal(u.values, u_dbg.values)
     # the returned iterate is step 2 applied to step 1's iterate
     u1, _ = solve_nonlinear(phi, SolveOptions(tol=1.0), grid_small, cutoff, frame)
     step2 = []
     u2 = picard_step(u1, phi, cutoff, frame, debug=step2)
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(u2.components, u.components))
+    assert np.array_equal(u2.values, u.values)
     assert debug == step2 and len(debug) == 3 * grid_small.ny
     # a one-step run holds the first linear solve's records
     first = []
