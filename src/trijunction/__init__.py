@@ -8,41 +8,35 @@ finite-difference verification oracles.
 """
 
 from .fields import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField, TripleField,
-                     boundary_proxy, diff, laplacian, load_field_csv, norm_proxy,
-                     normal_derivative_inner, periodic_proxy, save_field_csv, trace)
+                     boundary_proxy, laplacian, load_field_csv, norm_proxy,
+                     normal_derivative_inner, periodic_proxy, save_field_csv)
 from .geometry import (CompatibilityReport, CompatibilityViolation, CutoffProfile,
                        JunctionFrame, SpineCurve, SurfaceMesh, check_c0_compatibility,
                        embed_point, frame_vectors, mesh_surface, spine_from_traces,
                        write_obj)
-from .curvature import (DegenerateMetric, MetricShapeData, F_eval, G_eval, conormal_xi,
-                        metric_shape_data)
-from .linear import (DECOUPLE, RECOMPOSE, boundary_operator, solve_dirichlet,
-                     solve_linear_system, solve_mixed)
+from .curvature import DegenerateMetric, F_eval, G_eval, conormal_xi, mean_curvature
+from .linear import DECOUPLE, RECOMPOSE, boundary_operator, solve_linear_system, solve_scalar
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
                      picard_step, residual_record, solve_nonlinear)
 from .oracles import (AngleReport, ContractionEstimates, ModeProblem,
                       StructuralCertificate, contraction_diagnostics, exact_family,
                       fd_linear_solve, fd_mean_curvature, junction_angle_check,
-                      mode_solve_dirichlet, mode_solve_mixed, schauder_probe,
-                      structural_certificate)
+                      schauder_probe, structural_certificate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AliasingWarning", "BoundaryTriple", "Grid2D", "ScalarField", "TripleField",
-    "boundary_proxy", "diff", "laplacian", "load_field_csv", "norm_proxy",
-    "normal_derivative_inner", "periodic_proxy", "save_field_csv", "trace",
+    "boundary_proxy", "laplacian", "load_field_csv", "norm_proxy",
+    "normal_derivative_inner", "periodic_proxy", "save_field_csv",
     "CompatibilityReport", "CompatibilityViolation", "CutoffProfile", "JunctionFrame",
     "SpineCurve", "SurfaceMesh", "check_c0_compatibility", "embed_point",
     "frame_vectors", "mesh_surface", "spine_from_traces", "write_obj",
-    "DegenerateMetric", "MetricShapeData", "F_eval", "G_eval", "conormal_xi",
-    "metric_shape_data",
-    "DECOUPLE", "RECOMPOSE", "boundary_operator", "solve_dirichlet",
-    "solve_linear_system", "solve_mixed",
+    "DegenerateMetric", "F_eval", "G_eval", "conormal_xi", "mean_curvature",
+    "DECOUPLE", "RECOMPOSE", "boundary_operator", "solve_linear_system", "solve_scalar",
     "GuardViolation", "NoConvergence", "SolveOptions", "SolveReport", "picard_step",
     "residual_record", "solve_nonlinear",
     "AngleReport", "ContractionEstimates", "ModeProblem", "StructuralCertificate",
     "contraction_diagnostics", "exact_family", "fd_linear_solve", "fd_mean_curvature",
-    "junction_angle_check", "mode_solve_dirichlet", "mode_solve_mixed",
-    "schauder_probe", "structural_certificate",
+    "junction_angle_check", "schauder_probe", "structural_certificate",
 ]

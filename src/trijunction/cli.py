@@ -181,6 +181,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def make_out_dir(path: str):
+    """Create the output directory before any solve runs, so that an unusable
+    ``--out`` is a :class:`ConfigError`, not a failure after the solve."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
+
+
 def parse_family(text: str) -> tuple[str, object]:
     kind, _, rest = text.partition(":")
     if kind == "translate":
@@ -264,7 +273,6 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
                     report: SolveReport, modes: list[dict]):
     """Write every artifact of a run; ``modes`` are the mode records of the
     linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``)."""
-    os.makedirs(out, exist_ok=True)
     echo = cfg.echo()
     for i in (1, 2, 3):
         save_field_csv(u.sheet(i), os.path.join(out, f"u{i}.csv"), cfg.delta, echo)
@@ -305,6 +313,7 @@ def cmd_solve(args) -> int:
         cfg = build_config(args)
         grid, cutoff, opts = cfg.setup()
         phi = boundary_from_config(cfg, grid, cutoff)
+        make_out_dir(cfg.out)
     except ValueError as exc:           # ConfigError, or data exact_family rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -395,12 +404,14 @@ def cmd_sweep(args) -> int:
     try:
         cfg = build_config(args)
         scales = [float(t) for t in args.scales.split(",") if t.strip()]
-        if not scales:
-            raise ConfigError("empty scale list")
+        if not scales or not np.all(np.isfinite(scales)):
+            raise ConfigError(f"scales must be a non-empty list of finite numbers, "
+                              f"got {args.scales!r}")
         if not cfg.family and not cfg.phi_coeffs:
             raise ConfigError("sweep needs a boundary family or phi coefficients")
         grid, cutoff, opts = cfg.setup()
-    except ConfigError as exc:
+        make_out_dir(cfg.out)
+    except ValueError as exc:           # ConfigError, or a scale that is not a number
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rows = ["scale,status,iterations,final_residual,last_contraction_ratio"]
@@ -422,7 +433,6 @@ def cmd_sweep(args) -> int:
             rows.append(f"{scale},error,,,")
             print(f"scale {scale}: {exc}", file=sys.stderr)
 
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "sweep.csv")
     atomic_write_text(path, "\n".join(rows) + "\n")
     print("\n".join(rows))

@@ -20,9 +20,6 @@ by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from . import spectral
@@ -33,37 +30,6 @@ from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
 
 class DegenerateMetric(RuntimeError):
     """The perturbation is too large: the induced metric lost definiteness."""
-
-
-def _mean_curvature(g11, g12, g22, det, h11, h12, h22) -> np.ndarray:
-    """tr(g^{-1} h) from the metric and shape-form entries."""
-    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det
-
-
-@dataclass(frozen=True)
-class MetricShapeData:
-    """Per-grid-point geometry of one sheet.
-
-    Tangents e1, e2 and the unit normal live in the unrolled chart of
-    R^2 x S^1 (shape (nx, ny, 3)); g is the induced metric, h the second
-    fundamental form, and beta, gamma the normal-slope scalars.
-    """
-
-    e1: np.ndarray
-    e2: np.ndarray
-    g: np.ndarray            # (nx, ny, 2, 2)
-    g_inv: np.ndarray
-    det_g: np.ndarray
-    nu_tilde: np.ndarray     # (nx, ny, 3), unit
-    beta: np.ndarray
-    gamma: np.ndarray
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
-
-    def mean_curvature(self) -> np.ndarray:
-        return _mean_curvature(self.g[..., 0, 0], self.g[..., 0, 1], self.g[..., 1, 1],
-                               self.det_g, self.h11, self.h12, self.h22)
 
 
 def _wall_data(u: TripleField, cutoff: CutoffProfile):
@@ -78,26 +44,8 @@ def _wall_data(u: TripleField, cutoff: CutoffProfile):
     return w, w1, w2, eta[:, None], eta1[:, None], eta2[:, None]
 
 
-class _SheetScalars(NamedTuple):
-    """Pointwise (nx, ny) metric and shape scalars of one sheet."""
-
-    a1: np.ndarray           # n-components of the plane parts of e1, e2
-    a2: np.ndarray
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
-    det: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    norm: np.ndarray         # |N| = sqrt(1 + beta^2 + gamma^2)
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
-    H: np.ndarray            # tr(g^{-1} h)
-
-
-def _sheet_scalars(i: int, jet: Jet, wall) -> _SheetScalars:
-    """Metric, shape form and mean curvature of sheet i from its jet and the wall data."""
+def _sheet_scalars(i: int, jet: Jet, wall) -> np.ndarray:
+    """Mean curvature tr(g^{-1} h) of sheet i from its jet and the wall data."""
     ux, uy, uxx, uxy, uyy = jet
     w, w1, w2, E, E1, E2 = wall
     W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
@@ -126,56 +74,23 @@ def _sheet_scalars(i: int, jet: Jet, wall) -> _SheetScalars:
     h11 = (uxx + beta * E2 * W) / norm
     h12 = (uxy + beta * E1 * W1) / norm
     h22 = (uyy + beta * E * W2) / norm
-    return _SheetScalars(a1, a2, g11, g12, g22, det, beta, gamma, norm, h11, h12, h22,
-                         _mean_curvature(g11, g12, g22, det, h11, h12, h22))
+    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det
 
 
-def metric_shape_data(i: int, u: TripleField, cutoff: CutoffProfile,
-                      frame: JunctionFrame | None = None) -> MetricShapeData:
-    """Assemble tangents, metric, normal and second fundamental form of sheet i."""
-    frame = frame or frame_vectors()
-    n_i = frame.n_vec(i)
-    nu_i = frame.nu_vec(i)
-    jet = u.sheet(i).jet
-    s = _sheet_scalars(i, jet, _wall_data(u, cutoff))
+def mean_curvature(u: TripleField, cutoff: CutoffProfile) -> np.ndarray:
+    """Mean curvature tr(g^{-1} h) of the three sheets, one (3, nx, ny) array.
 
-    plane1 = s.a1[..., None] * n_i + jet.ux[..., None] * nu_i
-    plane2 = s.a2[..., None] * n_i + jet.uy[..., None] * nu_i
-    e1 = np.concatenate([plane1, np.zeros(plane1.shape[:-1] + (1,))], axis=-1)
-    e2 = np.concatenate([plane2, np.ones(plane2.shape[:-1] + (1,))], axis=-1)
-    nu_plane = s.beta[..., None] * n_i + nu_i
-    nu_tilde = np.concatenate([nu_plane, s.gamma[..., None]], axis=-1) / s.norm[..., None]
-
-    g = np.empty(s.g11.shape + (2, 2))
-    g[..., 0, 0] = s.g11
-    g[..., 0, 1] = s.g12
-    g[..., 1, 0] = s.g12
-    g[..., 1, 1] = s.g22
-    g_inv = np.empty_like(g)
-    g_inv[..., 0, 0] = s.g22 / s.det
-    g_inv[..., 0, 1] = -s.g12 / s.det
-    g_inv[..., 1, 0] = -s.g12 / s.det
-    g_inv[..., 1, 1] = s.g11 / s.det
-
-    return MetricShapeData(e1=e1, e2=e2, g=g, g_inv=g_inv, det_g=s.det,
-                           nu_tilde=nu_tilde, beta=s.beta, gamma=s.gamma,
-                           h11=s.h11, h12=s.h12, h22=s.h22)
-
-
-def F_eval(u: TripleField, cutoff: CutoffProfile,
-           frame: JunctionFrame | None = None) -> TripleField:
-    """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i, one field per sheet.
-
-    Reads only the mean-curvature scalars of each sheet; the mean curvature
-    is frame-independent, so ``frame`` is accepted for symmetry with
-    :func:`G_eval` and not used.
+    Raises :class:`DegenerateMetric` when a sheet's metric loses definiteness.
     """
     wall = _wall_data(u, cutoff)
-    out = []
-    for i in (1, 2, 3):
-        jet = u.sheet(i).jet
-        out.append(jet.uxx + jet.uyy - _sheet_scalars(i, jet, wall).H)
-    return TripleField(u.grid, out)
+    return np.stack([_sheet_scalars(i, u.sheet(i).jet, wall) for i in (1, 2, 3)])
+
+
+def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
+    """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i, one field per sheet."""
+    jets = (u.sheet(i).jet for i in (1, 2, 3))
+    lap = np.stack([jet.uxx + jet.uyy for jet in jets])
+    return TripleField(u.grid, lap - mean_curvature(u, cutoff))
 
 
 # ---------------------------------------------------------------------------

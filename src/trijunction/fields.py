@@ -70,7 +70,7 @@ class Jet(NamedTuple):
     uyy: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real samples of shape (nx, ny); immutable, implicitly 1-periodic in y."""
 
@@ -146,7 +146,7 @@ def _check_same_grid(a: Grid2D, b: Grid2D):
         raise ValueError("fields live on different grids")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleField:
     """Heights of the three sheets: one read-only (3, nx, ny) array on one grid.
 
@@ -207,7 +207,7 @@ class TripleField:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTriple:
     """Three periodic scalar maps on the y grid (boundary data at x = 1)."""
 
@@ -241,26 +241,8 @@ class BoundaryTriple:
 # Spectral calculus on fields
 # ---------------------------------------------------------------------------
 
-def diff(field: ScalarField, order_x: int, order_y: int) -> ScalarField:
-    """Mixed spectral derivative; order_x + order_y <= 2."""
-    if order_x < 0 or order_y < 0 or order_x + order_y > 2:
-        raise ValueError("supported derivative orders: total degree <= 2")
-    if order_x + order_y == 0:
-        return ScalarField(field.grid, field.values)
-    return ScalarField(field.grid, getattr(field.jet, "u" + "x" * order_x + "y" * order_y))
-
-
 def laplacian(field: ScalarField) -> ScalarField:
     return ScalarField(field.grid, field.jet.uxx + field.jet.uyy)
-
-
-def trace(field: ScalarField, end: str) -> np.ndarray:
-    """Boundary row: 'inner' is the x = 0 circle, 'outer' the x = 1 circle."""
-    if end == "inner":
-        return field.values[0].copy()
-    if end == "outer":
-        return field.values[-1].copy()
-    raise ValueError("end must be 'inner' or 'outer'")
 
 
 def normal_derivative_inner(field: ScalarField) -> np.ndarray:

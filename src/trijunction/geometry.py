@@ -36,7 +36,7 @@ def _check_sheet(i: int):
         raise ValueError(f"sheet index must be 1, 2 or 3, got {i!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JunctionFrame:
     """The six unit vectors of the junction: ray directions n_i, normals nu_i."""
 
@@ -115,7 +115,7 @@ def wall_scalars(traces: np.ndarray) -> np.ndarray:
     return (prev - nxt) / SQRT3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpineCurve:
     """The junction curve v: S^1 -> R^2, stored as cos/sin Fourier coefficients."""
 
@@ -238,7 +238,7 @@ def check_c0_compatibility(u: TripleField, cutoff: CutoffProfile,
 # Surface meshing and OBJ export
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Triangulated union of the three sheets in unrolled (p1, p2, y) coordinates."""
 

@@ -25,8 +25,8 @@ from typing import Literal
 import numpy as np
 
 from . import spectral
-from .fields import (BoundaryTriple, ScalarField, TripleField, checked_fourier_coefficients,
-                     csv_text, normal_derivative_inner)
+from .fields import (BoundaryTriple, TripleField, checked_fourier_coefficients, csv_text,
+                     normal_derivative_inner)
 
 Kind = Literal["dirichlet", "mixed"]
 
@@ -103,12 +103,18 @@ def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scalar solvers on the full grid
+# The scalar solve on the full grid
 # ---------------------------------------------------------------------------
 
-def _solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None,
-                  kind: Kind, debug: list | None) -> np.ndarray:
-    """Solve Lap v = f on (nx, ny) samples; ``g`` is the Neumann datum of the mixed kind."""
+def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None,
+                 debug: list | None = None) -> np.ndarray:
+    """Solve Lap v = f on (nx, ny) samples with v(1, .) = phi_out.
+
+    Without ``g`` the problem is of Dirichlet kind, v(0, .) = 0; with it, of
+    mixed kind, with outward normal derivative g at x = 0.  A ``debug`` list
+    gains one record per solved mode.
+    """
+    kind = "dirichlet" if g is None else "mixed"
     phi_out = np.asarray(phi_out, dtype=float)
     scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(phi_out))),
                 0.0 if g is None else float(np.max(np.abs(g))))
@@ -136,18 +142,6 @@ def _solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None,
     return spectral.fourier_synthesis(a[:, :K + 1], a[:, K + 1:], ny, axis=1)
 
 
-def solve_dirichlet(f: ScalarField, phi_out: np.ndarray,
-                    debug: list | None = None) -> ScalarField:
-    """Solve Lap v = f with v(0, .) = 0 and v(1, .) = phi_out."""
-    return ScalarField(f.grid, _solve_scalar(f.values, phi_out, None, "dirichlet", debug))
-
-
-def solve_mixed(f: ScalarField, g: np.ndarray, phi_out: np.ndarray,
-                debug: list | None = None) -> ScalarField:
-    """Solve Lap v = f with outward normal derivative g at x = 0, v(1, .) = phi_out."""
-    return ScalarField(f.grid, _solve_scalar(f.values, phi_out, g, "mixed", debug))
-
-
 # ---------------------------------------------------------------------------
 # The coupled junction system
 # ---------------------------------------------------------------------------
@@ -170,9 +164,9 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
     """
     f = np.tensordot(DECOUPLE, F.values, axes=1)
     p = DECOUPLE @ phi.values
-    v = np.stack([_solve_scalar(f[0], p[0], None, "dirichlet", debug),
-                  _solve_scalar(f[1], p[1], G[0], "mixed", debug),
-                  _solve_scalar(f[2], p[2], G[1], "mixed", debug)])
+    v = np.stack([solve_scalar(f[0], p[0], None, debug),
+                  solve_scalar(f[1], p[1], G[0], debug),
+                  solve_scalar(f[2], p[2], G[1], debug)])
     return TripleField(F.grid, np.tensordot(RECOMPOSE, v, axes=1))
 
 

@@ -142,7 +142,7 @@ def fd_linear_solve(f, g, phi, shape: tuple[int, int],
 # Closed-form mode solutions: exponential kernels, overflow-safe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeProblem:
     """One Fourier mode's two-point boundary value problem.
 
@@ -226,20 +226,6 @@ def mode_solve_formula(p: ModeProblem) -> np.ndarray:
     return (-P1 + B - P2 - D) / (2.0 * lam)
 
 
-def mode_solve_dirichlet(p: ModeProblem) -> np.ndarray:
-    """:func:`mode_solve_formula` for a problem of Dirichlet kind."""
-    if p.kind != "dirichlet":
-        raise ValueError("mode problem is not of Dirichlet kind")
-    return mode_solve_formula(p)
-
-
-def mode_solve_mixed(p: ModeProblem) -> np.ndarray:
-    """:func:`mode_solve_formula` for a problem of mixed kind."""
-    if p.kind != "mixed":
-        raise ValueError("mode problem is not of mixed kind")
-    return mode_solve_formula(p)
-
-
 def _formula_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray,
                     kind: str) -> np.ndarray:
     nx, ny = f.shape
@@ -277,7 +263,7 @@ def formula_linear_solve(F: TripleField, G: tuple[np.ndarray, np.ndarray],
 # Junction angles and exact reference families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleReport:
     """Pairwise angles between the three spine conormals, per y node."""
 
@@ -370,7 +356,7 @@ def scaled_to_proxy(u: TripleField, target: float, alpha: float) -> TripleField:
     return u * (target / p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuralCertificate:
     """Empirical quadratic-smallness constants for the two defects."""
 
@@ -415,7 +401,7 @@ def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
     qF, qG = [], []
     for _ in range(n_samples):
         u = scaled_to_proxy(random_compatible_field(grid, rng, frame), sample_radius, alpha)
-        F = F_eval(u, cutoff, frame)
+        F = F_eval(u, cutoff)
         G1, G2 = G_eval(u, frame)
         p2 = sample_radius ** 2
         qF.append(F.sup() / p2)

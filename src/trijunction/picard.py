@@ -110,14 +110,14 @@ def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
                 debug: list | None = None) -> TripleField:
     """One application of the step map: linear solve with frozen nonlinearities."""
     frame = frame or frame_vectors()
-    return solve_linear_system(F_eval(u, cutoff, frame), G_eval(u, frame), phi, debug)
+    return solve_linear_system(F_eval(u, cutoff), G_eval(u, frame), phi, debug)
 
 
 def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
                     frame: JunctionFrame | None = None) -> ResidualRecord:
     """Evaluate all stationarity residuals of a candidate solution."""
     frame = frame or frame_vectors()
-    F = F_eval(u, cutoff, frame)
+    F = F_eval(u, cutoff)
     G1, G2, S = _junction_defect(u, frame)
     lap = max(float(np.max(np.abs(
         (laplacian(u.sheet(i)).values - F.values[i - 1])[1:-1, :]))) for i in (1, 2, 3))

@@ -93,19 +93,6 @@ def bary_matrix(nx: int, xq) -> np.ndarray:
     return B
 
 
-def cheb_interp(values: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation from Lobatto samples to arbitrary x in [0, 1].
-
-    ``values`` has the node axis first and may carry trailing axes; ``xq``
-    may be any shape.  Exact node hits are returned verbatim.
-    """
-    values = np.asarray(values, dtype=float)
-    xq = np.asarray(xq, dtype=float)
-    nx = values.shape[0]
-    out = bary_matrix(nx, xq) @ values.reshape(nx, -1)
-    return out.reshape(xq.shape + values.shape[1:])
-
-
 def _dct1(values: np.ndarray) -> np.ndarray:
     """Unnormalized DCT-I along axis 0: the real FFT of the even extension."""
     return np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real

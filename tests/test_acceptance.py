@@ -13,9 +13,8 @@ from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, GuardViolation,
                          ModeProblem, NoConvergence, ScalarField, SolveOptions,
                          TripleField, boundary_operator, exact_family,
                          fd_linear_solve, fd_mean_curvature, frame_vectors,
-                         junction_angle_check, metric_shape_data,
-                         solve_dirichlet, solve_linear_system, solve_mixed,
-                         solve_nonlinear, trace, F_eval, G_eval)
+                         junction_angle_check, mean_curvature, solve_linear_system,
+                         solve_nonlinear, solve_scalar, F_eval, G_eval)
 from trijunction.linear import DECOUPLE, RECOMPOSE
 from trijunction.oracles import (mode_solve_formula, random_compatible_field,
                                  random_smooth_field, random_smooth_map, scaled_to_proxy)
@@ -78,13 +77,13 @@ def test_criterion_3_linear_solver_correctness():
     """Manufactured solutions, dual-path agreement, and large-k stability."""
     X, Y = np.meshgrid(GRID.x, GRID.y, indexing="ij")
     exact_d = np.sin(np.pi * X) * np.sin(2 * np.pi * Y)
-    v = solve_dirichlet(ScalarField(GRID, -5 * np.pi ** 2 * exact_d), np.zeros(GRID.ny))
-    err_d = np.max(np.abs(v.values - exact_d))
+    v = solve_scalar(-5 * np.pi ** 2 * exact_d, np.zeros(GRID.ny))
+    err_d = np.max(np.abs(v - exact_d))
 
     exact_m = np.cosh(2 * np.pi * X) * np.cos(2 * np.pi * Y) / np.cosh(2 * np.pi)
-    v = solve_mixed(ScalarField.zero(GRID), np.zeros(GRID.ny),
-                    np.cos(2 * np.pi * GRID.y))
-    err_m = np.max(np.abs(v.values - exact_m))
+    v = solve_scalar(np.zeros((GRID.nx, GRID.ny)), np.cos(2 * np.pi * GRID.y),
+                     np.zeros(GRID.ny))
+    err_m = np.max(np.abs(v - exact_m))
 
     x = cheb_nodes(GRID.nx)
     f = np.cos(3 * x) + x ** 3 - 0.5 * x
@@ -115,8 +114,8 @@ def test_criterion_4_quadratic_smallness():
     for _ in range(20):
         u = scaled_to_proxy(random_compatible_field(GRID, rng, FRAME),
                             cutoff.delta / 20.0, 0.5)
-        f1 = F_eval(u, cutoff, FRAME).sup()
-        f2 = F_eval(0.5 * u, cutoff, FRAME).sup()
+        f1 = F_eval(u, cutoff).sup()
+        f2 = F_eval(0.5 * u, cutoff).sup()
         g1 = max(np.max(np.abs(g)) for g in G_eval(u, FRAME))
         g2 = max(np.max(np.abs(g)) for g in G_eval(0.5 * u, FRAME))
         worst_F = min(worst_F, f1 / f2)
@@ -171,7 +170,7 @@ def test_criterion_7_fd_oracle_orders():
     rng = np.random.default_rng(505)
     u = scaled_to_proxy(random_compatible_field(GRID, rng, FRAME), 0.012, 0.5)
     pt = (0.52, 0.77)
-    ref = ScalarField(GRID, metric_shape_data(2, u, cutoff, FRAME).mean_curvature()).eval(*pt)
+    ref = ScalarField(GRID, mean_curvature(u, cutoff)[1]).eval(*pt)
     errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, FRAME) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes_h = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]

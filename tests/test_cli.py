@@ -173,6 +173,26 @@ def test_sweep_without_convergence_exits_no_convergence(tmp_path):
 
 def test_sweep_requires_boundary(tmp_path):
     assert run(["sweep", "--scales", "1.0", "--out", str(tmp_path)]) == EXIT_CONFIG
+    # a scale that is not a finite number is a config error before any solve
+    out = str(tmp_path / "s")
+    for scales in ("abc", "1e400,nan", "1.0,inf", ","):
+        assert run(["sweep", "--family", "rotate:0.01", "--scales", scales,
+                    "--out", out]) == EXIT_CONFIG, scales
+    assert not os.path.exists(out)
+
+
+def test_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(cli, "solve_nonlinear", lambda *a, **k: solves.append(1))
+    regular_file = tmp_path / "file"
+    regular_file.write_text("not a directory\n")
+    for out in ("", str(regular_file)):
+        assert run(["solve", "--family", "rotate:0.01", "--out", out]) == EXIT_CONFIG
+        assert run(["sweep", "--family", "rotate:0.01", "--scales", "1.0",
+                    "--out", out]) == EXIT_CONFIG
+    assert solves == []
+    assert capsys.readouterr().err.count("config error: cannot create output directory") == 4
+    assert regular_file.read_text() == "not a directory\n"
 
 
 def test_export_mesh(tmp_path):

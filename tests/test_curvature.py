@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval, conormal_xi,
-                         laplacian, metric_shape_data, structural_certificate)
+                         laplacian, mean_curvature, structural_certificate)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import rotation_field, translation_field
@@ -15,8 +15,8 @@ def G_sup(u, frame):
     return max(np.max(np.abs(G1)), np.max(np.abs(G2)))
 
 
-def H_sup(i, u, cutoff, frame):
-    return np.max(np.abs(metric_shape_data(i, u, cutoff, frame).mean_curvature()))
+def H_sup(i, u, cutoff):
+    return np.max(np.abs(mean_curvature(u, cutoff)[i - 1]))
 
 
 def conormal_sum(u, frame):
@@ -30,71 +30,52 @@ def random_small(grid, frame, proxy, seed):
 
 
 # ---------------------------------------------------------------------------
-# Metric / normal / shape data invariants
-# ---------------------------------------------------------------------------
-
-def test_metric_shape_normal_orthogonal_unit(grid_small, cutoff, frame):
-    u = random_small(grid_small, frame, 0.015, seed=0)
-    for i in (1, 2, 3):
-        d = metric_shape_data(i, u, cutoff, frame)
-        assert np.max(np.abs(np.linalg.norm(d.nu_tilde, axis=-1) - 1.0)) < 1e-13
-        assert np.max(np.abs((d.nu_tilde * d.e1).sum(-1))) < 1e-13
-        assert np.max(np.abs((d.nu_tilde * d.e2).sum(-1))) < 1e-13
-        # metric entries are the tangent inner products
-        assert np.max(np.abs(d.g[..., 0, 0] - (d.e1 * d.e1).sum(-1))) < 1e-14
-        assert np.max(np.abs(d.g[..., 0, 1] - (d.e1 * d.e2).sum(-1))) < 1e-14
-        assert np.max(np.abs(d.g[..., 1, 1] - (d.e2 * d.e2).sum(-1))) < 1e-14
-        # normal is parallel to e1 x e2 with |e1 x e2| = sqrt(det g)
-        cross = np.cross(d.e1, d.e2)
-        assert np.max(np.abs(cross - np.sqrt(d.det_g)[..., None] * d.nu_tilde)) < 1e-12
-
-
-def test_degenerate_metric_raises(grid_small, cutoff, frame):
-    d = cutoff.delta
-    u = TripleField(
-        grid_small, [np.full((grid_small.nx, grid_small.ny), v) for v in (0.0, d, -d)])
-    with pytest.raises(DegenerateMetric):
-        metric_shape_data(1, u, cutoff, frame)
-    with pytest.raises(DegenerateMetric):
-        F_eval(u, cutoff, frame)
-
-
-def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
-    # one formula for H: the interior defect is Lap(u_i) minus the full metric/shape
-    # data's mean curvature, bit for bit (compared as F, since a - (a - H) need
-    # not round back to H)
-    u = random_small(grid, frame, 0.02, seed=3)
-    F = F_eval(u, cutoff, frame)
-    for i in (1, 2, 3):
-        H = metric_shape_data(i, u, cutoff, frame).mean_curvature()
-        assert np.array_equal(F.sheet(i).values, laplacian(u.sheet(i)).values - H)
-
-
-# ---------------------------------------------------------------------------
 # Mean curvature and the interior defect
 # ---------------------------------------------------------------------------
 
-def test_mean_curvature_zero_on_flat(grid, cutoff, frame):
-    assert H_sup(1, TripleField.zero(grid), cutoff, frame) == 0.0
+def test_degenerate_metric_raises(grid_small, cutoff):
+    d = cutoff.delta
+    u = TripleField(
+        grid_small, [np.full((grid_small.nx, grid_small.ny), v) for v in (0.0, d, -d)])
+    with pytest.raises(DegenerateMetric, match="sheet 1"):
+        mean_curvature(u, cutoff)
+    with pytest.raises(DegenerateMetric):
+        F_eval(u, cutoff)
+
+
+def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
+    # one formula for H: the interior defect is Lap(u_i) minus the public
+    # mean_curvature, bit for bit (compared as F, since a - (a - H) need not
+    # round back to H)
+    u = random_small(grid, frame, 0.02, seed=3)
+    F = F_eval(u, cutoff)
+    H = mean_curvature(u, cutoff)
+    assert H.shape == (3, grid.nx, grid.ny)
+    for i in (1, 2, 3):
+        assert np.array_equal(F.sheet(i).values, laplacian(u.sheet(i)).values - H[i - 1])
+
+
+def test_mean_curvature_zero_on_flat(grid, cutoff):
+    assert H_sup(1, TripleField.zero(grid), cutoff) == 0.0
 
 
 def test_mean_curvature_zero_on_exact_families(grid, cutoff, frame):
     ut = translation_field(grid, frame, (0.01, 0.0))
     ub = rotation_field(grid, 0.01)
     for i in (1, 2, 3):
-        assert H_sup(i, ut, cutoff, frame) < 1e-12
-        assert H_sup(i, ub, cutoff, frame) < 1e-12
+        assert H_sup(i, ut, cutoff) < 1e-12
+        assert H_sup(i, ub, cutoff) < 1e-12
 
 
 def test_F_zero_cases(grid, cutoff, frame):
-    assert F_eval(TripleField.zero(grid), cutoff, frame).sup() == 0.0
-    assert F_eval(rotation_field(grid, 0.01), cutoff, frame).sup() < 1e-12
-    assert F_eval(translation_field(grid, frame, (0.01, 0.0)), cutoff, frame).sup() < 1e-12
+    assert F_eval(TripleField.zero(grid), cutoff).sup() == 0.0
+    assert F_eval(rotation_field(grid, 0.01), cutoff).sup() < 1e-12
+    assert F_eval(translation_field(grid, frame, (0.01, 0.0)), cutoff).sup() < 1e-12
 
 
 def test_F_quadratic_scaling(grid_small, cutoff, frame):
     u = random_small(grid_small, frame, 0.012, seed=1)
-    sups = [F_eval((0.5 ** j) * u, cutoff, frame).sup() for j in range(3)]
+    sups = [F_eval((0.5 ** j) * u, cutoff).sup() for j in range(3)]
     for j in range(2):
         assert sups[j] / sups[j + 1] >= 3.5
     # the ratio ||F(t u)||/t^2 stays bounded as t shrinks

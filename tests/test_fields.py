@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField,
-                         TripleField, boundary_proxy, diff, laplacian,
-                         load_field_csv, norm_proxy, normal_derivative_inner,
-                         periodic_proxy, save_field_csv, trace)
+                         TripleField, boundary_proxy, laplacian, load_field_csv,
+                         norm_proxy, normal_derivative_inner, periodic_proxy,
+                         save_field_csv)
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
                                checked_fourier_coefficients, field_to_csv,
                                scalar_field_proxy)
-from trijunction.spectral import bary_matrix, cheb_interp, fourier_coefficients, trig_eval
+from trijunction.spectral import bary_matrix, fourier_coefficients, trig_eval
 
 from conftest import translation_field
 
@@ -33,15 +33,13 @@ def test_grid_nodes(grid):
 
 def test_diff_polynomial_exact(grid):
     f = ScalarField.from_function(grid, lambda x, y: x ** 2)
-    d = diff(f, 2, 0)
-    assert np.max(np.abs(d.values - 2.0)) < 1e-10
+    assert np.max(np.abs(f.jet.uxx - 2.0)) < 1e-10
 
 
 def test_diff_fourier_exact(grid):
     f = ScalarField.from_function(grid, lambda x, y: np.sin(2 * np.pi * y))
-    d = diff(f, 0, 1)
     expected = 2 * np.pi * np.cos(2 * np.pi * grid.y)
-    assert np.max(np.abs(d.values - expected[None, :])) < 1e-10
+    assert np.max(np.abs(f.jet.uy - expected[None, :])) < 1e-10
 
 
 def test_laplacian_manufactured():
@@ -66,15 +64,16 @@ def test_laplacian_harmonic():
 
 def test_trace_rows(grid):
     f = ScalarField.from_function(grid, lambda x, y: 0.3 * x)
-    assert np.allclose(trace(f, "outer"), 0.3, atol=1e-15)
-    assert np.allclose(trace(f, "inner"), 0.0, atol=1e-15)
+    u = TripleField(grid, [f.values] * 3)
+    assert np.allclose(u.traces("outer"), 0.3, atol=1e-15)
+    assert np.allclose(u.traces("inner"), 0.0, atol=1e-15)
     rng = np.random.default_rng(0)
-    vals = rng.standard_normal((grid.nx, grid.ny))
-    g = ScalarField(grid, vals)
-    assert np.array_equal(trace(g, "inner"), vals[0])
-    assert np.array_equal(trace(g, "outer"), vals[-1])
+    vals = rng.standard_normal((3, grid.nx, grid.ny))
+    g = TripleField(grid, vals)
+    assert np.array_equal(g.traces("inner"), vals[:, 0])
+    assert np.array_equal(g.traces("outer"), vals[:, -1])
     with pytest.raises(ValueError):
-        trace(g, "left")
+        g.traces("left")
 
 
 def test_normal_derivative_inner(grid):
@@ -95,8 +94,8 @@ def test_diff_linearity(grid):
     rng = np.random.default_rng(1)
     a = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
     b = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-    lhs = diff(a + 2.0 * b, 1, 1).values
-    rhs = diff(a, 1, 1).values + 2.0 * diff(b, 1, 1).values
+    lhs = (a + 2.0 * b).jet.uxy
+    rhs = a.jet.uxy + 2.0 * b.jet.uxy
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -104,8 +103,8 @@ def test_trace_commutes_with_mode_differentiation(grid):
     from trijunction.spectral import fourier_derivative
     rng = np.random.default_rng(2)
     f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-    via_field = trace(diff(f, 0, 1), "inner")
-    via_row = fourier_derivative(trace(f, "inner"), 1)
+    via_field = f.jet.uy[0]
+    via_row = fourier_derivative(f.values[0], 1)
     assert np.max(np.abs(via_field - via_row)) < 1e-10
 
 
@@ -116,8 +115,7 @@ def test_spectral_accuracy_improves_superalgebraically():
     for nx in (10, 20):
         grid = Grid2D(nx, 16)
         f = ScalarField.from_function(grid, lambda x, y: np.exp(x) * np.cos(2 * np.pi * y))
-        d = diff(f, 1, 0)
-        errs.append(np.max(np.abs(d.values - f.values)))
+        errs.append(np.max(np.abs(f.jet.ux - f.values)))
     assert errs[1] < errs[0] / 100.0
 
 
@@ -240,14 +238,15 @@ def test_field_csv_text_matches_per_value_writer(grid_small):
         assert field_to_csv(f, delta, header) == _field_csv_per_value(f, delta, header)
 
 
-def test_eval_matches_cheb_interp_of_trig_eval(grid):
-    # one barycentric kernel: eval is cheb_interp of the y-interpolated columns
+def test_eval_matches_bary_matrix_of_trig_eval(grid):
+    # one barycentric kernel: eval is bary_matrix applied to the y-interpolated columns
     rng = np.random.default_rng(7)
     f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
     c, s = fourier_coefficients(f.values, axis=1)
     xq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.x[[0, 5, 17, -1]]])
     yq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.y[[0, 3, 40, -1]]])
-    ref = np.array([cheb_interp(trig_eval(c, s, y), x) for x, y in zip(xq, yq)])
+    ref = np.array([(bary_matrix(grid.nx, [x]) @ trig_eval(c, s, y))[0]
+                    for x, y in zip(xq, yq)])
     assert np.max(np.abs(f.eval(xq, yq) - ref)) <= 1e-14
     # node hits in x are exact rows of the barycentric matrix
     B = bary_matrix(grid.nx, xq)
@@ -319,7 +318,6 @@ def test_jet_is_cached_and_matches_fresh_derivatives(grid_small):
              "uyy": spectral.fourier_derivative(f.values, 2, axis=1)}
     for name, arr in f.jet._asdict().items():
         assert np.array_equal(arr, fresh[name]), name
-    assert np.array_equal(diff(f, 1, 1).values, fresh["uxy"])
 
 
 def test_aliasing_warning_fires_and_floor_suppresses():

@@ -7,13 +7,12 @@ import pytest
 
 from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
                          ModeProblem, ScalarField, TripleField, boundary_operator, laplacian,
-                         mode_solve_dirichlet, mode_solve_mixed, normal_derivative_inner,
-                         schauder_probe, solve_dirichlet, solve_linear_system, solve_mixed,
-                         trace)
+                         normal_derivative_inner, schauder_probe, solve_linear_system,
+                         solve_scalar)
 from trijunction.linear import _interior_defect, mode_debug_csv
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
-from trijunction.spectral import cheb_nodes
+from trijunction.spectral import bary_matrix, cheb_nodes
 
 from conftest import mode_solve_collocation
 
@@ -29,10 +28,9 @@ def test_mode_dirichlet_harmonic_closed_form():
     x = cheb_nodes(nx)
     p = ModeProblem(k=1, kind="dirichlet", f=np.zeros(nx), phi=1.0)
     exact = np.sinh(2 * np.pi * x) / np.sinh(2 * np.pi)
-    for a in (mode_solve_dirichlet(p), mode_solve_collocation(p)):
+    for a in (mode_solve_formula(p), mode_solve_collocation(p)):
         assert np.max(np.abs(a - exact)) < 1e-10
-    from trijunction.spectral import cheb_interp
-    mid_val = float(cheb_interp(mode_solve_dirichlet(p), np.array([0.5]))[0])
+    mid_val = float((bary_matrix(nx, [0.5]) @ mode_solve_formula(p))[0])
     assert mid_val == pytest.approx(np.sinh(np.pi) / np.sinh(2 * np.pi), rel=1e-11)
 
 
@@ -40,7 +38,7 @@ def test_mode_dirichlet_k0_linear():
     nx = 48
     p = ModeProblem(k=0, kind="dirichlet", f=np.zeros(nx), phi=0.7)
     exact = 0.7 * cheb_nodes(nx)
-    assert np.max(np.abs(mode_solve_dirichlet(p) - exact)) < 1e-14
+    assert np.max(np.abs(mode_solve_formula(p) - exact)) < 1e-14
     assert np.max(np.abs(mode_solve_collocation(p) - exact)) < 1e-11
 
 
@@ -49,16 +47,16 @@ def test_mode_mixed_harmonic_closed_form():
     x = cheb_nodes(nx)
     p = ModeProblem(k=1, kind="mixed", f=np.zeros(nx), phi=1.0, g=0.0)
     exact = np.cosh(2 * np.pi * x) / np.cosh(2 * np.pi)
-    for a in (mode_solve_mixed(p), mode_solve_collocation(p)):
+    for a in (mode_solve_formula(p), mode_solve_collocation(p)):
         assert np.max(np.abs(a - exact)) < 1e-12
-    assert mode_solve_mixed(p)[0] == pytest.approx(1.0 / np.cosh(2 * np.pi), rel=1e-12)
+    assert mode_solve_formula(p)[0] == pytest.approx(1.0 / np.cosh(2 * np.pi), rel=1e-12)
 
 
 def test_mode_mixed_k0_affine():
     nx = 48
     x = cheb_nodes(nx)
     p = ModeProblem(k=0, kind="mixed", f=np.zeros(nx), phi=0.0, g=1.0)
-    assert np.max(np.abs(mode_solve_mixed(p) - (1.0 - x))) < 1e-13
+    assert np.max(np.abs(mode_solve_formula(p) - (1.0 - x))) < 1e-13
     assert np.max(np.abs(mode_solve_collocation(p) - (1.0 - x))) < 1e-11
 
 
@@ -131,9 +129,6 @@ def test_mode_problem_validation():
         ModeProblem(k=-1, kind="dirichlet", f=np.zeros(8), phi=0.0)
     with pytest.raises(ValueError):
         ModeProblem(k=1, kind="robin", f=np.zeros(8), phi=0.0)
-    p = ModeProblem(k=1, kind="dirichlet", f=np.zeros(8), phi=0.0)
-    with pytest.raises(ValueError):
-        mode_solve_mixed(p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +177,13 @@ def test_decouple_recompose_roundtrip_4ulp(grid_small):
 def test_solve_dirichlet_manufactured(grid):
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     exact = np.sin(np.pi * X) * np.sin(2 * np.pi * Y)
-    f = ScalarField(grid, -5 * np.pi ** 2 * exact)
-    v = solve_dirichlet(f, np.zeros(grid.ny))
-    assert np.max(np.abs(v.values - exact)) < 1e-8
+    v = solve_scalar(-5 * np.pi ** 2 * exact, np.zeros(grid.ny))
+    assert np.max(np.abs(v - exact)) < 1e-8
 
 
 def test_solve_dirichlet_zero_unique(grid):
-    v = solve_dirichlet(ScalarField.zero(grid), np.zeros(grid.ny))
-    assert v.sup() == 0.0
+    v = solve_scalar(np.zeros((grid.nx, grid.ny)), np.zeros(grid.ny))
+    assert np.max(np.abs(v)) == 0.0
 
 
 def test_solve_dirichlet_superposition(grid_small):
@@ -198,26 +192,26 @@ def test_solve_dirichlet_superposition(grid_small):
     f2 = random_smooth_field(grid_small, rng)
     p1 = random_smooth_map(grid_small.ny, rng)
     p2 = random_smooth_map(grid_small.ny, rng)
-    lhs = solve_dirichlet(f1 + 0.7 * f2, p1 + 0.7 * p2)
-    rhs = solve_dirichlet(f1, p1).values + 0.7 * solve_dirichlet(f2, p2).values
-    assert np.max(np.abs(lhs.values - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
+    lhs = solve_scalar((f1 + 0.7 * f2).values, p1 + 0.7 * p2)
+    rhs = solve_scalar(f1.values, p1) + 0.7 * solve_scalar(f2.values, p2)
+    assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_solve_mixed_closed_form(grid):
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     phi = np.cos(2 * np.pi * grid.y)
-    v = solve_mixed(ScalarField.zero(grid), np.zeros(grid.ny), phi)
+    v = solve_scalar(np.zeros((grid.nx, grid.ny)), phi, np.zeros(grid.ny))
     exact = np.cosh(2 * np.pi * X) * np.cos(2 * np.pi * Y) / np.cosh(2 * np.pi)
-    assert np.max(np.abs(v.values - exact)) < 1e-8
+    assert np.max(np.abs(v - exact)) < 1e-8
 
 
 def test_solve_mixed_zero_and_neumann_trace(grid_small):
-    v = solve_mixed(ScalarField.zero(grid_small), np.zeros(grid_small.ny),
-                    np.zeros(grid_small.ny))
-    assert v.sup() == 0.0
+    zero = np.zeros((grid_small.nx, grid_small.ny))
+    v = solve_scalar(zero, np.zeros(grid_small.ny), np.zeros(grid_small.ny))
+    assert np.max(np.abs(v)) == 0.0
     rng = np.random.default_rng(4)
     g = random_smooth_map(grid_small.ny, rng)
-    v = solve_mixed(ScalarField.zero(grid_small), g, np.zeros(grid_small.ny))
+    v = ScalarField(grid_small, solve_scalar(zero, np.zeros(grid_small.ny), g))
     assert np.max(np.abs(normal_derivative_inner(v) - g)) < 1e-8 * np.max(np.abs(g))
 
 
@@ -236,7 +230,7 @@ def test_solve_linear_system_constant_phi_traces(grid):
     B = boundary_operator(u)
     assert np.max(np.abs(B[0])) < 1e-14            # trace sum exactly pinned
     for i in (1, 2, 3):
-        assert np.max(np.abs(trace(u.sheet(i), "outer") - c)) < 1e-13
+        assert np.max(np.abs(u.traces("outer")[i - 1] - c)) < 1e-13
 
 
 def test_solve_linear_system_residual_oracle(grid_small):
@@ -257,7 +251,7 @@ def test_solve_linear_system_residual_oracle(grid_small):
     assert np.max(np.abs(B[1] - G[0])) < 1e-8 * scale
     assert np.max(np.abs(B[2] - G[1])) < 1e-8 * scale
     for i in (1, 2, 3):
-        assert np.max(np.abs(trace(u.sheet(i), "outer") - phi.component(i))) \
+        assert np.max(np.abs(u.traces("outer")[i - 1] - phi.component(i))) \
             < 1e-10 * scale
 
 
@@ -318,8 +312,8 @@ def test_linear_solve_warns_on_aliased_inputs(grid_small, which, label):
 def test_mode_debug_records(grid_small):
     rng = np.random.default_rng(7)
     debug = []
-    solve_dirichlet(random_smooth_field(grid_small, rng),
-                    random_smooth_map(grid_small.ny, rng), debug=debug)
+    solve_scalar(random_smooth_field(grid_small, rng).values,
+                 random_smooth_map(grid_small.ny, rng), debug=debug)
     ks = sorted({r["k"] for r in debug})
     assert ks == list(range(grid_small.ny // 2 + 1))
     assert all(r["path"] == "collocation" for r in debug)

@@ -5,8 +5,8 @@ import pytest
 
 from trijunction import (CutoffProfile, ScalarField, SolveOptions, TripleField,
                          exact_family, fd_linear_solve, fd_mean_curvature,
-                         junction_angle_check, metric_shape_data, solve_mixed,
-                         solve_nonlinear, F_eval, G_eval)
+                         junction_angle_check, mean_curvature, solve_nonlinear,
+                         solve_scalar, F_eval, G_eval)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import random_boundary, rotation_field
@@ -24,8 +24,7 @@ def test_fd_mean_curvature_matches_spectral(grid, cutoff, frame):
     rng = np.random.default_rng(30)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.012, 0.5)
     pt = (0.4371, 0.2619)
-    H = metric_shape_data(1, u, cutoff, frame).mean_curvature()
-    H_at = ScalarField(grid, H).eval(*pt)
+    H_at = ScalarField(grid, mean_curvature(u, cutoff)[0]).eval(*pt)
     fd_h = fd_mean_curvature(1, u, pt, 1e-3, cutoff, frame)
     fd_h2 = fd_mean_curvature(1, u, pt, 5e-4, cutoff, frame)
     # Richardson: the h-step error bounds the truncation constant
@@ -37,7 +36,7 @@ def test_fd_mean_curvature_refinement_slope(grid, cutoff, frame):
     rng = np.random.default_rng(31)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.012, 0.5)
     pt = (0.52, 0.77)
-    ref = ScalarField(grid, metric_shape_data(2, u, cutoff, frame).mean_curvature()).eval(*pt)
+    ref = ScalarField(grid, mean_curvature(u, cutoff)[1]).eval(*pt)
     errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, frame) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]
@@ -102,7 +101,7 @@ def test_fd_linear_solve_agrees_with_spectral(grid):
     fy1, fy2, gm, pm = rand_map(), rand_map(), rand_map(), rand_map()
     ffun = lambda X, Y: fy1(Y) * (1 - X) + fy2(Y) * X ** 2
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    v_spec = solve_mixed(ScalarField(grid, ffun(X, Y)), gm(grid.y), pm(grid.y))
+    v_spec = ScalarField(grid, solve_scalar(ffun(X, Y), pm(grid.y), gm(grid.y)))
     for N in (16, 32, 64):
         xs, ys, vals = fd_linear_solve(ffun, gm, pm, (N + 1, N), "mixed")
         Xs, Ys = np.meshgrid(xs, ys, indexing="ij")
@@ -137,7 +136,7 @@ def test_exact_family_values(grid, cutoff, frame):
 
     for kind, val in (("translate", (0.01, 0.0)), ("rotate", 0.01)):
         _, u = exact_family(kind, val, grid, cutoff, frame)
-        assert F_eval(u, cutoff, frame).sup() < 1e-12
+        assert F_eval(u, cutoff).sup() < 1e-12
         G1, G2 = G_eval(u, frame)
         assert max(np.max(np.abs(G1)), np.max(np.abs(G2))) < 1e-12
 
@@ -156,7 +155,7 @@ def test_fd_mean_curvature_across_periodic_seam(grid, cutoff, frame):
     # the stencil wraps around y = 0 without a jump
     rng = np.random.default_rng(34)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
-    ref = ScalarField(grid, metric_shape_data(3, u, cutoff, frame).mean_curvature())
+    ref = ScalarField(grid, mean_curvature(u, cutoff)[2])
     for y0 in (0.001, 0.999):
         fd = fd_mean_curvature(3, u, (0.45, y0), 1e-3, cutoff, frame)
         assert abs(fd - ref.eval(0.45, y0)) < 1e-6

@@ -8,7 +8,7 @@ import pytest
 from trijunction import (BoundaryTriple, GuardViolation, NoConvergence, SolveOptions,
                          TripleField, boundary_operator, check_c0_compatibility,
                          contraction_diagnostics, picard_step, solve_linear_system,
-                         solve_nonlinear, trace)
+                         solve_nonlinear)
 from trijunction.picard import report_summary, report_to_csv, residual_record
 
 from conftest import random_boundary, rotation_field, translation_field
@@ -48,7 +48,7 @@ def test_picard_step_constant_phi_is_linear_extension(grid, cutoff, frame):
     B = boundary_operator(u1)
     assert np.max(np.abs(B)) < 1e-12                  # junction data vanishes
     for i in (1, 2, 3):
-        assert np.max(np.abs(trace(u1.sheet(i), "outer") - c)) < 1e-14
+        assert np.max(np.abs(u1.traces("outer")[i - 1] - c)) < 1e-14
 
 
 def test_solve_zero_boundary(grid, cutoff, frame):
@@ -92,10 +92,10 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     transform = spectral.cheb_coefficients
     monkeypatch.setattr(spectral, "cheb_coefficients",
                         lambda values: calls.append(1) or transform(values))
-    shape_calls = []
-    shape_data = curvature.metric_shape_data
-    monkeypatch.setattr(curvature, "metric_shape_data",
-                        lambda *a, **k: shape_calls.append(1) or shape_data(*a, **k))
+    H_calls = []
+    curvature_of = curvature.mean_curvature
+    monkeypatch.setattr(curvature, "mean_curvature",
+                        lambda *a, **k: H_calls.append(1) or curvature_of(*a, **k))
     F_calls = []
     defect = picard.F_eval
     monkeypatch.setattr(picard, "F_eval",
@@ -109,8 +109,8 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     assert report.iterations == 2
     assert len(calls) == 6
     assert len(F_calls) == 2
-    # F reads only the mean-curvature scalars, never the full metric/shape data
-    assert shape_calls == []
+    # F subtracts the public mean curvature: one evaluation of H per F
+    assert len(H_calls) == 2
     r = report.final_residuals
     assert r.trace_sum < 1e-10
     assert r.outer_trace < 1e-10
