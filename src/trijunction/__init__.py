@@ -7,9 +7,8 @@ spectral solves driven by a fixed-point iteration, plus independent
 finite-difference verification oracles.
 """
 
-from .fields import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField, TripleField,
-                     boundary_proxy, laplacian, load_field_csv, norm_proxy,
-                     normal_derivative_inner, periodic_proxy, save_field_csv)
+from .fields import (AliasingWarning, BoundaryTriple, Grid2D, TripleField, boundary_proxy,
+                     load_field_csv, norm_proxy, periodic_proxy, save_field_csv)
 from .geometry import (CompatibilityReport, CompatibilityViolation, CutoffProfile,
                        JunctionFrame, SpineCurve, SurfaceMesh, check_c0_compatibility,
                        embed_point, frame_vectors, mesh_surface, spine_from_traces,
@@ -26,9 +25,8 @@ from .oracles import (AngleReport, ContractionEstimates, ModeProblem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingWarning", "BoundaryTriple", "Grid2D", "ScalarField", "TripleField",
-    "boundary_proxy", "laplacian", "load_field_csv", "norm_proxy",
-    "normal_derivative_inner", "periodic_proxy", "save_field_csv",
+    "AliasingWarning", "BoundaryTriple", "Grid2D", "TripleField", "boundary_proxy",
+    "load_field_csv", "norm_proxy", "periodic_proxy", "save_field_csv",
     "CompatibilityReport", "CompatibilityViolation", "CutoffProfile", "JunctionFrame",
     "SpineCurve", "SurfaceMesh", "check_c0_compatibility", "embed_point",
     "frame_vectors", "mesh_surface", "spine_from_traces", "write_obj",

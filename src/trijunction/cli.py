@@ -274,8 +274,8 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
     """Write every artifact of a run; ``modes`` are the mode records of the
     linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``)."""
     echo = cfg.echo()
-    for i in (1, 2, 3):
-        save_field_csv(u.sheet(i), os.path.join(out, f"u{i}.csv"), cfg.delta, echo)
+    for i, values in enumerate(u.values, 1):
+        save_field_csv(values, os.path.join(out, f"u{i}.csv"), cfg.delta, echo)
     atomic_write_text(os.path.join(out, "phi.csv"), _boundary_csv(phi, echo))
     atomic_write_text(os.path.join(out, "report.csv"), report_to_csv(report, echo))
     atomic_write_text(os.path.join(out, "summary.txt"),
@@ -294,12 +294,17 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
 
 
 def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, dict]:
+    """The stored config, fields, boundary data and residuals of a run; raises
+    ``ValueError`` for artifacts that cannot be read or do not fit together."""
     loaded = [load_field_csv(os.path.join(path, f"u{i}.csv")) for i in (1, 2, 3)]
-    f, delta, header = loaded[-1]
-    u = TripleField(f.grid, [g.values for g, _, _ in loaded])
+    values, delta, header = loaded[-1]
+    u = TripleField(Grid2D(*values.shape), [v for v, _, _ in loaded])
     phi = _load_boundary_csv(os.path.join(path, "phi.csv"))
+    if phi.ny != u.grid.ny:
+        raise ValueError(f"phi.csv has ny = {phi.ny}, the fields ny = {u.grid.ny}")
     cfg = RunConfig(delta=delta)
     apply_config_values(cfg, header)
+    CutoffProfile(cfg.delta)            # a delta the cutoff rejects is unusable
     stored = _load_residuals_csv(os.path.join(path, "residuals.csv"))
     return cfg, u, phi, stored
 
@@ -457,10 +462,17 @@ def cmd_export_mesh(args) -> int:
     except ValueError as exc:
         print(f"config error: bad resolution {args.resolution!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = args.out or os.path.join(args.artifacts, "surface.obj")
+    try:
+        if os.path.isdir(out):
+            raise ConfigError(f"output path {out!r} is a directory")
+        make_out_dir(os.path.dirname(os.path.abspath(out)))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     cfg.mesh_resolution = resolution
     mesh = mesh_surface(u, resolution, CutoffProfile(cfg.delta),
                         header=_mesh_header(cfg, stored))
-    out = args.out or os.path.join(args.artifacts, "surface.obj")
     write_obj(mesh, out)
     print(f"mesh written to {out}")
     return EXIT_OK

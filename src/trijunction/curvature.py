@@ -45,8 +45,8 @@ def _wall_data(u: TripleField, cutoff: CutoffProfile):
 
 
 def _sheet_scalars(i: int, jet: Jet, wall) -> np.ndarray:
-    """Mean curvature tr(g^{-1} h) of sheet i from its jet and the wall data."""
-    ux, uy, uxx, uxy, uyy = jet
+    """Mean curvature tr(g^{-1} h) of sheet i from its row of the jet and the wall data."""
+    ux, uy, uxx, uxy, uyy = (a[i - 1] for a in jet)
     w, w1, w2, E, E1, E2 = wall
     W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
 
@@ -83,14 +83,12 @@ def mean_curvature(u: TripleField, cutoff: CutoffProfile) -> np.ndarray:
     Raises :class:`DegenerateMetric` when a sheet's metric loses definiteness.
     """
     wall = _wall_data(u, cutoff)
-    return np.stack([_sheet_scalars(i, u.sheet(i).jet, wall) for i in (1, 2, 3)])
+    return np.stack([_sheet_scalars(i, u.jet, wall) for i in (1, 2, 3)])
 
 
 def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
-    """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i, one field per sheet."""
-    jets = (u.sheet(i).jet for i in (1, 2, 3))
-    lap = np.stack([jet.uxx + jet.uyy for jet in jets])
-    return TripleField(u.grid, lap - mean_curvature(u, cutoff))
+    """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i of the three sheets."""
+    return TripleField(u.grid, u.jet.uxx + u.jet.uyy - mean_curvature(u, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +98,7 @@ def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
 def _spine_quantities(u: TripleField, frame: JunctionFrame):
     """Spine slope v' (ny, 2) and the inner rows of d_x u_i and d_y u_i (3, ny)."""
     vprime = spine_from_traces(u.traces(), frame).derivative()
-    jets = [u.sheet(i).jet for i in (1, 2, 3)]
-    dxu0 = np.stack([jet.ux[0] for jet in jets])
-    dyu0 = np.stack([jet.uy[0] for jet in jets])
-    return vprime, dxu0, dyu0
+    return vprime, u.jet.ux[:, 0], u.jet.uy[:, 0]
 
 
 def _conormal(i: int, vprime: np.ndarray, dxu0: np.ndarray,

@@ -1,4 +1,4 @@
-"""Discrete scalar and triple fields on [0, 1] x S^1.
+"""Discrete triple fields on [0, 1] x S^1.
 
 A field is sampled on a tensor grid: Chebyshev-Lobatto in x (so the two
 boundary circles are grid rows), equispaced in the periodic y direction.
@@ -61,84 +61,14 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 
 class Jet(NamedTuple):
-    """Spectral first and second derivatives of one field, read-only (nx, ny) arrays."""
+    """Spectral first and second derivatives of a triple field: read-only,
+    C-contiguous (3, nx, ny) arrays, row i - 1 belonging to sheet i."""
 
     ux: np.ndarray
     uy: np.ndarray
     uxx: np.ndarray
     uxy: np.ndarray
     uyy: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Real samples of shape (nx, ny); immutable, implicitly 1-periodic in y."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(f"values shape {v.shape} does not match grid "
-                             f"({self.grid.nx}, {self.grid.ny})")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @classmethod
-    def from_function(cls, grid: Grid2D, fn) -> "ScalarField":
-        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-        return cls(grid, fn(X, Y))
-
-    @classmethod
-    def zero(cls, grid: Grid2D) -> "ScalarField":
-        return cls(grid, np.zeros((grid.nx, grid.ny)))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self.grid, other.grid)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    @cached_property
-    def jet(self) -> Jet:
-        """Every derivative of total order <= 2, computed once per field.
-
-        The x-derivatives share one Chebyshev coefficient pass, u_y and u_yy
-        one Fourier pass; the field is immutable, so the cached arrays never
-        go stale.
-        """
-        v = self.values
-        ux, uxx = spectral.cheb_derivative_values(v, (1, 2))
-        uy, uyy = spectral.fourier_derivative(v, (1, 2), axis=1)
-        jet = Jet(ux=ux, uy=uy, uxx=uxx,
-                  uxy=spectral.fourier_derivative(ux, 1, axis=1), uyy=uyy)
-        for a in jet:
-            a.flags.writeable = False
-        return jet
-
-    def eval(self, x, y) -> np.ndarray:
-        """Spectral interpolation at arbitrary points (Fourier in y, barycentric in x)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
-        c, s = spectral.fourier_coefficients(self.values, axis=1)
-        cols = spectral.trig_eval(c, s, y.reshape(-1))      # (nx, q)
-        # point q reads its own column: the diagonal of bary_matrix @ cols
-        B = spectral.bary_matrix(self.grid.nx, x)           # (q, nx)
-        flat = np.einsum("qj,jq->q", B, cols)
-        return flat.reshape(x.shape) if x.shape else float(flat[0])
 
 
 def _check_same_grid(a: Grid2D, b: Grid2D):
@@ -150,7 +80,8 @@ def _check_same_grid(a: Grid2D, b: Grid2D):
 class TripleField:
     """Heights of the three sheets: one read-only (3, nx, ny) array on one grid.
 
-    ``values`` may also be given as a list of three (nx, ny) arrays.
+    ``values`` may also be given as a list of three (nx, ny) arrays; sheet i
+    is the row ``values[i - 1]``.
     """
 
     grid: Grid2D
@@ -170,19 +101,23 @@ class TripleField:
         return cls(grid, np.zeros((3, grid.nx, grid.ny)))
 
     @cached_property
-    def _sheets(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        # views into the frozen, already checked array: no copy, no second check
-        sheets = tuple(object.__new__(ScalarField) for _ in range(3))
-        for f, v in zip(sheets, self.values):
-            object.__setattr__(f, "grid", self.grid)
-            object.__setattr__(f, "values", v)
-        return sheets
+    def jet(self) -> Jet:
+        """Every derivative of total order <= 2 of the three sheets, computed once.
 
-    def sheet(self, i: int) -> ScalarField:
-        """Sheet i in {1, 2, 3} as a scalar field viewing ``values[i - 1]``."""
-        if i not in (1, 2, 3):
-            raise ValueError("sheet index must be 1, 2 or 3")
-        return self._sheets[i - 1]
+        One Chebyshev analysis of the whole array gives u_x and u_xx, one
+        Fourier pass u_y and u_yy, and one more u_xy.  The x-derivatives come
+        back node axis first and are copied to C-contiguous (3, nx, ny)
+        arrays, so each sheet's row is one contiguous block.  The field is
+        immutable, so the cached arrays never go stale.
+        """
+        v = self.values
+        dx = spectral.cheb_derivative_values(np.moveaxis(v, 1, 0), (1, 2))
+        ux, uxx = np.ascontiguousarray(np.moveaxis(dx, 2, 1))
+        uy, uyy = spectral.fourier_derivative(v, (1, 2))
+        jet = Jet(ux=ux, uy=uy, uxx=uxx, uxy=spectral.fourier_derivative(ux, 1), uyy=uyy)
+        for a in jet:
+            a.flags.writeable = False
+        return jet
 
     def traces(self, end: str = "inner") -> np.ndarray:
         """(3, ny) boundary rows: 'inner' is the x = 0 circle, 'outer' the x = 1 circle."""
@@ -226,28 +161,10 @@ class BoundaryTriple:
     def zero(cls, ny: int) -> "BoundaryTriple":
         return cls(ny, np.zeros((3, ny)))
 
-    def component(self, i: int) -> np.ndarray:
-        if i not in (1, 2, 3):
-            raise ValueError("component index must be 1, 2 or 3")
-        return self.values[i - 1]
-
     def __mul__(self, scalar: float) -> "BoundaryTriple":
         return BoundaryTriple(self.ny, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-
-# ---------------------------------------------------------------------------
-# Spectral calculus on fields
-# ---------------------------------------------------------------------------
-
-def laplacian(field: ScalarField) -> ScalarField:
-    return ScalarField(field.grid, field.jet.uxx + field.jet.uyy)
-
-
-def normal_derivative_inner(field: ScalarField) -> np.ndarray:
-    """Outward normal derivative on the inner circle; the normal points in -x."""
-    return -field.jet.ux[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +208,23 @@ def _holder_seminorm_1d(values: np.ndarray, alpha: float) -> float:
     return best
 
 
-def scalar_field_proxy(field: ScalarField, alpha: float, order: int = 2) -> float:
-    """Discrete stand-in for the C^{order, alpha} norm of one field."""
-    derivs = [[field.values]]
-    if order >= 1:
-        derivs.append([field.jet.ux, field.jet.uy])
-    if order >= 2:
-        derivs.append([field.jet.uxx, field.jet.uxy, field.jet.uyy])
-    sup_part = max(float(np.max(np.abs(a))) for group in derivs for a in group)
-    return sup_part + _holder_seminorm_2d(derivs[-1], field.grid, alpha)
-
-
 def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
-    """Triple proxy: sum of the per-sheet proxies."""
-    return sum(scalar_field_proxy(u.sheet(i), alpha, order) for i in (1, 2, 3))
+    """Discrete stand-in for the C^{order, alpha} norm of a triple field.
+
+    The sum over the sheets of the grid maximum of every derivative up to
+    ``order`` plus the Hoelder seminorm of the top ones, each sheet read
+    from its row of the values and of the jet (order 0 computes no jet).
+    """
+    groups = [[u.values]]
+    if order >= 1:
+        groups.append([u.jet.ux, u.jet.uy])
+    if order >= 2:
+        groups.append([u.jet.uxx, u.jet.uxy, u.jet.uyy])
+    total = 0.0
+    for i in range(3):
+        sup_part = max(float(np.max(np.abs(a[i]))) for group in groups for a in group)
+        total += sup_part + _holder_seminorm_2d([a[i] for a in groups[-1]], u.grid, alpha)
+    return total
 
 
 def periodic_proxy(values: np.ndarray, alpha: float, order: int = 2) -> float:
@@ -379,24 +299,28 @@ def parse_table(lines: list[str]) -> np.ndarray:
     return np.array([line.split(",") for line in lines], dtype=float)
 
 
-def field_to_csv(field: ScalarField, delta: float, header: dict | None = None) -> str:
-    return csv_text("nx,ny,delta", ",".join(["%.17g"] * field.grid.ny),
-                    field.values.tolist(), header,
-                    (f"{field.grid.nx},{field.grid.ny},{delta!r}",))
+def field_to_csv(values: np.ndarray, delta: float, header: dict | None = None) -> str:
+    """The text of one sheet's (nx, ny) samples as a ``u{i}.csv`` artifact."""
+    nx, ny = values.shape
+    return csv_text("nx,ny,delta", ",".join(["%.17g"] * ny), values.tolist(), header,
+                    (f"{nx},{ny},{delta!r}",))
 
 
-def save_field_csv(field: ScalarField, path: str, delta: float, header: dict | None = None):
-    atomic_write_text(path, field_to_csv(field, delta, header))
+def save_field_csv(values: np.ndarray, path: str, delta: float, header: dict | None = None):
+    atomic_write_text(path, field_to_csv(values, delta, header))
 
 
-def load_field_csv(path: str) -> tuple[ScalarField, float, dict]:
-    """Inverse of :func:`save_field_csv`; returns (field, delta, header dict)."""
+def load_field_csv(path: str) -> tuple[np.ndarray, float, dict]:
+    """Inverse of :func:`save_field_csv`; returns (samples, delta, header dict)."""
     header, lines = read_csv(path)
     if lines[:1] != ["nx,ny,delta"] or len(lines) < 2:
         raise ValueError("malformed field CSV: no 'nx,ny,delta' size header")
     a, b, c = lines[1].split(",")
-    grid = Grid2D(int(a), int(b))
-    return ScalarField(grid, parse_table(lines[2:])), float(c), header
+    values = parse_table(lines[2:])
+    if values.shape != (int(a), int(b)):
+        raise ValueError(f"field CSV holds {values.shape} samples, "
+                         f"its size header says ({a}, {b})")
+    return values, float(c), header
 
 
 def checked_fourier_coefficients(values: np.ndarray, label: str,

@@ -135,11 +135,6 @@ class SpineCurve:
         ds = -2.0 * np.pi * k * self.ccoef
         return spectral.trig_eval(dc, ds, ys).T
 
-    def sup_norm(self) -> float:
-        """max_y |v(y)| sampled on a refined grid."""
-        ys = np.arange(4 * self.ny) / (4 * self.ny)
-        return float(np.max(np.linalg.norm(self.values(ys), axis=1)))
-
 
 def spine_from_traces(traces: np.ndarray, frame: JunctionFrame | None = None,
                       tol: float = 1e-10) -> SpineCurve:
@@ -185,7 +180,7 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
-    ui = u.sheet(i).eval(x, y)
+    ui = spectral.interpolate(u.values[i - 1], x, y)
     tr = u.traces()
     c, s = spectral.fourier_coefficients(wall_scalars(tr)[i - 1])
     wi = spectral.trig_eval(c, s, y)
@@ -246,11 +241,6 @@ class SurfaceMesh:
     faces: np.ndarray           # (nf, 3), 0-based indices
     face_sheet: np.ndarray      # (nf,) sheet tag in {1, 2, 3}
     header: dict
-
-    def triangle_areas(self) -> np.ndarray:
-        a = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 2]] - self.vertices[self.faces[:, 0]]
-        return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
 
 
 def check_mesh_resolution(resolution: tuple[int, int]):

@@ -25,8 +25,7 @@ from typing import Literal
 import numpy as np
 
 from . import spectral
-from .fields import (BoundaryTriple, TripleField, checked_fourier_coefficients, csv_text,
-                     normal_derivative_inner)
+from .fields import BoundaryTriple, TripleField, checked_fourier_coefficients, csv_text
 
 Kind = Literal["dirichlet", "mixed"]
 
@@ -149,8 +148,9 @@ def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None
 def boundary_operator(u: TripleField) -> np.ndarray:
     """(3, ny) junction-condition rows at x = 0: the first row of DECOUPLE
     applied to the traces (their sum), the other two to the outward normal
-    derivatives (dn u2 - dn u3, dn u1 - (dn u2 + dn u3)/2)."""
-    dn = np.stack([normal_derivative_inner(u.sheet(i)) for i in (1, 2, 3)])
+    derivatives (dn u2 - dn u3, dn u1 - (dn u2 + dn u3)/2); the outward
+    normal at x = 0 points in -x, so dn = -d_x."""
+    dn = -u.jet.ux[:, 0]
     return np.vstack([DECOUPLE[:1] @ u.traces(), DECOUPLE[1:] @ dn])
 
 

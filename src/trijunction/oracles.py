@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .fields import (BoundaryTriple, Grid2D, ScalarField, TripleField, boundary_proxy,
-                     norm_proxy, periodic_proxy)
+from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy, norm_proxy,
+                     periodic_proxy)
 from .geometry import CutoffProfile, JunctionFrame, embed_point, frame_vectors
 from .curvature import F_eval, G_eval, conormal_xi
 from .linear import DECOUPLE, RECOMPOSE, Kind, solve_linear_system
@@ -433,14 +433,14 @@ class ContractionEstimates:
 
 
 def random_smooth_field(grid: Grid2D, rng: np.random.Generator,
-                        max_mode: int = 3) -> ScalarField:
-    """Band-limited random field: low Fourier modes in y, low polynomials in x."""
+                        max_mode: int = 3) -> np.ndarray:
+    """Band-limited random (nx, ny) samples: low Fourier modes in y, low polynomials in x."""
     K = max_mode + 1
     c = rng.standard_normal((4, K))
     s = rng.standard_normal((4, K))
     modes = spectral.trig_eval(c, s, grid.y)            # (4, ny)
     poly = np.stack([np.ones_like(grid.x), grid.x, grid.x ** 2, grid.x ** 3])
-    return ScalarField(grid, poly.T @ modes)
+    return poly.T @ modes
 
 
 def random_smooth_map(ny: int, rng: np.random.Generator, max_mode: int = 3) -> np.ndarray:
@@ -462,7 +462,7 @@ def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(n_samples):
-        F = TripleField(grid, [random_smooth_field(grid, rng).values for _ in range(3)])
+        F = TripleField(grid, [random_smooth_field(grid, rng) for _ in range(3)])
         G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
         phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
                                                 for _ in range(3)]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
-from .fields import BoundaryTriple, Grid2D, TripleField, csv_text, laplacian
+from .fields import BoundaryTriple, Grid2D, TripleField, csv_text
 from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
 from .linear import boundary_operator, solve_linear_system
 
@@ -119,8 +119,7 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
     frame = frame or frame_vectors()
     F = F_eval(u, cutoff)
     G1, G2, S = _junction_defect(u, frame)
-    lap = max(float(np.max(np.abs(
-        (laplacian(u.sheet(i)).values - F.values[i - 1])[1:-1, :]))) for i in (1, 2, 3))
+    lap = float(np.max(np.abs((u.jet.uxx + u.jet.uyy - F.values)[:, 1:-1])))
     B = boundary_operator(u)
     bres = max(float(np.max(np.abs(B[1] - G1))), float(np.max(np.abs(B[2] - G2))))
     return ResidualRecord(

@@ -287,6 +287,20 @@ def trig_eval(c: np.ndarray, s: np.ndarray, yq: np.ndarray) -> np.ndarray:
     return np.tensordot(c, cosv, axes=([-1], [-1])) + np.tensordot(s, sinv, axes=([-1], [-1]))
 
 
+def interpolate(values: np.ndarray, x, y) -> np.ndarray | float:
+    """Spectral interpolant of (nx, ny) grid samples at arbitrary points.
+
+    Fourier in y, then barycentric in x; scalar points give a float.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    c, s = fourier_coefficients(values, axis=1)
+    cols = trig_eval(c, s, y.reshape(-1))               # (nx, q)
+    # point q reads its own column: the diagonal of bary_matrix @ cols
+    B = bary_matrix(values.shape[0], x)                 # (q, nx)
+    flat = np.einsum("qj,jq->q", B, cols)
+    return flat.reshape(x.shape) if x.shape else float(flat[0])
+
+
 def aliasing_fraction(c: np.ndarray, s: np.ndarray, n: int) -> float:
     """Fraction of spectral energy in the top third of the periodic spectrum.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, GuardViolation,
-                         ModeProblem, NoConvergence, ScalarField, SolveOptions,
+                         ModeProblem, NoConvergence, SolveOptions,
                          TripleField, boundary_operator, exact_family,
                          fd_linear_solve, fd_mean_curvature, frame_vectors,
                          junction_angle_check, mean_curvature, solve_linear_system,
@@ -18,7 +18,7 @@ from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, GuardViolation,
 from trijunction.linear import DECOUPLE, RECOMPOSE
 from trijunction.oracles import (mode_solve_formula, random_compatible_field,
                                  random_smooth_field, random_smooth_map, scaled_to_proxy)
-from trijunction.spectral import cheb_nodes
+from trijunction.spectral import cheb_nodes, interpolate
 
 from conftest import mode_solve_collocation, random_boundary
 
@@ -43,7 +43,7 @@ def test_criterion_1_exact_family_reproduction():
         t0 = time.perf_counter()
         u, rep = solve_nonlinear(phi, SolveOptions(), GRID, cutoff, FRAME)
         elapsed = time.perf_counter() - t0
-        err = max((u.sheet(i) - exact.sheet(i)).sup() for i in (1, 2, 3))
+        err = (u - exact).sup()
         results.append((kind, err, rep.iterations, elapsed))
     ok = all(err < 1e-8 and it <= 10 and dt < 30.0 for _, err, it, dt in results)
     report(1, ok, "; ".join(f"{k}: err={e:.2e}, iters={i}, {t:.2f}s"
@@ -150,7 +150,7 @@ def test_criterion_6_decouple_recompose_identity():
     roundtrip = np.max(np.abs(back - u.values))
     rt_ok = roundtrip <= 4 * ulp * u.sup()
 
-    F = TripleField(GRID, [random_smooth_field(GRID, rng).values for _ in range(3)])
+    F = TripleField(GRID, [random_smooth_field(GRID, rng) for _ in range(3)])
     G = (random_smooth_map(GRID.ny, rng), random_smooth_map(GRID.ny, rng))
     phi = BoundaryTriple(GRID.ny, np.stack([random_smooth_map(GRID.ny, rng)
                                             for _ in range(3)]))
@@ -170,7 +170,7 @@ def test_criterion_7_fd_oracle_orders():
     rng = np.random.default_rng(505)
     u = scaled_to_proxy(random_compatible_field(GRID, rng, FRAME), 0.012, 0.5)
     pt = (0.52, 0.77)
-    ref = ScalarField(GRID, mean_curvature(u, cutoff)[1]).eval(*pt)
+    ref = interpolate(mean_curvature(u, cutoff)[1], *pt)
     errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, FRAME) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes_h = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]

@@ -35,7 +35,7 @@ def test_solve_translate_family(tmp_path):
     u2, delta, header = load_field_csv(os.path.join(out, "u2.csv"))
     assert delta == 0.25
     assert header["family"] == "translate:0.01,0"
-    assert np.max(np.abs(u2.values - 0.01 * np.sqrt(3) / 2)) < 1e-8
+    assert np.max(np.abs(u2 - 0.01 * np.sqrt(3) / 2)) < 1e-8
     # spine sits at the translation vector
     rows = [ln.split(",") for ln in open(os.path.join(out, "spine.csv"))
             if ln.strip() and not ln.startswith("#") and not ln.startswith("y,")]
@@ -48,7 +48,7 @@ def test_solve_zero_boundary(tmp_path):
     out = str(tmp_path / "zero")
     assert run(["solve", "--out", out]) == EXIT_OK
     u1, _, _ = load_field_csv(os.path.join(out, "u1.csv"))
-    assert np.max(np.abs(u1.values)) < 1e-12
+    assert np.max(np.abs(u1)) < 1e-12
 
 
 def test_solve_oversized_boundary_trips_guard(tmp_path):
@@ -98,7 +98,7 @@ def test_config_file_with_overrides(tmp_path):
     assert run(["solve", "--config", str(cfg), "--ny", "64", "--out", out]) == EXIT_OK
     u1, delta, header = load_field_csv(os.path.join(out, "u1.csv"))
     assert delta == 0.3                       # from the file
-    assert u1.grid.ny == 64                   # flag overrides the file
+    assert u1.shape[1] == 64                  # flag overrides the file
     cfg.write_text("nonsense line\n")
     assert run(["solve", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
 
@@ -205,6 +205,54 @@ def test_export_mesh(tmp_path):
     nv = sum(1 for ln in text.splitlines() if ln.startswith("v "))
     assert nv == 13 + 3 * 8 * 13              # shared spine + 3 sheets
     assert run(["export-mesh", out, "--resolution", "bad"]) == EXIT_CONFIG
+
+
+def test_export_mesh_to_an_unusable_out_is_a_config_error(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    meshed = []
+    monkeypatch.setattr(cli, "mesh_surface", lambda *a, **k: meshed.append(1))
+    capsys.readouterr()
+    # an existing directory, and a file below a regular file
+    for target in (out, os.path.join(out, "u1.csv", "fine.obj")):
+        assert run(["export-mesh", out, "--out", target]) == EXIT_CONFIG
+    assert meshed == []
+    assert capsys.readouterr().err.count("config error: ") == 2
+
+
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(trijunction.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_load_artifacts_rejects_artifacts_that_do_not_fit(tmp_path):
+    coarse, out = str(tmp_path / "coarse"), str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--ny", "32", "--out", coarse]) \
+        == EXIT_OK
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    phi_path, u3_path = os.path.join(out, "phi.csv"), os.path.join(out, "u3.csv")
+    phi_text, u3_text = open(phi_path).read(), open(u3_path).read()
+    assert "# delta = 0.25\n" in u3_text
+    bad_delta = u3_text.replace("# delta = 0.25\n", "# delta = 0.7\n")
+    cases = [  # (file, corrupted text, command, word the message names)
+        (phi_path, open(os.path.join(coarse, "phi.csv")).read(), "verify", "ny"),
+        (u3_path, bad_delta, "verify", "delta"),
+        (u3_path, bad_delta, "export-mesh", "delta")]
+    for path, text, command, word in cases:
+        with open(path, "w") as fh:
+            fh.write(text)
+        # a fresh interpreter, as from a shell, so a traceback would show
+        proc = subprocess.run([sys.executable, "-m", "trijunction.cli", command, out],
+                              env=_subprocess_env(), capture_output=True, text=True,
+                              timeout=120)
+        with open(phi_path, "w") as fh:
+            fh.write(phi_text)
+        with open(u3_path, "w") as fh:
+            fh.write(u3_text)
+        assert proc.returncode == EXIT_VERIFY_FAIL, (command, proc.stderr)
+        assert "cannot load artifacts: " in proc.stderr and word in proc.stderr, command
+        assert "Traceback" not in proc.stderr, command
 
 
 def _obj_header(path):
@@ -452,11 +500,8 @@ def test_config_echo_is_a_fixed_point(cfg):
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(trijunction.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, trijunction.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval, conormal_xi,
-                         laplacian, mean_curvature, structural_certificate)
+                         mean_curvature, structural_certificate)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import rotation_field, translation_field
@@ -51,8 +51,7 @@ def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
     F = F_eval(u, cutoff)
     H = mean_curvature(u, cutoff)
     assert H.shape == (3, grid.nx, grid.ny)
-    for i in (1, 2, 3):
-        assert np.array_equal(F.sheet(i).values, laplacian(u.sheet(i)).values - H[i - 1])
+    assert np.array_equal(F.values, u.jet.uxx + u.jet.uyy - H)
 
 
 def test_mean_curvature_zero_on_flat(grid, cutoff):
@@ -147,14 +146,13 @@ def test_G_quadratic_scaling(grid_small, frame):
 def test_G_is_junction_condition_minus_projection(grid_small, frame):
     # the fixed-point equations dn u2 - dn u3 = G1 etc. hold exactly when the
     # conormal sum vanishes; check the algebraic rearrangement directly
-    from trijunction.fields import normal_derivative_inner
     from trijunction.geometry import SQRT3, spine_from_traces
     from trijunction.spectral import fourier_derivative
 
     u = random_small(grid_small, frame, 0.01, seed=5)
     G1, G2 = G_eval(u, frame)
     S = conormal_sum(u, frame)
-    dn = np.stack([normal_derivative_inner(u.sheet(i)) for i in (1, 2, 3)])
+    dn = -u.jet.ux[:, 0]                     # the outward normal at x = 0 is -x
     dy0 = fourier_derivative(u.traces(), 1, axis=1)
     b1 = np.column_stack([np.tile(frame.n_vec(1), (grid_small.ny, 1)),
                           (dy0[1] - dy0[2]) / SQRT3])

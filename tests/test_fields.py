@@ -9,16 +9,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, ScalarField,
-                         TripleField, boundary_proxy, laplacian, load_field_csv,
-                         norm_proxy, normal_derivative_inner, periodic_proxy,
+from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, TripleField,
+                         boundary_proxy, load_field_csv, norm_proxy, periodic_proxy,
                          save_field_csv)
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
-                               checked_fourier_coefficients, field_to_csv,
-                               scalar_field_proxy)
-from trijunction.spectral import bary_matrix, fourier_coefficients, trig_eval
+                               checked_fourier_coefficients, field_to_csv)
+from trijunction.spectral import bary_matrix, fourier_coefficients, interpolate, trig_eval
 
 from conftest import translation_field
+
+
+def sampled(grid, fn):
+    """A triple field whose three sheets all sample fn(x, y)."""
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    return TripleField(grid, [fn(X, Y)] * 3)
+
+
+def lap(u):
+    return u.jet.uxx + u.jet.uyy
+
+
+def random_triple(grid, seed):
+    return TripleField(grid, np.random.default_rng(seed).standard_normal((3, grid.nx, grid.ny)))
 
 
 def test_grid_nodes(grid):
@@ -32,39 +44,37 @@ def test_grid_nodes(grid):
 
 
 def test_diff_polynomial_exact(grid):
-    f = ScalarField.from_function(grid, lambda x, y: x ** 2)
-    assert np.max(np.abs(f.jet.uxx - 2.0)) < 1e-10
+    u = sampled(grid, lambda x, y: x ** 2)
+    assert np.max(np.abs(u.jet.uxx - 2.0)) < 1e-10
 
 
 def test_diff_fourier_exact(grid):
-    f = ScalarField.from_function(grid, lambda x, y: np.sin(2 * np.pi * y))
+    u = sampled(grid, lambda x, y: np.sin(2 * np.pi * y))
     expected = 2 * np.pi * np.cos(2 * np.pi * grid.y)
-    assert np.max(np.abs(f.jet.uy - expected[None, :])) < 1e-10
+    assert np.max(np.abs(u.jet.uy - expected)) < 1e-10
 
 
 def test_laplacian_manufactured():
     grid = Grid2D(32, 16)
-    f = ScalarField.from_function(grid, lambda x, y: np.sin(2 * np.pi * y) * np.sin(np.pi * x))
-    lap = laplacian(f)
-    assert np.max(np.abs(lap.values + 5 * np.pi ** 2 * f.values)) < 1e-8
+    u = sampled(grid, lambda x, y: np.sin(2 * np.pi * y) * np.sin(np.pi * x))
+    assert np.max(np.abs(lap(u) + 5 * np.pi ** 2 * u.values)) < 1e-8
 
 
 def test_laplacian_trivial_cases(grid):
-    const = ScalarField.from_function(grid, lambda x, y: np.full_like(x, 0.7))
-    assert laplacian(const).sup() < 1e-11
-    linear = ScalarField.from_function(grid, lambda x, y: 0.01 * x)
-    assert laplacian(linear).sup() < 1e-12
+    const = sampled(grid, lambda x, y: np.full_like(x, 0.7))
+    assert np.max(np.abs(lap(const))) < 1e-11
+    linear = sampled(grid, lambda x, y: 0.01 * x)
+    assert np.max(np.abs(lap(linear))) < 1e-12
 
 
 def test_laplacian_harmonic():
     grid = Grid2D(48, 16)
-    f = ScalarField.from_function(grid, lambda x, y: np.sinh(2 * np.pi * x) * np.sin(2 * np.pi * y))
-    assert laplacian(f).sup() < 1e-6 * f.sup()
+    u = sampled(grid, lambda x, y: np.sinh(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    assert np.max(np.abs(lap(u))) < 1e-6 * u.sup()
 
 
 def test_trace_rows(grid):
-    f = ScalarField.from_function(grid, lambda x, y: 0.3 * x)
-    u = TripleField(grid, [f.values] * 3)
+    u = sampled(grid, lambda x, y: 0.3 * x)
     assert np.allclose(u.traces("outer"), 0.3, atol=1e-15)
     assert np.allclose(u.traces("inner"), 0.0, atol=1e-15)
     rng = np.random.default_rng(0)
@@ -76,24 +86,27 @@ def test_trace_rows(grid):
         g.traces("left")
 
 
-def test_normal_derivative_inner(grid):
-    f = ScalarField.from_function(grid, lambda x, y: 0.25 * x)
-    assert np.max(np.abs(normal_derivative_inner(f) + 0.25)) < 1e-12
-    const = ScalarField.from_function(grid, lambda x, y: np.full_like(x, 1.3))
-    assert np.max(np.abs(normal_derivative_inner(const))) < 1e-12
+def inner_normal_derivative(u):
+    """The outward normal at x = 0 points in -x."""
+    return -u.jet.ux[:, 0]
+
+
+def test_inner_normal_derivative(grid):
+    u = sampled(grid, lambda x, y: 0.25 * x)
+    assert np.max(np.abs(inner_normal_derivative(u) + 0.25)) < 1e-12
+    const = sampled(grid, lambda x, y: np.full_like(x, 1.3))
+    assert np.max(np.abs(inner_normal_derivative(const))) < 1e-12
 
 
 def test_normal_derivative_analytic():
     grid = Grid2D(48, 16)
-    f = ScalarField.from_function(grid, lambda x, y: np.sinh(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    u = sampled(grid, lambda x, y: np.sinh(2 * np.pi * x) * np.sin(2 * np.pi * y))
     expected = -2 * np.pi * np.sin(2 * np.pi * grid.y)
-    assert np.max(np.abs(normal_derivative_inner(f) - expected)) < 1e-6
+    assert np.max(np.abs(inner_normal_derivative(u) - expected)) < 1e-6
 
 
 def test_diff_linearity(grid):
-    rng = np.random.default_rng(1)
-    a = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-    b = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
+    a, b = random_triple(grid, 1), random_triple(grid, 11)
     lhs = (a + 2.0 * b).jet.uxy
     rhs = a.jet.uxy + 2.0 * b.jet.uxy
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
@@ -101,10 +114,9 @@ def test_diff_linearity(grid):
 
 def test_trace_commutes_with_mode_differentiation(grid):
     from trijunction.spectral import fourier_derivative
-    rng = np.random.default_rng(2)
-    f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-    via_field = f.jet.uy[0]
-    via_row = fourier_derivative(f.values[0], 1)
+    u = random_triple(grid, 2)
+    via_field = u.jet.uy[:, 0]
+    via_row = fourier_derivative(u.traces(), 1)
     assert np.max(np.abs(via_field - via_row)) < 1e-10
 
 
@@ -114,19 +126,19 @@ def test_spectral_accuracy_improves_superalgebraically():
     errs = []
     for nx in (10, 20):
         grid = Grid2D(nx, 16)
-        f = ScalarField.from_function(grid, lambda x, y: np.exp(x) * np.cos(2 * np.pi * y))
-        errs.append(np.max(np.abs(f.jet.ux - f.values)))
+        u = sampled(grid, lambda x, y: np.exp(x) * np.cos(2 * np.pi * y))
+        errs.append(np.max(np.abs(u.jet.ux - u.values)))
     assert errs[1] < errs[0] / 100.0
 
 
 def test_eval_interpolates(grid):
-    f = ScalarField.from_function(grid, lambda x, y: np.sin(1.3 * x) + np.cos(2 * np.pi * y))
+    f = sampled(grid, lambda x, y: np.sin(1.3 * x) + np.cos(2 * np.pi * y)).values[0]
     xq = np.array([0.123, 0.5, 0.987])
     yq = np.array([0.21, 0.73, 0.05])
-    out = f.eval(xq, yq)
+    out = interpolate(f, xq, yq)
     assert np.max(np.abs(out - (np.sin(1.3 * xq) + np.cos(2 * np.pi * yq)))) < 1e-12
     # scalar input returns a scalar, grid points hit exactly
-    assert f.eval(grid.x[3], grid.y[5]) == pytest.approx(f.values[3, 5], abs=1e-14)
+    assert interpolate(f, grid.x[3], grid.y[5]) == pytest.approx(f[3, 5], abs=1e-14)
 
 
 def test_norm_proxy_zero_and_translation(grid, frame):
@@ -210,21 +222,26 @@ def test_boundary_triple_validation():
 
 def test_field_csv_roundtrip(tmp_path, grid_small):
     rng = np.random.default_rng(5)
-    f = ScalarField(grid_small, rng.standard_normal((grid_small.nx, grid_small.ny)))
+    f = rng.standard_normal((grid_small.nx, grid_small.ny))
     path = str(tmp_path / "f.csv")
     save_field_csv(f, path, 0.25, {"family": "translate:0.01,0"})
     g, delta, header = load_field_csv(path)
     assert delta == 0.25
     assert header["family"] == "translate:0.01,0"
-    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(g, f)
+    # a table that disagrees with its size line is malformed
+    with open(path, "a") as fh:
+        fh.write(",".join(["0"] * grid_small.ny) + "\n")
+    with pytest.raises(ValueError):
+        load_field_csv(path)
 
 
-def _field_csv_per_value(field, delta, header=None):
+def _field_csv_per_value(values, delta, header=None):
     """Reference field writer: one f-string per value."""
     lines = [f"# {key} = {val}" for key, val in (header or {}).items()]
     lines.append("nx,ny,delta")
-    lines.append(f"{field.grid.nx},{field.grid.ny},{delta!r}")
-    lines += [",".join(f"{v:.17g}" for v in row) for row in field.values]
+    lines.append(f"{values.shape[0]},{values.shape[1]},{delta!r}")
+    lines += [",".join(f"{v:.17g}" for v in row) for row in values]
     return "\n".join(lines) + "\n"
 
 
@@ -233,21 +250,20 @@ def test_field_csv_text_matches_per_value_writer(grid_small):
     values = rng.standard_normal((grid_small.nx, grid_small.ny))
     values *= 10.0 ** rng.integers(-300, 300, size=values.shape)
     values[0, :6] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.0, 1e16]
-    f = ScalarField(grid_small, values)
     for delta, header in ((0.25, None), (0.1 + 0.2, {"family": "", "phi1": "1:0.5:0"})):
-        assert field_to_csv(f, delta, header) == _field_csv_per_value(f, delta, header)
+        assert field_to_csv(values, delta, header) == _field_csv_per_value(values, delta, header)
 
 
 def test_eval_matches_bary_matrix_of_trig_eval(grid):
     # one barycentric kernel: eval is bary_matrix applied to the y-interpolated columns
     rng = np.random.default_rng(7)
-    f = ScalarField(grid, rng.standard_normal((grid.nx, grid.ny)))
-    c, s = fourier_coefficients(f.values, axis=1)
+    f = rng.standard_normal((grid.nx, grid.ny))
+    c, s = fourier_coefficients(f, axis=1)
     xq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.x[[0, 5, 17, -1]]])
     yq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.y[[0, 3, 40, -1]]])
     ref = np.array([(bary_matrix(grid.nx, [x]) @ trig_eval(c, s, y))[0]
                     for x, y in zip(xq, yq)])
-    assert np.max(np.abs(f.eval(xq, yq) - ref)) <= 1e-14
+    assert np.max(np.abs(interpolate(f, xq, yq) - ref)) <= 1e-14
     # node hits in x are exact rows of the barycentric matrix
     B = bary_matrix(grid.nx, xq)
     assert np.array_equal(B[-4:], np.eye(grid.nx)[[0, 5, 17, -1]])
@@ -261,7 +277,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def _finite_fields(draw):
     nx = draw(st.integers(8, 11))
     ny = draw(st.sampled_from([8, 10, 12]))
-    return ScalarField(Grid2D(nx, ny), draw(hnp.arrays(float, (nx, ny), elements=FINITE)))
+    return draw(hnp.arrays(float, (nx, ny), elements=FINITE))
 
 
 @settings(max_examples=25, deadline=None)
@@ -272,19 +288,19 @@ def test_field_csv_roundtrips_any_finite_field(f, delta):
         with open(path, "w") as fh:
             fh.write(field_to_csv(f, delta))
         g, delta_back, header = load_field_csv(path)
-    assert g.grid == f.grid
-    assert np.array_equal(g.values, f.values)
+    assert g.shape == f.shape
+    assert np.array_equal(g, f)
     assert delta_back == delta
     assert header == {}
 
 
 def test_fields_immutable(grid_small):
-    f = ScalarField.zero(grid_small)
+    u = TripleField.zero(grid_small)
     with pytest.raises(ValueError):
-        f.values[0, 0] = 1.0
-    for arr in f.jet:
+        u.values[0, 0, 0] = 1.0
+    for arr in u.jet:
         with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+            arr[0, 0, 0] = 1.0
 
 
 def test_triple_sheets_are_read_only_views(grid_small):
@@ -296,28 +312,47 @@ def test_triple_sheets_are_read_only_views(grid_small):
     with pytest.raises(ValueError):
         u.values[0, 0, 0] = 1.0
     for i in (1, 2, 3):
-        f = u.sheet(i)
-        assert f is u.sheet(i)
-        assert f.values.base is u.values and np.array_equal(f.values, u.values[i - 1])
+        sheet = u.values[i - 1]             # sheet i: a view, no copy
+        assert sheet.base is u.values and sheet.flags.c_contiguous
         with pytest.raises(ValueError):
-            f.values[0, 0] = 1.0
+            sheet[0, 0] = 1.0
     assert np.array_equal(u.traces(), u.values[:, 0])
     assert np.array_equal(u.traces("outer"), u.values[:, -1])
 
 
-def test_jet_is_cached_and_matches_fresh_derivatives(grid_small):
+def test_jet_is_cached_and_matches_fresh_derivatives(grid_small, monkeypatch):
     from trijunction import spectral
-    rng = np.random.default_rng(4)
-    f = ScalarField(grid_small, rng.standard_normal((grid_small.nx, grid_small.ny)))
-    assert f.jet is f.jet
-    ux = spectral.cheb_derivative_values(f.values, 1)
-    fresh = {"ux": ux,
-             "uy": spectral.fourier_derivative(f.values, 1, axis=1),
-             "uxx": spectral.cheb_derivative_values(f.values, 2),
-             "uxy": spectral.fourier_derivative(ux, 1, axis=1),
-             "uyy": spectral.fourier_derivative(f.values, 2, axis=1)}
-    for name, arr in f.jet._asdict().items():
-        assert np.array_equal(arr, fresh[name]), name
+    calls = []
+    for name in ("cheb_coefficients", "fourier_derivative"):
+        fn = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    u = random_triple(grid_small, 4)
+    assert u.jet is u.jet
+    # one pass over the whole (3, nx, ny) array: one Chebyshev analysis, one
+    # Fourier derivative call for u_y and u_yy, one for u_xy
+    assert sorted(calls) == ["cheb_coefficients", "fourier_derivative", "fourier_derivative"]
+    fresh = TripleField(grid_small, u.values)
+    for name, arr in u.jet._asdict().items():
+        assert np.array_equal(arr, getattr(fresh.jet, name)), name
+
+
+def test_jet_rows_are_contiguous_and_equal_the_per_sheet_derivatives(grid_small):
+    from trijunction import spectral
+    u = random_triple(grid_small, 9)
+    shape = (3, grid_small.nx, grid_small.ny)
+    for name, arr in u.jet._asdict().items():
+        assert arr.shape == shape and arr.flags.c_contiguous, name
+        assert not arr.flags.writeable, name
+    for i, v in enumerate(u.values):
+        ux = spectral.cheb_derivative_values(v, 1)
+        per_sheet = {"ux": ux,
+                     "uy": spectral.fourier_derivative(v, 1, axis=1),
+                     "uxx": spectral.cheb_derivative_values(v, 2),
+                     "uxy": spectral.fourier_derivative(ux, 1, axis=1),
+                     "uyy": spectral.fourier_derivative(v, 2, axis=1)}
+        for name, arr in u.jet._asdict().items():
+            assert np.array_equal(arr[i], per_sheet[name]), (i, name)
 
 
 def test_aliasing_warning_fires_and_floor_suppresses():
@@ -336,9 +371,10 @@ def test_aliasing_warning_fires_and_floor_suppresses():
         checked_fourier_coefficients(np.cos(2 * np.pi * y), "clean")
 
 
-def test_scalar_field_proxy_order0_is_sup_plus_seminorm(grid_small):
-    f = ScalarField.from_function(grid_small, lambda x, y: np.full_like(x, 2.0))
-    assert scalar_field_proxy(f, 0.5, order=0) == pytest.approx(2.0)
+def test_norm_proxy_order0_is_sup_plus_seminorm(grid_small):
+    # a constant has no seminorm: each sheet adds its sup alone
+    u = TripleField(grid_small, np.full((3, grid_small.nx, grid_small.ny), 2.0))
+    assert norm_proxy(u, 0.5, order=0) == pytest.approx(6.0)
 
 
 def test_triple_field_requires_shared_grid():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
-                         ModeProblem, ScalarField, TripleField, boundary_operator, laplacian,
-                         normal_derivative_inner, schauder_probe, solve_linear_system,
-                         solve_scalar)
+                         ModeProblem, TripleField, boundary_operator, schauder_probe,
+                         solve_linear_system, solve_scalar)
 from trijunction.linear import _interior_defect, mode_debug_csv
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
@@ -167,7 +166,7 @@ def test_decouple_recompose_roundtrip_4ulp(grid_small):
     back = np.tensordot(RECOMPOSE, np.tensordot(DECOUPLE, u.values, axes=1), axes=1)
     scale = u.sup()
     for i in (1, 2, 3):
-        assert np.max(np.abs(back[i - 1] - u.sheet(i).values)) <= 4 * ULP4 * scale
+        assert np.max(np.abs(back[i - 1] - u.values[i - 1])) <= 4 * ULP4 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,8 @@ def test_solve_dirichlet_superposition(grid_small):
     f2 = random_smooth_field(grid_small, rng)
     p1 = random_smooth_map(grid_small.ny, rng)
     p2 = random_smooth_map(grid_small.ny, rng)
-    lhs = solve_scalar((f1 + 0.7 * f2).values, p1 + 0.7 * p2)
-    rhs = solve_scalar(f1.values, p1) + 0.7 * solve_scalar(f2.values, p2)
+    lhs = solve_scalar(f1 + 0.7 * f2, p1 + 0.7 * p2)
+    rhs = solve_scalar(f1, p1) + 0.7 * solve_scalar(f2, p2)
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -211,8 +210,9 @@ def test_solve_mixed_zero_and_neumann_trace(grid_small):
     assert np.max(np.abs(v)) == 0.0
     rng = np.random.default_rng(4)
     g = random_smooth_map(grid_small.ny, rng)
-    v = ScalarField(grid_small, solve_scalar(zero, np.zeros(grid_small.ny), g))
-    assert np.max(np.abs(normal_derivative_inner(v) - g)) < 1e-8 * np.max(np.abs(g))
+    v = TripleField(grid_small, [solve_scalar(zero, np.zeros(grid_small.ny), g)] * 3)
+    # the outward normal at x = 0 points in -x
+    assert np.max(np.abs(-v.jet.ux[:, 0] - g)) < 1e-8 * np.max(np.abs(g))
 
 
 def test_solve_linear_system_zero(grid):
@@ -235,41 +235,38 @@ def test_solve_linear_system_constant_phi_traces(grid):
 
 def test_solve_linear_system_residual_oracle(grid_small):
     rng = np.random.default_rng(5)
-    F = TripleField(grid_small, [random_smooth_field(grid_small, rng).values
-                                 for _ in range(3)])
+    F = TripleField(grid_small, [random_smooth_field(grid_small, rng) for _ in range(3)])
     G = (random_smooth_map(grid_small.ny, rng), random_smooth_map(grid_small.ny, rng))
     phi = BoundaryTriple(grid_small.ny, np.stack([random_smooth_map(grid_small.ny, rng)
                                                   for _ in range(3)]))
     u = solve_linear_system(F, G, phi)
     scale = max(F.sup(), max(np.max(np.abs(g)) for g in G),
                 float(np.max(np.abs(phi.values))))
-    lap = max(np.max(np.abs((laplacian(u.sheet(i)) - F.sheet(i)).values[1:-1, :]))
-              for i in (1, 2, 3))
+    lap = np.max(np.abs((u.jet.uxx + u.jet.uyy - F.values)[:, 1:-1]))
     assert lap < 1e-8 * scale
     B = boundary_operator(u)
     assert np.max(np.abs(B[0])) < 1e-8 * scale
     assert np.max(np.abs(B[1] - G[0])) < 1e-8 * scale
     assert np.max(np.abs(B[2] - G[1])) < 1e-8 * scale
     for i in (1, 2, 3):
-        assert np.max(np.abs(u.traces("outer")[i - 1] - phi.component(i))) \
+        assert np.max(np.abs(u.traces("outer")[i - 1] - phi.values[i - 1])) \
             < 1e-10 * scale
 
 
 def test_solve_linear_system_formula_path_agrees(grid_small):
     rng = np.random.default_rng(6)
-    F = TripleField(grid_small, [random_smooth_field(grid_small, rng).values
-                                 for _ in range(3)])
+    F = TripleField(grid_small, [random_smooth_field(grid_small, rng) for _ in range(3)])
     G = (random_smooth_map(grid_small.ny, rng), random_smooth_map(grid_small.ny, rng))
     phi = BoundaryTriple(grid_small.ny, np.stack([random_smooth_map(grid_small.ny, rng)
                                                   for _ in range(3)]))
     u_col = solve_linear_system(F, G, phi)
     u_for = formula_linear_solve(F, G, phi)
-    diff = max((u_col.sheet(i) - u_for.sheet(i)).sup() for i in (1, 2, 3))
+    diff = (u_col - u_for).sup()
     assert diff < 1e-8 * max(1.0, u_col.sup())
 
 
 def _random_linear_data(grid, rng):
-    F = TripleField(grid, [random_smooth_field(grid, rng).values for _ in range(3)])
+    F = TripleField(grid, [random_smooth_field(grid, rng) for _ in range(3)])
     G = (random_smooth_map(grid.ny, rng), random_smooth_map(grid.ny, rng))
     phi = BoundaryTriple(grid.ny, np.stack([random_smooth_map(grid.ny, rng)
                                             for _ in range(3)]))
@@ -312,7 +309,7 @@ def test_linear_solve_warns_on_aliased_inputs(grid_small, which, label):
 def test_mode_debug_records(grid_small):
     rng = np.random.default_rng(7)
     debug = []
-    solve_scalar(random_smooth_field(grid_small, rng).values,
+    solve_scalar(random_smooth_field(grid_small, rng),
                  random_smooth_map(grid_small.ny, rng), debug=debug)
     ks = sorted({r["k"] for r in debug})
     assert ks == list(range(grid_small.ny // 2 + 1))

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from trijunction import (CutoffProfile, ScalarField, SolveOptions, TripleField,
+from trijunction import (CutoffProfile, SolveOptions, TripleField,
                          exact_family, fd_linear_solve, fd_mean_curvature,
                          junction_angle_check, mean_curvature, solve_nonlinear,
                          solve_scalar, F_eval, G_eval)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
+from trijunction.spectral import interpolate
 
 from conftest import random_boundary, rotation_field
 
@@ -24,7 +25,7 @@ def test_fd_mean_curvature_matches_spectral(grid, cutoff, frame):
     rng = np.random.default_rng(30)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.012, 0.5)
     pt = (0.4371, 0.2619)
-    H_at = ScalarField(grid, mean_curvature(u, cutoff)[0]).eval(*pt)
+    H_at = interpolate(mean_curvature(u, cutoff)[0], *pt)
     fd_h = fd_mean_curvature(1, u, pt, 1e-3, cutoff, frame)
     fd_h2 = fd_mean_curvature(1, u, pt, 5e-4, cutoff, frame)
     # Richardson: the h-step error bounds the truncation constant
@@ -36,7 +37,7 @@ def test_fd_mean_curvature_refinement_slope(grid, cutoff, frame):
     rng = np.random.default_rng(31)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.012, 0.5)
     pt = (0.52, 0.77)
-    ref = ScalarField(grid, mean_curvature(u, cutoff)[1]).eval(*pt)
+    ref = interpolate(mean_curvature(u, cutoff)[1], *pt)
     errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, frame) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]
@@ -101,11 +102,11 @@ def test_fd_linear_solve_agrees_with_spectral(grid):
     fy1, fy2, gm, pm = rand_map(), rand_map(), rand_map(), rand_map()
     ffun = lambda X, Y: fy1(Y) * (1 - X) + fy2(Y) * X ** 2
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    v_spec = ScalarField(grid, solve_scalar(ffun(X, Y), pm(grid.y), gm(grid.y)))
+    v_spec = solve_scalar(ffun(X, Y), pm(grid.y), gm(grid.y))
     for N in (16, 32, 64):
         xs, ys, vals = fd_linear_solve(ffun, gm, pm, (N + 1, N), "mixed")
         Xs, Ys = np.meshgrid(xs, ys, indexing="ij")
-        assert np.max(np.abs(vals - v_spec.eval(Xs, Ys))) < 5.0 / N ** 2
+        assert np.max(np.abs(vals - interpolate(v_spec, Xs, Ys))) < 5.0 / N ** 2
 
 
 def test_junction_angles_flat_and_rotation(grid, frame, cutoff):
@@ -129,7 +130,7 @@ def test_exact_family_values(grid, cutoff, frame):
     phi, u = exact_family("translate", (0.01, 0.0), grid, cutoff, frame)
     expected = 0.01 * np.array([0.0, np.sqrt(3) / 2, -np.sqrt(3) / 2])
     for i in (1, 2, 3):
-        assert np.max(np.abs(phi.component(i) - expected[i - 1])) < 1e-15
+        assert np.max(np.abs(phi.values[i - 1] - expected[i - 1])) < 1e-15
 
     phi, u = exact_family("rotate", 0.01, grid, cutoff, frame)
     assert np.max(np.abs(phi.values - 0.01)) < 1e-15
@@ -155,10 +156,10 @@ def test_fd_mean_curvature_across_periodic_seam(grid, cutoff, frame):
     # the stencil wraps around y = 0 without a jump
     rng = np.random.default_rng(34)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
-    ref = ScalarField(grid, mean_curvature(u, cutoff)[2])
+    ref = mean_curvature(u, cutoff)[2]
     for y0 in (0.001, 0.999):
         fd = fd_mean_curvature(3, u, (0.45, y0), 1e-3, cutoff, frame)
-        assert abs(fd - ref.eval(0.45, y0)) < 1e-6
+        assert abs(fd - interpolate(ref, 0.45, y0)) < 1e-6
 
 
 def test_fd_mean_curvature_batch_matches_single_points(grid, frame):

@@ -3,8 +3,8 @@
 import numpy as np
 
 import trijunction
-from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, ScalarField,
-                         TripleField, frame_vectors, junction_angle_check, mesh_surface,
+from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, TripleField,
+                         frame_vectors, junction_angle_check, mesh_surface,
                          spine_from_traces, structural_certificate)
 
 
@@ -21,7 +21,6 @@ def test_array_holding_dataclasses_compare_by_identity():
     cutoff = CutoffProfile(0.25)
     u = TripleField.zero(grid)
     makers = [
-        lambda: ScalarField.zero(grid),
         lambda: TripleField.zero(grid),
         lambda: BoundaryTriple.zero(grid.ny),
         frame_vectors,

@@ -63,7 +63,7 @@ def test_solve_translation_family(grid, cutoff, frame):
     exact = translation_field(grid, frame, c)
     phi = BoundaryTriple(grid.ny, exact.traces("outer"))
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
-    err = max((u.sheet(i) - exact.sheet(i)).sup() for i in (1, 2, 3))
+    err = (u - exact).sup()
     assert err < 1e-8
     assert report.converged and report.iterations <= 10
     # the reconstructed spine is the translation vector
@@ -81,7 +81,7 @@ def test_solve_rotation_family(grid, frame):
     exact = rotation_field(grid, beta)
     phi = BoundaryTriple(grid.ny, np.full((3, grid.ny), beta))
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
-    err = max((u.sheet(i) - exact.sheet(i)).sup() for i in (1, 2, 3))
+    err = (u - exact).sup()
     assert err < 1e-8
     assert report.converged and report.iterations <= 10
 
@@ -103,11 +103,11 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     rng = np.random.default_rng(20)
     phi = random_boundary(grid.ny, rng, 0.005)
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
-    # the zero start is never differentiated, so the sheets of u1 and u2 are
-    # the only fields that are: one x-transform each; F is evaluated at u1
-    # for the second step and at u2 for the residuals
+    # the zero start is never differentiated, so u1 and u2 are the only
+    # fields that are: one x-transform of all three sheets each; F is
+    # evaluated at u1 for the second step and at u2 for the residuals
     assert report.iterations == 2
-    assert len(calls) == 6
+    assert len(calls) == 2
     assert len(F_calls) == 2
     # F subtracts the public mean curvature: one evaluation of H per F
     assert len(H_calls) == 2
@@ -131,8 +131,7 @@ def test_first_iterate_is_linear_solve_of_boundary_data(grid, cutoff, frame):
     zero = np.zeros(grid.ny)
     expected = solve_linear_system(TripleField.zero(grid), (zero, zero), phi)
     assert report.iterations == 1 and report.converged
-    for i in (1, 2, 3):
-        assert np.array_equal(u.sheet(i).values, expected.sheet(i).values)
+    assert np.array_equal(u.values, expected.values)
     assert report.update_norms == (expected.sup(),)
 
 
@@ -182,8 +181,7 @@ def test_determinism_bit_identical(grid_small, cutoff, frame):
     u_a, rep_a = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame)
     u_b, rep_b = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame)
     assert rep_a == rep_b
-    for i in (1, 2, 3):
-        assert np.array_equal(u_a.sheet(i).values, u_b.sheet(i).values)
+    assert np.array_equal(u_a.values, u_b.values)
 
 
 def test_contraction_diagnostics_zero_data(grid_small, cutoff, frame):
@@ -262,8 +260,9 @@ def test_solution_grid_independent(cutoff, frame):
     xs = np.array([0.1, 0.3, 0.5, 0.9])
     ys = np.array([0.05, 0.4, 0.7, 0.95])
     X, Y = np.meshgrid(xs, ys)
-    d = max(np.max(np.abs(sols[(48, 64)].sheet(i).eval(X, Y)
-                          - sols[(64, 96)].sheet(i).eval(X, Y))) for i in (1, 2, 3))
+    from trijunction.spectral import interpolate
+    d = max(np.max(np.abs(interpolate(sols[(48, 64)].values[i], X, Y)
+                          - interpolate(sols[(64, 96)].values[i], X, Y))) for i in range(3))
     assert d < 1e-10
 
 
