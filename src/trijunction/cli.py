@@ -33,7 +33,7 @@ from .curvature import DegenerateMetric
 from .fields import (BoundaryTriple, Grid2D, TripleField, atomic_write_text, csv_text,
                      load_field_csv, parse_table, read_csv, save_field_csv)
 from .geometry import (CompatibilityViolation, CutoffProfile, check_mesh_resolution,
-                       frame_vectors, mesh_surface, spine_from_traces, write_obj)
+                       frame_vectors, mesh_surface, spine_samples, write_obj)
 from .linear import mode_debug_csv
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
@@ -255,10 +255,10 @@ def _load_residuals_csv(path: str) -> dict[str, float]:
 
 
 def _spine_csv(u: TripleField, header: dict) -> str:
-    spine = spine_from_traces(u.traces(), tol=np.inf)
     ys = spectral.fourier_nodes(u.grid.ny)
     return csv_text("y,v1,v2", "%.17g,%.17g,%.17g",
-                    np.column_stack([ys, spine.values()]).tolist(), header)
+                    np.column_stack([ys, spine_samples(u.traces(), tol=np.inf)]).tolist(),
+                    header)
 
 
 def _mesh_header(cfg: RunConfig, residuals: dict[str, float]) -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 from . import spectral
 from .fields import Jet, TripleField
 from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
-                       spine_from_traces, wall_scalars)
+                       spine_samples, wall_scalars)
 
 
 class DegenerateMetric(RuntimeError):
@@ -97,7 +97,7 @@ def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
 
 def _spine_quantities(u: TripleField, frame: JunctionFrame):
     """Spine slope v' (ny, 2) and the inner rows of d_x u_i and d_y u_i (3, ny)."""
-    vprime = spine_from_traces(u.traces(), frame).derivative()
+    vprime = spectral.fourier_derivative(spine_samples(u.traces(), frame), 1, axis=0)
     return vprime, u.jet.ux[:, 0], u.jet.uy[:, 0]
 
 
@@ -125,6 +125,13 @@ def conormal_xi(i: int, u: TripleField, frame: JunctionFrame | None = None) -> n
     return _conormal(i, vprime, dxu0, frame)
 
 
+def _conormals(u: TripleField, frame: JunctionFrame):
+    """The three conormals of :func:`conormal_xi` from one spine pass, and the
+    inner rows of d_x u_i and d_y u_i."""
+    vprime, dxu0, dyu0 = _spine_quantities(u, frame)
+    return [_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3)], dxu0, dyu0
+
+
 def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Junction defect pair (G_1, G_2) on the y grid.
 
@@ -145,8 +152,8 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarr
 
 def _junction_defect(u: TripleField, frame: JunctionFrame):
     """(G_1, G_2, S) from one spine and conormal pass; see :func:`G_eval`."""
-    vprime, dxu0, dyu0 = _spine_quantities(u, frame)
-    S = sum(_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3))
+    xi, dxu0, dyu0 = _conormals(u, frame)
+    S = xi[0] + xi[1] + xi[2]
     ny = u.grid.ny
 
     b1 = np.empty((ny, 3))

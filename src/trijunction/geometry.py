@@ -128,17 +128,10 @@ class SpineCurve:
         ys = spectral.fourier_nodes(self.ny) if ys is None else np.asarray(ys, float)
         return spectral.trig_eval(self.ccoef, self.scoef, ys).T
 
-    def derivative(self, ys=None) -> np.ndarray:
-        ys = spectral.fourier_nodes(self.ny) if ys is None else np.asarray(ys, float)
-        k = np.arange(self.ccoef.shape[1])
-        dc = 2.0 * np.pi * k * self.scoef
-        ds = -2.0 * np.pi * k * self.ccoef
-        return spectral.trig_eval(dc, ds, ys).T
 
-
-def spine_from_traces(traces: np.ndarray, frame: JunctionFrame | None = None,
-                      tol: float = 1e-10) -> SpineCurve:
-    """Reconstruct the spine from the three inner traces.
+def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
+                  tol: float = 1e-10) -> np.ndarray:
+    """The spine v at the y grid nodes, shape (ny, 2), from the three inner traces.
 
     Requires sum_i u_i(0, y) = 0 pointwise (within ``tol``); the sheet-1
     formula v = <w_1, n_1> n_1 + u_1(0,.) nu_1 is returned.  All three
@@ -153,8 +146,14 @@ def spine_from_traces(traces: np.ndarray, frame: JunctionFrame | None = None,
             f"trace sum reaches {defect:.3e} (tolerance {tol:.1e}); "
             "the three sheets do not meet along a common spine")
     w1 = wall_scalars(traces)[0]
-    v = np.outer(w1, frame.n_vec(1)) + np.outer(traces[0], frame.nu_vec(1))
-    c, s = spectral.fourier_coefficients(v.T, axis=1)
+    return np.outer(w1, frame.n_vec(1)) + np.outer(traces[0], frame.nu_vec(1))
+
+
+def spine_from_traces(traces: np.ndarray, frame: JunctionFrame | None = None,
+                      tol: float = 1e-10) -> SpineCurve:
+    """The spine as a Fourier series: the analysis of :func:`spine_samples`."""
+    traces = np.asarray(traces, dtype=float)
+    c, s = spectral.fourier_coefficients(spine_samples(traces, frame, tol).T, axis=1)
     return SpineCurve(traces.shape[1], _ro(c), _ro(s))
 
 
@@ -218,7 +217,11 @@ def check_c0_compatibility(u: TripleField, cutoff: CutoffProfile,
     trace_sum = float(np.max(np.abs(tr.sum(axis=0))))
     w = wall_scalars(tr)                        # (3, ny)
     _, eta1, _ = cutoff(u.grid.x)               # (nx,)
-    margin = float(np.min(1.0 - np.einsum("x,iy->ixy", eta1, w)))
+    # min over (i, x, y) of 1 - eta'(x) w_i(y): the product is largest at a
+    # corner of the box of its factors, and rounding is monotone, so the four
+    # corner products give the minimum over the whole grid exactly
+    margin = float(min(1.0 - e * wv for e in (eta1.min(), eta1.max())
+                       for wv in (w.min(), w.max())))
     proxy = norm_proxy(u, alpha)
     return CompatibilityReport(
         trace_sum_max=trace_sum,

@@ -24,7 +24,7 @@ from . import spectral
 from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy, norm_proxy,
                      periodic_proxy)
 from .geometry import CutoffProfile, JunctionFrame, embed_point, frame_vectors
-from .curvature import F_eval, G_eval, conormal_xi
+from .curvature import F_eval, G_eval, _conormals
 from .linear import DECOUPLE, RECOMPOSE, Kind, solve_linear_system
 from .picard import (GuardViolation, SolveOptions, _assemble_report, _guard_record,
                      picard_step)
@@ -277,7 +277,7 @@ class AngleReport:
 def junction_angle_check(u: TripleField, frame: JunctionFrame | None = None) -> AngleReport:
     """Angles between the sheet conormals along the spine; 120 degrees at stationarity."""
     frame = frame or frame_vectors()
-    xi = [conormal_xi(i, u, frame) for i in (1, 2, 3)]
+    xi, _, _ = _conormals(u, frame)
     pairs = ((0, 1), (1, 2), (2, 0))
     angles = np.stack([
         np.arccos(np.clip((xi[a] * xi[b]).sum(axis=1), -1.0, 1.0)) for a, b in pairs])

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import trijunction
 from trijunction import (CutoffProfile, Grid2D, GuardViolation, NoConvergence, SolveOptions,
-                         fd_mean_curvature, load_field_csv, solve_nonlinear,
-                         spine_from_traces)
+                         fd_mean_curvature, frame_vectors, load_field_csv, solve_nonlinear)
 from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
                              EXIT_OK, EXIT_VERIFY_FAIL, RESIDUAL_NAMES, RunConfig,
                              apply_config_values, load_artifacts, main)
+from trijunction.geometry import wall_scalars
 from trijunction.linear import mode_debug_csv
 from trijunction.picard import SolveReport, report_to_csv, residual_record
 
@@ -410,7 +410,10 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
     cfg, u, phi, _ = load_artifacts(out)
     head = [f"# {k} = {v}" for k, v in cfg.echo().items()]
     rec = residual_record(u, phi, CutoffProfile(cfg.delta))
-    spine = spine_from_traces(u.traces(), tol=np.inf)
+    # the spine rows are the samples of v = <w_1, n_1> n_1 + u_1(0, .) nu_1
+    frame = frame_vectors()
+    spine = (np.outer(wall_scalars(u.traces())[0], frame.n_vec(1))
+             + np.outer(u.traces()[0], frame.nu_vec(1)))
     ys = np.arange(cfg.ny) / cfg.ny
     expected = {
         "phi.csv": head + ["ny", str(phi.ny)]
@@ -418,7 +421,7 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
         "residuals.csv": head + ["name,value"]
         + [f"{name},{getattr(rec, name):.17g}" for name in RESIDUAL_NAMES],
         "spine.csv": head + ["y,v1,v2"]
-        + [f"{y:.17g},{v1:.17g},{v2:.17g}" for y, (v1, v2) in zip(ys, spine.values())],
+        + [f"{y:.17g},{v1:.17g},{v2:.17g}" for y, (v1, v2) in zip(ys, spine)],
     }
     for name, lines in expected.items():
         with open(os.path.join(out, name)) as fh:

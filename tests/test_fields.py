@@ -1,5 +1,6 @@
 """Discrete fields: spectral calculus, traces, norm proxies, CSV round trips."""
 
+import importlib.util
 import os
 import tempfile
 import warnings
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from trijunction import (AliasingWarning, BoundaryTriple, Grid2D, TripleField,
-                         boundary_proxy, load_field_csv, norm_proxy, periodic_proxy,
-                         save_field_csv)
+from trijunction import (AliasingWarning, BoundaryTriple, CutoffProfile, Grid2D, SolveOptions,
+                         TripleField, boundary_proxy, fields, geometry, load_field_csv,
+                         norm_proxy, periodic_proxy, save_field_csv, solve_nonlinear)
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
                                checked_fourier_coefficients, field_to_csv)
 from trijunction.spectral import bary_matrix, fourier_coefficients, interpolate, trig_eval
@@ -198,6 +199,82 @@ def test_holder_seminorms_equal_roll_reference(nx, ny, alpha):
         assert _holder_seminorm_2d(arrays, grid, alpha) == _roll_seminorm_2d(arrays, grid, alpha)
         row = rng.standard_normal(ny)
         assert _holder_seminorm_1d(row, alpha) == _roll_seminorm_1d(row, alpha)
+
+
+def _benchmark_iterates(nx, ny, n):
+    """Every iterate the guard sees while solving the first ``n`` seed-1
+    benchmark inputs at nx x ny (``perfbench/inputs.py``)."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                         "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    grid, cutoff, seen = Grid2D(nx, ny), CutoffProfile(0.25), []
+
+    def spy(u, alpha, order=2):
+        seen.append(u)
+        return norm_proxy(u, alpha, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "norm_proxy", spy)
+        for phi in inputs.library_inputs(1, ny, n):
+            solve_nonlinear(phi, SolveOptions(), grid, cutoff)
+    assert len(seen) == 2 * n                   # two iterates per solve
+    return grid, seen
+
+
+def _top_derivatives(u):
+    """Per sheet, the three arrays whose Hoelder seminorm the proxy takes."""
+    return [[u.jet.uxx[i], u.jet.uxy[i], u.jet.uyy[i]] for i in range(3)]
+
+
+@pytest.mark.parametrize("nx,ny,n", [(48, 64, 8), (96, 256, 3)])
+def test_pruned_seminorm_equals_roll_reference_on_solver_iterates(nx, ny, n):
+    grid, iterates = _benchmark_iterates(nx, ny, n)
+    for u in iterates:
+        for arrays in _top_derivatives(u):
+            for alpha in (0.1, 0.5, 1.0):
+                assert (_holder_seminorm_2d(arrays, grid, alpha)
+                        == _roll_seminorm_2d(arrays, grid, alpha))
+
+
+@pytest.mark.parametrize("nx,ny", [(9, 10), (48, 64)])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+def test_pruned_seminorm_equals_roll_reference_on_spikes_steps_and_constants(nx, ny, alpha):
+    grid = Grid2D(nx, ny)
+    zero = np.zeros((nx, ny))
+    spike = zero.copy()
+    spike[nx // 3, ny // 4] = 1.0
+    step = zero.copy()
+    step[1:] = -2.5                             # across the first Chebyshev interval
+    corner = zero.copy()
+    corner[0, 0] = 3.0
+    # smooth profiles whose longest lags carry the maximum at small alpha
+    ramp = zero + grid.x[:, None]
+    wave = zero + np.sin(2 * np.pi * grid.y)
+    cases = [[spike, zero, zero], [zero, step, zero], [spike, step, -spike],
+             [corner, zero, zero], [zero + 1.75] * 3, [zero] * 3,
+             [ramp, zero, zero], [zero, wave, 0.5 * ramp]]
+    for arrays in cases:
+        assert (_holder_seminorm_2d(arrays, grid, alpha)
+                == _roll_seminorm_2d(arrays, grid, alpha))
+
+
+def test_seminorm_evaluates_at_most_four_lags_on_benchmark_iterates(monkeypatch):
+    # lag 1 in y and in x, then at most two more: the bounds prune the rest
+    # (15 lags at 96x256, 12 at 48x64), so a fall-back to every lag fails here
+    calls = []
+    for name in ("_y_lag", "_x_lag"):
+        lag_fn = getattr(fields, name)
+        monkeypatch.setattr(fields, name,
+                            lambda *a, f=lag_fn: calls.append(a[1]) or f(*a))
+    for nx, ny in [(48, 64), (96, 256)]:
+        grid, iterates = _benchmark_iterates(nx, ny, 4)
+        for u in iterates:
+            for arrays in _top_derivatives(u):
+                calls.clear()
+                _holder_seminorm_2d(arrays, grid, SolveOptions().alpha)
+                assert 2 <= len(calls) <= 4, (nx, ny, calls)
 
 
 def test_periodic_proxy_orders():

@@ -6,7 +6,7 @@ import pytest
 from trijunction import (CompatibilityViolation, CutoffProfile, TripleField,
                          check_c0_compatibility, embed_point, frame_vectors, mesh_surface,
                          spine_from_traces)
-from trijunction.geometry import SurfaceMesh, mesh_to_obj, wall_scalars
+from trijunction.geometry import SurfaceMesh, mesh_to_obj, spine_samples, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
 from conftest import rotation_field, translation_field
@@ -158,6 +158,25 @@ def test_spine_reconstructions_agree_for_all_sheets(frame):
     assert spread < 1e-12
 
 
+def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
+    # spine.csv writes the samples; the Fourier series of a band-limited spine
+    # reproduces them at the y nodes to within 16 ulp of sup |v|, the
+    # round-off of its analysis and synthesis
+    rng = np.random.default_rng(9)
+    for ny in (8, 64, 256):
+        arg = 2 * np.pi * np.outer(np.arange(4), np.arange(ny) / ny)
+        v = 0.01 * (rng.standard_normal((2, 4)) @ np.cos(arg)
+                    + rng.standard_normal((2, 4)) @ np.sin(arg))
+        traces = np.stack([frame.nu_vec(i) @ v for i in (1, 2, 3)])
+        traces[2] = -traces[0] - traces[1]
+        samples = spine_samples(traces, frame)
+        assert np.array_equal(samples, np.outer(wall_scalars(traces)[0], frame.n_vec(1))
+                              + np.outer(traces[0], frame.nu_vec(1)))
+        series = spine_from_traces(traces, frame).values()
+        sup = np.max(np.abs(samples))
+        assert np.max(np.abs(series - samples)) <= 16 * np.spacing(sup)
+
+
 def test_spine_rejects_incompatible_traces(frame):
     ny = 32
     traces = np.zeros((3, ny))
@@ -234,6 +253,41 @@ def test_check_c0_compatibility(grid, frame, cutoff):
     rep = check_c0_compatibility(big, cutoff)
     assert rep.monotonic_margin < 1.0
     assert not rep.smallness_ok
+
+
+class _SlopeOnly:
+    """A cutoff stand-in with a prescribed eta' on the grid (eta = eta'' = 0)."""
+
+    delta = 0.25
+
+    def __init__(self, eta1):
+        self.eta1 = eta1
+
+    def __call__(self, x):
+        return np.zeros_like(x), self.eta1, np.zeros_like(x)
+
+
+def test_embed_margin_from_four_products_equals_the_full_product(grid_small, cutoff):
+    # the margin min over (i, x, y) of 1 - eta'(x) w_i(y) comes from the four
+    # corner products; it must equal the whole (3, nx, ny) product bit for bit,
+    # whatever the signs of eta', zeros (and -0.0) included.  The w_i sum to
+    # zero, so w takes both signs or is zero.
+    nx, ny = grid_small.nx, grid_small.ny
+    rng = np.random.default_rng(12)
+    slopes = [cutoff(grid_small.x)[1], np.zeros(nx), -np.zeros(nx)]
+    fields = [TripleField.zero(grid_small)]
+    for _ in range(6):
+        scale = 10.0 ** rng.integers(-3, 4)
+        eta1 = scale * rng.standard_normal(nx) * rng.integers(0, 2, nx)
+        slopes += [eta1, np.abs(eta1), -np.abs(eta1)]
+        values = rng.standard_normal((3, nx, ny))
+        values[:, 0, rng.integers(0, 2, ny) == 1] = rng.standard_normal()  # w = 0 there
+        fields.append(TripleField(grid_small, values))
+    for u in fields:
+        w = wall_scalars(u.traces())
+        for eta1 in slopes:
+            expected = float(np.min(1.0 - np.einsum("x,iy->ixy", eta1, w)))
+            assert check_c0_compatibility(u, _SlopeOnly(eta1)).monotonic_margin == expected
 
 
 def face_areas(mesh):

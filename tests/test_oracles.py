@@ -6,7 +6,7 @@ import pytest
 from trijunction import (CutoffProfile, SolveOptions, TripleField,
                          exact_family, fd_linear_solve, fd_mean_curvature,
                          junction_angle_check, mean_curvature, solve_nonlinear,
-                         solve_scalar, F_eval, G_eval)
+                         solve_scalar, F_eval, G_eval, conormal_xi, curvature)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.spectral import interpolate
 
@@ -124,6 +124,21 @@ def test_junction_angles_converged_solution(grid, cutoff, frame):
     u, _ = solve_nonlinear(phi, SolveOptions(), grid, cutoff, frame)
     rep = junction_angle_check(u, frame)
     assert rep.max_deviation < 1e-4
+
+
+def test_junction_angles_rebuild_the_spine_once(grid_small, frame, monkeypatch):
+    # the three conormals share one spine: one reconstruction per check, and
+    # the angles are those between the per-sheet conormal_xi
+    u = scaled_to_proxy(random_compatible_field(grid_small, np.random.default_rng(5), frame),
+                        0.01, 0.5)
+    calls = []
+    monkeypatch.setattr(curvature, "spine_samples",
+                        lambda *a, f=curvature.spine_samples: calls.append(1) or f(*a))
+    rep = junction_angle_check(u, frame)
+    assert len(calls) == 1
+    xi = [conormal_xi(i, u, frame) for i in (1, 2, 3)]
+    for row, (a, b) in zip(rep.angles, ((0, 1), (1, 2), (2, 0))):
+        assert np.array_equal(row, np.arccos(np.clip((xi[a] * xi[b]).sum(axis=1), -1.0, 1.0)))
 
 
 def test_exact_family_values(grid, cutoff, frame):
