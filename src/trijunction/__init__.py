@@ -8,33 +8,26 @@ finite-difference verification oracles.
 """
 
 from .fields import (AliasingWarning, BoundaryTriple, Grid2D, TripleField, boundary_proxy,
-                     load_field_csv, norm_proxy, periodic_proxy, save_field_csv)
-from .geometry import (CompatibilityReport, CompatibilityViolation, CutoffProfile,
-                       JunctionFrame, SpineCurve, SurfaceMesh, check_c0_compatibility,
-                       embed_point, frame_vectors, mesh_surface, spine_from_traces,
-                       write_obj)
-from .curvature import DegenerateMetric, F_eval, G_eval, conormal_xi, mean_curvature
+                     norm_proxy, periodic_proxy)
+from .geometry import (CompatibilityViolation, CutoffProfile, check_c0_compatibility,
+                       embed_point, frame_vectors, mesh_surface)
+from .curvature import DegenerateMetric, F_eval, G_eval, mean_curvature
 from .linear import DECOUPLE, RECOMPOSE, boundary_operator, solve_linear_system, solve_scalar
-from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
-                     picard_step, residual_record, solve_nonlinear)
-from .oracles import (AngleReport, ContractionEstimates, ModeProblem,
-                      StructuralCertificate, contraction_diagnostics, exact_family,
-                      fd_linear_solve, fd_mean_curvature, junction_angle_check,
-                      schauder_probe, structural_certificate)
+from .picard import GuardViolation, NoConvergence, SolveOptions, picard_step, solve_nonlinear
+from .oracles import (ModeProblem, contraction_diagnostics, exact_family, fd_linear_solve,
+                      fd_mean_curvature, junction_angle_check, schauder_probe,
+                      structural_certificate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AliasingWarning", "BoundaryTriple", "Grid2D", "TripleField", "boundary_proxy",
-    "load_field_csv", "norm_proxy", "periodic_proxy", "save_field_csv",
-    "CompatibilityReport", "CompatibilityViolation", "CutoffProfile", "JunctionFrame",
-    "SpineCurve", "SurfaceMesh", "check_c0_compatibility", "embed_point",
-    "frame_vectors", "mesh_surface", "spine_from_traces", "write_obj",
-    "DegenerateMetric", "F_eval", "G_eval", "conormal_xi", "mean_curvature",
+    "norm_proxy", "periodic_proxy",
+    "CompatibilityViolation", "CutoffProfile", "check_c0_compatibility", "embed_point",
+    "frame_vectors", "mesh_surface",
+    "DegenerateMetric", "F_eval", "G_eval", "mean_curvature",
     "DECOUPLE", "RECOMPOSE", "boundary_operator", "solve_linear_system", "solve_scalar",
-    "GuardViolation", "NoConvergence", "SolveOptions", "SolveReport", "picard_step",
-    "residual_record", "solve_nonlinear",
-    "AngleReport", "ContractionEstimates", "ModeProblem", "StructuralCertificate",
-    "contraction_diagnostics", "exact_family", "fd_linear_solve", "fd_mean_curvature",
-    "junction_angle_check", "schauder_probe", "structural_certificate",
+    "GuardViolation", "NoConvergence", "SolveOptions", "picard_step", "solve_nonlinear",
+    "ModeProblem", "contraction_diagnostics", "exact_family", "fd_linear_solve",
+    "fd_mean_curvature", "junction_angle_check", "schauder_probe", "structural_certificate",
 ]

@@ -15,7 +15,7 @@ for reproducibility.  Exit codes:
 * 1  verification failure or unreadable artifacts
 * 2  no convergence (``sweep``: no scale converged)
 * 3  guard violation
-* 4  bad configuration
+* 4  bad configuration, or artifacts that cannot be written
 * 5  converged, but the residual gates failed
 """
 
@@ -24,20 +24,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
 from .curvature import DegenerateMetric
-from .fields import (BoundaryTriple, Grid2D, TripleField, atomic_write_text, csv_text,
-                     load_field_csv, parse_table, read_csv, save_field_csv)
-from .geometry import (CompatibilityViolation, CutoffProfile, check_mesh_resolution,
-                       frame_vectors, mesh_surface, spine_samples, write_obj)
-from .linear import mode_debug_csv
+from .fields import BoundaryTriple, Grid2D, TripleField
+from .geometry import (CompatibilityViolation, CutoffProfile, SurfaceMesh,
+                       check_mesh_resolution, frame_vectors, mesh_surface, spine_samples)
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
 from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
-                     report_summary, report_to_csv, residual_record, solve_nonlinear)
+                     residual_record, solve_nonlinear)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -225,40 +223,135 @@ def boundary_from_config(cfg: RunConfig, grid: Grid2D, cutoff: CutoffProfile,
 
 
 # ---------------------------------------------------------------------------
-# Artifact I/O
+# Artifact I/O: the one place that formats, writes and reads run files
 # ---------------------------------------------------------------------------
 
 RESIDUAL_NAMES = ("laplace", "boundary", "conormal_sup", "outer_trace", "trace_sum")
 
 
-def _boundary_csv(phi: BoundaryTriple, header: dict) -> str:
-    return csv_text("ny", ",".join(["%.17g"] * phi.ny), phi.values.tolist(), header,
-                    (str(phi.ny),))
+def atomic_write_text(path: str, text: str):
+    """Write via a temp file in the target directory, then rename."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
-def _load_boundary_csv(path: str) -> BoundaryTriple:
-    _, lines = read_csv(path)
-    if lines[:1] != ["ny"] or len(lines) < 2:
-        raise ValueError(f"malformed boundary CSV {path}: no 'ny' size header")
-    return BoundaryTriple(int(lines[1]), parse_table(lines[2:]))
+def csv_text(columns: str, row_format: str, rows, header: dict | None = None,
+             preamble: tuple[str, ...] = ()) -> str:
+    """The text of one CSV artifact: a ``# key = value`` comment per header
+    entry, the column line, any ``preamble`` lines, then one ``row_format``
+    line per row, all rows formatted by one %-format."""
+    lines = [f"# {k} = {v}" for k, v in (header or {}).items()]
+    lines.append(columns)
+    lines.extend(preamble)
+    rows = list(rows)
+    flat = tuple(v for row in rows for v in row)
+    return "\n".join(lines) + "\n" + (row_format + "\n") * len(rows) % flat
 
 
-def _residuals_csv(rec, header: dict) -> str:
-    return csv_text("name,value", "%s,%.17g",
-                    [(name, getattr(rec, name)) for name in RESIDUAL_NAMES], header)
+def read_csv(path: str) -> tuple[dict[str, str], list[str]]:
+    """Inverse of :func:`csv_text` up to parsing: the header dict and the other
+    non-blank lines (column line first), stripped."""
+    header: dict[str, str] = {}
+    lines: list[str] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    header[key.strip()] = val.strip()
+            elif line:
+                lines.append(line)
+    return header, lines
 
 
-def _load_residuals_csv(path: str) -> dict[str, float]:
-    _, lines = read_csv(path)
-    return {name: float(val) for name, _, val in
-            (line.partition(",") for line in lines if line != "name,value")}
+def table_csv(columns: str, size: str, table: np.ndarray, header: dict | None = None) -> str:
+    """A "column line, size line, table" artifact: ``u{i}.csv`` (``nx,ny,delta``)
+    or ``phi.csv`` (``ny``), the table in ``%.17g``, so reloading is bit-exact."""
+    return csv_text(columns, ",".join(["%.17g"] * table.shape[-1]), table.tolist(), header,
+                    (size,))
 
 
-def _spine_csv(u: TripleField, header: dict) -> str:
-    ys = spectral.fourier_nodes(u.grid.ny)
-    return csv_text("y,v1,v2", "%.17g,%.17g,%.17g",
-                    np.column_stack([ys, spine_samples(u.traces(), tol=np.inf)]).tolist(),
-                    header)
+def read_table(path: str, columns: str) -> tuple[dict[str, str], dict[str, str], np.ndarray]:
+    """Inverse of :func:`table_csv`: the header, the size line by column name
+    and the table, whose trailing dimensions must be the size line's nx, ny."""
+    header, lines = read_csv(path)
+    names = columns.split(",")
+    size = lines[1].split(",") if lines[:1] == [columns] and len(lines) > 1 else []
+    if len(size) != len(names):
+        raise ValueError(f"malformed {path}: no {columns!r} size line")
+    size = dict(zip(names, size))
+    table = np.array([line.split(",") for line in lines[2:]], dtype=float)
+    dims = tuple(int(size[k]) for k in ("nx", "ny") if k in size)
+    if table.shape[-len(dims):] != dims:
+        raise ValueError(f"{path} holds a {table.shape} table, its size line says {dims}")
+    return header, size, table
+
+
+def report_to_csv(report: SolveReport, header: dict | None = None) -> str:
+    ratios = [""] + [f"{r:.17g}" for r in report.contraction_ratios]
+    rows = [(j + 1, upd, ratios[j] if j < len(ratios) else "")
+            for j, upd in enumerate(report.update_norms)]
+    return csv_text("iteration,update_norm,contraction_ratio", "%d,%.17g,%s", rows, header)
+
+
+def report_summary(report: SolveReport) -> str:
+    r = report.final_residuals
+    g = report.guards
+    lines = [
+        "fixed-point solve summary",
+        f"  converged          : {report.converged}",
+        f"  iterations         : {report.iterations}",
+        f"  last update norm   : {report.update_norms[-1]:.6e}" if report.update_norms
+        else "  last update norm   : n/a",
+        f"  laplace residual   : {r.laplace:.6e}",
+        f"  junction residual  : {r.boundary:.6e}",
+        f"  conormal |S|_inf   : {r.conormal_sup:.6e}",
+        f"  outer trace error  : {r.outer_trace:.6e}",
+        f"  trace sum error    : {r.trace_sum:.6e}",
+        f"  norm proxy         : {g.norm_proxy:.6e} (guard {g.r_guard:.6e}, "
+        f"within: {g.within_guard})",
+        f"  embed margin       : {g.embed_margin:.6f}",
+        f"  smallness flag     : {g.smallness_ok}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def mode_debug_csv(records: list[dict]) -> str:
+    return csv_text("k,part,kind,path,residual", "%d,%s,%s,%s,%.6e",
+                    ((r["k"], r["part"], r["kind"], r["path"], r["residual"]) for r in records))
+
+
+def mesh_to_obj(mesh: SurfaceMesh, header: dict) -> str:
+    """Wavefront OBJ text: a comment line per header entry, the vertices, then
+    one face group per sheet.
+
+    Coordinates are the unrolled chart (p1, p2, y); the ambient R^2 x S^1
+    has no isometric embedding into R^3, so the y axis is exported as-is.
+    Each block is one %-format over all its numbers.
+    """
+    parts = ["# triple-junction surface mesh (unrolled coordinates p1 p2 y)\n"]
+    parts += [f"# {key} = {val}\n" for key, val in header.items()]
+    parts.append("v %.12g %.12g %.12g\n" * len(mesh.vertices)
+                 % tuple(mesh.vertices.ravel().tolist()))
+    for i in (1, 2, 3):
+        faces = mesh.faces[mesh.face_sheet == i] + 1
+        parts.append(f"g sheet{i}\n" + "f %d %d %d\n" * len(faces)
+                     % tuple(faces.ravel().tolist()))
+    return "".join(parts)
 
 
 def _mesh_header(cfg: RunConfig, residuals: dict[str, float]) -> dict:
@@ -272,40 +365,48 @@ def _mesh_header(cfg: RunConfig, residuals: dict[str, float]) -> dict:
 def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTriple,
                     report: SolveReport, modes: list[dict]):
     """Write every artifact of a run; ``modes`` are the mode records of the
-    linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``)."""
+    linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``).
+    Every text is formatted before the first file is written."""
     echo = cfg.echo()
-    for i, values in enumerate(u.values, 1):
-        save_field_csv(values, os.path.join(out, f"u{i}.csv"), cfg.delta, echo)
-    atomic_write_text(os.path.join(out, "phi.csv"), _boundary_csv(phi, echo))
-    atomic_write_text(os.path.join(out, "report.csv"), report_to_csv(report, echo))
-    atomic_write_text(os.path.join(out, "summary.txt"),
-                      report_summary(report) + "\nconfig:\n"
-                      + "".join(f"  {k} = {v}\n" for k, v in echo.items()))
-    atomic_write_text(os.path.join(out, "residuals.csv"),
-                      _residuals_csv(report.final_residuals, echo))
-    atomic_write_text(os.path.join(out, "spine.csv"), _spine_csv(u, echo))
-    atomic_write_text(os.path.join(out, "config_used.txt"),
-                      "".join(f"{k} = {v}\n" for k, v in echo.items()))
-
-    mesh = mesh_surface(u, cfg.mesh_resolution, CutoffProfile(cfg.delta),
-                        header=_mesh_header(cfg, vars(report.final_residuals)))
-    write_obj(mesh, os.path.join(out, "surface.obj"))
-    atomic_write_text(os.path.join(out, "modes.csv"), mode_debug_csv(modes))
+    config = [f"{k} = {v}\n" for k, v in echo.items()]
+    rec = report.final_residuals
+    size = f"{u.grid.nx},{u.grid.ny},{cfg.delta!r}"
+    spine = np.column_stack([u.grid.y, spine_samples(u.traces(), tol=np.inf)])
+    mesh = mesh_surface(u, cfg.mesh_resolution, CutoffProfile(cfg.delta))
+    texts = {f"u{i}.csv": table_csv("nx,ny,delta", size, values, echo)
+             for i, values in enumerate(u.values, 1)}
+    texts.update({
+        "phi.csv": table_csv("ny", str(phi.ny), phi.values, echo),
+        "report.csv": report_to_csv(report, echo),
+        "summary.txt": report_summary(report) + "\nconfig:\n"
+                       + "".join("  " + line for line in config),
+        "residuals.csv": csv_text("name,value", "%s,%.17g",
+                                  [(name, getattr(rec, name)) for name in RESIDUAL_NAMES], echo),
+        "spine.csv": csv_text("y,v1,v2", "%.17g,%.17g,%.17g", spine.tolist(), echo),
+        "config_used.txt": "".join(config),
+        "surface.obj": mesh_to_obj(mesh, _mesh_header(cfg, vars(rec))),
+        "modes.csv": mode_debug_csv(modes),
+    })
+    for name, text in texts.items():
+        atomic_write_text(os.path.join(out, name), text)
 
 
 def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, dict]:
     """The stored config, fields, boundary data and residuals of a run; raises
     ``ValueError`` for artifacts that cannot be read or do not fit together."""
-    loaded = [load_field_csv(os.path.join(path, f"u{i}.csv")) for i in (1, 2, 3)]
-    values, delta, header = loaded[-1]
-    u = TripleField(Grid2D(*values.shape), [v for v, _, _ in loaded])
-    phi = _load_boundary_csv(os.path.join(path, "phi.csv"))
+    sheets = [read_table(os.path.join(path, f"u{i}.csv"), "nx,ny,delta") for i in (1, 2, 3)]
+    header, size, values = sheets[-1]
+    u = TripleField(Grid2D(*values.shape), [table for _, _, table in sheets])
+    _, phi_size, rows = read_table(os.path.join(path, "phi.csv"), "ny")
+    phi = BoundaryTriple(int(phi_size["ny"]), rows)
     if phi.ny != u.grid.ny:
         raise ValueError(f"phi.csv has ny = {phi.ny}, the fields ny = {u.grid.ny}")
-    cfg = RunConfig(delta=delta)
+    cfg = RunConfig(delta=float(size["delta"]))
     apply_config_values(cfg, header)
     CutoffProfile(cfg.delta)            # a delta the cutoff rejects is unusable
-    stored = _load_residuals_csv(os.path.join(path, "residuals.csv"))
+    _, lines = read_csv(os.path.join(path, "residuals.csv"))
+    stored = {name: float(val) for name, _, val in
+              (line.partition(",") for line in lines if line != "name,value")}
     return cfg, u, phi, stored
 
 
@@ -323,20 +424,24 @@ def cmd_solve(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     modes: list[dict] = []
+    failure = None                      # (exit code, message) of a failed solve
     try:
         u, report = solve_nonlinear(phi, opts, grid, cutoff, debug=modes)
     except GuardViolation as exc:
-        write_artifacts(cfg.out, cfg, exc.field, phi, exc.report, modes)
-        print(f"guard violation: {exc}", file=sys.stderr)
-        print(report_summary(exc.report), file=sys.stderr)
-        return EXIT_GUARD
+        u, report = exc.field, exc.report
+        failure = (EXIT_GUARD, f"guard violation: {exc}")
     except NoConvergence as exc:
-        write_artifacts(cfg.out, cfg, exc.field, phi, exc.report, modes)
-        print(f"no convergence: {exc}", file=sys.stderr)
-        print(report_summary(exc.report), file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-
-    write_artifacts(cfg.out, cfg, u, phi, report, modes)
+        u, report = exc.field, exc.report
+        failure = (EXIT_NO_CONVERGENCE, f"no convergence: {exc}")
+    try:
+        write_artifacts(cfg.out, cfg, u, phi, report, modes)
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if failure is not None:
+        print(failure[1], file=sys.stderr)
+        print(report_summary(report), file=sys.stderr)
+        return failure[0]
     print(report_summary(report))
     gates_ok = all(getattr(report.final_residuals, name) <= bound
                    for name, bound in RESIDUAL_GATES.items())
@@ -438,9 +543,13 @@ def cmd_sweep(args) -> int:
             rows.append(f"{scale},error,,,")
             print(f"scale {scale}: {exc}", file=sys.stderr)
 
-    path = os.path.join(cfg.out, "sweep.csv")
-    atomic_write_text(path, "\n".join(rows) + "\n")
     print("\n".join(rows))
+    path = os.path.join(cfg.out, "sweep.csv")
+    try:
+        atomic_write_text(path, "\n".join(rows) + "\n")
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if len(iter_counts) >= 2:
         ordered = sorted(iter_counts)
         monotone = all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]))
@@ -471,9 +580,12 @@ def cmd_export_mesh(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     cfg.mesh_resolution = resolution
-    mesh = mesh_surface(u, resolution, CutoffProfile(cfg.delta),
-                        header=_mesh_header(cfg, stored))
-    write_obj(mesh, out)
+    mesh = mesh_surface(u, resolution, CutoffProfile(cfg.delta))
+    try:
+        atomic_write_text(out, mesh_to_obj(mesh, _mesh_header(cfg, stored)))
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"mesh written to {out}")
     return EXIT_OK
 

@@ -113,21 +113,14 @@ def _conormal(i: int, vprime: np.ndarray, dxu0: np.ndarray,
     return proj / np.linalg.norm(proj, axis=1, keepdims=True)
 
 
-def conormal_xi(i: int, u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
-    """Unit conormal of the spine inside sheet i, sampled over y; shape (ny, 3).
-
-    Built by projecting the sheet tangent tau_i = (-n_i + d_x u_i(0,.) nu_i, 0)
-    orthogonally to the spine tangent (v'(y), 1) and normalizing.  Points from
-    the spine into the sheet: at u = 0 it reduces to (-n_i, 0).
-    """
-    frame = frame or frame_vectors()
-    vprime, dxu0, _ = _spine_quantities(u, frame)
-    return _conormal(i, vprime, dxu0, frame)
-
-
 def _conormals(u: TripleField, frame: JunctionFrame):
-    """The three conormals of :func:`conormal_xi` from one spine pass, and the
-    inner rows of d_x u_i and d_y u_i."""
+    """The unit conormals of the spine inside the three sheets, each (ny, 3),
+    from one spine pass, and the inner rows of d_x u_i and d_y u_i.
+
+    Conormal i projects the sheet tangent tau_i = (-n_i + d_x u_i(0,.) nu_i, 0)
+    orthogonally to the spine tangent (v'(y), 1) and normalizes.  It points
+    from the spine into the sheet: at u = 0 it reduces to (-n_i, 0).
+    """
     vprime, dxu0, dyu0 = _spine_quantities(u, frame)
     return [_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3)], dxu0, dyu0
 

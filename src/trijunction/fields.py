@@ -27,8 +27,6 @@ gives, bit for bit.  A non-finite ``span`` evaluates every lag.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -182,6 +180,26 @@ class BoundaryTriple:
     __rmul__ = __mul__
 
 
+def checked_fourier_coefficients(values: np.ndarray, label: str,
+                                 floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Cos/sin coefficients along the last axis; warn if the top third carries
+    more than 1e-8 of the energy.
+
+    The check reads the same coefficients the caller gets, so periodic data
+    is analysed once.  Data below ``floor`` in sup norm is not checked:
+    round-off-level inputs have white spectra and would trip the relative
+    check meaninglessly.
+    """
+    values = np.asarray(values, dtype=float)
+    c, s = spectral.fourier_coefficients(values)
+    if float(np.max(np.abs(values))) > floor:
+        frac = spectral.aliasing_fraction(c, s, values.shape[-1])
+        if frac > 1e-8:
+            warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
+                          "exceeds 1e-8", AliasingWarning, stacklevel=3)
+    return c, s
+
+
 # ---------------------------------------------------------------------------
 # Discrete norm proxies (guards and diagnostics only)
 # ---------------------------------------------------------------------------
@@ -293,105 +311,3 @@ def periodic_proxy(values: np.ndarray, alpha: float, order: int = 2) -> float:
 
 def boundary_proxy(phi: BoundaryTriple, alpha: float, order: int = 2) -> float:
     return sum(periodic_proxy(row, alpha, order) for row in phi.values)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization (debugging / cross-tool comparison)
-# ---------------------------------------------------------------------------
-
-def atomic_write_text(path: str, text: str):
-    """Write via a temp file in the target directory, then rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def csv_text(columns: str, row_format: str, rows, header: dict | None = None,
-             preamble: tuple[str, ...] = ()) -> str:
-    """The text of one CSV artifact: a ``# key = value`` comment per header
-    entry, the column line, any ``preamble`` lines, then one ``row_format``
-    line per row, all rows formatted by one %-format."""
-    lines = [f"# {k} = {v}" for k, v in (header or {}).items()]
-    lines.append(columns)
-    lines.extend(preamble)
-    rows = list(rows)
-    flat = tuple(v for row in rows for v in row)
-    return "\n".join(lines) + "\n" + (row_format + "\n") * len(rows) % flat
-
-
-def read_csv(path: str) -> tuple[dict[str, str], list[str]]:
-    """Inverse of :func:`csv_text` up to parsing: the header dict and the other
-    non-blank lines (column line first), stripped."""
-    header: dict[str, str] = {}
-    lines: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, eq, val = line[1:].partition("=")
-                if eq:
-                    header[key.strip()] = val.strip()
-            elif line:
-                lines.append(line)
-    return header, lines
-
-
-def parse_table(lines: list[str]) -> np.ndarray:
-    """Comma-separated float rows, parsed in one conversion."""
-    return np.array([line.split(",") for line in lines], dtype=float)
-
-
-def field_to_csv(values: np.ndarray, delta: float, header: dict | None = None) -> str:
-    """The text of one sheet's (nx, ny) samples as a ``u{i}.csv`` artifact."""
-    nx, ny = values.shape
-    return csv_text("nx,ny,delta", ",".join(["%.17g"] * ny), values.tolist(), header,
-                    (f"{nx},{ny},{delta!r}",))
-
-
-def save_field_csv(values: np.ndarray, path: str, delta: float, header: dict | None = None):
-    atomic_write_text(path, field_to_csv(values, delta, header))
-
-
-def load_field_csv(path: str) -> tuple[np.ndarray, float, dict]:
-    """Inverse of :func:`save_field_csv`; returns (samples, delta, header dict)."""
-    header, lines = read_csv(path)
-    if lines[:1] != ["nx,ny,delta"] or len(lines) < 2:
-        raise ValueError("malformed field CSV: no 'nx,ny,delta' size header")
-    a, b, c = lines[1].split(",")
-    values = parse_table(lines[2:])
-    if values.shape != (int(a), int(b)):
-        raise ValueError(f"field CSV holds {values.shape} samples, "
-                         f"its size header says ({a}, {b})")
-    return values, float(c), header
-
-
-def checked_fourier_coefficients(values: np.ndarray, label: str,
-                                 floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Cos/sin coefficients along the last axis; warn if the top third carries
-    more than 1e-8 of the energy.
-
-    The check reads the same coefficients the caller gets, so periodic data
-    is analysed once.  Data below ``floor`` in sup norm is not checked:
-    round-off-level inputs have white spectra and would trip the relative
-    check meaninglessly.
-    """
-    values = np.asarray(values, dtype=float)
-    c, s = spectral.fourier_coefficients(values)
-    if float(np.max(np.abs(values))) > floor:
-        frac = spectral.aliasing_fraction(c, s, values.shape[-1])
-        if frac > 1e-8:
-            warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
-                          "exceeds 1e-8", AliasingWarning, stacklevel=3)
-    return c, s

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .fields import TripleField, atomic_write_text, norm_proxy
+from .fields import TripleField, norm_proxy
 
 SQRT3 = math.sqrt(3.0)
 
@@ -115,20 +115,6 @@ def wall_scalars(traces: np.ndarray) -> np.ndarray:
     return (prev - nxt) / SQRT3
 
 
-@dataclass(frozen=True, eq=False)
-class SpineCurve:
-    """The junction curve v: S^1 -> R^2, stored as cos/sin Fourier coefficients."""
-
-    ny: int
-    ccoef: np.ndarray        # (2, K+1)
-    scoef: np.ndarray        # (2, K+1)
-
-    def values(self, ys=None) -> np.ndarray:
-        """Samples of v; shape (len(ys), 2).  Defaults to the stored grid."""
-        ys = spectral.fourier_nodes(self.ny) if ys is None else np.asarray(ys, float)
-        return spectral.trig_eval(self.ccoef, self.scoef, ys).T
-
-
 def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
                   tol: float = 1e-10) -> np.ndarray:
     """The spine v at the y grid nodes, shape (ny, 2), from the three inner traces.
@@ -147,20 +133,6 @@ def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
             "the three sheets do not meet along a common spine")
     w1 = wall_scalars(traces)[0]
     return np.outer(w1, frame.n_vec(1)) + np.outer(traces[0], frame.nu_vec(1))
-
-
-def spine_from_traces(traces: np.ndarray, frame: JunctionFrame | None = None,
-                      tol: float = 1e-10) -> SpineCurve:
-    """The spine as a Fourier series: the analysis of :func:`spine_samples`."""
-    traces = np.asarray(traces, dtype=float)
-    c, s = spectral.fourier_coefficients(spine_samples(traces, frame, tol).T, axis=1)
-    return SpineCurve(traces.shape[1], _ro(c), _ro(s))
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +205,7 @@ def check_c0_compatibility(u: TripleField, cutoff: CutoffProfile,
 
 
 # ---------------------------------------------------------------------------
-# Surface meshing and OBJ export
+# Surface meshing
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +215,6 @@ class SurfaceMesh:
     vertices: np.ndarray        # (nv, 3)
     faces: np.ndarray           # (nf, 3), 0-based indices
     face_sheet: np.ndarray      # (nf,) sheet tag in {1, 2, 3}
-    header: dict
 
 
 def check_mesh_resolution(resolution: tuple[int, int]):
@@ -254,8 +225,7 @@ def check_mesh_resolution(resolution: tuple[int, int]):
 
 
 def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProfile,
-                 frame: JunctionFrame | None = None,
-                 header: dict | None = None) -> SurfaceMesh:
+                 frame: JunctionFrame | None = None) -> SurfaceMesh:
     """Triangulate the perturbed surface.
 
     The y seam at 0 is cut (vertices at y = 0 and y = 1 are distinct), and
@@ -272,8 +242,9 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     ys = np.linspace(0.0, 1.0, my + 1)          # duplicated seam
 
     tr = u.traces()
-    spine = spine_from_traces(tr, frame, tol=np.inf)    # meshing never refuses
-    spine_pts = np.column_stack([spine.values(ys), ys])
+    # the series of the spine samples at the mesh y's; meshing never refuses
+    spine = spectral.fourier_coefficients(spine_samples(tr, frame, tol=np.inf).T)
+    spine_pts = np.column_stack([*spectral.trig_eval(*spine, ys), ys])
     spine_pts[-1, 2] = 1.0
 
     cols = spectral.trig_eval(*spectral.fourier_coefficients(u.values), ys)
@@ -296,32 +267,10 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     # two triangles per cell, cells in (x, y) order within each sheet
     faces = np.stack([np.stack([a, b, c], axis=-1),
                       np.stack([a, c, d], axis=-1)], axis=3).reshape(-1, 3)
-    faces.flags.writeable = False
+    vertices = np.vstack(verts)
+    faces.flags.writeable = vertices.flags.writeable = False
     return SurfaceMesh(
-        vertices=_ro(np.vstack(verts)),
+        vertices=vertices,
         faces=faces,
         face_sheet=np.repeat([1, 2, 3], 2 * (mx - 1) * my),
-        header=dict(header or {}),
     )
-
-
-def mesh_to_obj(mesh: SurfaceMesh) -> str:
-    """Wavefront OBJ text: vertices, then one face group per sheet.
-
-    Coordinates are the unrolled chart (p1, p2, y); the ambient R^2 x S^1
-    has no isometric embedding into R^3, so the y axis is exported as-is.
-    Each block is one %-format over all its numbers.
-    """
-    parts = ["# triple-junction surface mesh (unrolled coordinates p1 p2 y)\n"]
-    parts += [f"# {key} = {val}\n" for key, val in mesh.header.items()]
-    parts.append("v %.12g %.12g %.12g\n" * len(mesh.vertices)
-                 % tuple(mesh.vertices.ravel().tolist()))
-    for i in (1, 2, 3):
-        faces = mesh.faces[mesh.face_sheet == i] + 1
-        parts.append(f"g sheet{i}\n" + "f %d %d %d\n" * len(faces)
-                     % tuple(faces.ravel().tolist()))
-    return "".join(parts)
-
-
-def write_obj(mesh: SurfaceMesh, path: str):
-    atomic_write_text(path, mesh_to_obj(mesh))

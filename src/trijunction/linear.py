@@ -25,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from . import spectral
-from .fields import BoundaryTriple, TripleField, checked_fourier_coefficients, csv_text
+from .fields import BoundaryTriple, TripleField, checked_fourier_coefficients
 
 Kind = Literal["dirichlet", "mixed"]
 
@@ -168,8 +168,3 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
                   solve_scalar(f[1], p[1], G[0], debug),
                   solve_scalar(f[2], p[2], G[1], debug)])
     return TripleField(F.grid, np.tensordot(RECOMPOSE, v, axes=1))
-
-
-def mode_debug_csv(records: list[dict]) -> str:
-    return csv_text("k,part,kind,path,residual", "%d,%s,%s,%s,%.6e",
-                    ((r["k"], r["part"], r["kind"], r["path"], r["residual"]) for r in records))

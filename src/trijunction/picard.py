@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
-from .fields import BoundaryTriple, Grid2D, TripleField, csv_text
+from .fields import BoundaryTriple, Grid2D, TripleField
 from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
 from .linear import boundary_operator, solve_linear_system
 
@@ -235,36 +235,3 @@ def _assemble_report(iterations: int, updates: list[float], u: TripleField,
         guards=guards,
         converged=converged,
     )
-
-
-# ---------------------------------------------------------------------------
-# Report serialization
-# ---------------------------------------------------------------------------
-
-def report_to_csv(report: SolveReport, header: dict | None = None) -> str:
-    ratios = [""] + [f"{r:.17g}" for r in report.contraction_ratios]
-    rows = [(j + 1, upd, ratios[j] if j < len(ratios) else "")
-            for j, upd in enumerate(report.update_norms)]
-    return csv_text("iteration,update_norm,contraction_ratio", "%d,%.17g,%s", rows, header)
-
-
-def report_summary(report: SolveReport) -> str:
-    r = report.final_residuals
-    g = report.guards
-    lines = [
-        "fixed-point solve summary",
-        f"  converged          : {report.converged}",
-        f"  iterations         : {report.iterations}",
-        f"  last update norm   : {report.update_norms[-1]:.6e}" if report.update_norms
-        else "  last update norm   : n/a",
-        f"  laplace residual   : {r.laplace:.6e}",
-        f"  junction residual  : {r.boundary:.6e}",
-        f"  conormal |S|_inf   : {r.conormal_sup:.6e}",
-        f"  outer trace error  : {r.outer_trace:.6e}",
-        f"  trace sum error    : {r.trace_sum:.6e}",
-        f"  norm proxy         : {g.norm_proxy:.6e} (guard {g.r_guard:.6e}, "
-        f"within: {g.within_guard})",
-        f"  embed margin       : {g.embed_margin:.6f}",
-        f"  smallness flag     : {g.smallness_ok}",
-    ]
-    return "\n".join(lines) + "\n"

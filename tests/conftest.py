@@ -3,7 +3,9 @@ import pytest
 
 from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, TripleField,
                          boundary_proxy, frame_vectors)
+from trijunction.geometry import spine_samples
 from trijunction.linear import _solve_modes
+from trijunction.spectral import fourier_coefficients, fourier_nodes, trig_eval
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,12 @@ def translation_field(grid, frame, c):
     c = np.asarray(c, dtype=float)
     return TripleField(
         grid, [np.full((grid.nx, grid.ny), float(frame.nu_vec(i) @ c)) for i in (1, 2, 3)])
+
+
+def spine_series(traces, frame, ys=None, tol=1e-10):
+    """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (len(ys), 2)."""
+    ys = fourier_nodes(np.shape(traces)[1]) if ys is None else np.asarray(ys, float)
+    return trig_eval(*fourier_coefficients(spine_samples(traces, frame, tol).T), ys).T
 
 
 def rotation_field(grid, beta):

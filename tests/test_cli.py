@@ -6,18 +6,19 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import trijunction
 from trijunction import (CutoffProfile, Grid2D, GuardViolation, NoConvergence, SolveOptions,
-                         fd_mean_curvature, frame_vectors, load_field_csv, solve_nonlinear)
+                         fd_mean_curvature, frame_vectors, solve_nonlinear)
 from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
                              EXIT_OK, EXIT_VERIFY_FAIL, RESIDUAL_NAMES, RunConfig,
-                             apply_config_values, load_artifacts, main)
+                             apply_config_values, load_artifacts, main, mode_debug_csv,
+                             read_table, report_to_csv)
 from trijunction.geometry import wall_scalars
-from trijunction.linear import mode_debug_csv
-from trijunction.picard import SolveReport, report_to_csv, residual_record
+from trijunction.picard import SolveReport, residual_record
 
 
 def run(argv):
@@ -32,8 +33,8 @@ def test_solve_translate_family(tmp_path):
                  "config_used.txt"):
         assert os.path.exists(os.path.join(out, name)), name
     # solution matches the closed form
-    u2, delta, header = load_field_csv(os.path.join(out, "u2.csv"))
-    assert delta == 0.25
+    header, size, u2 = read_table(os.path.join(out, "u2.csv"), "nx,ny,delta")
+    assert float(size["delta"]) == 0.25
     assert header["family"] == "translate:0.01,0"
     assert np.max(np.abs(u2 - 0.01 * np.sqrt(3) / 2)) < 1e-8
     # spine sits at the translation vector
@@ -47,7 +48,7 @@ def test_solve_translate_family(tmp_path):
 def test_solve_zero_boundary(tmp_path):
     out = str(tmp_path / "zero")
     assert run(["solve", "--out", out]) == EXIT_OK
-    u1, _, _ = load_field_csv(os.path.join(out, "u1.csv"))
+    _, _, u1 = read_table(os.path.join(out, "u1.csv"), "nx,ny,delta")
     assert np.max(np.abs(u1)) < 1e-12
 
 
@@ -96,8 +97,8 @@ def test_config_file_with_overrides(tmp_path):
                    "delta = 0.3\n")
     out = str(tmp_path / "run")
     assert run(["solve", "--config", str(cfg), "--ny", "64", "--out", out]) == EXIT_OK
-    u1, delta, header = load_field_csv(os.path.join(out, "u1.csv"))
-    assert delta == 0.3                       # from the file
+    _, size, u1 = read_table(os.path.join(out, "u1.csv"), "nx,ny,delta")
+    assert float(size["delta"]) == 0.3        # from the file
     assert u1.shape[1] == 64                  # flag overrides the file
     cfg.write_text("nonsense line\n")
     assert run(["solve", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
@@ -253,6 +254,31 @@ def test_load_artifacts_rejects_artifacts_that_do_not_fit(tmp_path):
         assert proc.returncode == EXIT_VERIFY_FAIL, (command, proc.stderr)
         assert "cannot load artifacts: " in proc.stderr and word in proc.stderr, command
         assert "Traceback" not in proc.stderr, command
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--scales", "1.0"]], ids=["solve", "sweep"])
+def test_a_failed_artifact_write_exits_config_without_a_traceback(tmp_path, argv):
+    # a directory where an artifact file goes: the solve runs, the write fails
+    out = tmp_path / "run"
+    (out / ("sweep.csv" if argv[0] == "sweep" else "summary.txt")).mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-m", "trijunction.cli", *argv, "--family",
+                           "translate:0.01,0", "--out", str(out)],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "cannot write artifacts: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_export_mesh_write_failure_exits_config(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+
+    def fail(path, text):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "atomic_write_text", fail)
+    capsys.readouterr()
+    assert run(["export-mesh", out, "--out", os.path.join(out, "fine.obj")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cannot write artifacts: ")
 
 
 def _obj_header(path):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval, conormal_xi,
-                         mean_curvature, structural_certificate)
+from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval, mean_curvature,
+                         structural_certificate)
+from trijunction.curvature import _conormals
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.spectral import fourier_derivative
 
@@ -22,7 +23,7 @@ def H_sup(i, u, cutoff):
 
 def conormal_sum(u, frame):
     """S(y) = xi_1 + xi_2 + xi_3; identically zero at stationarity."""
-    return sum(conormal_xi(i, u, frame) for i in (1, 2, 3))
+    return sum(_conormals(u, frame)[0])
 
 
 def random_small(grid, frame, proxy, seed):
@@ -90,7 +91,7 @@ def test_F_quadratic_scaling(grid_small, cutoff, frame):
 def test_conormal_flat(grid, frame):
     u0 = TripleField.zero(grid)
     for i in (1, 2, 3):
-        xi = conormal_xi(i, u0, frame)
+        xi = _conormals(u0, frame)[0][i - 1]
         expected = np.concatenate([-frame.n_vec(i), [0.0]])
         assert np.max(np.abs(xi - expected)) < 1e-15
 
@@ -101,7 +102,7 @@ def test_conormal_unit_and_orthogonal_to_spine(grid_small, frame):
     vprime = fourier_derivative(spine_samples(u.traces(), frame), 1, axis=0)
     T = np.column_stack([vprime, np.ones(grid_small.ny)])
     for i in (1, 2, 3):
-        xi = conormal_xi(i, u, frame)
+        xi = _conormals(u, frame)[0][i - 1]
         assert np.max(np.abs(np.linalg.norm(xi, axis=1) - 1.0)) < 1e-14
         assert np.max(np.abs((xi * T).sum(axis=1))) < 1e-13
 
@@ -112,7 +113,7 @@ def test_conormal_rotation_closed_form(grid, frame):
     beta = 0.01
     ub = rotation_field(grid, beta)
     for i in (1, 2, 3):
-        xi = conormal_xi(i, ub, frame)
+        xi = _conormals(ub, frame)[0][i - 1]
         expected = np.concatenate([(-frame.n_vec(i) + beta * frame.nu_vec(i)), [0.0]])
         expected /= np.sqrt(1.0 + beta ** 2)
         assert np.max(np.abs(xi - expected)) < 1e-13
@@ -147,7 +148,7 @@ def test_G_quadratic_scaling(grid_small, frame):
 def test_G_is_junction_condition_minus_projection(grid_small, frame):
     # the fixed-point equations dn u2 - dn u3 = G1 etc. hold exactly when the
     # conormal sum vanishes; check the algebraic rearrangement directly
-    from trijunction.geometry import SQRT3, spine_from_traces
+    from trijunction.geometry import SQRT3
 
     u = random_small(grid_small, frame, 0.01, seed=5)
     G1, G2 = G_eval(u, frame)

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trijunction import (AliasingWarning, BoundaryTriple, CutoffProfile, Grid2D, SolveOptions,
-                         TripleField, boundary_proxy, fields, geometry, load_field_csv,
-                         norm_proxy, periodic_proxy, save_field_csv, solve_nonlinear)
+                         TripleField, boundary_proxy, fields, geometry, norm_proxy,
+                         periodic_proxy, solve_nonlinear)
+from trijunction.cli import atomic_write_text, read_table, table_csv
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
-                               checked_fourier_coefficients, field_to_csv)
+                               checked_fourier_coefficients)
 from trijunction.spectral import bary_matrix, fourier_coefficients, interpolate, trig_eval
 
 from conftest import translation_field
@@ -301,16 +302,17 @@ def test_field_csv_roundtrip(tmp_path, grid_small):
     rng = np.random.default_rng(5)
     f = rng.standard_normal((grid_small.nx, grid_small.ny))
     path = str(tmp_path / "f.csv")
-    save_field_csv(f, path, 0.25, {"family": "translate:0.01,0"})
-    g, delta, header = load_field_csv(path)
-    assert delta == 0.25
+    atomic_write_text(path, table_csv("nx,ny,delta", f"{grid_small.nx},{grid_small.ny},0.25", f,
+                                      {"family": "translate:0.01,0"}))
+    header, size, g = read_table(path, "nx,ny,delta")
+    assert float(size["delta"]) == 0.25
     assert header["family"] == "translate:0.01,0"
     assert np.array_equal(g, f)
     # a table that disagrees with its size line is malformed
     with open(path, "a") as fh:
         fh.write(",".join(["0"] * grid_small.ny) + "\n")
     with pytest.raises(ValueError):
-        load_field_csv(path)
+        read_table(path, "nx,ny,delta")
 
 
 def _field_csv_per_value(values, delta, header=None):
@@ -328,7 +330,9 @@ def test_field_csv_text_matches_per_value_writer(grid_small):
     values *= 10.0 ** rng.integers(-300, 300, size=values.shape)
     values[0, :6] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.0, 1e16]
     for delta, header in ((0.25, None), (0.1 + 0.2, {"family": "", "phi1": "1:0.5:0"})):
-        assert field_to_csv(values, delta, header) == _field_csv_per_value(values, delta, header)
+        size = f"{values.shape[0]},{values.shape[1]},{delta!r}"
+        assert table_csv("nx,ny,delta", size, values, header) \
+            == _field_csv_per_value(values, delta, header)
 
 
 def test_eval_matches_bary_matrix_of_trig_eval(grid):
@@ -363,11 +367,11 @@ def test_field_csv_roundtrips_any_finite_field(f, delta):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "f.csv")
         with open(path, "w") as fh:
-            fh.write(field_to_csv(f, delta))
-        g, delta_back, header = load_field_csv(path)
+            fh.write(table_csv("nx,ny,delta", f"{f.shape[0]},{f.shape[1]},{delta!r}", f))
+        header, size, g = read_table(path, "nx,ny,delta")
     assert g.shape == f.shape
     assert np.array_equal(g, f)
-    assert delta_back == delta
+    assert float(size["delta"]) == delta
     assert header == {}
 
 

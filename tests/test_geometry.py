@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from trijunction import (CompatibilityViolation, CutoffProfile, TripleField,
-                         check_c0_compatibility, embed_point, frame_vectors, mesh_surface,
-                         spine_from_traces)
-from trijunction.geometry import SurfaceMesh, mesh_to_obj, spine_samples, wall_scalars
+                         check_c0_compatibility, embed_point, frame_vectors, mesh_surface)
+from trijunction.cli import mesh_to_obj
+from trijunction.geometry import SurfaceMesh, spine_samples, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 
-from conftest import rotation_field, translation_field
+from conftest import rotation_field, spine_series, translation_field
 
 ULP4 = 4 * np.finfo(float).eps
 PRED = (3, 1, 2)            # cyclic order 1 -> 2 -> 3 -> 1: PRED[i - 1] precedes i
@@ -122,8 +122,7 @@ def test_wall_offset_matches_spine_projection(frame):
     vx = 0.01 * np.cos(2 * np.pi * y) + 0.003 * np.sin(4 * np.pi * y)
     vy = -0.004 + 0.008 * np.sin(2 * np.pi * y)
     traces = [vx * frame.nu_vec(i)[0] + vy * frame.nu_vec(i)[1] for i in (1, 2, 3)]
-    spine = spine_from_traces(np.stack(traces), frame)
-    v = spine.values()
+    v = spine_series(np.stack(traces), frame)
     for i in (1, 2, 3):
         wi = np.outer(wall_scalars(np.stack(traces))[i - 1], frame.n_vec(i))
         expected = (v @ frame.n_vec(i))[:, None] * frame.n_vec(i)
@@ -132,15 +131,14 @@ def test_wall_offset_matches_spine_projection(frame):
 
 def test_spine_from_traces_examples(grid, frame):
     ny = grid.ny
-    spine = spine_from_traces(np.zeros((3, ny)), frame)
-    assert np.max(np.abs(spine.values())) == 0.0
+    assert np.max(np.abs(spine_series(np.zeros((3, ny)), frame))) == 0.0
 
     c = np.array([0.01, 0.0])
     traces = np.stack([np.full(ny, frame.nu_vec(i) @ c) for i in (1, 2, 3)])
-    spine = spine_from_traces(traces, frame)
-    assert np.max(np.abs(spine.values() - c)) < 1e-15
+    assert np.max(np.abs(spine_series(traces, frame) - c)) < 1e-15
     ys = np.arange(4 * ny) / (4 * ny)           # a refined grid
-    assert np.max(np.linalg.norm(spine.values(ys), axis=1)) == pytest.approx(0.01, abs=1e-15)
+    assert np.max(np.linalg.norm(spine_series(traces, frame, ys), axis=1)) \
+        == pytest.approx(0.01, abs=1e-15)
 
 
 def test_spine_reconstructions_agree_for_all_sheets(frame):
@@ -172,7 +170,7 @@ def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
         samples = spine_samples(traces, frame)
         assert np.array_equal(samples, np.outer(wall_scalars(traces)[0], frame.n_vec(1))
                               + np.outer(traces[0], frame.nu_vec(1)))
-        series = spine_from_traces(traces, frame).values()
+        series = spine_series(traces, frame)
         sup = np.max(np.abs(samples))
         assert np.max(np.abs(series - samples)) <= 16 * np.spacing(sup)
 
@@ -182,7 +180,7 @@ def test_spine_rejects_incompatible_traces(frame):
     traces = np.zeros((3, ny))
     traces[0] += 1e-6
     with pytest.raises(CompatibilityViolation):
-        spine_from_traces(traces, frame, tol=1e-10)
+        spine_samples(traces, frame, tol=1e-10)
 
 
 def test_embed_point_examples(grid, frame, cutoff):
@@ -321,9 +319,8 @@ def test_mesh_triangles_nonzero_on_random_field(grid_small, frame):
 
 def test_obj_export_structure(grid, frame, cutoff, tmp_path):
     ut = translation_field(grid, frame, (0.01, 0.0))
-    mesh = mesh_surface(ut, (3, 4), cutoff, frame,
-                        header={"delta": 0.25, "nx": grid.nx})
-    text = mesh_to_obj(mesh)
+    mesh = mesh_surface(ut, (3, 4), cutoff, frame)
+    text = mesh_to_obj(mesh, {"delta": 0.25, "nx": grid.nx})
     lines = text.splitlines()
     assert lines[0].startswith("#")
     assert "# delta = 0.25" in lines
@@ -345,8 +342,7 @@ def _mesh_per_point(u, resolution, cutoff, frame):
     mx, my = resolution
     xs = np.linspace(0.0, 1.0, mx)
     ys = np.linspace(0.0, 1.0, my + 1)
-    spine = spine_from_traces(u.traces(), frame, tol=np.inf)
-    verts = [np.column_stack([spine.values(ys), ys])]
+    verts = [np.column_stack([spine_series(u.traces(), frame, ys, tol=np.inf), ys])]
     faces, tags = [], []
     offset = my + 1
     for i in (1, 2, 3):
@@ -367,10 +363,10 @@ def _mesh_per_point(u, resolution, cutoff, frame):
     return np.vstack(verts), np.array(faces, dtype=int), np.array(tags, dtype=int)
 
 
-def _obj_per_line(mesh):
+def _obj_per_line(mesh, header):
     """Reference OBJ writer: one f-string per line."""
     lines = ["# triple-junction surface mesh (unrolled coordinates p1 p2 y)"]
-    lines += [f"# {key} = {val}" for key, val in mesh.header.items()]
+    lines += [f"# {key} = {val}" for key, val in header.items()]
     lines += [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}" for v in mesh.vertices]
     for i in (1, 2, 3):
         lines.append(f"g sheet{i}")
@@ -395,14 +391,14 @@ def test_mesh_surface_matches_per_point_meshing(grid, frame, resolution):
 def test_obj_text_matches_per_line_writer(grid, frame, cutoff):
     rng = np.random.default_rng(12)
     u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
-    mesh = mesh_surface(u, (9, 16), cutoff, frame, header={"delta": 0.25, "note": "a = b"})
-    assert mesh_to_obj(mesh) == _obj_per_line(mesh)
+    mesh = mesh_surface(u, (9, 16), cutoff, frame)
+    header = {"delta": 0.25, "note": "a = b"}
+    assert mesh_to_obj(mesh, header) == _obj_per_line(mesh, header)
     # awkward values: negative zero, subnormals, exponents, exact integers
     odd = SurfaceMesh(vertices=np.array([[-0.0, 5e-324, 1e300], [1.0, -2.5e-7, 123456789012.5],
                                          [0.1, 1 / 3, -1e-5]]),
-                      faces=np.array([[0, 1, 2], [2, 1, 0]]), face_sheet=np.array([1, 3]),
-                      header={})
-    assert mesh_to_obj(odd) == _obj_per_line(odd)
+                      faces=np.array([[0, 1, 2], [2, 1, 0]]), face_sheet=np.array([1, 3]))
+    assert mesh_to_obj(odd, {}) == _obj_per_line(odd, {})
 
 
 def test_spine_stays_within_regime(grid_small, frame, cutoff):
@@ -412,8 +408,8 @@ def test_spine_stays_within_regime(grid_small, frame, cutoff):
     for _ in range(3):
         u = scaled_to_proxy(random_compatible_field(grid_small, rng, frame),
                             cutoff.delta / 10.0 * 0.99, 0.5)
-        spine = spine_from_traces(u.traces(), frame)
-        assert np.max(np.linalg.norm(spine.values(ys), axis=1)) < cutoff.delta / 5.0
+        spine = spine_series(u.traces(), frame, ys)
+        assert np.max(np.linalg.norm(spine, axis=1)) < cutoff.delta / 5.0
 
 
 def test_check_c0_rotation_smallness_in_regime(grid, frame):

@@ -8,7 +8,8 @@ import pytest
 from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
                          ModeProblem, TripleField, boundary_operator, schauder_probe,
                          solve_linear_system, solve_scalar)
-from trijunction.linear import _interior_defect, mode_debug_csv
+from trijunction.cli import mode_debug_csv
+from trijunction.linear import _interior_defect
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
 from trijunction.spectral import bary_matrix, cheb_nodes

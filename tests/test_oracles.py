@@ -6,7 +6,7 @@ import pytest
 from trijunction import (CutoffProfile, SolveOptions, TripleField,
                          exact_family, fd_linear_solve, fd_mean_curvature,
                          junction_angle_check, mean_curvature, solve_nonlinear,
-                         solve_scalar, F_eval, G_eval, conormal_xi, curvature)
+                         solve_scalar, F_eval, G_eval, curvature)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.spectral import interpolate
 
@@ -128,7 +128,7 @@ def test_junction_angles_converged_solution(grid, cutoff, frame):
 
 def test_junction_angles_rebuild_the_spine_once(grid_small, frame, monkeypatch):
     # the three conormals share one spine: one reconstruction per check, and
-    # the angles are those between the per-sheet conormal_xi
+    # the angles are those between the conormals G_eval reads
     u = scaled_to_proxy(random_compatible_field(grid_small, np.random.default_rng(5), frame),
                         0.01, 0.5)
     calls = []
@@ -136,7 +136,7 @@ def test_junction_angles_rebuild_the_spine_once(grid_small, frame, monkeypatch):
                         lambda *a, f=curvature.spine_samples: calls.append(1) or f(*a))
     rep = junction_angle_check(u, frame)
     assert len(calls) == 1
-    xi = [conormal_xi(i, u, frame) for i in (1, 2, 3)]
+    xi = curvature._conormals(u, frame)[0]
     for row, (a, b) in zip(rep.angles, ((0, 1), (1, 2), (2, 0))):
         assert np.array_equal(row, np.arccos(np.clip((xi[a] * xi[b]).sum(axis=1), -1.0, 1.0)))
 

@@ -5,7 +5,7 @@ import numpy as np
 import trijunction
 from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, TripleField,
                          frame_vectors, junction_angle_check, mesh_surface,
-                         spine_from_traces, structural_certificate)
+                         structural_certificate)
 
 
 def test_public_names_resolve():
@@ -24,7 +24,6 @@ def test_array_holding_dataclasses_compare_by_identity():
         lambda: TripleField.zero(grid),
         lambda: BoundaryTriple.zero(grid.ny),
         frame_vectors,
-        lambda: spine_from_traces(u.traces()),
         lambda: mesh_surface(u, (2, 3), cutoff),
         lambda: junction_angle_check(u),
         lambda: ModeProblem(k=0, kind="dirichlet", f=np.zeros(8), phi=0.0),

@@ -9,9 +9,10 @@ from trijunction import (BoundaryTriple, GuardViolation, NoConvergence, SolveOpt
                          TripleField, boundary_operator, check_c0_compatibility,
                          contraction_diagnostics, picard_step, solve_linear_system,
                          solve_nonlinear)
-from trijunction.picard import report_summary, report_to_csv, residual_record
+from trijunction.cli import report_summary, report_to_csv
+from trijunction.picard import residual_record
 
-from conftest import random_boundary, rotation_field, translation_field
+from conftest import random_boundary, rotation_field, spine_series, translation_field
 
 
 OPTS = SolveOptions()
@@ -67,9 +68,8 @@ def test_solve_translation_family(grid, cutoff, frame):
     assert err < 1e-8
     assert report.converged and report.iterations <= 10
     # the reconstructed spine is the translation vector
-    from trijunction import spine_from_traces
-    spine = spine_from_traces(u.traces(), frame)
-    assert np.max(np.abs(spine.values() - np.array(c))) < 1e-10
+    spine = spine_series(u.traces(), frame)
+    assert np.max(np.abs(spine - np.array(c))) < 1e-10
 
 
 def test_solve_rotation_family(grid, frame):
