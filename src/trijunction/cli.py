@@ -366,7 +366,8 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
                     report: SolveReport, modes: list[dict]):
     """Write every artifact of a run; ``modes`` are the mode records of the
     linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``).
-    Every text is formatted before the first file is written."""
+    Every text is formatted before the first file is written, and an earlier
+    run's files are removed before it, so a failed write mixes no two runs."""
     echo = cfg.echo()
     config = [f"{k} = {v}\n" for k, v in echo.items()]
     rec = report.final_residuals
@@ -387,8 +388,11 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
         "surface.obj": mesh_to_obj(mesh, _mesh_header(cfg, vars(rec))),
         "modes.csv": mode_debug_csv(modes),
     })
-    for name, text in texts.items():
-        atomic_write_text(os.path.join(out, name), text)
+    paths = [os.path.join(out, name) for name in texts]
+    for path in filter(os.path.lexists, paths):
+        os.remove(path)
+    for path, text in zip(paths, texts.values()):
+        atomic_write_text(path, text)
 
 
 def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, dict]:

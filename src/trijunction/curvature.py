@@ -39,9 +39,7 @@ def _wall_data(u: TripleField, cutoff: CutoffProfile):
     y-derivatives, then the cutoff eta, eta', eta'' as (nx, 1) columns.
     """
     w = wall_scalars(u.traces())
-    eta, eta1, eta2 = cutoff(u.grid.x)
-    w1, w2 = spectral.fourier_derivative(w, (1, 2))
-    return w, w1, w2, eta[:, None], eta1[:, None], eta2[:, None]
+    return (w, *spectral.fourier_derivative(w, (1, 2)), *cutoff.on_grid(u.grid))
 
 
 def _sheet_scalars(i: int, jet: Jet, wall) -> np.ndarray:
@@ -62,10 +60,9 @@ def _sheet_scalars(i: int, jet: Jet, wall) -> np.ndarray:
     det = g11 * g22 - g12 ** 2
 
     denom = 1.0 - E1W
-    if float(np.min(denom)) < 1e-3 or float(np.min(det)) < 1e-6:
-        raise DegenerateMetric(
-            f"sheet {i}: min(1 - eta' <w,n>) = {float(np.min(denom)):.3e}, "
-            f"min det g = {float(np.min(det)):.3e}")
+    if denom.min() < 1e-3 or det.min() < 1e-6:
+        raise DegenerateMetric(f"sheet {i}: min(1 - eta' <w,n>) = {denom.min():.3e}, "
+                               f"min det g = {det.min():.3e}")
 
     beta = ux / denom
     gamma = -uy - beta * E * W1
@@ -95,34 +92,21 @@ def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
 # Conormal balance on the spine
 # ---------------------------------------------------------------------------
 
-def _spine_quantities(u: TripleField, frame: JunctionFrame):
-    """Spine slope v' (ny, 2) and the inner rows of d_x u_i and d_y u_i (3, ny)."""
-    vprime = spectral.fourier_derivative(spine_samples(u.traces(), frame), 1, axis=0)
-    return vprime, u.jet.ux[:, 0], u.jet.uy[:, 0]
-
-
-def _conormal(i: int, vprime: np.ndarray, dxu0: np.ndarray,
-              frame: JunctionFrame) -> np.ndarray:
-    ny = vprime.shape[0]
-    tau = np.empty((ny, 3))
-    tau[:, :2] = -frame.n_vec(i) + dxu0[i - 1][:, None] * frame.nu_vec(i)
-    tau[:, 2] = 0.0
-    T = np.column_stack([vprime, np.ones(ny)])
-    coef = (tau * T).sum(axis=1) / (T * T).sum(axis=1)
-    proj = tau - coef[:, None] * T
-    return proj / np.linalg.norm(proj, axis=1, keepdims=True)
-
-
 def _conormals(u: TripleField, frame: JunctionFrame):
-    """The unit conormals of the spine inside the three sheets, each (ny, 3),
-    from one spine pass, and the inner rows of d_x u_i and d_y u_i.
+    """The unit conormals of the spine inside the three sheets, one (3, ny, 3)
+    array from one spine pass, and the inner rows of d_x u_i and d_y u_i.
 
     Conormal i projects the sheet tangent tau_i = (-n_i + d_x u_i(0,.) nu_i, 0)
-    orthogonally to the spine tangent (v'(y), 1) and normalizes.  It points
+    orthogonally to the spine tangent T = (v'(y), 1) and normalizes.  It points
     from the spine into the sheet: at u = 0 it reduces to (-n_i, 0).
     """
-    vprime, dxu0, dyu0 = _spine_quantities(u, frame)
-    return [_conormal(i, vprime, dxu0, frame) for i in (1, 2, 3)], dxu0, dyu0
+    dxu0, ny = u.jet.ux[:, 0], u.grid.ny
+    vprime = spectral.fourier_derivative(spine_samples(u.traces(), frame), 1, axis=0)
+    T = np.column_stack([vprime, np.ones(ny)])
+    tau = np.zeros((3, ny, 3))
+    tau[..., :2] = -frame.n[:, None] + dxu0[..., None] * frame.nu[:, None]
+    proj = tau - ((tau * T).sum(axis=2) / (T * T).sum(axis=1))[..., None] * T
+    return proj / np.linalg.norm(proj, axis=2, keepdims=True), dxu0, u.jet.uy[:, 0]
 
 
 def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarray, np.ndarray]:

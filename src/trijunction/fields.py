@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -181,22 +181,25 @@ class BoundaryTriple:
 
 
 def checked_fourier_coefficients(values: np.ndarray, label: str,
-                                 floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                                 floor: float | np.ndarray = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Cos/sin coefficients along the last axis; warn if the top third carries
     more than 1e-8 of the energy.
 
     The check reads the same coefficients the caller gets, so periodic data
     is analysed once.  Data below ``floor`` in sup norm is not checked:
     round-off-level inputs have white spectra and would trip the relative
-    check meaninglessly.
+    check meaninglessly.  An array ``floor`` holds one floor per leading row
+    of ``values``, and each row is checked on its own.
     """
     values = np.asarray(values, dtype=float)
     c, s = spectral.fourier_coefficients(values)
-    if float(np.max(np.abs(values))) > floor:
-        frac = spectral.aliasing_fraction(c, s, values.shape[-1])
+    floor = np.asarray(floor, dtype=float)
+    sups = np.abs(values).max(axis=tuple(range(floor.ndim, values.ndim)))
+    for row in map(tuple, np.argwhere(sups > floor)):
+        frac = spectral.aliasing_fraction(c[row], s[row], values.shape[-1])
         if frac > 1e-8:
             warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
-                          "exceeds 1e-8", AliasingWarning, stacklevel=3)
+                          "exceeds 1e-8", AliasingWarning, stacklevel=4)
     return c, s
 
 
@@ -219,13 +222,21 @@ def _y_lag(values: np.ndarray, lag: int, diff: np.ndarray) -> float:
     # the unwrapped part, then the wrap past the seam
     np.subtract(values[..., lag:], values[..., :-lag], out=diff[..., :n - lag])
     np.subtract(values[..., :lag], values[..., n - lag:], out=diff[..., n - lag:])
-    return float(np.max(np.abs(diff, out=diff)))
+    return float(np.abs(diff, out=diff).max())
 
 
 def _x_lag(A: np.ndarray, lag: int, diff: np.ndarray) -> np.ndarray:
     """Per row r, max |A(x_{r + lag}, .) - A(x_r, .)| over the stack and y."""
     D = np.subtract(A[:, lag:, :], A[:, :-lag, :], out=diff[:, :A.shape[1] - lag, :])
-    return np.max(np.abs(D, out=D), axis=(0, 2))
+    return np.abs(D, out=D).max(axis=(0, 2))
+
+
+@lru_cache(maxsize=None)
+def _lag_distances(grid: Grid2D, alpha: float) -> tuple[dict, dict]:
+    """dist^alpha per dyadic lag, once per grid and alpha: a number in y, row pairs in x."""
+    x, nx, ny = grid.x, grid.nx, grid.ny
+    return ({lag: (min(lag, ny - lag) / ny) ** alpha for lag in _dyadic_lags(ny)},
+            {lag: _frozen(np.abs(x[lag:] - x[:-lag]) ** alpha) for lag in _dyadic_lags(nx)})
 
 
 def _holder_seminorm_2d(arrays, grid: Grid2D, alpha: float) -> float:
@@ -233,17 +244,15 @@ def _holder_seminorm_2d(arrays, grid: Grid2D, alpha: float) -> float:
     evaluated best bound first (see the module docstring)."""
     A = np.stack(arrays)
     diff = np.empty_like(A)                     # one buffer for every lag
-    x, nx, ny = grid.x, grid.nx, grid.ny
-    dy = {lag: (min(lag, ny - lag) / ny) ** alpha for lag in _dyadic_lags(ny)}
-    dx = {lag: np.abs(x[lag:] - x[:-lag]) ** alpha for lag in _dyadic_lags(nx)}
+    dy, dx = _lag_distances(grid, alpha)
 
     def y_value(lag):
         return _y_lag(A, lag, diff) / dy[lag]
 
     def x_value(lag):
-        return float(np.max(_x_lag(A, lag, diff) / dx[lag]))
+        return float((_x_lag(A, lag, diff) / dx[lag]).max())
 
-    span = float(np.max(np.max(A, axis=(1, 2)) - np.min(A, axis=(1, 2))))
+    span = float((A.max(axis=(1, 2)) - A.min(axis=(1, 2))).max())
     if not np.isfinite(span):
         # NaN or overflow: the bounds do not hold, so every lag
         best = 0.0
@@ -254,13 +263,13 @@ def _holder_seminorm_2d(arrays, grid: Grid2D, alpha: float) -> float:
 
     m1 = _y_lag(A, 1, diff)
     rows = _x_lag(A, 1, diff)                   # B_1[r]
-    best = max(m1 / dy[1], float(np.max(rows / dx[1])))
+    best = max(m1 / dy[1], float((rows / dx[1]).max()))
     slack = 1.0 + 1e-12
-    todo = [(min(span, min(lag, ny - lag) * m1) * slack / dy[lag], y_value, lag)
+    todo = [(min(span, min(lag, grid.ny - lag) * m1) * slack / dy[lag], y_value, lag)
             for lag in list(dy)[1:]]
     for lag in list(dx)[:-1]:
         rows = rows[:-lag] + rows[lag:]         # B_2L[r] = B_L[r] + B_L[r + L]
-        todo.append((float(np.max(np.minimum(rows, span) * slack / dx[2 * lag])),
+        todo.append((float((np.minimum(rows, span) * slack / dx[2 * lag]).max()),
                      x_value, 2 * lag))
     for bound, value, lag in sorted(todo, key=lambda t: -t[0]):
         if bound <= best:
@@ -292,7 +301,7 @@ def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
         groups.append([u.jet.ux, u.jet.uy])
     if order >= 2:
         groups.append([u.jet.uxx, u.jet.uxy, u.jet.uyy])
-    sups = np.max([np.max(np.abs(a), axis=(1, 2)) for group in groups for a in group], axis=0)
+    sups = np.max([np.abs(a).max(axis=(1, 2)) for group in groups for a in group], axis=0)
     total = 0.0
     for i in range(3):
         total += float(sups[i]) + _holder_seminorm_2d([a[i] for a in groups[-1]], u.grid, alpha)

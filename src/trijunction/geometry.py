@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,13 @@ class CutoffProfile:
             return float(eta), float(eta1), float(eta2)
         return eta, eta1, eta2
 
+    @lru_cache(maxsize=None)
+    def on_grid(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eta, eta', eta'') at the grid's x nodes, read-only (nx, 1) columns, once per grid."""
+        columns = np.stack(self(grid.x))[..., None]
+        columns.flags.writeable = False
+        return tuple(columns)
+
 
 # ---------------------------------------------------------------------------
 # Junction offsets and the spine
@@ -110,9 +118,7 @@ def wall_scalars(traces: np.ndarray) -> np.ndarray:
     traces = np.asarray(traces, dtype=float)
     if traces.ndim != 2 or traces.shape[0] != 3:
         raise ValueError("traces must have shape (3, ny)")
-    prev = np.roll(traces, 1, axis=0)      # row i holds trace i-1 (cyclic)
-    nxt = np.roll(traces, -1, axis=0)
-    return (prev - nxt) / SQRT3
+    return (traces[[2, 0, 1]] - traces[[1, 2, 0]]) / SQRT3
 
 
 def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
@@ -186,9 +192,9 @@ def check_c0_compatibility(u: TripleField, cutoff: CutoffProfile,
                            alpha: float = 0.5) -> CompatibilityReport:
     """Report the trace-sum defect, the embeddedness margin, and the smallness flag."""
     tr = u.traces()
-    trace_sum = float(np.max(np.abs(tr.sum(axis=0))))
+    trace_sum = float(np.abs(tr.sum(axis=0)).max())
     w = wall_scalars(tr)                        # (3, ny)
-    _, eta1, _ = cutoff(u.grid.x)               # (nx,)
+    _, eta1, _ = cutoff.on_grid(u.grid)         # (nx, 1)
     # min over (i, x, y) of 1 - eta'(x) w_i(y): the product is largest at a
     # corner of the box of its factors, and rounding is monotone, so the four
     # corner products give the minimum over the whole grid exactly

@@ -83,27 +83,69 @@ def _mode_basis(nx: int, kind: Kind) -> tuple:
 def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g) -> np.ndarray:
     """Solve a'' - lam2 a = f for every column of ``f`` at once.
 
-    ``f`` is (nx, m) on the Lobatto grid; ``lam2``, ``phi`` and ``g`` are
-    scalars or (m,) arrays of per-column (2 pi k)^2 and boundary data.
+    ``f`` is (nx, m) on the Lobatto grid or a (p, nx, m) stack of such
+    blocks; ``lam2`` is a scalar or the (m,) per-column (2 pi k)^2, and
+    ``phi``, ``g`` are scalars or per-column data, (1, m) or (p, 1, m).  Each
+    product runs block by block, so a block solves bit for bit as alone.
     """
-    V, V_inv, w, phi_col, g_col, a0_row, a0_phi, a0_g = _mode_basis(f.shape[0], kind)
-    rhs = f[1:-1] - phi_col[:, None] * phi - g_col[:, None] * g
+    V, V_inv, w, phi_col, g_col, a0_row, a0_phi, a0_g = _mode_basis(f.shape[-2], kind)
+    rhs = f[..., 1:-1, :] - phi_col[:, None] * phi - g_col[:, None] * g
     a = np.empty_like(f)
-    a[1:-1] = V @ ((V_inv @ rhs) / (w[:, None] - lam2))
-    a[0] = a0_row @ a[1:-1] + a0_phi * phi + a0_g * g
-    a[-1] = phi
+    a[..., 1:-1, :] = V @ ((V_inv @ rhs) / (w[:, None] - lam2))
+    a[..., :1, :] = a0_row[None] @ a[..., 1:-1, :] + a0_phi * phi + a0_g * g
+    a[..., -1:, :] = phi
     return a
 
 
 def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
-    """Max interior |a'' - lam2 a - f| over the node axis (per column)."""
-    res = spectral.cheb_diff2_matrix(a.shape[0]) @ a - lam2 * a - f
-    return np.max(np.abs(res[1:-1]), axis=0)
+    """Max interior |a'' - lam2 a - f| over the node axis (per column), for
+    ``a`` and ``f`` shaped as in :func:`_solve_modes`."""
+    res = spectral.cheb_diff2_matrix(a.shape[-2]) @ a - lam2 * a - f
+    return np.abs(res[..., 1:-1, :]).max(axis=-2)
 
 
 # ---------------------------------------------------------------------------
 # The scalar solve on the full grid
 # ---------------------------------------------------------------------------
+
+def _check_ny(ny: int, *named):
+    """Raise ValueError naming the first given (name, array) whose last axis is not ny long."""
+    for name, a in named:
+        if a is not None and np.shape(a)[-1:] != (ny,):
+            raise ValueError(f"{name} has shape {np.shape(a)}; the forcing has ny = {ny}")
+
+
+def _solve_stack(f: np.ndarray, p: np.ndarray, g: np.ndarray, debug: list | None) -> np.ndarray:
+    """Solve Lap v_j = f_j, v_j(1, .) = p_j for (m, nx, ny) forcing and (m, ny) outer data.
+
+    The last len(g) problems are of mixed kind with Neumann data ``g``, the
+    others of Dirichlet kind.  One Fourier analysis per input kind, one mode
+    solve per problem kind and one synthesis serve all m problems; each
+    problem's aliasing check keeps its own floor.
+    """
+    m, _, ny = f.shape
+    nd = m - len(g)
+    scale = np.maximum(np.abs(f).max(axis=(1, 2)), np.abs(p).max(axis=1))
+    scale[nd:] = np.maximum(scale[nd:], np.abs(g).max(axis=1))
+    floor = 5e-14 * np.maximum(1.0, scale)
+    # per problem, one column per cos and per sin mode; the sin parts of k = 0
+    # and of the Nyquist mode vanish on the even grid and solve to exact zeros
+    rhs, data, neumann = (np.concatenate(checked_fourier_coefficients(x, label, fl), axis=-1)
+                          for x, label, fl in ((f, "forcing", floor),
+                                               (p[:, None], "outer boundary data", floor),
+                                               (g[:, None], "inner Neumann data", floor[nd:])))
+    K = ny // 2
+    lam2 = np.tile((2.0 * math.pi * np.arange(K + 1)) ** 2, 2)
+    a = np.concatenate([_solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0),
+                        _solve_modes("mixed", lam2, rhs[nd:], data[nd:], neumann)])
+    if debug is not None:
+        residual = _interior_defect(a, lam2, rhs).reshape(m, 2, K + 1)
+        debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",
+                      "path": "collocation", "residual": float(residual[j, i, k])}
+                     for j in range(m) for k in range(K + 1)
+                     for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < k < K)
+    return spectral.fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny)
+
 
 def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None,
                  debug: list | None = None) -> np.ndarray:
@@ -113,32 +155,10 @@ def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None
     mixed kind, with outward normal derivative g at x = 0.  A ``debug`` list
     gains one record per solved mode.
     """
-    kind = "dirichlet" if g is None else "mixed"
-    phi_out = np.asarray(phi_out, dtype=float)
-    scale = max(float(np.max(np.abs(f))), float(np.max(np.abs(phi_out))),
-                0.0 if g is None else float(np.max(np.abs(g))))
-    floor = 5e-14 * max(1.0, scale)
-    fc, fs = checked_fourier_coefficients(f, "forcing", floor=floor)
-    pc, ps = checked_fourier_coefficients(phi_out, "outer boundary data", floor=floor)
-    if g is not None:
-        gc, gs = checked_fourier_coefficients(g, "inner Neumann data", floor=floor)
-    else:
-        gc = gs = np.zeros(pc.shape)
-
-    # one column per cos and per sin mode; the sin parts of k = 0 and of the
-    # Nyquist mode vanish on the even grid and solve to exact zeros
-    ny = f.shape[1]
-    K = ny // 2
-    lam2 = np.tile((2.0 * math.pi * np.arange(K + 1)) ** 2, 2)
-    rhs = np.hstack([fc, fs])
-    a = _solve_modes(kind, lam2, rhs, np.concatenate([pc, ps]), np.concatenate([gc, gs]))
-    if debug is not None:
-        residual = _interior_defect(a, lam2, rhs).reshape(2, K + 1)
-        debug.extend({"k": k, "part": part, "kind": kind, "path": "collocation",
-                      "residual": float(residual[j, k])}
-                     for k in range(K + 1) for j, part in enumerate(("cos", "sin"))
-                     if part == "cos" or 0 < k < K)
-    return spectral.fourier_synthesis(a[:, :K + 1], a[:, K + 1:], ny, axis=1)
+    f = np.asarray(f, dtype=float)
+    _check_ny(f.shape[-1], ("phi_out", phi_out), ("g", g))
+    g = np.empty((0, f.shape[-1])) if g is None else np.asarray(g, dtype=float)[None]
+    return _solve_stack(f[None], np.asarray(phi_out, dtype=float)[None], g, debug)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +180,9 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
 
     The decoupled unknowns v = DECOUPLE u solve one Dirichlet problem (v1)
     and two mixed problems (v2, v3) with Neumann data G1 and G2; u is
-    RECOMPOSE v.
+    RECOMPOSE v.  A ``debug`` list gains one record per solved mode of v1, v2, v3.
     """
-    f = np.tensordot(DECOUPLE, F.values, axes=1)
-    p = DECOUPLE @ phi.values
-    v = np.stack([solve_scalar(f[0], p[0], None, debug),
-                  solve_scalar(f[1], p[1], G[0], debug),
-                  solve_scalar(f[2], p[2], G[1], debug)])
+    _check_ny(F.grid.ny, ("phi", phi.values), ("G", G[0]), ("G", G[1]))
+    v = _solve_stack(np.tensordot(DECOUPLE, F.values, axes=1), DECOUPLE @ phi.values,
+                     np.array(G, dtype=float), debug)
     return TripleField(F.grid, np.tensordot(RECOMPOSE, v, axes=1))

@@ -119,15 +119,15 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
     frame = frame or frame_vectors()
     F = F_eval(u, cutoff)
     G1, G2, S = _junction_defect(u, frame)
-    lap = float(np.max(np.abs((u.jet.uxx + u.jet.uyy - F.values)[:, 1:-1])))
+    lap = float(np.abs((u.jet.uxx + u.jet.uyy - F.values)[:, 1:-1]).max())
     B = boundary_operator(u)
-    bres = max(float(np.max(np.abs(B[1] - G1))), float(np.max(np.abs(B[2] - G2))))
+    bres = max(float(np.abs(B[1] - G1).max()), float(np.abs(B[2] - G2).max()))
     return ResidualRecord(
         laplace=lap,
         boundary=bres,
-        conormal_sup=float(np.max(np.linalg.norm(S, axis=1))),
-        outer_trace=float(np.max(np.abs(u.traces("outer") - phi.values))),
-        trace_sum=float(np.max(np.abs(B[0]))),
+        conormal_sup=float(np.linalg.norm(S, axis=1).max()),
+        outer_trace=float(np.abs(u.traces("outer") - phi.values).max()),
+        trace_sum=float(np.abs(B[0]).max()),
     )
 
 
@@ -171,9 +171,7 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
             if it == 1:
                 # the zero start is the stationary cone, where F and G vanish:
                 # the first step is the linear solve of the boundary data
-                no_junction_data = np.zeros(grid.ny)
-                u_next = solve_linear_system(u, (no_junction_data, no_junction_data), phi,
-                                             step_debug)
+                u_next = solve_linear_system(u, (np.zeros(grid.ny),) * 2, phi, step_debug)
             else:
                 u_next = picard_step(u, phi, cutoff, frame, step_debug)
         except DegenerateMetric as exc:
@@ -186,7 +184,7 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
                 u, report) from exc
         if debug is not None:
             debug[:] = step_debug
-        upd = (u_next - u).sup()
+        upd = float(np.abs(u_next.values - u.values).max())
         updates.append(upd)
         u = u_next
         guards = _guard_record(u, opts, cutoff)

@@ -222,8 +222,7 @@ def fourier_coefficients(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray
     """cos/sin coefficients of real samples: f = c_0 + sum c_k cos + s_k sin."""
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
-    A = np.fft.rfft(values, axis=axis)
-    A = np.moveaxis(A, axis, -1)
+    A = np.fft.rfft(values, axis=axis).swapaxes(axis, -1)
     c = 2.0 * A.real / n
     s = -2.0 * A.imag / n
     c[..., 0] /= 2.0
@@ -231,19 +230,31 @@ def fourier_coefficients(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray
     if n % 2 == 0:
         c[..., -1] /= 2.0
         s[..., -1] = 0.0
-    return np.moveaxis(c, -1, axis), np.moveaxis(s, -1, axis)
+    return c.swapaxes(-1, axis), s.swapaxes(-1, axis)
 
 
 def fourier_synthesis(c: np.ndarray, s: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
     """Inverse of :func:`fourier_coefficients` onto the n-point grid."""
-    c = np.moveaxis(np.asarray(c, dtype=float), axis, -1)
-    s = np.moveaxis(np.asarray(s, dtype=float), axis, -1)
+    c = np.asarray(c, dtype=float).swapaxes(axis, -1)
+    s = np.asarray(s, dtype=float).swapaxes(axis, -1)
     A = (c - 1j * s) * (n / 2.0)
     A[..., 0] *= 2.0
     if n % 2 == 0:
         A[..., -1] *= 2.0
-    out = np.fft.irfft(A, n=n, axis=-1)
-    return np.moveaxis(out, -1, axis)
+    return np.fft.irfft(A, n=n, axis=-1).swapaxes(-1, axis)
+
+
+@lru_cache(maxsize=None)
+def _derivative_factors(n: int, orders: tuple[int, ...], axis: int, ndim: int) -> np.ndarray:
+    """The mode multipliers (2 pi i k)^m of an n-point grid, one row per order,
+    shaped to multiply the transform of an ndim array along ``axis``."""
+    k = np.arange(n // 2 + 1)
+    factors = np.stack([(2j * np.pi * k) ** m for m in orders])
+    if n % 2 == 0:
+        factors[[m % 2 == 1 for m in orders], -1] = 0.0
+    factors = factors.reshape((len(orders),) + (1,) * axis + (len(k),) + (1,) * (ndim - axis - 1))
+    factors.flags.writeable = False
+    return factors
 
 
 def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
@@ -258,15 +269,9 @@ def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
     axis %= values.ndim
-    A = np.fft.rfft(values, axis=axis)
-    k = np.arange(n // 2 + 1)
     orders = order if isinstance(order, tuple) else (order,)
-    factors = np.stack([(2j * np.pi * k) ** m for m in orders])
-    if n % 2 == 0:
-        factors[[m % 2 == 1 for m in orders], -1] = 0.0
-    shape = [len(orders)] + [1] * values.ndim
-    shape[axis + 1] = len(k)
-    out = np.fft.irfft(A * factors.reshape(shape), n=n, axis=axis + 1)
+    factors = _derivative_factors(n, orders, axis, values.ndim)
+    out = np.fft.irfft(np.fft.rfft(values, axis=axis) * factors, n=n, axis=axis + 1)
     return out if isinstance(order, tuple) else out[0]
 
 

@@ -268,6 +268,26 @@ def test_a_failed_artifact_write_exits_config_without_a_traceback(tmp_path, argv
     assert "cannot write artifacts: " in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_a_failed_write_into_a_reused_out_mixes_no_two_runs(tmp_path, capsys):
+    # a second solve into the same --out fails at summary.txt: no file of the
+    # first run may remain beside one of the second, and verify must refuse
+    out = str(tmp_path / "mix")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    os.remove(os.path.join(out, "summary.txt"))
+    os.mkdir(os.path.join(out, "summary.txt"))
+    assert run(["solve", "--family", "translate:0.005,0", "--out", out]) == EXIT_CONFIG
+    families = set()
+    for name in os.listdir(out):
+        if os.path.isfile(os.path.join(out, name)):
+            with open(os.path.join(out, name)) as fh:
+                families.update(line.split("=", 1)[1].strip() for line in fh
+                                if line.lstrip("# ").startswith("family ="))
+    assert len(families) <= 1, families
+    capsys.readouterr()
+    assert run(["verify", out]) == EXIT_VERIFY_FAIL
+    assert capsys.readouterr().err.startswith("cannot load artifacts: ")
+
+
 def test_export_mesh_write_failure_exits_config(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "run")
     assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK

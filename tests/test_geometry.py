@@ -264,6 +264,9 @@ class _SlopeOnly:
     def __call__(self, x):
         return np.zeros_like(x), self.eta1, np.zeros_like(x)
 
+    def on_grid(self, grid):
+        return self(grid.x)
+
 
 def test_embed_margin_from_four_products_equals_the_full_product(grid_small, cutoff):
     # the margin min over (i, x, y) of 1 - eta'(x) w_i(y) comes from the four

@@ -120,7 +120,7 @@ def test_mode_residual_production_path():
                 p = ModeProblem(k=k, kind=kind, f=f, phi=0.4, g=0.2)
                 a = mode_solve_collocation(p)
                 scale = np.max(np.abs(f)) + abs(p.phi) + abs(p.g)
-                residual = _interior_defect(a, (2.0 * np.pi * k) ** 2, f)
+                residual = _interior_defect(a[:, None], (2.0 * np.pi * k) ** 2, f[:, None])
                 assert residual < 1e-8 * scale, (nx, k, kind)
 
 
@@ -275,21 +275,26 @@ def _random_linear_data(grid, rng):
 
 
 def test_linear_solve_takes_one_fourier_analysis_per_input(grid_small, monkeypatch):
-    # three scalar problems: forcing and outer data each, Neumann data for the
-    # two mixed ones; the aliasing check reads the same analysis
+    # three scalar problems, one analysis per input kind for all of them: the
+    # forcing, the outer data and the Neumann data of the two mixed ones; the
+    # aliasing checks read the same analyses, and one synthesis returns all three
     F, G, phi = _random_linear_data(grid_small, np.random.default_rng(13))
-    calls = []
-    rfft = np.fft.rfft
+    calls = {"rfft": 0, "irfft": 0}
 
-    def counting_rfft(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
+    def counting(name):
+        transform = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # smooth data: no aliasing warning
         solve_linear_system(F, G, phi)
-    assert len(calls) == 8
+    assert calls == {"rfft": 3, "irfft": 1}
 
 
 @pytest.mark.parametrize("which, label", [("F", "forcing"), ("phi", "outer boundary data"),
@@ -305,6 +310,94 @@ def test_linear_solve_warns_on_aliased_inputs(grid_small, which, label):
         G = (G[0] + noise, G[1])
     with pytest.warns(AliasingWarning, match=label):
         solve_linear_system(F, G, phi)
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (12, 18)])
+def test_stacked_solve_equals_three_scalar_solves(nx, ny):
+    # the three decoupled problems share one analysis per input kind, one mode
+    # solve per kind and one synthesis; each must come out bit for bit as the
+    # one-problem solve of its own data, debug records included
+    grid = Grid2D(nx, ny)
+    F, G, phi = _random_linear_data(grid, np.random.default_rng(15))
+    debug, alone = [], []
+    u = solve_linear_system(F, G, phi, debug)
+    f = np.tensordot(DECOUPLE, F.values, axes=1)
+    p = DECOUPLE @ phi.values
+    v = [solve_scalar(f[0], p[0], None, alone), solve_scalar(f[1], p[1], G[0], alone),
+         solve_scalar(f[2], p[2], G[1], alone)]
+    assert np.array_equal(u.values, np.tensordot(RECOMPOSE, np.stack(v), axes=1))
+    assert debug == alone
+    assert [r["kind"] for r in debug[::ny]] == ["dirichlet", "mixed", "mixed"]   # ny per problem
+
+
+def test_round_off_in_one_problem_beside_order_one_data_does_not_warn(grid_small):
+    # equal forcings leave v2 = F2 - F3 and v3 = F1 - (F2 + F3)/2 at round-off,
+    # with white spectra; each problem's own floor skips them while the O(1)
+    # v1 = F1 + F2 + F3 is checked and clean
+    rng = np.random.default_rng(16)
+    h = random_smooth_field(grid_small, rng)
+    F = TripleField(grid_small, [h, h * (1.0 + 1e-16 * rng.standard_normal(h.shape)), h])
+    f = np.tensordot(DECOUPLE, F.values, axes=1)
+    assert 0.0 < np.max(np.abs(f[1:])) < 1e-15 and np.max(np.abs(f[0])) > 0.1
+    zero = np.zeros(grid_small.ny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_linear_system(F, (zero, zero), BoundaryTriple.zero(grid_small.ny))
+
+
+def test_large_data_in_one_problem_does_not_lift_another_problems_floor(grid_small):
+    # G1 of size 1e3 lifts v2's floor to 5e-11; v3 has nothing but 1e-12 of
+    # white Neumann data, which its own floor (5e-14) lets through to the check
+    rng = np.random.default_rng(19)
+    G = (1e3 * np.cos(2 * np.pi * grid_small.y), 1e-12 * rng.standard_normal(grid_small.ny))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_linear_system(TripleField.zero(grid_small), G, BoundaryTriple.zero(grid_small.ny))
+    assert [str(w.message).split(":")[0] for w in caught] == ["inner Neumann data"]
+
+
+@pytest.mark.parametrize("which, row, label", [("F", 2, "forcing"),
+                                               ("phi", 0, "outer boundary data"),
+                                               ("G", 2, "inner Neumann data")])
+def test_aliasing_in_one_decoupled_problem_warns_with_its_label(grid_small, which, row, label):
+    F, G, phi = _random_linear_data(grid_small, np.random.default_rng(17))
+    noise = np.sin(2 * np.pi * 14 * grid_small.y)      # mode 14 of 16: top third
+    f = np.tensordot(DECOUPLE, F.values, axes=1)
+    p = DECOUPLE @ phi.values
+    if which == "F":
+        f[row] += np.outer(1.0 + grid_small.x, noise)
+        F = TripleField(grid_small, np.tensordot(RECOMPOSE, f, axes=1))
+    elif which == "phi":
+        p[row] += noise
+        phi = BoundaryTriple(grid_small.ny, RECOMPOSE @ p)
+    else:                                               # G[j] is v_{j+2}'s Neumann data
+        G = tuple(g + noise if j + 1 == row else g for j, g in enumerate(G))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_linear_system(F, G, phi)
+    assert [str(w.message).split(":")[0] for w in caught] == [label]
+    assert caught[0].category is AliasingWarning
+
+
+@pytest.mark.parametrize("which", ["phi", "G"])
+def test_linear_solve_names_an_input_of_the_wrong_ny(grid_small, which):
+    F, G, phi = _random_linear_data(grid_small, np.random.default_rng(18))
+    short = np.zeros(grid_small.ny - 2)
+    if which == "phi":
+        phi = BoundaryTriple(grid_small.ny - 2, np.zeros((3, grid_small.ny - 2)))
+    else:
+        G = (G[0], short)
+    with pytest.raises(ValueError, match=rf"^{which} has shape .* ny = {grid_small.ny}"):
+        solve_linear_system(F, G, phi)
+
+
+@pytest.mark.parametrize("which", ["phi_out", "g"])
+def test_scalar_solve_names_an_input_of_the_wrong_ny(grid_small, which):
+    f = np.zeros((grid_small.nx, grid_small.ny))
+    data = {"phi_out": np.zeros(grid_small.ny), "g": np.zeros(grid_small.ny)}
+    data[which] = np.zeros(grid_small.ny + 2)
+    with pytest.raises(ValueError, match=rf"^{which} has shape \({grid_small.ny + 2},\)"):
+        solve_scalar(f, data["phi_out"], data["g"])
 
 
 def test_mode_debug_records(grid_small):
