@@ -9,11 +9,12 @@ finite-difference verification oracles.
 
 from .fields import (AliasingWarning, BoundaryTriple, Grid2D, TripleField, boundary_proxy,
                      norm_proxy, periodic_proxy)
-from .geometry import (CompatibilityViolation, CutoffProfile, check_c0_compatibility,
-                       embed_point, frame_vectors, mesh_surface)
+from .geometry import (CompatibilityViolation, CutoffProfile, embed_margin, embed_point,
+                       frame_vectors, mesh_surface)
 from .curvature import DegenerateMetric, F_eval, G_eval, mean_curvature
 from .linear import DECOUPLE, RECOMPOSE, boundary_operator, solve_linear_system, solve_scalar
-from .picard import GuardViolation, NoConvergence, SolveOptions, picard_step, solve_nonlinear
+from .picard import (GuardViolation, NoConvergence, SolveFailure, SolveOptions, picard_step,
+                     solve_nonlinear)
 from .oracles import (ModeProblem, contraction_diagnostics, exact_family, fd_linear_solve,
                       fd_mean_curvature, junction_angle_check, schauder_probe,
                       structural_certificate)
@@ -23,11 +24,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasingWarning", "BoundaryTriple", "Grid2D", "TripleField", "boundary_proxy",
     "norm_proxy", "periodic_proxy",
-    "CompatibilityViolation", "CutoffProfile", "check_c0_compatibility", "embed_point",
+    "CompatibilityViolation", "CutoffProfile", "embed_margin", "embed_point",
     "frame_vectors", "mesh_surface",
     "DegenerateMetric", "F_eval", "G_eval", "mean_curvature",
     "DECOUPLE", "RECOMPOSE", "boundary_operator", "solve_linear_system", "solve_scalar",
-    "GuardViolation", "NoConvergence", "SolveOptions", "picard_step", "solve_nonlinear",
+    "GuardViolation", "NoConvergence", "SolveFailure", "SolveOptions", "picard_step",
+    "solve_nonlinear",
     "ModeProblem", "contraction_diagnostics", "exact_family", "fd_linear_solve",
     "fd_mean_curvature", "junction_angle_check", "schauder_probe", "structural_certificate",
 ]

@@ -34,7 +34,7 @@ from .fields import BoundaryTriple, Grid2D, TripleField
 from .geometry import (CompatibilityViolation, CutoffProfile, SurfaceMesh,
                        check_mesh_resolution, frame_vectors, mesh_surface, spine_samples)
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
-from .picard import (GuardViolation, NoConvergence, SolveOptions, SolveReport,
+from .picard import (GuardViolation, NoConvergence, SolveFailure, SolveOptions, SolveReport,
                      residual_record, solve_nonlinear)
 
 EXIT_OK = 0
@@ -45,6 +45,10 @@ EXIT_CONFIG = 4
 EXIT_GATES = 5
 
 RESIDUAL_GATES = {"conormal_sup": 1e-6, "trace_sum": 1e-10, "outer_trace": 1e-10}
+
+# the exit code and the stderr label of each way a solve can fail
+SOLVE_FAILURES = {GuardViolation: (EXIT_GUARD, "guard violation"),
+                  NoConvergence: (EXIT_NO_CONVERGENCE, "no convergence")}
 
 
 class ConfigError(ValueError):
@@ -86,6 +90,11 @@ class RunConfig:
             for k, c, s in triples:
                 if k < 0 or not (np.isfinite(c) and np.isfinite(s)):
                     raise ConfigError(f"bad phi{i} coefficient triple ({k},{c},{s})")
+                if k > self.ny // 2 or (k == self.ny // 2 and s != 0.0):
+                    raise ConfigError(
+                        f"phi{i} triple {k}:{c!r}:{s!r} is not carried by ny = {self.ny} "
+                        f"points: modes above {self.ny // 2} alias to lower ones, and "
+                        f"the sine of mode {self.ny // 2} vanishes at every node")
         try:
             check_mesh_resolution(self.mesh_resolution)
         except ValueError as exc:
@@ -428,24 +437,21 @@ def cmd_solve(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     modes: list[dict] = []
-    failure = None                      # (exit code, message) of a failed solve
+    failure = None
     try:
         u, report = solve_nonlinear(phi, opts, grid, cutoff, debug=modes)
-    except GuardViolation as exc:
-        u, report = exc.field, exc.report
-        failure = (EXIT_GUARD, f"guard violation: {exc}")
-    except NoConvergence as exc:
-        u, report = exc.field, exc.report
-        failure = (EXIT_NO_CONVERGENCE, f"no convergence: {exc}")
+    except SolveFailure as exc:
+        u, report, failure = exc.field, exc.report, exc
     try:
         write_artifacts(cfg.out, cfg, u, phi, report, modes)
     except OSError as exc:
         print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if failure is not None:
-        print(failure[1], file=sys.stderr)
+        code, label = SOLVE_FAILURES[type(failure)]
+        print(f"{label}: {failure}", file=sys.stderr)
         print(report_summary(report), file=sys.stderr)
-        return failure[0]
+        return code
     print(report_summary(report))
     gates_ok = all(getattr(report.final_residuals, name) <= bound
                    for name, bound in RESIDUAL_GATES.items())

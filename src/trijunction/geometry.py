@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .fields import TripleField, norm_proxy
+from .fields import TripleField
 
 SQRT3 = math.sqrt(3.0)
 
@@ -174,40 +174,18 @@ def _sheet_map(i: int, x, height, offset, frame: JunctionFrame) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compatibility diagnostics
+# Embeddedness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Diagnostics for the conditions that keep the perturbation embedded."""
-
-    trace_sum_max: float       # max_y |sum_i u_i(0, y)|
-    monotonic_margin: float    # min over (i, x, y) of 1 - eta'(x) <w_i, n_i>(y)
-    smallness_ok: bool         # norm proxy below delta / 10
-    norm_proxy: float
-    delta: float
-
-
-def check_c0_compatibility(u: TripleField, cutoff: CutoffProfile,
-                           alpha: float = 0.5) -> CompatibilityReport:
-    """Report the trace-sum defect, the embeddedness margin, and the smallness flag."""
-    tr = u.traces()
-    trace_sum = float(np.abs(tr.sum(axis=0)).max())
-    w = wall_scalars(tr)                        # (3, ny)
+def embed_margin(u: TripleField, cutoff: CutoffProfile) -> float:
+    """min over (i, x, y) of 1 - eta'(x) <w_i, n_i>(y): positive keeps each sheet a graph."""
+    w = wall_scalars(u.traces())                # (3, ny)
     _, eta1, _ = cutoff.on_grid(u.grid)         # (nx, 1)
-    # min over (i, x, y) of 1 - eta'(x) w_i(y): the product is largest at a
-    # corner of the box of its factors, and rounding is monotone, so the four
-    # corner products give the minimum over the whole grid exactly
-    margin = float(min(1.0 - e * wv for e in (eta1.min(), eta1.max())
-                       for wv in (w.min(), w.max())))
-    proxy = norm_proxy(u, alpha)
-    return CompatibilityReport(
-        trace_sum_max=trace_sum,
-        monotonic_margin=margin,
-        smallness_ok=bool(proxy < cutoff.delta / 10.0),
-        norm_proxy=proxy,
-        delta=cutoff.delta,
-    )
+    # the product is largest at a corner of the box of its factors, and
+    # rounding is monotone, so the four corner products give the minimum over
+    # the whole grid exactly
+    return float(min(1.0 - e * wv for e in (eta1.min(), eta1.max())
+                     for wv in (w.min(), w.max())))
 
 
 # ---------------------------------------------------------------------------

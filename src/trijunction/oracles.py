@@ -368,21 +368,6 @@ class StructuralCertificate:
     ratios_F: np.ndarray
     ratios_G: np.ndarray
 
-    def to_text(self) -> str:
-        lines = [
-            "structural smallness certificate",
-            f"  samples          : {self.n_samples}",
-            f"  proxy radius     : {self.sample_radius:.6g}",
-            f"  holder exponent  : {self.alpha}",
-            f"  C_F estimate     : {self.c_F:.6g}",
-            f"  C_G estimate     : {self.c_G:.6g}",
-            f"  per-sample F quotients: min {self.ratios_F.min():.3g} "
-            f"max {self.ratios_F.max():.3g}",
-            f"  per-sample G quotients: min {self.ratios_G.min():.3g} "
-            f"max {self.ratios_G.max():.3g}",
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
                            cutoff: CutoffProfile, frame: JunctionFrame | None = None,
@@ -492,7 +477,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     u = TripleField.zero(grid)
     v = scaled_to_proxy(random_compatible_field(grid, rng, frame), start_scale, opts.alpha)
 
-    r = opts.guard_radius(cutoff.delta)
+    updates: list[float] = []           # the sup-norm updates of the orbit of zero
     ratios: list[float] = []
     diff_quotients: list[float] = []
     for it in range(n_iter):
@@ -505,16 +490,16 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
             break
         Au = picard_step(u, phi, cutoff, frame)
         Av = picard_step(v, phi, cutoff, frame)
-        proxy_next = norm_proxy(Au, opts.alpha)
-        if proxy_next > r:
+        updates.append(float(np.abs(Au.values - u.values).max()))
+        guards = _guard_record(Au, opts, cutoff)
+        if not guards.within_guard:
             # the orbits left the trust ball: the data is outside the
             # contraction regime and must fail loudly, not produce quiet ratios
-            guards = _guard_record(Au, opts, cutoff)
-            report = _assemble_report(it + 1, [], Au, phi, cutoff, frame, guards,
+            report = _assemble_report(updates, Au, phi, cutoff, frame, guards,
                                       converged=False)
             raise GuardViolation(
                 f"diagnostic orbit left the trust ball at iteration {it + 1} "
-                f"(proxy {proxy_next:.3e} > guard {r:.3e})", Au, report)
+                f"(proxy {guards.norm_proxy:.3e} > guard {guards.r_guard:.3e})", Au, report)
         dA = norm_proxy(Au - Av, opts.alpha)
         ratios.append(dA / du)
         denom = du * (norm_proxy(u, opts.alpha) + norm_proxy(v, opts.alpha))

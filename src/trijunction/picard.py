@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
-from .fields import BoundaryTriple, Grid2D, TripleField
-from .geometry import CutoffProfile, JunctionFrame, check_c0_compatibility, frame_vectors
+from .fields import BoundaryTriple, Grid2D, TripleField, norm_proxy
+from .geometry import CutoffProfile, JunctionFrame, embed_margin, frame_vectors
 from .linear import boundary_operator, solve_linear_system
 
 
-class NoConvergence(RuntimeError):
-    """Iteration budget exhausted; carries the last iterate and its report."""
+class SolveFailure(RuntimeError):
+    """A solve that stopped without converging; carries the last iterate and its report."""
 
     def __init__(self, msg: str, field: TripleField, report: "SolveReport"):
         super().__init__(msg)
@@ -36,13 +36,12 @@ class NoConvergence(RuntimeError):
         self.report = report
 
 
-class GuardViolation(RuntimeError):
+class NoConvergence(SolveFailure):
+    """Iteration budget exhausted."""
+
+
+class GuardViolation(SolveFailure):
     """Iterate left the trust ball; the data is too large for the scheme."""
-
-    def __init__(self, msg: str, field: TripleField, report: "SolveReport"):
-        super().__init__(msg)
-        self.field = field
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -132,14 +131,14 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
 
 
 def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> GuardRecord:
-    comp = check_c0_compatibility(u, cutoff, opts.alpha)
+    proxy = norm_proxy(u, opts.alpha)
     r = opts.guard_radius(cutoff.delta)
     return GuardRecord(
-        norm_proxy=comp.norm_proxy,
+        norm_proxy=proxy,
         r_guard=r,
-        within_guard=bool(comp.norm_proxy <= r),
-        embed_margin=comp.monotonic_margin,
-        smallness_ok=comp.smallness_ok,
+        within_guard=bool(proxy <= r),
+        embed_margin=embed_margin(u, cutoff),
+        smallness_ok=bool(proxy < cutoff.delta / 10.0),
     )
 
 
@@ -150,11 +149,12 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     """Iterate the step map from zero until the sup-norm update drops below tol.
 
     Raises :class:`GuardViolation` when an iterate leaves the trust ball and
-    :class:`NoConvergence` when the iteration budget runs out; both carry the
-    last iterate and the full report for post-mortem inspection.  A ``debug``
-    list, when given, ends up holding the per-mode records (see
-    :func:`~trijunction.linear.solve_linear_system`) of the linear solve that
-    produced the returned or carried iterate: the last completed step's.
+    :class:`NoConvergence` when the iteration budget runs out; both are a
+    :class:`SolveFailure` and carry the last iterate and the full report for
+    post-mortem inspection.  A ``debug`` list, when given, ends up holding
+    the per-mode records (see :func:`~trijunction.linear.solve_linear_system`)
+    of the linear solve that produced the returned or carried iterate: the
+    last completed step's.
     """
     frame = frame or frame_vectors()
     if phi.ny != grid.ny:
@@ -162,8 +162,8 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
 
     u = TripleField.zero(grid)
     updates: list[float] = []
-    r = opts.guard_radius(cutoff.delta)
     guards = None
+    failure = cause = None          # the failure's class, and the error that caused it
 
     for it in range(1, opts.max_iter + 1):
         step_debug = None if debug is None else []
@@ -177,42 +177,39 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
         except DegenerateMetric as exc:
             # the previous iterate already left the embeddable regime; only
             # steps after the first evaluate the metric, so it has a guard record
-            report = _assemble_report(it - 1, updates, u, phi, cutoff, frame, guards,
-                                      converged=False)
-            raise GuardViolation(
-                f"iteration {it}: the iterate left the embeddable regime ({exc})",
-                u, report) from exc
+            failure, cause = GuardViolation, exc
+            msg = f"iteration {it}: the iterate left the embeddable regime ({exc})"
+            break
         if debug is not None:
             debug[:] = step_debug
-        upd = float(np.abs(u_next.values - u.values).max())
-        updates.append(upd)
+        updates.append(float(np.abs(u_next.values - u.values).max()))
         u = u_next
         guards = _guard_record(u, opts, cutoff)
+        if not guards.within_guard:
+            failure = GuardViolation
+            msg = (f"iterate {it} has proxy norm {guards.norm_proxy:.3e} "
+                   f"> guard radius {guards.r_guard:.3e}")
+            break
+        if updates[-1] < opts.tol:
+            break
+    else:
+        failure = NoConvergence
+        trend = "non-decreasing" if len(updates) >= 2 and updates[-1] >= updates[-2] \
+            else "still decreasing"
+        msg = (f"no convergence after {opts.max_iter} iterations "
+               f"(last update {updates[-1]:.3e}, trend {trend})")
 
-        if guards.norm_proxy > r:
-            report = _assemble_report(it, updates, u, phi, cutoff, frame, guards,
-                                      converged=False)
-            raise GuardViolation(
-                f"iterate {it} has proxy norm {guards.norm_proxy:.3e} > guard radius {r:.3e}",
-                u, report)
-        if upd < opts.tol:
-            report = _assemble_report(it, updates, u, phi, cutoff, frame, guards,
-                                      converged=True)
-            return u, report
-
-    report = _assemble_report(opts.max_iter, updates, u, phi, cutoff, frame, guards,
-                              converged=False)
-    trend = "non-decreasing" if len(updates) >= 2 and updates[-1] >= updates[-2] \
-        else "still decreasing"
-    raise NoConvergence(
-        f"no convergence after {opts.max_iter} iterations "
-        f"(last update {updates[-1]:.3e}, trend {trend})", u, report)
+    report = _assemble_report(updates, u, phi, cutoff, frame, guards,
+                              converged=failure is None)
+    if failure is not None:
+        raise failure(msg, u, report) from cause
+    return u, report
 
 
-def _assemble_report(iterations: int, updates: list[float], u: TripleField,
-                     phi: BoundaryTriple, cutoff: CutoffProfile,
-                     frame: JunctionFrame, guards: GuardRecord,
+def _assemble_report(updates: list[float], u: TripleField, phi: BoundaryTriple,
+                     cutoff: CutoffProfile, frame: JunctionFrame, guards: GuardRecord,
                      converged: bool) -> SolveReport:
+    """The report of the iterate ``u`` that the sup-norm ``updates`` led to."""
     ratios = tuple(updates[j + 1] / updates[j]
                    for j in range(len(updates) - 1) if updates[j] > 0.0)
     try:
@@ -226,7 +223,7 @@ def _assemble_report(iterations: int, updates: list[float], u: TripleField,
             outer_trace=float(np.max(np.abs(u.traces("outer") - phi.values))),
             trace_sum=float(np.max(np.abs(B[0]))))
     return SolveReport(
-        iterations=iterations,
+        iterations=len(updates),
         update_norms=tuple(updates),
         contraction_ratios=ratios,
         final_residuals=residuals,

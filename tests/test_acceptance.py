@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, GuardViolation,
-                         ModeProblem, NoConvergence, SolveOptions,
+from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem,
+                         SolveFailure, SolveOptions,
                          TripleField, boundary_operator, exact_family,
                          fd_linear_solve, fd_mean_curvature, frame_vectors,
                          junction_angle_check, mean_curvature, solve_linear_system,
@@ -199,7 +199,7 @@ def test_criterion_8_guard_behavior():
         solve_nonlinear(phi, SolveOptions(), GRID, cutoff, FRAME)
         report(8, False, "oversized data converged silently")
         return
-    except (GuardViolation, NoConvergence) as exc:
+    except SolveFailure as exc:
         rep = exc.report
         complete = (rep.iterations >= 1
                     and len(rep.update_norms) == rep.iterations

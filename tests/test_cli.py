@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trijunction
-from trijunction import (CutoffProfile, Grid2D, GuardViolation, NoConvergence, SolveOptions,
+from trijunction import (CutoffProfile, Grid2D, SolveFailure, SolveOptions,
                          fd_mean_curvature, frame_vectors, solve_nonlinear)
 from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
@@ -87,6 +87,42 @@ def test_solve_config_errors(tmp_path):
         assert run(["solve", *flags, "--out", str(tmp_path)]) == EXIT_CONFIG, flags
         assert run(["sweep", "--family", "rotate:0.01", "--scales", "1.0", *flags,
                     "--out", str(tmp_path)]) == EXIT_CONFIG, flags
+
+
+@pytest.mark.parametrize("modes", [("64:0.001:0", "64:-0.001:0"),
+                                   ("32:0:0.001", "32:0:-0.001")])
+def test_modes_the_grid_cannot_carry_are_config_errors(tmp_path, monkeypatch, capsys, modes):
+    # at ny = 64 mode 64 aliases to the constant mode, and the sine of mode 32
+    # vanishes at every node: either run would solve other data than it echoes
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
+    out = str(tmp_path / "run")
+    flags = ["--phi1", modes[0], "--phi2", modes[1], "--out", out]
+    assert run(["solve", *flags]) == EXIT_CONFIG
+    assert run(["sweep", *flags, "--scales", "1.0"]) == EXIT_CONFIG
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err.count("is not carried by ny = 64 points") == 2
+
+
+def test_modes_the_grid_carries_are_accepted(tmp_path):
+    # the cosine of mode ny / 2 is carried; so is every mode on a finer grid
+    RunConfig(phi_coeffs={1: [(32, 0.001, 0.0)], 2: [(32, -0.001, 0.0)]}).validate()
+    RunConfig(ny=128, phi_coeffs={1: [(64, 0.001, 0.0), (63, 0.0, 0.001)]}).validate()
+    out = str(tmp_path / "run")
+    assert run(["solve", "--phi1", "32:0.001:0", "--phi2", "32:-0.001:0",
+                "--out", out]) == EXIT_GUARD
+
+
+def test_degenerate_metric_exits_guard(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["solve", "--phi1", "1:30:0", "--phi2", "1:-30:0", "--r-guard", "1e6",
+                "--nx", "16", "--ny", "16", "--out", out]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("guard violation: iteration 3: the iterate left the embeddable regime")
+    assert "iterations         : 2" in err
+    assert os.path.exists(os.path.join(out, "summary.txt"))
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -424,7 +460,7 @@ def _direct_solve_modes(out):
     try:
         solve_nonlinear(phi, opts, Grid2D(cfg.nx, cfg.ny), CutoffProfile(cfg.delta),
                         debug=debug)
-    except (GuardViolation, NoConvergence):
+    except SolveFailure:
         pass
     return debug
 
@@ -511,7 +547,14 @@ def test_verify_probes_the_cutoff_joins(tmp_path, monkeypatch, capsys):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
-COEFFS = st.lists(st.tuples(st.integers(0, 64), FINITE, FINITE), max_size=4)
+
+
+def _coeffs(ny):
+    # modes below ny / 2, whose cosine and sine the grid both carries
+    return st.lists(st.tuples(st.integers(0, min(64, ny // 2 - 1)), FINITE, FINITE),
+                    max_size=4)
+
+
 FAMILIES = st.one_of(
     st.none(),
     st.builds(lambda cx, cy: f"translate:{cx!r},{cy!r}", FINITE, FINITE),
@@ -521,12 +564,13 @@ FAMILIES = st.one_of(
 @st.composite
 def _valid_configs(draw):
     family = draw(FAMILIES)
-    phis = {} if family else draw(st.dictionaries(st.sampled_from([1, 2, 3]), COEFFS))
+    ny = 2 * draw(st.integers(4, 512))
+    phis = {} if family else draw(st.dictionaries(st.sampled_from([1, 2, 3]), _coeffs(ny)))
     cfg = RunConfig(
         delta=draw(st.floats(min_value=1e-6, max_value=0.5, exclude_max=True)),
         alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
         nx=draw(st.integers(8, 512)),
-        ny=2 * draw(st.integers(4, 512)),
+        ny=ny,
         tol=draw(POSITIVE),
         max_iter=draw(st.integers(1, 10_000)),
         r_guard=draw(st.none() | POSITIVE),

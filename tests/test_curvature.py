@@ -177,8 +177,6 @@ def test_structural_certificate_finite_and_stable(grid_small, cutoff, frame):
     # doubling the samples moves the max-estimates by a bounded factor
     assert cert12.c_F <= 1.2 * cert6.c_F or cert6.c_F <= 1.2 * cert12.c_F
     assert cert12.c_F >= cert6.c_F            # max over a superset of draws
-    text = cert6.to_text()
-    assert "C_F estimate" in text and "C_G estimate" in text
 
 
 def test_structural_certificate_guards():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trijunction import (AliasingWarning, BoundaryTriple, CutoffProfile, Grid2D, SolveOptions,
-                         TripleField, boundary_proxy, fields, geometry, norm_proxy,
-                         periodic_proxy, solve_nonlinear)
+                         TripleField, boundary_proxy, fields, norm_proxy,
+                         periodic_proxy, picard, solve_nonlinear)
 from trijunction.cli import atomic_write_text, read_table, table_csv
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
                                checked_fourier_coefficients)
@@ -217,7 +217,7 @@ def _benchmark_iterates(nx, ny, n):
         return norm_proxy(u, alpha, order)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "norm_proxy", spy)
+        mp.setattr(picard, "norm_proxy", spy)
         for phi in inputs.library_inputs(1, ny, n):
             solve_nonlinear(phi, SolveOptions(), grid, cutoff)
     assert len(seen) == 2 * n                   # two iterates per solve

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from trijunction import (CompatibilityViolation, CutoffProfile, TripleField,
-                         check_c0_compatibility, embed_point, frame_vectors, mesh_surface)
+from trijunction import (CompatibilityViolation, CutoffProfile, SolveOptions, TripleField,
+                         embed_margin, embed_point, frame_vectors, mesh_surface)
 from trijunction.cli import mesh_to_obj
 from trijunction.geometry import SurfaceMesh, spine_samples, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
+from trijunction.picard import _guard_record
 
 from conftest import rotation_field, spine_series, translation_field
 
@@ -234,23 +235,21 @@ def test_embed_point_equivariance(grid, frame, cutoff):
         assert np.max(np.abs(rotated[:, 2] - base[:, 2])) < 1e-15
 
 
-def test_check_c0_compatibility(grid, frame, cutoff):
-    rep = check_c0_compatibility(TripleField.zero(grid), cutoff)
-    assert rep.trace_sum_max == 0.0
-    assert rep.monotonic_margin == 1.0
-    assert rep.smallness_ok
+def test_embed_margin_and_smallness_flag(grid, frame, cutoff):
+    zero = TripleField.zero(grid)
+    assert embed_margin(zero, cutoff) == 1.0
+    assert _guard_record(zero, SolveOptions(), cutoff).smallness_ok
 
-    rep = check_c0_compatibility(rotation_field(grid, 0.01), cutoff)
-    assert rep.trace_sum_max < 1e-15
-    assert rep.monotonic_margin == 1.0
+    assert embed_margin(rotation_field(grid, 0.01), cutoff) == 1.0
 
     # artificially large traces break the monotonicity margin and smallness
     d = cutoff.delta
     big = TripleField(
         grid, [np.full((grid.nx, grid.ny), v) for v in (d, 0.0, -d)])
-    rep = check_c0_compatibility(big, cutoff)
-    assert rep.monotonic_margin < 1.0
-    assert not rep.smallness_ok
+    assert embed_margin(big, cutoff) < 1.0
+    guards = _guard_record(big, SolveOptions(), cutoff)
+    assert guards.embed_margin == embed_margin(big, cutoff)
+    assert not guards.smallness_ok and not guards.within_guard
 
 
 class _SlopeOnly:
@@ -288,7 +287,7 @@ def test_embed_margin_from_four_products_equals_the_full_product(grid_small, cut
         w = wall_scalars(u.traces())
         for eta1 in slopes:
             expected = float(np.min(1.0 - np.einsum("x,iy->ixy", eta1, w)))
-            assert check_c0_compatibility(u, _SlopeOnly(eta1)).monotonic_margin == expected
+            assert embed_margin(u, _SlopeOnly(eta1)) == expected
 
 
 def face_areas(mesh):
@@ -415,10 +414,10 @@ def test_spine_stays_within_regime(grid_small, frame, cutoff):
         assert np.max(np.linalg.norm(spine, axis=1)) < cutoff.delta / 5.0
 
 
-def test_check_c0_rotation_smallness_in_regime(grid, frame):
+def test_rotation_embed_margin_and_smallness_in_regime(grid, frame):
     # u_i = beta x has triple proxy 3 beta; with delta = 0.35 it sits inside
-    # the smallness regime and all three diagnostics are clean
-    rep = check_c0_compatibility(rotation_field(grid, 0.01), CutoffProfile(0.35))
-    assert rep.trace_sum_max < 1e-15
-    assert rep.monotonic_margin == 1.0
-    assert rep.smallness_ok
+    # the smallness regime, and its traces vanish, so the margin is exactly 1
+    cutoff = CutoffProfile(0.35)
+    u = rotation_field(grid, 0.01)
+    assert embed_margin(u, cutoff) == 1.0
+    assert _guard_record(u, SolveOptions(), cutoff).smallness_ok

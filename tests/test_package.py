@@ -1,4 +1,8 @@
-"""Package-wide properties: the public names and the value types' equality."""
+"""Package-wide properties: the public names, the value types' equality and the
+module layering."""
+
+import ast
+import os
 
 import numpy as np
 
@@ -37,3 +41,25 @@ def test_array_holding_dataclasses_compare_by_identity():
     # the grid and the cutoff hold scalars only and keep value equality
     assert Grid2D(8, 8) == grid and hash(Grid2D(8, 8)) == hash(grid)
     assert CutoffProfile(0.25) == cutoff
+
+
+def test_only_the_cli_touches_files():
+    # the "Artifact I/O" section of cli.py formats, writes and reads every run
+    # file: no other module imports os or tempfile or calls open()
+    package = os.path.dirname(trijunction.__file__)
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "cli.py" in modules and len(modules) > 1
+    for name in modules:
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+        opens = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "open"]
+        if name == "cli.py":
+            assert {"os", "tempfile"} <= imported and opens
+        else:
+            assert not imported & {"os", "tempfile"}, name
+            assert not opens, (name, opens)

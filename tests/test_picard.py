@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from trijunction import (BoundaryTriple, GuardViolation, NoConvergence, SolveOptions,
-                         TripleField, boundary_operator, check_c0_compatibility,
-                         contraction_diagnostics, picard_step, solve_linear_system,
-                         solve_nonlinear)
+from trijunction import (BoundaryTriple, DegenerateMetric, Grid2D, GuardViolation,
+                         NoConvergence, SolveFailure, SolveOptions, TripleField,
+                         boundary_operator, contraction_diagnostics, exact_family,
+                         picard_step, solve_linear_system, solve_nonlinear)
 from trijunction.cli import report_summary, report_to_csv
 from trijunction.picard import residual_record
 
@@ -117,9 +117,8 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
     assert r.conormal_sup < 1e-6
     assert r.boundary < 1e-9
     assert report.guards.within_guard
-    comp = check_c0_compatibility(u, cutoff)
-    assert comp.monotonic_margin > 0.0
-    assert comp.smallness_ok
+    assert report.guards.embed_margin > 0.0
+    assert report.guards.smallness_ok
 
 
 def test_first_iterate_is_linear_solve_of_boundary_data(grid, cutoff, frame):
@@ -156,7 +155,7 @@ def test_fixed_point_reapplication(grid, cutoff, frame):
 def test_guard_violation_on_large_data(grid, cutoff, frame):
     rng = np.random.default_rng(23)
     phi = random_boundary(grid.ny, rng, cutoff.delta)
-    with pytest.raises((GuardViolation, NoConvergence)) as exc_info:
+    with pytest.raises(SolveFailure) as exc_info:
         solve_nonlinear(phi, OPTS, grid, cutoff, frame)
     exc = exc_info.value
     # post-mortem payload is attached
@@ -205,15 +204,50 @@ def test_contraction_diagnostics_small_data(grid_small, cutoff, frame):
 def test_contraction_stress_not_hidden(grid_small, cutoff, frame):
     # far beyond the guard the run must either report non-contracting ratios
     # or fail loudly with a regime error, never diverge silently
-    from trijunction import DegenerateMetric
     rng = np.random.default_rng(28)
     phi = random_boundary(grid_small.ny, rng, 0.05)
     try:
         est, ratios = contraction_diagnostics(phi * 10.0, OPTS, grid_small, cutoff,
                                               frame, seed=2)
         assert any(r >= 1.0 for r in ratios) or not ratios
-    except (GuardViolation, NoConvergence, DegenerateMetric):
+    except (SolveFailure, DegenerateMetric):
         pass
+
+
+def test_contraction_diagnostics_failure_report_is_consistent(cutoff, frame):
+    # the diagnostic orbit leaves the trust ball; its report must count the
+    # steps it took, as solve_nonlinear's reports do
+    grid = Grid2D(16, 16)
+    phi, _ = exact_family("translate", (0.01, 0), grid, cutoff)
+    with pytest.raises(GuardViolation) as exc_info:
+        contraction_diagnostics(phi * 3.0, OPTS, grid, cutoff, frame, start_scale=0.2)
+    report = exc_info.value.report
+    assert report.iterations >= 1
+    assert len(report.update_norms) == report.iterations
+    assert not report.converged and not report.guards.within_guard
+    assert report.guards.norm_proxy > report.guards.r_guard
+
+
+def test_degenerate_metric_stops_the_solve_with_a_guard_violation(cutoff, frame):
+    # data far past the guard (lifted here) bends a sheet until it is no
+    # longer a graph: the step after that iterate cannot evaluate the metric
+    grid = Grid2D(16, 16)
+    c = 30.0 * np.cos(2 * np.pi * grid.y)
+    phi = BoundaryTriple(grid.ny, np.stack([c, -c, np.zeros(grid.ny)]))
+    with pytest.raises(GuardViolation, match="left the embeddable regime") as exc_info:
+        solve_nonlinear(phi, SolveOptions(r_guard=1e6), grid, cutoff, frame)
+    exc = exc_info.value
+    assert str(exc).startswith("iteration 3:")
+    assert isinstance(exc.__cause__, DegenerateMetric)
+    report = exc.report
+    assert report.iterations == len(report.update_norms) == 2
+    assert not report.converged
+    r = report.final_residuals
+    assert np.isnan(r.laplace) and np.isnan(r.boundary) and np.isnan(r.conormal_sup)
+    assert np.isfinite(r.outer_trace)
+    # the guard record of the last iterate already shows the lost embedding
+    assert report.guards.within_guard and report.guards.embed_margin < 0.0
+    assert isinstance(exc.field, TripleField)
 
 
 def test_report_serialization(grid_small, cutoff, frame):
