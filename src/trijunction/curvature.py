@@ -16,6 +16,9 @@ cone and rotations of its rays) and are quadratically small in the height
 functions, which is certified numerically by
 :func:`trijunction.oracles.structural_certificate` rather than encoded term
 by term.
+
+H is evaluated in place, into work arrays the three sheets share, and is
+bit for bit the value of its closed-form expression.
 """
 
 from __future__ import annotations
@@ -42,50 +45,79 @@ def _wall_data(u: TripleField, cutoff: CutoffProfile):
     return (w, *spectral.fourier_derivative(w, (1, 2)), *cutoff.on_grid(u.grid))
 
 
-def _sheet_scalars(i: int, jet: Jet, wall) -> np.ndarray:
-    """Mean curvature tr(g^{-1} h) of sheet i from its row of the jet and the wall data."""
-    ux, uy, uxx, uxy, uyy = (a[i - 1] for a in jet)
+def _sheet_scalars(i: int, jet: Jet, wall, work: np.ndarray, out: np.ndarray):
+    """Mean curvature tr(g^{-1} h) of sheet i, from its row of the jet and the
+    wall data, written into the (nx, ny) ``out``.
+
+    With a1 = eta' <w,n> - 1 and a2 = eta <w',n> the n-components of the
+    tangents e1 = (-n + u_x nu + eta' w, 0) and e2 = (u_y nu + eta w', 1),
+    whose nu-components are u_x and u_y:
+
+        g11 = a1^2 + u_x^2,  g12 = a1 a2 + u_x u_y,  g22 = a2^2 + u_y^2 + 1,
+        beta = u_x / (1 - eta' <w,n>),  gamma = -u_y - beta eta <w',n>,
+        h11 = (u_xx + beta eta'' <w,n>) / N,  h12 = (u_xy + beta eta' <w',n>) / N,
+        h22 = (u_yy + beta eta <w'',n>) / N,  N = sqrt(1 + beta^2 + gamma^2),
+        H = (g22 h11 - 2 g12 h12 + g11 h22) / det g.
+
+    The code evaluates these into the eight (nx, ny) arrays of ``work`` one
+    operation at a time, in the order Python evaluates the expressions
+    above, so H is the value they give, bit for bit.
+    """
+    ux, uy, uxx, uxy, uyy = (a[i - 1] for a in (jet.ux, jet.uy, jet.uxx, jet.uxy, jet.uyy))
     w, w1, w2, E, E1, E2 = wall
     W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
+    a1, a2, g11, g12, g22, det, denom, tmp = work
 
-    # tangents: e1 = (-n + u_x nu + eta' w, 0), e2 = (u_y nu + eta w', 1);
-    # a1, a2 are their n-components, u_x, u_y their nu-components
-    E1W = E1 * W
-    a1 = E1W - 1.0
-    a2 = E * W1
-
-    g11 = a1 ** 2 + ux ** 2
-    g12 = a1 * a2 + ux * uy
-    g22 = a2 ** 2 + uy ** 2 + 1.0
-    det = g11 * g22 - g12 ** 2
-
-    denom = 1.0 - E1W
+    np.multiply(E1, W, out=denom)               # eta' <w,n>, until it becomes denom
+    np.subtract(denom, 1.0, out=a1)
+    np.multiply(E, W1, out=a2)
+    np.add(np.square(a1, out=g11), np.square(ux, out=tmp), out=g11)
+    np.add(np.multiply(a1, a2, out=g12), np.multiply(ux, uy, out=tmp), out=g12)
+    np.add(np.square(a2, out=g22), np.square(uy, out=tmp), out=g22)
+    np.add(g22, 1.0, out=g22)
+    np.subtract(np.multiply(g11, g22, out=det), np.square(g12, out=tmp), out=det)
+    np.subtract(1.0, denom, out=denom)
     if denom.min() < 1e-3 or det.min() < 1e-6:
         raise DegenerateMetric(f"sheet {i}: min(1 - eta' <w,n>) = {denom.min():.3e}, "
                                f"min det g = {det.min():.3e}")
 
-    beta = ux / denom
-    gamma = -uy - beta * E * W1
-    norm = np.sqrt(1.0 + beta ** 2 + gamma ** 2)
+    # a1 and a2 are free from here on: they hold beta, then gamma and each h
+    beta = np.divide(ux, denom, out=a1)
+    gamma = np.multiply(np.multiply(beta, E, out=a2), W1, out=a2)
+    np.subtract(np.negative(uy, out=tmp), gamma, out=gamma)
+    norm = np.add(np.square(beta, out=denom), 1.0, out=denom)
+    np.sqrt(np.add(norm, np.square(gamma, out=tmp), out=norm), out=norm)
 
-    h11 = (uxx + beta * E2 * W) / norm
-    h12 = (uxy + beta * E1 * W1) / norm
-    h22 = (uyy + beta * E * W2) / norm
-    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det
+    def h(u2, Ek, Wk):
+        """(u2 + beta Ek Wk) / N, into a2."""
+        hk = np.multiply(np.multiply(beta, Ek, out=a2), Wk, out=a2)
+        return np.divide(np.add(u2, hk, out=hk), norm, out=hk)
+
+    np.multiply(g22, h(uxx, E2, W), out=out)
+    out -= np.multiply(np.multiply(2.0, g12, out=tmp), h(uxy, E1, W1), out=tmp)
+    out += np.multiply(g11, h(uyy, E, W2), out=tmp)
+    out /= det
 
 
 def mean_curvature(u: TripleField, cutoff: CutoffProfile) -> np.ndarray:
     """Mean curvature tr(g^{-1} h) of the three sheets, one (3, nx, ny) array.
 
-    Raises :class:`DegenerateMetric` when a sheet's metric loses definiteness.
+    The three sheets share one set of eight (nx, ny) work arrays.  Raises
+    :class:`DegenerateMetric` when a sheet's metric loses definiteness.
     """
     wall = _wall_data(u, cutoff)
-    return np.stack([_sheet_scalars(i, u.jet, wall) for i in (1, 2, 3)])
+    H = np.empty(u.values.shape)
+    work = np.empty((8,) + u.values.shape[1:])
+    for i in (1, 2, 3):
+        _sheet_scalars(i, u.jet, wall, work, H[i - 1])
+    return H
 
 
 def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
     """Interior defect F_i = Lap(u_i) - tr(g^{-1} h)_i of the three sheets."""
-    return TripleField(u.grid, u.jet.uxx + u.jet.uyy - mean_curvature(u, cutoff))
+    F = u.jet.uxx + u.jet.uyy
+    F -= mean_curvature(u, cutoff)
+    return TripleField._adopt(u.grid, F)
 
 
 # ---------------------------------------------------------------------------

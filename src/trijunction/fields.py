@@ -2,12 +2,19 @@
 
 A field is sampled on a tensor grid: Chebyshev-Lobatto in x (so the two
 boundary circles are grid rows), equispaced in the periodic y direction.
-Differentiation is spectral in both directions.  Norms of Hoelder type are
-not finitely computable, so this module provides discrete *proxies*: the
-grid maximum of the function and its derivatives plus a divided-difference
-seminorm of the top derivatives sampled at dyadic lags along grid rows and
-columns.  The proxies drive guards and diagnostics only, never the solve
-path.
+Differentiation is spectral in both directions.
+
+A field owns one read-only (3, nx, ny) array, and its derivatives of order
+<= 2 one read-only (5, 3, nx, ny) block, slots u_x, u_y, u_yy, u_xy, u_xx,
+which the derivative passes fill in place: the jet's five arrays are
+C-contiguous views of it, and the norm proxy reads each sheet's three
+second derivatives as one view of the adjacent slots.
+
+Norms of Hoelder type are not finitely computable, so this module provides
+discrete *proxies*: the grid maximum of the function and its derivatives
+plus a divided-difference seminorm of the top derivatives sampled at dyadic
+lags along grid rows and columns.  The proxies drive guards and diagnostics
+only, never the solve path.
 
 The seminorm evaluates lags best-first and skips those that cannot raise
 it.  Lag 1 is evaluated in y and in x.  A difference at a longer lag is a
@@ -94,43 +101,62 @@ class TripleField:
     """Heights of the three sheets: one read-only (3, nx, ny) array on one grid.
 
     ``values`` may also be given as a list of three (nx, ny) arrays; sheet i
-    is the row ``values[i - 1]``.
+    is the row ``values[i - 1]``.  The constructor copies what it is given,
+    so no later write to the caller's array shows in the field; arrays the
+    package has just made are adopted without a copy (:meth:`_adopt`).
     """
 
     grid: Grid2D
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(self.values)
+        object.__setattr__(self, "values", self._checked(_frozen(self.values)))
+
+    def _checked(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (3, self.grid.nx, self.grid.ny):
             raise ValueError(f"values shape {v.shape} does not match (3, "
                              f"{self.grid.nx}, {self.grid.ny})")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", v)
+        return v
+
+    @classmethod
+    def _adopt(cls, grid: Grid2D, values: np.ndarray) -> "TripleField":
+        """The field of a float array no one else holds, frozen in place, not copied."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        values.flags.writeable = False
+        object.__setattr__(field, "values", field._checked(values))
+        return field
 
     @classmethod
     def zero(cls, grid: Grid2D) -> "TripleField":
-        return cls(grid, np.zeros((3, grid.nx, grid.ny)))
+        return cls._adopt(grid, np.zeros((3, grid.nx, grid.ny)))
+
+    @cached_property
+    def _jet_block(self) -> np.ndarray:
+        """The read-only (5, 3, nx, ny) block behind :attr:`jet` (see the module docstring)."""
+        v = self.values
+        block = np.empty((5,) + v.shape)
+        # one Chebyshev analysis of the whole array gives u_x and u_xx, one
+        # Fourier pass u_y and u_yy, and one more u_xy, each written in place
+        spectral.cheb_derivative_values(np.moveaxis(v, 1, 0), (1, 2),
+                                        out=np.moveaxis(block[::4], 2, 1))
+        spectral.fourier_derivative(v, (1, 2), out=block[1:3])
+        spectral.fourier_derivative(block[0], 1, out=block[3])
+        block.flags.writeable = False
+        return block
 
     @cached_property
     def jet(self) -> Jet:
         """Every derivative of total order <= 2 of the three sheets, computed once.
 
-        One Chebyshev analysis of the whole array gives u_x and u_xx, one
-        Fourier pass u_y and u_yy, and one more u_xy.  The x-derivatives come
-        back node axis first and are copied to C-contiguous (3, nx, ny)
-        arrays, so each sheet's row is one contiguous block.  The field is
+        The five arrays are C-contiguous views of one read-only block, so
+        each sheet's row is one contiguous stretch of memory.  The field is
         immutable, so the cached arrays never go stale.
         """
-        v = self.values
-        dx = spectral.cheb_derivative_values(np.moveaxis(v, 1, 0), (1, 2))
-        ux, uxx = np.ascontiguousarray(np.moveaxis(dx, 2, 1))
-        uy, uyy = spectral.fourier_derivative(v, (1, 2))
-        jet = Jet(ux=ux, uy=uy, uxx=uxx, uxy=spectral.fourier_derivative(ux, 1), uyy=uyy)
-        for a in jet:
-            a.flags.writeable = False
-        return jet
+        ux, uy, uyy, uxy, uxx = self._jet_block
+        return Jet(ux=ux, uy=uy, uxx=uxx, uxy=uxy, uyy=uyy)
 
     def traces(self, end: str = "inner") -> np.ndarray:
         """(3, ny) boundary rows: 'inner' is the x = 0 circle, 'outer' the x = 1 circle."""
@@ -140,14 +166,14 @@ class TripleField:
 
     def __add__(self, other: "TripleField") -> "TripleField":
         _check_same_grid(self.grid, other.grid)
-        return TripleField(self.grid, self.values + other.values)
+        return TripleField._adopt(self.grid, self.values + other.values)
 
     def __sub__(self, other: "TripleField") -> "TripleField":
         _check_same_grid(self.grid, other.grid)
-        return TripleField(self.grid, self.values - other.values)
+        return TripleField._adopt(self.grid, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "TripleField":
-        return TripleField(self.grid, self.values * float(scalar))
+        return TripleField._adopt(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
@@ -239,10 +265,14 @@ def _lag_distances(grid: Grid2D, alpha: float) -> tuple[dict, dict]:
             {lag: _frozen(np.abs(x[lag:] - x[:-lag]) ** alpha) for lag in _dyadic_lags(nx)})
 
 
-def _holder_seminorm_2d(arrays, grid: Grid2D, alpha: float) -> float:
+def _holder_seminorm_2d(A, grid: Grid2D, alpha: float) -> float:
     """max |A(p) - A(q)| / dist(p, q)^alpha over row/column pairs at dyadic lags,
-    evaluated best bound first (see the module docstring)."""
-    A = np.stack(arrays)
+    evaluated best bound first (see the module docstring).
+
+    ``A`` is a (k, nx, ny) array, a view of any strides included, or k
+    (nx, ny) arrays; the value is a max over the k of them, in any order.
+    """
+    A = np.asarray(A)
     diff = np.empty_like(A)                     # one buffer for every lag
     dy, dx = _lag_distances(grid, alpha)
 
@@ -293,18 +323,21 @@ def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
     """Discrete stand-in for the C^{order, alpha} norm of a triple field.
 
     The sum over the sheets of the grid maximum of every derivative up to
-    ``order`` plus the Hoelder seminorm of the top ones, each sheet read
-    from its row of the values and of the jet (order 0 computes no jet).
+    ``order`` plus the Hoelder seminorm of the top ones.  Each sheet is read
+    in place: its row of the values, and views of its rows of the jet block
+    (order 0 computes no jet).
     """
-    groups = [[u.values]]
-    if order >= 1:
-        groups.append([u.jet.ux, u.jet.uy])
-    if order >= 2:
-        groups.append([u.jet.uxx, u.jet.uxy, u.jet.uyy])
-    sups = np.max([np.abs(a).max(axis=(1, 2)) for group in groups for a in group], axis=0)
+    if order == 0:
+        derivs, top = [], u.values[None]
+    else:
+        block = u._jet_block            # slots u_x, u_y, then u_yy, u_xy, u_xx
+        derivs = [block[:2] if order == 1 else block]
+        top = block[:2] if order == 1 else block[2:]
     total = 0.0
     for i in range(3):
-        total += float(sups[i]) + _holder_seminorm_2d([a[i] for a in groups[-1]], u.grid, alpha)
+        rows = [u.values[i]] + [d[:, i] for d in derivs]
+        sup = np.max([r.max() for r in rows] + [-r.min() for r in rows])
+        total += float(sup) + _holder_seminorm_2d(top[:, i], u.grid, alpha)
     return total
 
 

@@ -185,4 +185,4 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
     _check_ny(F.grid.ny, ("phi", phi.values), ("G", G[0]), ("G", G[1]))
     v = _solve_stack(np.tensordot(DECOUPLE, F.values, axes=1), DECOUPLE @ phi.values,
                      np.array(G, dtype=float), debug)
-    return TripleField(F.grid, np.tensordot(RECOMPOSE, v, axes=1))
+    return TripleField._adopt(F.grid, np.tensordot(RECOMPOSE, v, axes=1))

@@ -478,15 +478,16 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     v = scaled_to_proxy(random_compatible_field(grid, rng, frame), start_scale, opts.alpha)
 
     updates: list[float] = []           # the sup-norm updates of the orbit of zero
+    orbit_proxies = [norm_proxy(u, opts.alpha)]     # proxy of u_n = A^n(0), n = 0, 1, ...
     ratios: list[float] = []
     diff_quotients: list[float] = []
+    du = norm_proxy(u - v, opts.alpha)
     for it in range(n_iter):
-        du = norm_proxy(u - v, opts.alpha)
+        nu, nv = orbit_proxies[-1], norm_proxy(v, opts.alpha)
         # stop once the two orbits have merged to round-off: below that the
         # quotients measure noise, not the step map (the absolute floor covers
         # the solve's own round-off level in proxy units)
-        scale = max(norm_proxy(u, opts.alpha), norm_proxy(v, opts.alpha))
-        if du < max(1e-9 * scale, 1e-11):
+        if du < max(1e-9 * max(nu, nv), 1e-11):
             break
         Au = picard_step(u, phi, cutoff, frame)
         Av = picard_step(v, phi, cutoff, frame)
@@ -500,26 +501,27 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
             raise GuardViolation(
                 f"diagnostic orbit left the trust ball at iteration {it + 1} "
                 f"(proxy {guards.norm_proxy:.3e} > guard {guards.r_guard:.3e})", Au, report)
+        orbit_proxies.append(guards.norm_proxy)
         dA = norm_proxy(Au - Av, opts.alpha)
         ratios.append(dA / du)
-        denom = du * (norm_proxy(u, opts.alpha) + norm_proxy(v, opts.alpha))
+        denom = du * (nu + nv)
         if denom > 0:
             diff_quotients.append(dA / denom)
-        u, v = Au, Av
+        u, v, du = Au, Av, dA
 
     est, _ = schauder_probe(4, grid, opts.alpha, seed=seed)
     c2 = max(diff_quotients) if diff_quotients else None
 
-    # absorption constant: ||A(u)|| <= c1 (||u||^2 + ||phi||), probed on the orbit
+    # absorption constant: ||A(u)|| <= c1 (||u||^2 + ||phi||), probed on the
+    # orbit of zero at u_1 .. u_m, continuing the orbit the loop above walked
+    m = min(n_iter, 4)
+    while len(orbit_proxies) < m + 2:
+        u = picard_step(u, phi, cutoff, frame)
+        orbit_proxies.append(norm_proxy(u, opts.alpha))
     phi_norm = boundary_proxy(phi, opts.alpha)
-    c1_samples = []
-    w = TripleField.zero(grid)
-    for _ in range(min(n_iter, 4)):
-        w = picard_step(w, phi, cutoff, frame)
-        nw = norm_proxy(w, opts.alpha)
-        base = nw ** 2 + phi_norm
-        if base > 0:
-            c1_samples.append(norm_proxy(picard_step(w, phi, cutoff, frame), opts.alpha) / base)
+    c1_samples = [after / (before ** 2 + phi_norm)
+                  for before, after in zip(orbit_proxies[1:m + 1], orbit_proxies[2:m + 2])
+                  if before ** 2 + phi_norm > 0]
     c1 = max(c1_samples) if c1_samples else None
 
     return ContractionEstimates(c_lin=est.c_lin, c1=c1, c2=c2), ratios

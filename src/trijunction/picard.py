@@ -118,7 +118,8 @@ def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
     frame = frame or frame_vectors()
     F = F_eval(u, cutoff)
     G1, G2, S = _junction_defect(u, frame)
-    lap = float(np.abs((u.jet.uxx + u.jet.uyy - F.values)[:, 1:-1]).max())
+    jet = u.jet
+    lap = float(np.abs(jet.uxx[:, 1:-1] + jet.uyy[:, 1:-1] - F.values[:, 1:-1]).max())
     B = boundary_operator(u)
     bres = max(float(np.abs(B[1] - G1).max()), float(np.abs(B[2] - G2).max()))
     return ResidualRecord(

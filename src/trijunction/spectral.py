@@ -146,27 +146,41 @@ def _cheb_synthesis_matrix(n: int, orders: tuple[int, ...]) -> np.ndarray:
     return M
 
 
-def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...]) -> np.ndarray:
+def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...],
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Spectral x-derivative of Lobatto samples, differentiated in coefficient space.
 
     One Chebyshev analysis (a DCT-I) gives the series coefficients; one
-    product with the cached synthesis matrix of every requested order
-    differentiates them and evaluates the result at the nodes.  Going
+    batched product with the cached synthesis block of every requested
+    order differentiates them and evaluates the result at the nodes.  Going
     through coefficients avoids the large cancellations of dense
     differentiation matrices: polynomials of low degree come out exact, and
     constants map to exactly zero.  Node axis first.  ``order`` is an int,
     or a tuple of ints for several derivatives from one pass, stacked along
-    a new leading axis.
+    a new leading axis.  The result is written into ``out`` when given, and
+    returned.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
+    orders = order if isinstance(order, tuple) else (order,)
+    if out is None:
+        out = np.empty((len(orders),) + values.shape)
+    elif not isinstance(order, tuple):
+        out = out[None]
     a = cheb_coefficients(values)
     # chop sub-round-off tail coefficients (per column): they carry no
     # information and differentiation would amplify them by O(N^2) per order
-    scale = np.max(np.abs(a), axis=0, keepdims=True)
-    a = np.where(np.abs(a) < 4.0 * np.finfo(float).eps * scale, 0.0, a).reshape(n, -1)
-    orders = order if isinstance(order, tuple) else (order,)
-    out = (_cheb_synthesis_matrix(n, orders) @ a).reshape((len(orders),) + values.shape)
+    mag = np.abs(a)
+    a[mag < 4.0 * np.finfo(float).eps * mag.max(axis=0)] = 0.0
+    # one product per order and (n, m) slab, the node axis moved next to
+    # last: a slab comes out bit for bit as it would alone
+    if a.ndim == 1:
+        a, dest = a[:, None], out[..., None]
+    else:
+        a, dest = np.moveaxis(a, 0, -2), np.moveaxis(out, 1, -2)
+    blocks = _cheb_synthesis_matrix(n, orders).reshape(
+        (len(orders),) + (1,) * (a.ndim - 2) + (n, n))
+    np.matmul(blocks, a, out=dest)
     return out if isinstance(order, tuple) else out[0]
 
 
@@ -258,20 +272,23 @@ def _derivative_factors(n: int, orders: tuple[int, ...], axis: int, ndim: int) -
 
 
 def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
-                       axis: int = -1) -> np.ndarray:
+                       axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Spectral derivative along a periodic axis.
 
     ``order`` is an int, or a tuple of ints for several derivatives from one
     forward transform and one inverse transform of the stacked products,
     stacked along a new leading axis.  An odd derivative zeroes the Nyquist
-    mode on an even grid.
+    mode on an even grid.  The result is written into ``out`` when given,
+    and returned.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[axis]
     axis %= values.ndim
     orders = order if isinstance(order, tuple) else (order,)
+    if out is not None and not isinstance(order, tuple):
+        out = out[None]
     factors = _derivative_factors(n, orders, axis, values.ndim)
-    out = np.fft.irfft(np.fft.rfft(values, axis=axis) * factors, n=n, axis=axis + 1)
+    out = np.fft.irfft(np.fft.rfft(values, axis=axis) * factors, n=n, axis=axis + 1, out=out)
     return out if isinstance(order, tuple) else out[0]
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from trijunction import (DegenerateMetric, TripleField, F_eval, G_eval, mean_curvature,
-                         structural_certificate)
-from trijunction.curvature import _conormals
+from trijunction import (BoundaryTriple, DegenerateMetric, Grid2D, GuardViolation,
+                         SolveOptions, TripleField, F_eval, G_eval, mean_curvature,
+                         solve_nonlinear, structural_certificate)
+from trijunction.curvature import _conormals, _wall_data
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.spectral import fourier_derivative
 
@@ -54,6 +55,59 @@ def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
     H = mean_curvature(u, cutoff)
     assert H.shape == (3, grid.nx, grid.ny)
     assert np.array_equal(F.values, u.jet.uxx + u.jet.uyy - H)
+
+
+def _expression_H(u, cutoff, i):
+    """H of sheet i as the closed-form expression, one temporary per operation.
+    Returns (H, denom, det); H is None when the metric is degenerate."""
+    ux, uy, uxx, uxy, uyy = (a[i - 1] for a in (u.jet.ux, u.jet.uy, u.jet.uxx,
+                                                   u.jet.uxy, u.jet.uyy))
+    w, w1, w2, E, E1, E2 = _wall_data(u, cutoff)
+    W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
+    E1W = E1 * W
+    a1 = E1W - 1.0
+    a2 = E * W1
+    g11 = a1 ** 2 + ux ** 2
+    g12 = a1 * a2 + ux * uy
+    g22 = a2 ** 2 + uy ** 2 + 1.0
+    det = g11 * g22 - g12 ** 2
+    denom = 1.0 - E1W
+    if denom.min() < 1e-3 or det.min() < 1e-6:
+        return None, denom, det
+    beta = ux / denom
+    gamma = -uy - beta * E * W1
+    norm = np.sqrt(1.0 + beta ** 2 + gamma ** 2)
+    h11 = (uxx + beta * E2 * W) / norm
+    h12 = (uxy + beta * E1 * W1) / norm
+    h22 = (uyy + beta * E * W2) / norm
+    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det, denom, det
+
+
+@pytest.mark.parametrize("proxy,seed", [(0.001, 1), (0.02, 2), (0.2, 3)])
+def test_mean_curvature_equals_the_expression_bit_for_bit(grid, cutoff, frame, proxy, seed):
+    u = random_small(grid, frame, proxy, seed)
+    H = mean_curvature(u, cutoff)
+    for i in (1, 2, 3):
+        assert np.array_equal(H[i - 1], _expression_H(u, cutoff, i)[0]), i
+
+
+def test_degenerate_metric_message_names_the_expression_minima(cutoff, frame):
+    # the iterate on which the Grid2D(16, 16) solve of test_picard's
+    # degenerate recipe stops: its first failing sheet and minima
+    grid = Grid2D(16, 16)
+    c = 30.0 * np.cos(2 * np.pi * grid.y)
+    phi = BoundaryTriple(grid.ny, np.stack([c, -c, np.zeros(grid.ny)]))
+    with pytest.raises(GuardViolation) as exc_info:
+        solve_nonlinear(phi, SolveOptions(r_guard=1e6), grid, cutoff, frame)
+    u = exc_info.value.field
+    i, (_, denom, det) = next((i, r) for i in (1, 2, 3)
+                              if (r := _expression_H(u, cutoff, i))[0] is None)
+    expected = (f"sheet {i}: min(1 - eta' <w,n>) = {denom.min():.3e}, "
+                f"min det g = {det.min():.3e}")
+    assert str(exc_info.value.__cause__) == expected
+    with pytest.raises(DegenerateMetric) as direct:
+        mean_curvature(u, cutoff)
+    assert str(direct.value) == expected
 
 
 def test_mean_curvature_zero_on_flat(grid, cutoff):

@@ -436,6 +436,97 @@ def test_jet_rows_are_contiguous_and_equal_the_per_sheet_derivatives(grid_small)
             assert np.array_equal(arr[i], per_sheet[name]), (i, name)
 
 
+@pytest.mark.parametrize("nx,ny", [(16, 10), (33, 30), (48, 62)])
+def test_jet_rows_equal_the_per_sheet_x_derivatives_on_any_grid(nx, ny):
+    # each (order, sheet) pair is its own matrix product, so a sheet's row
+    # does not depend on how many columns the product shares with the other
+    # sheets (a single product over all three columns differed in the last
+    # bits from the per-sheet one on grids with ny not a multiple of 8)
+    from trijunction import spectral
+    u = random_triple(Grid2D(nx, ny), 5)
+    for i, v in enumerate(u.values):
+        assert np.array_equal(u.jet.ux[i], spectral.cheb_derivative_values(v, 1))
+        assert np.array_equal(u.jet.uxx[i], spectral.cheb_derivative_values(v, 2))
+
+
+def test_jet_arrays_are_read_only_views_of_one_block(grid_small):
+    u = random_triple(grid_small, 11)
+    block = u.jet.ux.base
+    assert block.shape == (5, 3, grid_small.nx, grid_small.ny) and not block.flags.writeable
+    for name, arr in u.jet._asdict().items():
+        assert arr.base is block, name
+        assert arr.flags.c_contiguous and not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+    # the three second derivatives, which the guard's seminorm reads, are adjacent
+    starts = sorted(a.__array_interface__["data"][0]
+                    for a in (u.jet.uxx, u.jet.uxy, u.jet.uyy))
+    assert np.diff(starts).tolist() == [u.jet.uxx.nbytes] * 2
+
+
+def test_jet_and_norm_proxy_make_no_stacked_or_contiguous_copy(grid_small, monkeypatch):
+    norm_proxy(random_triple(grid_small, 12), 0.5)          # warm the per-grid caches
+    calls = []
+    for name in ("stack", "ascontiguousarray"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name,
+                            lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+    u = random_triple(grid_small, 13)
+    u.jet
+    for order in (0, 1, 2):
+        norm_proxy(u, 0.5, order)
+    assert calls == []
+
+
+def _stacked_norm_proxy(u, alpha, order):
+    """The norm proxy as a stack of copies: every derivative up to ``order``
+    as its own array, the top ones stacked per sheet for the seminorm."""
+    groups = [[u.values]]
+    if order >= 1:
+        groups.append([u.jet.ux, u.jet.uy])
+    if order >= 2:
+        groups.append([u.jet.uxx, u.jet.uxy, u.jet.uyy])
+    sups = np.max([np.abs(a).max(axis=(1, 2)) for group in groups for a in group], axis=0)
+    total = 0.0
+    for i in range(3):
+        total += float(sups[i]) + _holder_seminorm_2d(np.stack([a[i] for a in groups[-1]]),
+                                                      u.grid, alpha)
+    return total
+
+
+def test_norm_proxy_equals_the_stacked_computation_on_solver_iterates():
+    grid, iterates = _benchmark_iterates(48, 64, 4)
+    for u in iterates:
+        for order in (0, 1, 2):
+            assert norm_proxy(u, 0.5, order) == _stacked_norm_proxy(u, 0.5, order), order
+
+
+def test_triple_field_copies_what_it_is_given(grid_small):
+    rng = np.random.default_rng(14)
+    shape = (3, grid_small.nx, grid_small.ny)
+    writable = rng.standard_normal(shape)
+    view = writable[...]
+    view.flags.writeable = False                # read-only, but its base is not
+    as_float32 = rng.standard_normal(shape).astype(np.float32)
+    strided = rng.standard_normal((3, grid_small.nx, 2 * grid_small.ny))[..., ::2]
+    for source, owner in ((writable, writable), (view, writable),
+                          (as_float32, as_float32), (strided, strided.base)):
+        before = np.array(source, dtype=float)
+        u = TripleField(grid_small, source)
+        owner += 1.0
+        assert np.array_equal(u.values, before)
+        assert not u.values.flags.writeable and u.values.flags.c_contiguous
+
+
+def test_fields_the_package_makes_are_read_only(grid_small):
+    u = random_triple(grid_small, 15)
+    for w in (TripleField.zero(grid_small), u + u, u - u, 2.0 * u):
+        assert not w.values.flags.writeable
+        with pytest.raises(ValueError):
+            w.values[0, 0, 0] = 1.0
+    assert np.array_equal((u + u).values, u.values + u.values)
+
+
 def test_aliasing_warning_fires_and_floor_suppresses():
     ny = 64
     y = np.arange(ny) / ny

@@ -201,6 +201,39 @@ def test_contraction_diagnostics_small_data(grid_small, cutoff, frame):
     assert est.r_tilde is not None and 0 < est.r_tilde <= 1.0
 
 
+def test_contraction_diagnostics_computes_each_proxy_and_step_once(grid_small, cutoff, frame,
+                                                                   monkeypatch):
+    from trijunction import oracles, picard
+    seen = {"norm_proxy": [], "picard_step": []}
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(u, *args, **kwargs):
+            order = args[1] if name == "norm_proxy" and len(args) > 1 else None
+            seen[name].append((u.values.tobytes(), order))
+            return fn(u, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(oracles, "norm_proxy")
+    spy(picard, "norm_proxy")           # the guard record's proxy
+    spy(oracles, "picard_step")
+    rng = np.random.default_rng(27)
+    phi = random_boundary(grid_small.ny, rng, 0.004)
+    _, ratios = contraction_diagnostics(phi, OPTS, grid_small, cutoff, frame, seed=1)
+    assert len(ratios) == 1             # the orbits merge after one step
+    # no field is measured or stepped twice, even as an equal copy: the c1
+    # probe continues the orbit of zero that the ratio loop walked
+    for name, calls in seen.items():
+        assert len(set(calls)) == len(calls), name
+    # scaling the random start v; the ratio loop: zero, u - v, v, the guard of
+    # A u, A u - A v, then A v before the merge test; the c1 probe: u_2 .. u_5;
+    # the linear probe: 2 per sample
+    assert len(seen["norm_proxy"]) == 1 + 6 + 4 + 2 * 4
+    # two steps per ratio, then the orbit of zero on to u_5
+    assert len(seen["picard_step"]) == 2 + 4
+
+
 def test_contraction_stress_not_hidden(grid_small, cutoff, frame):
     # far beyond the guard the run must either report non-contracting ratios
     # or fail loudly with a regime error, never diverge silently
