@@ -265,12 +265,14 @@ def _lag_distances(grid: Grid2D, alpha: float) -> tuple[dict, dict]:
             {lag: _frozen(np.abs(x[lag:] - x[:-lag]) ** alpha) for lag in _dyadic_lags(nx)})
 
 
-def _holder_seminorm_2d(A, grid: Grid2D, alpha: float) -> float:
+def _holder_seminorm_2d(A, grid: Grid2D, alpha: float, span: float | None = None) -> float:
     """max |A(p) - A(q)| / dist(p, q)^alpha over row/column pairs at dyadic lags,
     evaluated best bound first (see the module docstring).
 
     ``A`` is a (k, nx, ny) array, a view of any strides included, or k
     (nx, ny) arrays; the value is a max over the k of them, in any order.
+    A caller that has each array's extrema passes ``span``, the largest
+    max - min among them.
     """
     A = np.asarray(A)
     diff = np.empty_like(A)                     # one buffer for every lag
@@ -282,7 +284,8 @@ def _holder_seminorm_2d(A, grid: Grid2D, alpha: float) -> float:
     def x_value(lag):
         return float((_x_lag(A, lag, diff) / dx[lag]).max())
 
-    span = float((A.max(axis=(1, 2)) - A.min(axis=(1, 2))).max())
+    if span is None:
+        span = float((A.max(axis=(1, 2)) - A.min(axis=(1, 2))).max())
     if not np.isfinite(span):
         # NaN or overflow: the bounds do not hold, so every lag
         best = 0.0
@@ -325,19 +328,22 @@ def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
     The sum over the sheets of the grid maximum of every derivative up to
     ``order`` plus the Hoelder seminorm of the top ones.  Each sheet is read
     in place: its row of the values, and views of its rows of the jet block
-    (order 0 computes no jet).
+    (order 0 computes no jet).  Each array's extrema are read once and serve
+    both the sup and the seminorm's span.
     """
-    if order == 0:
-        derivs, top = [], u.values[None]
-    else:
-        block = u._jet_block            # slots u_x, u_y, then u_yy, u_xy, u_xx
-        derivs = [block[:2] if order == 1 else block]
-        top = block[:2] if order == 1 else block[2:]
+    # jet slots u_x, u_y, then u_yy, u_xy, u_xx: the top ones are the last
+    derivs = None if order == 0 else u._jet_block[:2] if order == 1 else u._jet_block
     total = 0.0
     for i in range(3):
-        rows = [u.values[i]] + [d[:, i] for d in derivs]
-        sup = np.max([r.max() for r in rows] + [-r.min() for r in rows])
-        total += float(sup) + _holder_seminorm_2d(top[:, i], u.grid, alpha)
+        v = u.values[i]
+        v_max, v_min = v.max(), v.min()
+        extrema, top, span = [v_max, -v_min], v[None], v_max - v_min
+        if derivs is not None:
+            d = derivs[:, i]
+            hi, lo = d.max(axis=(1, 2)), d.min(axis=(1, 2))
+            extrema += [hi.max(), -lo.min()]
+            top, span = d[-order - 1:], (hi - lo)[-order - 1:].max()
+        total += float(np.max(extrema)) + _holder_seminorm_2d(top, u.grid, alpha, float(span))
     return total
 
 

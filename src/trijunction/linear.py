@@ -12,8 +12,12 @@ Neumann/Dirichlet scalar problems (v2, v3).  Each scalar problem is solved
 per Fourier mode in y, where it reduces to the two-point ODE
 a'' - (2 pi k)^2 a = f_k on [0, 1].  Every mode shares the x operator, so
 the Chebyshev collocation solve diagonalizes it once per grid and kind and
-solves all modes with two matrix products.  The closed-form formula path,
-an independent check of this solve, lives in :mod:`trijunction.oracles`.
+solves all modes with two matrix products.  A forcing-free solve (zero
+forcing and zero Neumann data, as the first Picard step from the cone is)
+needs no mode solve: its modes are the outer data's coefficients times the
+per-mode harmonic profiles, cached once per grid and kind.  The closed-form
+formula path, an independent check of this solve, lives in
+:mod:`trijunction.oracles`.
 """
 
 from __future__ import annotations
@@ -97,6 +101,25 @@ def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=None)
+def _mode_lam2(ny: int) -> np.ndarray:
+    """Read-only (2 pi k)^2 per mode column of an ny-point grid: the cos
+    columns k = 0 .. ny // 2, then the sin columns."""
+    lam2 = np.tile((2.0 * math.pi * np.arange(ny // 2 + 1)) ** 2, 2)
+    lam2.flags.writeable = False
+    return lam2
+
+
+@lru_cache(maxsize=None)
+def _harmonic_profiles(nx: int, ny: int, kind: Kind) -> np.ndarray:
+    """Read-only solutions of a'' - (2 pi k)^2 a = 0 with unit outer data and
+    zero Neumann data, (nx, m) with the m mode columns of :func:`_mode_lam2`."""
+    lam2 = _mode_lam2(ny)
+    H = _solve_modes(kind, lam2, np.zeros((nx, lam2.size)), 1.0, 0.0)
+    H.flags.writeable = False
+    return H
+
+
 def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
     """Max interior |a'' - lam2 a - f| over the node axis (per column), for
     ``a`` and ``f`` shaped as in :func:`_solve_modes`."""
@@ -115,29 +138,42 @@ def _check_ny(ny: int, *named):
             raise ValueError(f"{name} has shape {np.shape(a)}; the forcing has ny = {ny}")
 
 
+def _mode_columns(x: np.ndarray, label: str, floor) -> np.ndarray:
+    """The checked Fourier coefficients of ``x`` along its last axis as one
+    column per cos and per sin mode; the sin parts of k = 0 and of the
+    Nyquist mode vanish on the even grid and solve to exact zeros."""
+    return np.concatenate(checked_fourier_coefficients(x, label, floor), axis=-1)
+
+
 def _solve_stack(f: np.ndarray, p: np.ndarray, g: np.ndarray, debug: list | None) -> np.ndarray:
     """Solve Lap v_j = f_j, v_j(1, .) = p_j for (m, nx, ny) forcing and (m, ny) outer data.
 
     The last len(g) problems are of mixed kind with Neumann data ``g``, the
     others of Dirichlet kind.  One Fourier analysis per input kind, one mode
     solve per problem kind and one synthesis serve all m problems; each
-    problem's aliasing check keeps its own floor.
+    problem's aliasing check keeps its own floor.  When every forcing and
+    Neumann datum is zero, only the outer data is analysed and the modes are
+    its coefficients times the cached harmonic profiles.
     """
-    m, _, ny = f.shape
+    m, nx, ny = f.shape
     nd = m - len(g)
-    scale = np.maximum(np.abs(f).max(axis=(1, 2)), np.abs(p).max(axis=1))
-    scale[nd:] = np.maximum(scale[nd:], np.abs(g).max(axis=1))
+    f_sup, g_sup = np.abs(f).max(axis=(1, 2)), np.abs(g).max(axis=1)
+    scale = np.maximum(f_sup, np.abs(p).max(axis=1))
+    scale[nd:] = np.maximum(scale[nd:], g_sup)
     floor = 5e-14 * np.maximum(1.0, scale)
-    # per problem, one column per cos and per sin mode; the sin parts of k = 0
-    # and of the Nyquist mode vanish on the even grid and solve to exact zeros
-    rhs, data, neumann = (np.concatenate(checked_fourier_coefficients(x, label, fl), axis=-1)
-                          for x, label, fl in ((f, "forcing", floor),
-                                               (p[:, None], "outer boundary data", floor),
-                                               (g[:, None], "inner Neumann data", floor[nd:])))
     K = ny // 2
-    lam2 = np.tile((2.0 * math.pi * np.arange(K + 1)) ** 2, 2)
-    a = np.concatenate([_solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0),
-                        _solve_modes("mixed", lam2, rhs[nd:], data[nd:], neumann)])
+    lam2 = _mode_lam2(ny)
+    forced = bool(f_sup.any() or g_sup.any())
+    rhs = _mode_columns(f, "forcing", floor) if forced else 0.0
+    data = _mode_columns(p[:, None], "outer boundary data", floor)
+    if forced:
+        neumann = _mode_columns(g[:, None], "inner Neumann data", floor[nd:])
+        a = np.concatenate([_solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0),
+                            _solve_modes("mixed", lam2, rhs[nd:], data[nd:], neumann)])
+    else:
+        # forcing-free: each mode is its outer coefficient times its harmonic profile
+        a = np.concatenate([_harmonic_profiles(nx, ny, "dirichlet") * data[:nd],
+                            _harmonic_profiles(nx, ny, "mixed") * data[nd:]])
     if debug is not None:
         residual = _interior_defect(a, lam2, rhs).reshape(m, 2, K + 1)
         debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",

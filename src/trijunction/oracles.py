@@ -460,6 +460,10 @@ def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
     return ContractionEstimates(c_lin=float(ratios.max())), ratios
 
 
+# the linear solve's own round-off level in proxy units
+_ROUND_OFF_PROXY = 1e-11
+
+
 def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
                             cutoff: CutoffProfile, frame: JunctionFrame | None = None,
                             n_iter: int = 6, seed: int = 0,
@@ -470,7 +474,8 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     proxy(A u_n - A v_n) / proxy(u_n - v_n) per iteration, stopping once the
     orbits have merged to round-off.  Also assembles empirical constants:
     c_lin from a linear-solve probe, c1 and c2 from quadratic-smallness and
-    difference quotients along the orbits.
+    difference quotients along the orbits; c1 is None when the orbit of zero
+    and the data are both at round-off.
     """
     frame = frame or frame_vectors()
     rng = np.random.default_rng(seed)
@@ -487,7 +492,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
         # stop once the two orbits have merged to round-off: below that the
         # quotients measure noise, not the step map (the absolute floor covers
         # the solve's own round-off level in proxy units)
-        if du < max(1e-9 * max(nu, nv), 1e-11):
+        if du < max(1e-9 * max(nu, nv), _ROUND_OFF_PROXY):
             break
         Au = picard_step(u, phi, cutoff, frame)
         Av = picard_step(v, phi, cutoff, frame)
@@ -519,9 +524,12 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
         u = picard_step(u, phi, cutoff, frame)
         orbit_proxies.append(norm_proxy(u, opts.alpha))
     phi_norm = boundary_proxy(phi, opts.alpha)
+    # a denominator at round-off (below the square of the merge test's
+    # floor) divides noise by noise: zero data has an orbit of round-off and
+    # no absorption constant to measure
     c1_samples = [after / (before ** 2 + phi_norm)
                   for before, after in zip(orbit_proxies[1:m + 1], orbit_proxies[2:m + 2])
-                  if before ** 2 + phi_norm > 0]
+                  if before ** 2 + phi_norm > _ROUND_OFF_PROXY ** 2]
     c1 = max(c1_samples) if c1_samples else None
 
     return ContractionEstimates(c_lin=est.c_lin, c1=c1, c2=c2), ratios

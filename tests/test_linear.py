@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
-                         ModeProblem, TripleField, boundary_operator, schauder_probe,
-                         solve_linear_system, solve_scalar)
+                         ModeProblem, SolveOptions, TripleField, boundary_operator,
+                         schauder_probe, solve_linear_system, solve_nonlinear, solve_scalar)
+from trijunction import linear
 from trijunction.cli import mode_debug_csv
-from trijunction.linear import _interior_defect
+from trijunction.linear import _interior_defect, _mode_lam2, _solve_modes
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
-from trijunction.spectral import bary_matrix, cheb_nodes
+from trijunction.spectral import bary_matrix, cheb_nodes, fourier_coefficients, fourier_synthesis
 
-from conftest import mode_solve_collocation
+from conftest import mode_solve_collocation, random_boundary
 
 ULP4 = 4 * np.finfo(float).eps
 
@@ -274,27 +275,89 @@ def _random_linear_data(grid, rng):
     return F, G, phi
 
 
+def _count_calls(monkeypatch, module, names):
+    """Replace each named function of ``module`` by a counting wrapper; the
+    returned dict holds the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls
+
+
 def test_linear_solve_takes_one_fourier_analysis_per_input(grid_small, monkeypatch):
     # three scalar problems, one analysis per input kind for all of them: the
     # forcing, the outer data and the Neumann data of the two mixed ones; the
     # aliasing checks read the same analyses, and one synthesis returns all three
     F, G, phi = _random_linear_data(grid_small, np.random.default_rng(13))
-    calls = {"rfft": 0, "irfft": 0}
-
-    def counting(name):
-        transform = getattr(np.fft, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return transform(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(np.fft, name, counting(name))
+    calls = _count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # smooth data: no aliasing warning
         solve_linear_system(F, G, phi)
     assert calls == {"rfft": 3, "irfft": 1}
+
+
+def _forcing_free_solve(grid, phi):
+    zero = np.zeros(grid.ny)
+    return solve_linear_system(TripleField.zero(grid), (zero, zero), phi)
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (48, 64), (96, 256), (40, 90)])
+def test_forcing_free_solve_agrees_with_the_mode_solve(nx, ny):
+    # zero forcing and zero junction data: the modes are the outer data's
+    # coefficients times the cached harmonic profiles, which must agree with
+    # the eigenbasis solve of the same problems to round-off
+    grid = Grid2D(nx, ny)
+    rng = np.random.default_rng(nx + ny)
+    phi = BoundaryTriple(ny, np.stack([random_smooth_map(ny, rng, max_mode=ny // 4)
+                                       for _ in range(3)]))
+    u = _forcing_free_solve(grid, phi)
+    lam2, K = _mode_lam2(ny), ny // 2
+    data = np.concatenate(fourier_coefficients(DECOUPLE @ phi.values), axis=-1)[:, None]
+    a = np.concatenate([
+        _solve_modes("dirichlet", lam2, np.zeros((1, nx, lam2.size)), data[:1], 0.0),
+        _solve_modes("mixed", lam2, np.zeros((2, nx, lam2.size)), data[1:], 0.0)])
+    expected = np.tensordot(RECOMPOSE, fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny),
+                            axes=1)
+    assert np.max(np.abs(u.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_forcing_free_solve_takes_one_transform_each_way_and_no_mode_solve(grid_small,
+                                                                        monkeypatch):
+    # on a warm grid the outer data is the one input analysed, and the cached
+    # profiles replace the mode solves
+    _, _, phi = _random_linear_data(grid_small, np.random.default_rng(20))
+    _forcing_free_solve(grid_small, phi)                # warm the per-grid caches
+    calls = _count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
+    calls.update(_count_calls(monkeypatch, linear, ("_solve_modes",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _forcing_free_solve(grid_small, phi)
+    assert calls == {"rfft": 1, "irfft": 1, "_solve_modes": 0}
+
+
+def test_forcing_free_first_step_records_every_mode(grid, cutoff):
+    # modes.csv of a run stopped at iterate 1 holds the forcing-free step's
+    # records: one per (problem, k, part), as a forced solve writes them
+    rng = np.random.default_rng(21)
+    phi = random_boundary(grid.ny, rng, 0.005)
+    first, forced = [], []
+    solve_nonlinear(phi, SolveOptions(tol=1.0, max_iter=1), grid, cutoff, debug=first)
+    F, G, _ = _random_linear_data(grid, rng)
+    solve_linear_system(F, G, phi, forced)
+    assert [(r["k"], r["part"], r["kind"]) for r in first] == \
+        [(r["k"], r["part"], r["kind"]) for r in forced]
+    assert all(r["path"] == "collocation" for r in first)
+    residuals = np.array([r["residual"] for r in first])
+    assert np.all(np.isfinite(residuals)) and residuals.max() <= 1e-12
 
 
 @pytest.mark.parametrize("which, label", [("F", "forcing"), ("phi", "outer boundary data"),

@@ -3,6 +3,7 @@ module layering."""
 
 import ast
 import os
+import re
 
 import numpy as np
 
@@ -63,3 +64,13 @@ def test_only_the_cli_touches_files():
         else:
             assert not imported & {"os", "tempfile"}, name
             assert not opens, (name, opens)
+
+
+def test_declared_numpy_floor_has_the_fft_out_argument():
+    # spectral.fourier_derivative passes out= to np.fft.irfft, which numpy
+    # added in 2.0.0; an older numpy raises TypeError on the hot path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        spec = re.search(r'"numpy>=([0-9.]+)"', fh.read())
+    assert spec is not None
+    assert tuple(int(part) for part in spec.group(1).split(".")[:2]) >= (2, 0)
