@@ -7,8 +7,10 @@ unit-circumference circle R/Z, discretized with ny equispaced points and
 handled by real FFTs (cos/sin mode pairs).
 
 Everything here is plain array plumbing: differentiation matrices,
-barycentric interpolation, Chebyshev series transforms, cumulative
-integrals, Clenshaw-Curtis weights, and periodic spectral helpers.
+barycentric interpolation, Chebyshev series transforms (the analysis and
+the synthesis are each a product with a cached matrix; no FFT runs along
+x), cumulative integrals, Clenshaw-Curtis weights, and periodic spectral
+helpers.
 """
 
 from __future__ import annotations
@@ -93,22 +95,48 @@ def bary_matrix(nx: int, xq) -> np.ndarray:
     return B
 
 
-def _dct1(values: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I along axis 0: the real FFT of the even extension."""
-    return np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real
+@lru_cache(maxsize=None)
+def _cheb_cosine_table(n: int) -> np.ndarray:
+    """T[j, m] = cos(pi j m / (n - 1)) = T_m(xi_j): a series evaluated at the Lobatto nodes.
+
+    The angle index jm is reduced mod 2(n - 1) first, so every entry is the
+    cosine of an angle in [0, 2 pi): the rounding of pi j m for large j m
+    would otherwise put noise into the analysis above the derivative pass's
+    chop threshold.  T is symmetric.
+    """
+    jm = np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))
+    T = np.cos(np.pi * jm / (n - 1))
+    T.flags.writeable = False
+    return T
+
+
+@lru_cache(maxsize=None)
+def _cheb_analysis_matrix(n: int) -> np.ndarray:
+    """A[m, j] = (2 / N) T[m, j] / (c_m c_j), N = n - 1, c_0 = c_N = 2 and 1 otherwise.
+
+    One product with A is the DCT-I of the Lobatto samples, outer terms
+    halved: the coefficients of the interpolating Chebyshev series.
+    """
+    c = np.ones(n)
+    c[0] = c[-1] = 2.0
+    A = (2.0 / (n - 1)) * _cheb_cosine_table(n) / np.outer(c, c)
+    A.flags.writeable = False
+    return A
 
 
 def cheb_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev series coefficients (in xi = 1 - 2x) of Lobatto samples.
 
-    Node axis first; returns coefficients a_n with f = sum a_n T_n(xi).
+    Node axis first; returns coefficients a_n with f = sum a_n T_n(xi).  The
+    analysis is one product with a cached (n, n) matrix per (n, m) slab of
+    the node axis and the last axis, so a slab's coefficients are bit for bit
+    those it has alone.
     """
     values = np.asarray(values, dtype=float)
-    N = values.shape[0] - 1
-    a = _dct1(values) / N
-    a[0] /= 2.0
-    a[-1] /= 2.0
-    return a
+    A = _cheb_analysis_matrix(values.shape[0])
+    if values.ndim <= 2:
+        return A @ values
+    return np.moveaxis(A @ np.moveaxis(values, 0, -2), -2, 0)
 
 
 @lru_cache(maxsize=None)
@@ -134,12 +162,11 @@ def _cheb_synthesis_matrix(n: int, orders: tuple[int, ...]) -> np.ndarray:
     """Maps Chebyshev coefficients (in xi) to the x-derivative values at the nodes.
 
     One (n, n) block per order, stacked: (-2)^k T C_k, where C_k is
-    :func:`cheb_coefficient_diff_matrix` and T[j, m] = cos(pi j m / (n - 1))
-    = T_m(xi_j) evaluates a series at the Lobatto nodes.  The factor
+    :func:`cheb_coefficient_diff_matrix` and T is :func:`_cheb_cosine_table`,
+    which evaluates a series at the Lobatto nodes.  The factor
     (-2)^k is (dxi/dx)^k.
     """
-    jm = np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))
-    T = np.cos(np.pi * jm / (n - 1))
+    T = _cheb_cosine_table(n)
     M = np.concatenate([(-2.0) ** k * (T @ cheb_coefficient_diff_matrix(n, k))
                         for k in orders])
     M.flags.writeable = False
@@ -150,15 +177,15 @@ def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...],
                            out: np.ndarray | None = None) -> np.ndarray:
     """Spectral x-derivative of Lobatto samples, differentiated in coefficient space.
 
-    One Chebyshev analysis (a DCT-I) gives the series coefficients; one
-    batched product with the cached synthesis block of every requested
-    order differentiates them and evaluates the result at the nodes.  Going
-    through coefficients avoids the large cancellations of dense
-    differentiation matrices: polynomials of low degree come out exact, and
-    constants map to exactly zero.  Node axis first.  ``order`` is an int,
-    or a tuple of ints for several derivatives from one pass, stacked along
-    a new leading axis.  The result is written into ``out`` when given, and
-    returned.
+    One Chebyshev analysis (a product with the cached analysis matrix)
+    gives the series coefficients; one batched product with the cached
+    synthesis block of every requested order differentiates them and
+    evaluates the result at the nodes.  Going through coefficients avoids
+    the large cancellations of dense differentiation matrices: polynomials
+    of low degree come out exact, and constants map to exactly zero.  Node
+    axis first.  ``order`` is an int, or a tuple of ints for several
+    derivatives from one pass, stacked along a new leading axis.  The result
+    is written into ``out`` when given, and returned.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]

@@ -66,3 +66,21 @@ def random_boundary(ny, rng, proxy_target, alpha=0.5, max_mode=2):
 def mode_solve_collocation(p):
     """One ``oracles.ModeProblem`` through the production solve, as a single column."""
     return _solve_modes(p.kind, (2.0 * np.pi * p.k) ** 2, p.f[:, None], p.phi, p.g)[:, 0]
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace each named function of ``module`` by a counting wrapper; the
+    returned dict holds the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    return calls

@@ -18,7 +18,7 @@ from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_semin
                                checked_fourier_coefficients)
 from trijunction.spectral import bary_matrix, fourier_coefficients, interpolate, trig_eval
 
-from conftest import translation_field
+from conftest import count_calls, translation_field
 
 
 def sampled(grid, fn):
@@ -416,6 +416,16 @@ def test_jet_is_cached_and_matches_fresh_derivatives(grid_small, monkeypatch):
     fresh = TripleField(grid_small, u.values)
     for name, arr in u.jet._asdict().items():
         assert np.array_equal(arr, getattr(fresh.jet, name)), name
+
+
+def test_jet_takes_no_fft_along_x(grid_small, monkeypatch):
+    # the Chebyshev analysis is a matrix product: the only transforms of a
+    # warm jet are the two Fourier derivative passes along y
+    random_triple(grid_small, 4).jet                     # warm the per-grid caches
+    u = random_triple(grid_small, 5)
+    calls = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
+    u.jet
+    assert calls == {"rfft": 2, "irfft": 2}
 
 
 def test_jet_rows_are_contiguous_and_equal_the_per_sheet_derivatives(grid_small):

@@ -15,7 +15,7 @@ from trijunction.oracles import (formula_linear_solve, mode_solve_formula, rando
                                  random_smooth_map)
 from trijunction.spectral import bary_matrix, cheb_nodes, fourier_coefficients, fourier_synthesis
 
-from conftest import mode_solve_collocation, random_boundary
+from conftest import count_calls, mode_solve_collocation, random_boundary
 
 ULP4 = 4 * np.finfo(float).eps
 
@@ -275,30 +275,12 @@ def _random_linear_data(grid, rng):
     return F, G, phi
 
 
-def _count_calls(monkeypatch, module, names):
-    """Replace each named function of ``module`` by a counting wrapper; the
-    returned dict holds the counts."""
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name):
-        fn = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    for name in names:
-        monkeypatch.setattr(module, name, counting(name))
-    return calls
-
-
 def test_linear_solve_takes_one_fourier_analysis_per_input(grid_small, monkeypatch):
     # three scalar problems, one analysis per input kind for all of them: the
     # forcing, the outer data and the Neumann data of the two mixed ones; the
     # aliasing checks read the same analyses, and one synthesis returns all three
     F, G, phi = _random_linear_data(grid_small, np.random.default_rng(13))
-    calls = _count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
+    calls = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # smooth data: no aliasing warning
         solve_linear_system(F, G, phi)
@@ -336,8 +318,8 @@ def test_forcing_free_solve_takes_one_transform_each_way_and_no_mode_solve(grid_
     # profiles replace the mode solves
     _, _, phi = _random_linear_data(grid_small, np.random.default_rng(20))
     _forcing_free_solve(grid_small, phi)                # warm the per-grid caches
-    calls = _count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
-    calls.update(_count_calls(monkeypatch, linear, ("_solve_modes",)))
+    calls = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
+    calls.update(count_calls(monkeypatch, linear, ("_solve_modes",)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _forcing_free_solve(grid_small, phi)

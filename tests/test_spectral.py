@@ -26,11 +26,11 @@ def test_derivative_spectral_on_analytic():
 
 
 def cheb_values(coeffs):
-    """Lobatto samples of a Chebyshev series: the inverse DCT-I of cheb_coefficients."""
-    b = np.asarray(coeffs, dtype=float).copy()
-    b[0] *= 2.0
-    b[-1] *= 2.0
-    return sp._dct1(b) / 2.0
+    """Lobatto samples of a Chebyshev series: the cosine sum f_j = sum_m b_m cos(pi j m / N)."""
+    b = np.asarray(coeffs, dtype=float)
+    N = b.shape[0] - 1
+    jm = np.outer(np.arange(N + 1), np.arange(N + 1))
+    return np.cos(np.pi * (jm % (2 * N)) / N) @ b
 
 
 def test_interp_and_coefficients_roundtrip():
@@ -56,6 +56,55 @@ def test_cheb_coefficients_match_cosine_sum():
             assert a.shape == f.shape
             assert np.max(np.abs(a - C @ f)) < 1e-13 * max(1.0, np.max(np.abs(f))), nx
             assert np.max(np.abs(cheb_values(a) - f)) < 1e-13 * np.max(np.abs(f)), nx
+
+
+def _dct_coefficients(values):
+    # the FFT route the analysis matrix replaces: the real FFT of the even
+    # extension (a DCT-I), scaled, the outer terms halved
+    N = values.shape[0] - 1
+    a = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / N
+    a[0] /= 2.0
+    a[-1] /= 2.0
+    return a
+
+
+def _chopped(a):
+    return np.where(np.abs(a) < 4.0 * np.finfo(float).eps * np.max(np.abs(a)), 0.0, a)
+
+
+# f, f' and f'' on [0, 1]: entire, oscillating, high degree, a pole near the
+# interval, and exact low-degree polynomials
+_CHOP_FUNCTIONS = {
+    "exp(x)": (np.exp, np.exp, np.exp),
+    "cos 3x": (lambda x: np.cos(3 * x), lambda x: -3 * np.sin(3 * x),
+               lambda x: -9 * np.cos(3 * x)),
+    "x^20": (lambda x: x ** 20, lambda x: 20 * x ** 19, lambda x: 380 * x ** 18),
+    "1/(1+x^2)": (lambda x: 1 / (1 + x ** 2), lambda x: -2 * x / (1 + x ** 2) ** 2,
+                  lambda x: (6 * x ** 2 - 2) / (1 + x ** 2) ** 3),
+    "0.3+0.7x": (lambda x: 0.3 + 0.7 * x, lambda x: np.full_like(x, 0.7), np.zeros_like),
+    "x^2": (lambda x: x ** 2, lambda x: 2 * x, lambda x: np.full_like(x, 2.0)),
+    "constant": (lambda x: np.full_like(x, -1.3), np.zeros_like, np.zeros_like),
+}
+
+
+@pytest.mark.parametrize("nx", [8, 9, 32, 48, 96, 128, 144])
+def test_cheb_analysis_keeps_the_dct_chop(nx):
+    x = sp.cheb_nodes(nx)
+    for name, derivs in _CHOP_FUNCTIONS.items():
+        f = derivs[0](x)
+        ref = _dct_coefficients(f)
+        a = sp.cheb_coefficients(f)
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref)), (nx, name)
+        # the same coefficients survive the 4-eps chop of the derivative pass
+        assert np.array_equal(_chopped(a) != 0.0, _chopped(ref) != 0.0), (nx, name)
+        for k in (1, 2):
+            exact = derivs[k](x)
+            ref_k = (-2.0) ** k * cheb_values(sp.cheb_coefficient_diff_matrix(nx, k)
+                                              @ _chopped(ref))
+            err = np.max(np.abs(sp.cheb_derivative_values(f, k) - exact))
+            err_ref = np.max(np.abs(ref_k - exact))
+            assert err <= 4.0 * err_ref + 1e-15 * max(1.0, np.max(np.abs(exact))), \
+                (nx, name, k, err, err_ref)
 
 
 def test_coefficient_diff_matrix_matches_chebder():
