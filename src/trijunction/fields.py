@@ -206,27 +206,29 @@ class BoundaryTriple:
     __rmul__ = __mul__
 
 
-def checked_fourier_coefficients(values: np.ndarray, label: str,
-                                 floor: float | np.ndarray = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Cos/sin coefficients along the last axis; warn if the top third carries
-    more than 1e-8 of the energy.
+def checked_spectrum(values: np.ndarray, label: str,
+                     floor: float | np.ndarray = 0.0) -> np.ndarray:
+    """The ``np.fft.rfft`` spectrum along the last axis; warn if its top third
+    carries more than 1e-8 of the energy.
 
-    The check reads the same coefficients the caller gets, so periodic data
-    is analysed once.  Data below ``floor`` in sup norm is not checked:
+    The check reads the spectrum the caller gets, so periodic data is
+    analysed once.  Data below ``floor`` in sup norm is not checked:
     round-off-level inputs have white spectra and would trip the relative
     check meaninglessly.  An array ``floor`` holds one floor per leading row
-    of ``values``, and each row is checked on its own.
+    of ``values``, and each row is checked on its own.  The warning names the
+    line three frames up: in the linear solve (entry point, then
+    ``_solve_stack``, then this check), the line that called the solve.
     """
     values = np.asarray(values, dtype=float)
-    c, s = spectral.fourier_coefficients(values)
+    X = np.fft.rfft(values)
     floor = np.asarray(floor, dtype=float)
     sups = np.abs(values).max(axis=tuple(range(floor.ndim, values.ndim)))
     for row in map(tuple, np.argwhere(sups > floor)):
-        frac = spectral.aliasing_fraction(c[row], s[row], values.shape[-1])
+        frac = spectral.aliasing_fraction(X[row], values.shape[-1])
         if frac > 1e-8:
             warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "
                           "exceeds 1e-8", AliasingWarning, stacklevel=4)
-    return c, s
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,18 @@ Neumann/Dirichlet scalar problems (v2, v3).  Each scalar problem is solved
 per Fourier mode in y, where it reduces to the two-point ODE
 a'' - (2 pi k)^2 a = f_k on [0, 1].  Every mode shares the x operator, so
 the Chebyshev collocation solve diagonalizes it once per grid and kind and
-solves all modes with two matrix products.  A forcing-free solve (zero
-forcing and zero Neumann data, as the first Picard step from the cone is)
-needs no mode solve: its modes are the outer data's coefficients times the
-per-mode harmonic profiles, cached once per grid and kind.  The closed-form
-formula path, an independent check of this solve, lives in
+solves all modes with two matrix products.
+
+The modes are the raw ``np.fft.rfft`` spectrum X_k, k = 0 .. ny // 2, read
+as floats: mode k is the column pair (Re X_k, Im X_k), both solved with
+(2 pi k)^2.  The ODE is linear, so each column solves as the cos/sin
+coefficient it is a fixed multiple of, and the complex view of the
+solutions goes straight back through ``np.fft.irfft``: no coefficient is
+rescaled on the way in or out.  A forcing-free solve (zero forcing and zero
+Neumann data, as the first Picard step from the cone is) needs no mode
+solve: its modes are the outer data's spectrum times the per-mode harmonic
+profiles, cached once per grid and kind in the same pair layout.  The
+closed-form formula path, an independent check of this solve, lives in
 :mod:`trijunction.oracles`.
 """
 
@@ -29,7 +36,7 @@ from typing import Literal
 import numpy as np
 
 from . import spectral
-from .fields import BoundaryTriple, TripleField, checked_fourier_coefficients
+from .fields import BoundaryTriple, Grid2D, TripleField, checked_spectrum
 
 Kind = Literal["dirichlet", "mixed"]
 
@@ -84,17 +91,19 @@ def _mode_basis(nx: int, kind: Kind) -> tuple:
     return V, np.linalg.inv(V), w, phi_col, g_col, a0_row, a0_phi, a0_g
 
 
-def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g) -> np.ndarray:
+def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Solve a'' - lam2 a = f for every column of ``f`` at once.
 
     ``f`` is (nx, m) on the Lobatto grid or a (p, nx, m) stack of such
     blocks; ``lam2`` is a scalar or the (m,) per-column (2 pi k)^2, and
     ``phi``, ``g`` are scalars or per-column data, (1, m) or (p, 1, m).  Each
     product runs block by block, so a block solves bit for bit as alone.
+    The solution is written into ``out`` when given, and returned.
     """
     V, V_inv, w, phi_col, g_col, a0_row, a0_phi, a0_g = _mode_basis(f.shape[-2], kind)
     rhs = f[..., 1:-1, :] - phi_col[:, None] * phi - g_col[:, None] * g
-    a = np.empty_like(f)
+    a = np.empty_like(f) if out is None else out
     a[..., 1:-1, :] = V @ ((V_inv @ rhs) / (w[:, None] - lam2))
     a[..., :1, :] = a0_row[None] @ a[..., 1:-1, :] + a0_phi * phi + a0_g * g
     a[..., -1:, :] = phi
@@ -103,9 +112,9 @@ def _solve_modes(kind: Kind, lam2, f: np.ndarray, phi, g) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _mode_lam2(ny: int) -> np.ndarray:
-    """Read-only (2 pi k)^2 per mode column of an ny-point grid: the cos
-    columns k = 0 .. ny // 2, then the sin columns."""
-    lam2 = np.tile((2.0 * math.pi * np.arange(ny // 2 + 1)) ** 2, 2)
+    """Read-only (2 pi k)^2 per mode column of an ny-point grid in the pair
+    layout: k = 0 .. ny // 2, each twice, for Re X_k and Im X_k."""
+    lam2 = np.repeat((2.0 * math.pi * np.arange(ny // 2 + 1)) ** 2, 2)
     lam2.flags.writeable = False
     return lam2
 
@@ -138,49 +147,52 @@ def _check_ny(ny: int, *named):
             raise ValueError(f"{name} has shape {np.shape(a)}; the forcing has ny = {ny}")
 
 
-def _mode_columns(x: np.ndarray, label: str, floor) -> np.ndarray:
-    """The checked Fourier coefficients of ``x`` along its last axis as one
-    column per cos and per sin mode; the sin parts of k = 0 and of the
-    Nyquist mode vanish on the even grid and solve to exact zeros."""
-    return np.concatenate(checked_fourier_coefficients(x, label, floor), axis=-1)
+def _solve_stack(nx: int, p: np.ndarray, nd: int, f: np.ndarray | None,
+                 g: np.ndarray | None, debug: list | None) -> np.ndarray:
+    """Solve Lap v_j = f_j, v_j(1, .) = p_j for m problems: (m, ny) outer data
+    and (m, nx, ny) forcing ``f`` on an nx-row grid.
 
-
-def _solve_stack(f: np.ndarray, p: np.ndarray, g: np.ndarray, debug: list | None) -> np.ndarray:
-    """Solve Lap v_j = f_j, v_j(1, .) = p_j for (m, nx, ny) forcing and (m, ny) outer data.
-
-    The last len(g) problems are of mixed kind with Neumann data ``g``, the
-    others of Dirichlet kind.  One Fourier analysis per input kind, one mode
-    solve per problem kind and one synthesis serve all m problems; each
+    The first ``nd`` problems are of Dirichlet kind, the others of mixed
+    kind with (m - nd, ny) Neumann data ``g``; ``f`` and ``g`` None stand for
+    zero forcing and zero Neumann data.  One rfft per input kind, one mode
+    solve per problem kind and one irfft serve all m problems; each
     problem's aliasing check keeps its own floor.  When every forcing and
     Neumann datum is zero, only the outer data is analysed and the modes are
-    its coefficients times the cached harmonic profiles.
+    its spectrum times the cached harmonic profiles.
     """
-    m, nx, ny = f.shape
-    nd = m - len(g)
-    f_sup, g_sup = np.abs(f).max(axis=(1, 2)), np.abs(g).max(axis=1)
+    m, ny = p.shape
+    f_sup = np.zeros(m) if f is None else np.abs(f).max(axis=(1, 2))
+    g_sup = np.zeros(m - nd) if g is None else np.abs(g).max(axis=1)
     scale = np.maximum(f_sup, np.abs(p).max(axis=1))
     scale[nd:] = np.maximum(scale[nd:], g_sup)
     floor = 5e-14 * np.maximum(1.0, scale)
     K = ny // 2
     lam2 = _mode_lam2(ny)
     forced = bool(f_sup.any() or g_sup.any())
-    rhs = _mode_columns(f, "forcing", floor) if forced else 0.0
-    data = _mode_columns(p[:, None], "outer boundary data", floor)
+    rhs = checked_spectrum(f, "forcing", floor).view(float) if forced else 0.0
+    data = checked_spectrum(p[:, None], "outer boundary data", floor).view(float)
+    a = np.empty((m, nx, lam2.size))
     if forced:
-        neumann = _mode_columns(g[:, None], "inner Neumann data", floor[nd:])
-        a = np.concatenate([_solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0),
-                            _solve_modes("mixed", lam2, rhs[nd:], data[nd:], neumann)])
+        neumann = checked_spectrum(g[:, None], "inner Neumann data", floor[nd:]).view(float)
+        _solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0, out=a[:nd])
+        _solve_modes("mixed", lam2, rhs[nd:], data[nd:], neumann, out=a[nd:])
     else:
-        # forcing-free: each mode is its outer coefficient times its harmonic profile
-        a = np.concatenate([_harmonic_profiles(nx, ny, "dirichlet") * data[:nd],
-                            _harmonic_profiles(nx, ny, "mixed") * data[nd:]])
+        # forcing-free: each mode is its outer datum times its harmonic profile
+        np.multiply(_harmonic_profiles(nx, ny, "dirichlet"), data[:nd], out=a[:nd])
+        np.multiply(_harmonic_profiles(nx, ny, "mixed"), data[nd:], out=a[nd:])
     if debug is not None:
-        residual = _interior_defect(a, lam2, rhs).reshape(m, 2, K + 1)
+        # each record reads in cos/sin coefficient units: mode k's columns
+        # times 1/ny at k = 0 and the Nyquist mode, 2/ny otherwise
+        weight = np.full(K + 1, 2.0 / ny)
+        weight[0] = 1.0 / ny
+        if ny % 2 == 0:
+            weight[K] = 1.0 / ny
+        residual = _interior_defect(a, lam2, rhs).reshape(m, K + 1, 2) * weight[:, None]
         debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",
-                      "path": "collocation", "residual": float(residual[j, i, k])}
+                      "path": "collocation", "residual": float(residual[j, k, i])}
                      for j in range(m) for k in range(K + 1)
                      for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < k < K)
-    return spectral.fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny)
+    return np.fft.irfft(a.view(complex), n=ny, axis=-1)
 
 
 def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None,
@@ -194,7 +206,8 @@ def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None
     f = np.asarray(f, dtype=float)
     _check_ny(f.shape[-1], ("phi_out", phi_out), ("g", g))
     g = np.empty((0, f.shape[-1])) if g is None else np.asarray(g, dtype=float)[None]
-    return _solve_stack(f[None], np.asarray(phi_out, dtype=float)[None], g, debug)[0]
+    return _solve_stack(f.shape[0], np.asarray(phi_out, dtype=float)[None], 1 - len(g),
+                        f[None], g, debug)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +231,24 @@ def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
     and two mixed problems (v2, v3) with Neumann data G1 and G2; u is
     RECOMPOSE v.  A ``debug`` list gains one record per solved mode of v1, v2, v3.
     """
-    _check_ny(F.grid.ny, ("phi", phi.values), ("G", G[0]), ("G", G[1]))
-    v = _solve_stack(np.tensordot(DECOUPLE, F.values, axes=1), DECOUPLE @ phi.values,
-                     np.array(G, dtype=float), debug)
-    return TripleField._adopt(F.grid, np.tensordot(RECOMPOSE, v, axes=1))
+    grid = F.grid
+    _check_ny(grid.ny, ("phi", phi.values), ("G", G[0]), ("G", G[1]))
+    f = (DECOUPLE @ F.values.reshape(3, -1)).reshape(F.values.shape)
+    v = _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, f, np.array(G, dtype=float), debug)
+    return _recomposed(grid, v)
+
+
+def solve_harmonic(phi: BoundaryTriple, grid: Grid2D, debug: list | None = None) -> TripleField:
+    """:func:`solve_linear_system` with zero forcing and zero junction data:
+    Lap u = 0, junction conditions (0, 0, 0), u(1, .) = phi.
+
+    Builds no zero forcing: the outer data is the one input analysed, and
+    the modes are its spectrum times the cached harmonic profiles.
+    """
+    _check_ny(grid.ny, ("phi", phi.values))
+    return _recomposed(grid, _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, None, None, debug))
+
+
+def _recomposed(grid: Grid2D, v: np.ndarray) -> TripleField:
+    """The field u = RECOMPOSE v of the (3, nx, ny) decoupled solutions ``v``."""
+    return TripleField._adopt(grid, (RECOMPOSE @ v.reshape(3, -1)).reshape(v.shape))

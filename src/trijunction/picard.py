@@ -24,7 +24,7 @@ import numpy as np
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
 from .fields import BoundaryTriple, Grid2D, TripleField, norm_proxy
 from .geometry import CutoffProfile, JunctionFrame, embed_margin, frame_vectors
-from .linear import boundary_operator, solve_linear_system
+from .linear import boundary_operator, solve_harmonic, solve_linear_system
 
 
 class SolveFailure(RuntimeError):
@@ -161,7 +161,6 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     if phi.ny != grid.ny:
         raise ValueError("boundary data and grid disagree on ny")
 
-    u = TripleField.zero(grid)
     updates: list[float] = []
     guards = None
     failure = cause = None          # the failure's class, and the error that caused it
@@ -171,8 +170,8 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
         try:
             if it == 1:
                 # the zero start is the stationary cone, where F and G vanish:
-                # the first step is the linear solve of the boundary data
-                u_next = solve_linear_system(u, (np.zeros(grid.ny),) * 2, phi, step_debug)
+                # the first step is the harmonic solve of the boundary data
+                u_next = solve_harmonic(phi, grid, step_debug)
             else:
                 u_next = picard_step(u, phi, cutoff, frame, step_debug)
         except DegenerateMetric as exc:
@@ -183,7 +182,9 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
             break
         if debug is not None:
             debug[:] = step_debug
-        updates.append(float(np.abs(u_next.values - u.values).max()))
+        # the first update is from the zero start: sup |u_1|, bit for bit |u_1 - 0|
+        updates.append(u_next.sup() if it == 1 else
+                       float(np.abs(u_next.values - u.values).max()))
         u = u_next
         guards = _guard_record(u, opts, cutoff)
         if not guards.within_guard:

@@ -350,18 +350,16 @@ def interpolate(values: np.ndarray, x, y) -> np.ndarray | float:
     return flat.reshape(x.shape) if x.shape else float(flat[0])
 
 
-def aliasing_fraction(c: np.ndarray, s: np.ndarray, n: int) -> float:
+def aliasing_fraction(X: np.ndarray, n: int) -> float:
     """Fraction of spectral energy in the top third of the periodic spectrum.
 
-    Reads the :func:`fourier_coefficients` of n-point data, mode axis last,
+    Reads the ``np.fft.rfft`` spectrum X of n-point data, mode axis last,
     over all leading axes together.  By Parseval the energy of mode k is
-    c_0^2 for k = 0, c_K^2 for the Nyquist mode of an even grid, and
-    (c_k^2 + s_k^2) / 2 otherwise.
+    |X_k|^2 at k = 0 and at the Nyquist mode of an even grid, and
+    2 |X_k|^2 otherwise (each over n^2, which cancels in the fraction).
     """
-    energy = 0.5 * (c ** 2 + s ** 2)
-    energy[..., 0] = c[..., 0] ** 2
-    if n % 2 == 0:
-        energy[..., -1] = c[..., -1] ** 2
+    energy = X.real ** 2 + X.imag ** 2
+    energy[..., 1:(n + 1) // 2] *= 2.0
     total = energy.sum()
     if total == 0.0:
         return 0.0

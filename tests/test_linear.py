@@ -8,9 +8,9 @@ import pytest
 from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
                          ModeProblem, SolveOptions, TripleField, boundary_operator,
                          schauder_probe, solve_linear_system, solve_nonlinear, solve_scalar)
-from trijunction import linear
+from trijunction import linear, spectral
 from trijunction.cli import mode_debug_csv
-from trijunction.linear import _interior_defect, _mode_lam2, _solve_modes
+from trijunction.linear import _interior_defect, _mode_lam2, _solve_modes, solve_harmonic
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
 from trijunction.spectral import bary_matrix, cheb_nodes, fourier_coefficients, fourier_synthesis
@@ -295,21 +295,140 @@ def _forcing_free_solve(grid, phi):
 @pytest.mark.parametrize("nx, ny", [(32, 32), (48, 64), (96, 256), (40, 90)])
 def test_forcing_free_solve_agrees_with_the_mode_solve(nx, ny):
     # zero forcing and zero junction data: the modes are the outer data's
-    # coefficients times the cached harmonic profiles, which must agree with
+    # spectrum times the cached harmonic profiles, which must agree with
     # the eigenbasis solve of the same problems to round-off
     grid = Grid2D(nx, ny)
     rng = np.random.default_rng(nx + ny)
     phi = BoundaryTriple(ny, np.stack([random_smooth_map(ny, rng, max_mode=ny // 4)
                                        for _ in range(3)]))
     u = _forcing_free_solve(grid, phi)
-    lam2, K = _mode_lam2(ny), ny // 2
-    data = np.concatenate(fourier_coefficients(DECOUPLE @ phi.values), axis=-1)[:, None]
+    lam2 = _mode_lam2(ny)
+    data = np.fft.rfft(DECOUPLE @ phi.values).view(float)[:, None]
     a = np.concatenate([
         _solve_modes("dirichlet", lam2, np.zeros((1, nx, lam2.size)), data[:1], 0.0),
         _solve_modes("mixed", lam2, np.zeros((2, nx, lam2.size)), data[1:], 0.0)])
-    expected = np.tensordot(RECOMPOSE, fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny),
-                            axes=1)
+    expected = np.tensordot(RECOMPOSE, np.fft.irfft(a.view(complex), n=ny), axes=1)
     assert np.max(np.abs(u.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _cos_sin_solve(nx, p, nd, f=None, g=None, debug=None):
+    """The stacked scalar solve in cos/sin coefficient columns: the
+    ``fourier_coefficients`` of each input, one ``_solve_modes`` per kind with
+    the cos columns' (2 pi k)^2 followed by the sin columns', and
+    ``fourier_synthesis``.  ``f`` None is the forcing-free solve: each mode
+    is its outer coefficient times the harmonic profile of its column."""
+    m, ny = p.shape
+    K = ny // 2
+    lam2 = np.tile((2.0 * np.pi * np.arange(K + 1)) ** 2, 2)
+
+    def columns(x):
+        return np.concatenate(fourier_coefficients(x), axis=-1)
+
+    data = columns(p[:, None])
+    if f is None:
+        rhs = 0.0
+        dirichlet, mixed = (_solve_modes(kind, lam2, np.zeros((nx, lam2.size)), 1.0, 0.0)
+                            for kind in ("dirichlet", "mixed"))
+        a = np.concatenate([dirichlet * data[:nd], mixed * data[nd:]])
+    else:
+        rhs = columns(f)
+        a = np.concatenate([_solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0),
+                            _solve_modes("mixed", lam2, rhs[nd:], data[nd:], columns(g[:, None]))])
+    if debug is not None:
+        residual = _interior_defect(a, lam2, rhs).reshape(m, 2, K + 1)
+        debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",
+                      "path": "collocation", "residual": float(residual[j, i, k])}
+                     for j in range(m) for k in range(K + 1)
+                     for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < k < K)
+    return fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny)
+
+
+def _pair_and_cos_sin_solves(nx, ny, white):
+    """(solution, cos/sin reference, the debug records of each) per entry point.
+
+    The data is band-limited (modes <= 3, the kind Picard iterates carry) or,
+    with ``white``, standard normal, so that every mode is of order one."""
+    rng = np.random.default_rng(nx * ny + white)
+    grid = Grid2D(nx, ny)
+    if white:
+        F, G, phi = (TripleField(grid, rng.standard_normal((3, nx, ny))),
+                     tuple(rng.standard_normal((2, ny))),
+                     BoundaryTriple(ny, rng.standard_normal((3, ny))))
+    else:
+        F, G, phi = _random_linear_data(grid, rng)
+    f, p = np.tensordot(DECOUPLE, F.values, axes=1), DECOUPLE @ phi.values
+    zero = np.zeros(ny)
+    cases = [
+        (lambda d: solve_linear_system(F, G, phi, d).values,
+         lambda d: _cos_sin_solve(nx, p, 1, f, np.array(G), d)),
+        (lambda d: solve_linear_system(TripleField.zero(grid), (zero, zero), phi, d).values,
+         lambda d: _cos_sin_solve(nx, p, 1, debug=d)),
+        (lambda d: solve_harmonic(phi, grid, d).values,
+         lambda d: _cos_sin_solve(nx, p, 1, debug=d)),
+        (lambda d: solve_scalar(f[0], p[0], debug=d),
+         lambda d: _cos_sin_solve(nx, p[:1], 1, f[:1], np.empty((0, ny)), d)[0]),
+        (lambda d: solve_scalar(f[1], p[1], G[0], debug=d),
+         lambda d: _cos_sin_solve(nx, p[1:2], 0, f[1:2], G[0][None], d)[0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingWarning)     # white data
+        for solve, reference in cases:
+            debug, ref_debug = [], []
+            u, ref = solve(debug), reference(ref_debug)
+            if ref.ndim == 3:
+                ref = np.tensordot(RECOMPOSE, ref, axes=1)
+            yield u, ref, debug, ref_debug
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (48, 64), (96, 256)])
+def test_pair_layout_solve_is_the_cos_sin_solve_bit_for_bit(nx, ny):
+    # with ny a power of two every cos/sin normalization is a power of two, so
+    # each rfft column solves to an exact multiple of its coefficient column.
+    # The last columns of a mode product may round differently from the
+    # others: cos K is one of them in the pair layout, sin K - 1 in the
+    # cos/sin layout.  Those two modes carry round-off alone in band-limited
+    # data: the fields come out equal, and their records are the only ones
+    # that differ.
+    edge = {(ny // 2, "cos"), (ny // 2 - 1, "sin")}
+    for u, ref, debug, ref_debug in _pair_and_cos_sin_solves(nx, ny, white=False):
+        assert np.array_equal(u, ref)
+        assert [r for r in debug if (r["k"], r["part"]) not in edge] == \
+            [r for r in ref_debug if (r["k"], r["part"]) not in edge]
+        assert [(r["k"], r["part"], r["kind"]) for r in debug] == \
+            [(r["k"], r["part"], r["kind"]) for r in ref_debug]
+
+
+@pytest.mark.parametrize("nx, ny, white", [(16, 10, False), (40, 90, False), (16, 10, True),
+                                           (40, 90, True), (32, 32, True), (96, 256, True)])
+def test_pair_layout_solve_agrees_with_the_cos_sin_solve(nx, ny, white):
+    # ny not a power of two: the normalizations round; white data: the edge
+    # columns carry order-one modes.  Either way the solves agree to round-off
+    for u, ref, debug, ref_debug in _pair_and_cos_sin_solves(nx, ny, white):
+        assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert [(r["k"], r["part"], r["kind"]) for r in debug] == \
+            [(r["k"], r["part"], r["kind"]) for r in ref_debug]
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (16, 10)])
+def test_mode_records_read_in_cos_sin_coefficient_units(nx, ny):
+    # a record is its rfft column's interior defect times the factor that
+    # makes the column a cos/sin coefficient: c_0 = X_0 / ny, c_K = X_K / ny
+    # at the Nyquist mode, and c_k = 2 Re X_k / ny, s_k = -2 Im X_k / ny
+    grid, K = Grid2D(nx, ny), ny // 2
+    phi = BoundaryTriple(ny, np.random.default_rng(24).standard_normal((3, ny)))
+    debug = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingWarning)
+        solve_harmonic(phi, grid, debug)
+    data = np.fft.rfft(DECOUPLE @ phi.values).view(float)[:, None]
+    a = np.concatenate([linear._harmonic_profiles(nx, ny, "dirichlet") * data[:1],
+                        linear._harmonic_profiles(nx, ny, "mixed") * data[1:]])
+    k = np.arange(K + 1)
+    factor = np.where((k == 0) | (k == K), 1.0, 2.0) / ny
+    residual = _interior_defect(a, _mode_lam2(ny), 0.0).reshape(3, K + 1, 2) * factor[:, None]
+    assert [r["residual"] for r in debug] == \
+        [residual[j, k, i] for j in range(3) for k in range(K + 1)
+         for i in range(2) if i == 0 or 0 < k < K]
 
 
 def test_forcing_free_solve_takes_one_transform_each_way_and_no_mode_solve(grid_small,
@@ -324,6 +443,44 @@ def test_forcing_free_solve_takes_one_transform_each_way_and_no_mode_solve(grid_
         warnings.simplefilter("error")
         _forcing_free_solve(grid_small, phi)
     assert calls == {"rfft": 1, "irfft": 1, "_solve_modes": 0}
+
+
+def test_linear_solve_stays_in_the_rfft_spectrum(grid_small, monkeypatch):
+    # the inputs' rfft spectra are solved as they are: no cos/sin
+    # coefficients in and no synthesis from them out
+    F, G, phi = _random_linear_data(grid_small, np.random.default_rng(22))
+    solve_linear_system(F, G, phi)                      # warm the per-grid caches
+    calls = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
+    calls.update(count_calls(monkeypatch, spectral,
+                             ("fourier_coefficients", "fourier_synthesis")))
+    solve_linear_system(F, G, phi)
+    assert calls == {"rfft": 3, "irfft": 1, "fourier_coefficients": 0, "fourier_synthesis": 0}
+
+
+def test_nonlinear_solve_takes_no_cos_sin_coefficients(grid, cutoff, monkeypatch):
+    phi = random_boundary(grid.ny, np.random.default_rng(23), 0.005)
+    solve_nonlinear(phi, SolveOptions(), grid, cutoff)  # warm the per-grid caches
+    calls = count_calls(monkeypatch, spectral, ("fourier_coefficients", "fourier_synthesis"))
+    solve_nonlinear(phi, SolveOptions(), grid, cutoff)
+    assert calls == {"fourier_coefficients": 0, "fourier_synthesis": 0}
+
+
+@pytest.mark.parametrize("entry", ["solve_linear_system", "solve_harmonic", "solve_scalar"])
+def test_aliasing_warning_names_the_callers_line(grid_small, entry):
+    ny = grid_small.ny
+    noise = np.sin(2 * np.pi * 14 * grid_small.y)      # mode 14 of 16: top third
+    phi = BoundaryTriple(ny, np.stack([noise, noise, noise]))
+    zero = np.zeros(ny)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if entry == "solve_linear_system":
+            solve_linear_system(TripleField.zero(grid_small), (zero, zero), phi)
+        elif entry == "solve_harmonic":
+            solve_harmonic(phi, grid_small)
+        else:
+            solve_scalar(np.zeros((grid_small.nx, ny)), noise)
+    assert len(caught) == 1 and caught[0].category is AliasingWarning
+    assert caught[0].filename == __file__
 
 
 def test_forcing_free_first_step_records_every_mode(grid, cutoff):
