@@ -497,8 +497,9 @@ def cmd_verify(args) -> int:
         rec = residual_record(u, phi, cutoff, frame)
         results.append(("junction conditions", rec.boundary <= 1e-6,
                         f"defect = {rec.boundary:.3e}"))
-        results.append(("trace sum", rec.trace_sum <= 1e-10, f"{rec.trace_sum:.3e}"))
-        results.append(("outer trace", rec.outer_trace <= 1e-10,
+        results.append(("trace sum", rec.trace_sum <= RESIDUAL_GATES["trace_sum"],
+                        f"{rec.trace_sum:.3e}"))
+        results.append(("outer trace", rec.outer_trace <= RESIDUAL_GATES["outer_trace"],
                         f"{rec.outer_trace:.3e}"))
         stored_ok = all(
             abs(stored.get(name, np.nan) - getattr(rec, name))

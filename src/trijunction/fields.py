@@ -206,24 +206,22 @@ class BoundaryTriple:
     __rmul__ = __mul__
 
 
-def checked_spectrum(values: np.ndarray, label: str,
-                     floor: float | np.ndarray = 0.0) -> np.ndarray:
+def checked_spectrum(values: np.ndarray, label: str, check: bool | np.ndarray) -> np.ndarray:
     """The ``np.fft.rfft`` spectrum along the last axis; warn if its top third
     carries more than 1e-8 of the energy.
 
     The check reads the spectrum the caller gets, so periodic data is
-    analysed once.  Data below ``floor`` in sup norm is not checked:
-    round-off-level inputs have white spectra and would trip the relative
-    check meaninglessly.  An array ``floor`` holds one floor per leading row
-    of ``values``, and each row is checked on its own.  The warning names the
-    line three frames up: in the linear solve (entry point, then
-    ``_solve_stack``, then this check), the line that called the solve.
+    analysed once.  ``check`` marks the data to check: one flag for the
+    whole array, or an array of flags, one per leading row of ``values``,
+    each row checked on its own.  The caller leaves round-off-level data
+    unmarked: it has a white spectrum and would trip the relative check
+    meaninglessly.  The warning names the line three frames up: in the
+    linear solve (entry point, then ``_solve_stack``, then this check), the
+    line that called the solve.
     """
     values = np.asarray(values, dtype=float)
     X = np.fft.rfft(values)
-    floor = np.asarray(floor, dtype=float)
-    sups = np.abs(values).max(axis=tuple(range(floor.ndim, values.ndim)))
-    for row in map(tuple, np.argwhere(sups > floor)):
+    for row in map(tuple, np.argwhere(check)):
         frac = spectral.aliasing_fraction(X[row], values.shape[-1])
         if frac > 1e-8:
             warnings.warn(f"{label}: top-third spectral energy fraction {frac:.3e} "

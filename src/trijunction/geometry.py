@@ -159,8 +159,7 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
     x, y = np.broadcast_arrays(x, y)
     ui = spectral.interpolate(u.values[i - 1], x, y)
     tr = u.traces()
-    c, s = spectral.fourier_coefficients(wall_scalars(tr)[i - 1])
-    wi = spectral.trig_eval(c, s, y)
+    wi = spectral.fourier_interpolate(wall_scalars(tr)[i - 1], y)
     eta, _, _ = cutoff(x)
     p = _sheet_map(i, x, ui, eta * wi, frame)
     return np.concatenate([p, np.mod(y, 1.0)[..., None]], axis=-1)
@@ -215,9 +214,8 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     The y seam at 0 is cut (vertices at y = 0 and y = 1 are distinct), and
     the spine row is shared by the three sheets so the junction is watertight.
     The sheet parametrization of :func:`embed_point` is evaluated on the
-    tensor grid at once: one Fourier analysis of the three sheets, the
-    trigonometric interpolant at the mesh y's, then one barycentric matrix
-    for the mesh x's.
+    tensor grid at once: the trigonometric interpolant of the three sheets
+    at the mesh y's, then one barycentric matrix for the mesh x's.
     """
     check_mesh_resolution(resolution)
     mx, my = resolution
@@ -227,13 +225,13 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
 
     tr = u.traces()
     # the series of the spine samples at the mesh y's; meshing never refuses
-    spine = spectral.fourier_coefficients(spine_samples(tr, frame, tol=np.inf).T)
-    spine_pts = np.column_stack([*spectral.trig_eval(*spine, ys), ys])
+    spine = spectral.fourier_interpolate(spine_samples(tr, frame, tol=np.inf).T, ys)
+    spine_pts = np.column_stack([*spine, ys])
     spine_pts[-1, 2] = 1.0
 
-    cols = spectral.trig_eval(*spectral.fourier_coefficients(u.values), ys)
+    cols = spectral.fourier_interpolate(u.values, ys)
     heights = spectral.bary_matrix(u.grid.nx, xs) @ cols           # (3, mx-1, my+1)
-    walls = spectral.trig_eval(*spectral.fourier_coefficients(wall_scalars(tr)), ys)
+    walls = spectral.fourier_interpolate(wall_scalars(tr), ys)
     eta, _, _ = cutoff(xs)
     verts = [spine_pts]
     for i in (1, 2, 3):

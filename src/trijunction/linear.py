@@ -156,24 +156,27 @@ def _solve_stack(nx: int, p: np.ndarray, nd: int, f: np.ndarray | None,
     kind with (m - nd, ny) Neumann data ``g``; ``f`` and ``g`` None stand for
     zero forcing and zero Neumann data.  One rfft per input kind, one mode
     solve per problem kind and one irfft serve all m problems; each
-    problem's aliasing check keeps its own floor.  When every forcing and
-    Neumann datum is zero, only the outer data is analysed and the modes are
-    its spectrum times the cached harmonic profiles.
+    problem keeps its own round-off floor, and an input whose sup is not
+    above it is not checked for aliasing.  When every forcing and Neumann
+    datum is zero, only the outer data is analysed and the modes are its
+    spectrum times the cached harmonic profiles.
     """
     m, ny = p.shape
     f_sup = np.zeros(m) if f is None else np.abs(f).max(axis=(1, 2))
     g_sup = np.zeros(m - nd) if g is None else np.abs(g).max(axis=1)
-    scale = np.maximum(f_sup, np.abs(p).max(axis=1))
+    p_sup = np.abs(p).max(axis=1)
+    scale = np.maximum(f_sup, p_sup)
     scale[nd:] = np.maximum(scale[nd:], g_sup)
     floor = 5e-14 * np.maximum(1.0, scale)
     K = ny // 2
     lam2 = _mode_lam2(ny)
     forced = bool(f_sup.any() or g_sup.any())
-    rhs = checked_spectrum(f, "forcing", floor).view(float) if forced else 0.0
-    data = checked_spectrum(p[:, None], "outer boundary data", floor).view(float)
+    rhs = checked_spectrum(f, "forcing", f_sup > floor).view(float) if forced else 0.0
+    data = checked_spectrum(p[:, None], "outer boundary data", p_sup > floor).view(float)
     a = np.empty((m, nx, lam2.size))
     if forced:
-        neumann = checked_spectrum(g[:, None], "inner Neumann data", floor[nd:]).view(float)
+        neumann = checked_spectrum(g[:, None], "inner Neumann data",
+                                   g_sup > floor[nd:]).view(float)
         _solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0, out=a[:nd])
         _solve_modes("mixed", lam2, rhs[nd:], data[nd:], neumann, out=a[nd:])
     else:

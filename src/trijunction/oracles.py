@@ -228,18 +228,12 @@ def mode_solve_formula(p: ModeProblem) -> np.ndarray:
 
 def _formula_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray,
                     kind: str) -> np.ndarray:
-    nx, ny = f.shape
-    fc, fs = spectral.fourier_coefficients(f, axis=1)
-    pc, ps = spectral.fourier_coefficients(phi_out)
-    gc, gs = spectral.fourier_coefficients(g)
-    K = ny // 2
-    ac = np.zeros((nx, K + 1))
-    as_ = np.zeros((nx, K + 1))
-    for k in range(K + 1):
-        ac[:, k] = mode_solve_formula(ModeProblem(k, kind, fc[:, k], pc[k], gc[k]))
-        if 0 < k < K:
-            as_[:, k] = mode_solve_formula(ModeProblem(k, kind, fs[:, k], ps[k], gs[k]))
-    return spectral.fourier_synthesis(ac, as_, ny, axis=1)
+    # the problem is linear in its data: each column of the rfft spectra read
+    # as floats, the pair (Re X_k, Im X_k) of mode k, solves on its own
+    F, P, G = (np.fft.rfft(a).view(float) for a in (f, phi_out, g))
+    A = np.stack([mode_solve_formula(ModeProblem(j // 2, kind, F[:, j], P[j], G[j]))
+                  for j in range(F.shape[1])], axis=1)
+    return np.fft.irfft(A.view(complex), n=f.shape[1])
 
 
 def formula_linear_solve(F: TripleField, G: tuple[np.ndarray, np.ndarray],
@@ -321,6 +315,13 @@ def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
 # Empirical certificates: quadratic smallness, linear stability, contraction
 # ---------------------------------------------------------------------------
 
+def _trig_sum(c: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k c_k cos(2 pi k y) + s_k sin(2 pi k y), mode axis last, at the points y."""
+    phase = 2.0 * np.pi * np.multiply.outer(y, np.arange(c.shape[-1]))
+    return (np.tensordot(c, np.cos(phase), axes=([-1], [-1]))
+            + np.tensordot(s, np.sin(phase), axes=([-1], [-1])))
+
+
 def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
                             frame: JunctionFrame | None = None,
                             max_mode: int = 3, amplitude: float = 1.0) -> TripleField:
@@ -335,14 +336,14 @@ def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
     K = max_mode + 1
     vc = rng.standard_normal((2, K))
     vs = rng.standard_normal((2, K))
-    vy = spectral.trig_eval(vc, vs, y)                  # (2, ny)
+    vy = _trig_sum(vc, vs, y)                           # (2, ny)
     profile = np.cos(0.5 * np.pi * x)[:, None]          # 1 at x=0, 0 at x=1
     arrays = []
     for i in (1, 2, 3):
         tr_part = (frame.nu_vec(i) @ vy)[None, :] * profile
         bulk_c = rng.standard_normal((3, K))
         bulk_s = rng.standard_normal((3, K))
-        modes = spectral.trig_eval(bulk_c, bulk_s, y)   # (3, ny)
+        modes = _trig_sum(bulk_c, bulk_s, y)            # (3, ny)
         poly = np.stack([x, x ** 2, x ** 3], axis=0)    # all vanish at x = 0
         arrays.append(amplitude * (tr_part + poly.T @ modes))
     return TripleField(grid, arrays)
@@ -423,7 +424,7 @@ def random_smooth_field(grid: Grid2D, rng: np.random.Generator,
     K = max_mode + 1
     c = rng.standard_normal((4, K))
     s = rng.standard_normal((4, K))
-    modes = spectral.trig_eval(c, s, grid.y)            # (4, ny)
+    modes = _trig_sum(c, s, grid.y)                     # (4, ny)
     poly = np.stack([np.ones_like(grid.x), grid.x, grid.x ** 2, grid.x ** 3])
     return poly.T @ modes
 
@@ -432,7 +433,7 @@ def random_smooth_map(ny: int, rng: np.random.Generator, max_mode: int = 3) -> n
     K = max_mode + 1
     c = rng.standard_normal(K)
     s = rng.standard_normal(K)
-    return spectral.trig_eval(c, s, spectral.fourier_nodes(ny))
+    return _trig_sum(c, s, spectral.fourier_nodes(ny))
 
 
 def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,

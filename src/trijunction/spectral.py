@@ -4,7 +4,7 @@ The x coordinate lives on [0, 1] and is discretized with Chebyshev-Lobatto
 nodes x_j = (1 - cos(pi j / (nx-1))) / 2, so both boundary circles are grid
 rows and differentiation is spectrally accurate.  The y coordinate is the
 unit-circumference circle R/Z, discretized with ny equispaced points and
-handled by real FFTs (cos/sin mode pairs).
+handled by real FFTs: periodic data is read as its ``np.fft.rfft`` spectrum.
 
 Everything here is plain array plumbing: differentiation matrices,
 barycentric interpolation, Chebyshev series transforms (the analysis and
@@ -259,32 +259,6 @@ def fourier_nodes(ny: int) -> np.ndarray:
     return np.arange(ny) / ny
 
 
-def fourier_coefficients(values: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin coefficients of real samples: f = c_0 + sum c_k cos + s_k sin."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
-    A = np.fft.rfft(values, axis=axis).swapaxes(axis, -1)
-    c = 2.0 * A.real / n
-    s = -2.0 * A.imag / n
-    c[..., 0] /= 2.0
-    s[..., 0] = 0.0
-    if n % 2 == 0:
-        c[..., -1] /= 2.0
-        s[..., -1] = 0.0
-    return c.swapaxes(-1, axis), s.swapaxes(-1, axis)
-
-
-def fourier_synthesis(c: np.ndarray, s: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
-    """Inverse of :func:`fourier_coefficients` onto the n-point grid."""
-    c = np.asarray(c, dtype=float).swapaxes(axis, -1)
-    s = np.asarray(s, dtype=float).swapaxes(axis, -1)
-    A = (c - 1j * s) * (n / 2.0)
-    A[..., 0] *= 2.0
-    if n % 2 == 0:
-        A[..., -1] *= 2.0
-    return np.fft.irfft(A, n=n, axis=-1).swapaxes(-1, axis)
-
-
 @lru_cache(maxsize=None)
 def _derivative_factors(n: int, orders: tuple[int, ...], axis: int, ndim: int) -> np.ndarray:
     """The mode multipliers (2 pi i k)^m of an n-point grid, one row per order,
@@ -319,21 +293,24 @@ def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
     return out if isinstance(order, tuple) else out[0]
 
 
-def trig_eval(c: np.ndarray, s: np.ndarray, yq: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at arbitrary y.
+def fourier_interpolate(values: np.ndarray, yq) -> np.ndarray:
+    """The trigonometric interpolant of periodic samples (last axis) at arbitrary y.
 
-    ``c``/``s`` have the mode axis last; result broadcasts leading axes of the
-    coefficients against the shape of ``yq`` appended at the end.
+    Mode k of the ``np.fft.rfft`` spectrum X contributes
+    w_k (Re X_k cos(2 pi k y) - Im X_k sin(2 pi k y)) / n, with w_k = 2 except
+    w = 1 at k = 0 and at the Nyquist mode of an even grid.  The rfft of real
+    samples has Im X_k = 0 exactly at both, so the Nyquist mode is taken as
+    a cosine.  The phase 2 pi k y rounds to within about k eps, so the node
+    values come back to about n eps times the size of the highest modes.
+    The result has the leading axes of ``values``, then the shape of ``yq``.
     """
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    yq = np.asarray(yq, dtype=float)
-    k = np.arange(c.shape[-1])
-    phase = 2.0 * np.pi * np.multiply.outer(yq, k)       # yq.shape + (K+1,)
-    cosv = np.cos(phase)
-    sinv = np.sin(phase)
-    # leading coeff axes x query axes
-    return np.tensordot(c, cosv, axes=([-1], [-1])) + np.tensordot(s, sinv, axes=([-1], [-1]))
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    X = np.fft.rfft(values)
+    X[..., 1:(n + 1) // 2] *= 2.0
+    phase = 2.0 * np.pi * np.multiply.outer(np.asarray(yq, dtype=float), np.arange(X.shape[-1]))
+    return (np.tensordot(X.real, np.cos(phase), axes=([-1], [-1]))
+            - np.tensordot(X.imag, np.sin(phase), axes=([-1], [-1]))) / n
 
 
 def interpolate(values: np.ndarray, x, y) -> np.ndarray | float:
@@ -342,8 +319,7 @@ def interpolate(values: np.ndarray, x, y) -> np.ndarray | float:
     Fourier in y, then barycentric in x; scalar points give a float.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    c, s = fourier_coefficients(values, axis=1)
-    cols = trig_eval(c, s, y.reshape(-1))               # (nx, q)
+    cols = fourier_interpolate(values, y.reshape(-1))   # (nx, q)
     # point q reads its own column: the diagonal of bary_matrix @ cols
     B = bary_matrix(values.shape[0], x)                 # (q, nx)
     flat = np.einsum("qj,jq->q", B, cols)

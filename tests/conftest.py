@@ -5,7 +5,7 @@ from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, TripleField,
                          boundary_proxy, frame_vectors)
 from trijunction.geometry import spine_samples
 from trijunction.linear import _solve_modes
-from trijunction.spectral import fourier_coefficients, fourier_nodes, trig_eval
+from trijunction.spectral import fourier_interpolate, fourier_nodes
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,7 @@ def translation_field(grid, frame, c):
 def spine_series(traces, frame, ys=None, tol=1e-10):
     """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (len(ys), 2)."""
     ys = fourier_nodes(np.shape(traces)[1]) if ys is None else np.asarray(ys, float)
-    return trig_eval(*fourier_coefficients(spine_samples(traces, frame, tol).T), ys).T
+    return fourier_interpolate(spine_samples(traces, frame, tol).T, ys).T
 
 
 def rotation_field(grid, beta):

@@ -16,7 +16,7 @@ from trijunction import (AliasingWarning, BoundaryTriple, CutoffProfile, Grid2D,
 from trijunction.cli import atomic_write_text, read_table, table_csv
 from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_seminorm_2d,
                                checked_spectrum)
-from trijunction.spectral import bary_matrix, fourier_coefficients, interpolate, trig_eval
+from trijunction.spectral import bary_matrix, fourier_interpolate, interpolate
 
 from conftest import count_calls, translation_field
 
@@ -335,14 +335,13 @@ def test_field_csv_text_matches_per_value_writer(grid_small):
             == _field_csv_per_value(values, delta, header)
 
 
-def test_eval_matches_bary_matrix_of_trig_eval(grid):
+def test_eval_matches_bary_matrix_of_fourier_interpolate(grid):
     # one barycentric kernel: eval is bary_matrix applied to the y-interpolated columns
     rng = np.random.default_rng(7)
     f = rng.standard_normal((grid.nx, grid.ny))
-    c, s = fourier_coefficients(f, axis=1)
     xq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.x[[0, 5, 17, -1]]])
     yq = np.concatenate([rng.uniform(0.0, 1.0, 20), grid.y[[0, 3, 40, -1]]])
-    ref = np.array([(bary_matrix(grid.nx, [x]) @ trig_eval(c, s, y))[0]
+    ref = np.array([(bary_matrix(grid.nx, [x]) @ fourier_interpolate(f, y))[0]
                     for x, y in zip(xq, yq)])
     assert np.max(np.abs(interpolate(f, xq, yq) - ref)) <= 1e-14
     # node hits in x are exact rows of the barycentric matrix
@@ -541,15 +540,22 @@ def test_aliasing_warning_fires_and_floor_suppresses():
     ny = 64
     y = np.arange(ny) / ny
     noisy = np.sin(2 * np.pi * 30 * y)
+    clean = np.cos(2 * np.pi * y)
     with pytest.warns(AliasingWarning):
-        X = checked_spectrum(noisy, "test data")
+        X = checked_spectrum(noisy, "test data", True)
     # the check hands back the one analysis it read
     assert np.array_equal(X, np.fft.rfft(noisy))
-    # round-off-level data is ignored, and clean data passes
+    # unmarked data (the caller's round-off floor) is ignored, and clean data passes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checked_spectrum(1e-15 * noisy, "tiny", floor=5e-14)
-        checked_spectrum(np.cos(2 * np.pi * y), "clean")
+        checked_spectrum(1e-15 * noisy, "tiny", False)
+        checked_spectrum(clean, "clean", True)
+        checked_spectrum(np.stack([clean, noisy]), "rows", np.array([True, False]))
+    # a mask checks each marked leading row on its own
+    with pytest.warns(AliasingWarning) as record:
+        checked_spectrum(np.stack([noisy, clean, noisy])[:, None], "rows",
+                         np.array([True, True, False]))
+    assert len(record) == 1
 
 
 def test_norm_proxy_order0_is_sup_plus_seminorm(grid_small):

@@ -8,12 +8,12 @@ import pytest
 from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, Grid2D,
                          ModeProblem, SolveOptions, TripleField, boundary_operator,
                          schauder_probe, solve_linear_system, solve_nonlinear, solve_scalar)
-from trijunction import linear, spectral
+from trijunction import linear
 from trijunction.cli import mode_debug_csv
 from trijunction.linear import _interior_defect, _mode_lam2, _solve_modes, solve_harmonic
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
-from trijunction.spectral import bary_matrix, cheb_nodes, fourier_coefficients, fourier_synthesis
+from trijunction.spectral import bary_matrix, cheb_nodes
 
 from conftest import count_calls, mode_solve_collocation, random_boundary
 
@@ -311,18 +311,41 @@ def test_forcing_free_solve_agrees_with_the_mode_solve(nx, ny):
     assert np.max(np.abs(u.values - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def _fourier_coefficients(values):
+    """cos/sin coefficients of real samples (last axis): f = c_0 + sum c_k cos + s_k sin."""
+    n = values.shape[-1]
+    A = np.fft.rfft(values)
+    c = 2.0 * A.real / n
+    s = -2.0 * A.imag / n
+    c[..., 0] /= 2.0
+    s[..., 0] = 0.0
+    if n % 2 == 0:
+        c[..., -1] /= 2.0
+        s[..., -1] = 0.0
+    return c, s
+
+
+def _fourier_synthesis(c, s, n):
+    """Inverse of :func:`_fourier_coefficients` onto the n-point grid."""
+    A = (c - 1j * s) * (n / 2.0)
+    A[..., 0] *= 2.0
+    if n % 2 == 0:
+        A[..., -1] *= 2.0
+    return np.fft.irfft(A, n=n)
+
+
 def _cos_sin_solve(nx, p, nd, f=None, g=None, debug=None):
     """The stacked scalar solve in cos/sin coefficient columns: the
-    ``fourier_coefficients`` of each input, one ``_solve_modes`` per kind with
-    the cos columns' (2 pi k)^2 followed by the sin columns', and
-    ``fourier_synthesis``.  ``f`` None is the forcing-free solve: each mode
+    ``_fourier_coefficients`` of each input, one ``_solve_modes`` per kind
+    with the cos columns' (2 pi k)^2 followed by the sin columns', and
+    ``_fourier_synthesis``.  ``f`` None is the forcing-free solve: each mode
     is its outer coefficient times the harmonic profile of its column."""
     m, ny = p.shape
     K = ny // 2
     lam2 = np.tile((2.0 * np.pi * np.arange(K + 1)) ** 2, 2)
 
     def columns(x):
-        return np.concatenate(fourier_coefficients(x), axis=-1)
+        return np.concatenate(_fourier_coefficients(x), axis=-1)
 
     data = columns(p[:, None])
     if f is None:
@@ -340,7 +363,7 @@ def _cos_sin_solve(nx, p, nd, f=None, g=None, debug=None):
                       "path": "collocation", "residual": float(residual[j, i, k])}
                      for j in range(m) for k in range(K + 1)
                      for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < k < K)
-    return fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny)
+    return _fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny)
 
 
 def _pair_and_cos_sin_solves(nx, ny, white):
@@ -446,23 +469,13 @@ def test_forcing_free_solve_takes_one_transform_each_way_and_no_mode_solve(grid_
 
 
 def test_linear_solve_stays_in_the_rfft_spectrum(grid_small, monkeypatch):
-    # the inputs' rfft spectra are solved as they are: no cos/sin
-    # coefficients in and no synthesis from them out
+    # the inputs' rfft spectra are solved as they are: one analysis per input
+    # kind in, one synthesis out
     F, G, phi = _random_linear_data(grid_small, np.random.default_rng(22))
     solve_linear_system(F, G, phi)                      # warm the per-grid caches
     calls = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
-    calls.update(count_calls(monkeypatch, spectral,
-                             ("fourier_coefficients", "fourier_synthesis")))
     solve_linear_system(F, G, phi)
-    assert calls == {"rfft": 3, "irfft": 1, "fourier_coefficients": 0, "fourier_synthesis": 0}
-
-
-def test_nonlinear_solve_takes_no_cos_sin_coefficients(grid, cutoff, monkeypatch):
-    phi = random_boundary(grid.ny, np.random.default_rng(23), 0.005)
-    solve_nonlinear(phi, SolveOptions(), grid, cutoff)  # warm the per-grid caches
-    calls = count_calls(monkeypatch, spectral, ("fourier_coefficients", "fourier_synthesis"))
-    solve_nonlinear(phi, SolveOptions(), grid, cutoff)
-    assert calls == {"fourier_coefficients": 0, "fourier_synthesis": 0}
+    assert calls == {"rfft": 3, "irfft": 1}
 
 
 @pytest.mark.parametrize("entry", ["solve_linear_system", "solve_harmonic", "solve_scalar"])

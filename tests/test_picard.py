@@ -1,6 +1,9 @@
 """Fixed-point driver: exact families, guards, contraction reporting."""
 
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from trijunction import (BoundaryTriple, DegenerateMetric, Grid2D, GuardViolatio
                          boundary_operator, contraction_diagnostics, exact_family,
                          picard_step, solve_linear_system, solve_nonlinear)
 from trijunction.cli import report_summary, report_to_csv
+from trijunction.oracles import random_compatible_field
 from trijunction.picard import residual_record
 
 from conftest import random_boundary, rotation_field, spine_series, translation_field
@@ -356,3 +360,36 @@ def test_debug_holds_the_modes_of_the_last_completed_step(grid_small, cutoff, fr
     step1 = []
     solve_linear_system(TripleField.zero(grid_small), (zero, zero), phi, debug=step1)
     assert first == step1 and first != step2
+
+
+def test_two_threads_share_fields_and_reports_bit_for_bit(cutoff, frame):
+    # values are immutable and operations pure: two threads that race to fill
+    # one shared field's jet, on a grid no other test warms (so the per-grid
+    # caches start cold too), get what one thread gets alone
+    grid = Grid2D(22, 52)
+    rng = np.random.default_rng(44)
+    phi = random_boundary(grid.ny, rng, 0.005)
+    shared = random_compatible_field(grid, rng, frame, amplitude=1e-3)
+    start = threading.Barrier(2)
+
+    def work(u):
+        step = picard_step(u, phi, cutoff, frame)
+        record = residual_record(u, phi, cutoff, frame)
+        solution, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
+        return step.values, record, solution.values, report
+
+    def racing():
+        start.wait(timeout=60)
+        return work(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                         # switch threads as often as it can
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [job.result(timeout=120) for job in [pool.submit(racing) for _ in range(2)]]
+    finally:
+        sys.setswitchinterval(interval)
+    alone = work(TripleField(grid, shared.values))      # a fresh field, its jet unfilled
+    for run in runs:
+        assert np.array_equal(run[0], alone[0]) and np.array_equal(run[2], alone[2])
+        assert run[1] == alone[1] and run[3] == alone[3]

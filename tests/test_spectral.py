@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trijunction import spectral as sp
 
@@ -166,11 +167,7 @@ def test_fourier_roundtrip_and_derivatives():
     ny = 64
     y = sp.fourier_nodes(ny)
     f = 0.3 + 1.5 * np.cos(2 * np.pi * y) + 0.7 * np.sin(6 * np.pi * y)
-    c, s = sp.fourier_coefficients(f)
-    assert c[0] == pytest.approx(0.3)
-    assert c[1] == pytest.approx(1.5)
-    assert s[3] == pytest.approx(0.7)
-    assert np.max(np.abs(sp.fourier_synthesis(c, s, ny) - f)) < 1e-14
+    assert np.max(np.abs(sp.fourier_interpolate(f, y) - f)) < 1e-14
     d2 = sp.fourier_derivative(f, 2)
     exact = (-(2 * np.pi) ** 2 * 1.5 * np.cos(2 * np.pi * y)
              - (6 * np.pi) ** 2 * 0.7 * np.sin(6 * np.pi * y))
@@ -209,25 +206,70 @@ def test_fourier_derivative_orders_share_one_transform(n):
         assert np.max(np.abs(d2 + (np.pi * n) ** 2 * nyq)) < 1e-9 * (np.pi * n) ** 2
 
 
-def test_trig_eval_off_grid():
-    ny = 32
-    y = sp.fourier_nodes(ny)
-    f = np.cos(2 * np.pi * y) - 2 * np.sin(4 * np.pi * y)
-    c, s = sp.fourier_coefficients(f)
-    yq = np.array([0.05, 0.333, 0.77])
-    expected = np.cos(2 * np.pi * yq) - 2 * np.sin(4 * np.pi * yq)
-    assert np.max(np.abs(sp.trig_eval(c, s, yq) - expected)) < 1e-13
+def _trig_polynomial(t, n):
+    """A closed-form trig polynomial with modes below n / 2, its value at t."""
+    return (0.3 + np.cos(2 * np.pi * t) - 2 * np.sin(4 * np.pi * t)
+            + 0.5 * np.cos(2 * np.pi * (n // 2 - 1) * t + 0.4))
+
+
+@pytest.mark.parametrize("n", [16, 17, 32])
+def test_fourier_interpolate_reproduces_the_node_values(n):
+    # white data: mode k's phase carries round-off of order k eps, so the
+    # bound scales with n (smooth data on 64 points: the round-trip test)
+    v = np.random.default_rng(n).standard_normal((3, 5, n))
+    assert np.max(np.abs(sp.fourier_interpolate(v, sp.fourier_nodes(n)) - v)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_fourier_interpolate_off_grid(n):
+    f = _trig_polynomial(sp.fourier_nodes(n), n)
+    yq = np.array([0.05, 0.333, 0.77, -0.4, 1.25])
+    assert np.max(np.abs(sp.fourier_interpolate(f, yq) - _trig_polynomial(yq, n))) < 1e-13
 
 
 def test_nyquist_mode_handling():
     ny = 16
     y = sp.fourier_nodes(ny)
-    f = np.cos(2 * np.pi * (ny // 2) * y)            # +-1 alternating
-    c, s = sp.fourier_coefficients(f)
-    assert c[-1] == pytest.approx(1.0)
-    assert np.max(np.abs(sp.fourier_synthesis(c, s, ny) - f)) < 1e-14
+    f = np.cos(np.pi * ny * y)                       # +-1 alternating
+    # off the grid the Nyquist mode is the cosine, not a mix with its sine
+    yq = np.array([0.01, 0.1, 0.37, 0.5, 0.93])
+    assert np.max(np.abs(sp.fourier_interpolate(f, yq) - np.cos(np.pi * ny * yq))) < 1e-13
     # odd derivative of the pure Nyquist mode is zero on the grid
     assert np.max(np.abs(sp.fourier_derivative(f, 1))) < 1e-12
+
+
+def test_fourier_interpolate_takes_leading_axes_and_any_query_shape():
+    rng = np.random.default_rng(3)
+    n = 10
+    coeffs = rng.standard_normal((2, 3, 2))          # (2, 3) rows, a cos and a sin of mode 2
+    rows = lambda t: (coeffs[..., :1] * np.cos(4 * np.pi * t.reshape(-1))
+                      + coeffs[..., 1:] * np.sin(4 * np.pi * t.reshape(-1)))
+    yq = rng.uniform(-1.0, 2.0, (4, 5))
+    out = sp.fourier_interpolate(rows(sp.fourier_nodes(n)), yq)
+    assert out.shape == (2, 3, 4, 5)
+    assert np.max(np.abs(out - rows(yq).reshape(out.shape))) < 1e-13
+    assert sp.fourier_interpolate(rows(sp.fourier_nodes(n)), 0.3).shape == (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 48), data=st.data())
+def test_fourier_interpolate_is_exact_on_band_limited_data(n, data):
+    # any trig polynomial of modes below n / 2, and the Nyquist cosine on an
+    # even grid, is its own interpolant
+    K = (n - 1) // 2
+    unit = st.floats(-1.0, 1.0)
+    c = np.array(data.draw(st.lists(unit, min_size=K + 1, max_size=K + 1)))
+    s = np.array(data.draw(st.lists(unit, min_size=K + 1, max_size=K + 1)))
+    nyq = data.draw(unit) if n % 2 == 0 else 0.0
+    yq = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8)))
+
+    def f(t):
+        k = np.arange(K + 1)
+        return (np.cos(2 * np.pi * np.outer(t, k)) @ c + np.sin(2 * np.pi * np.outer(t, k)) @ s
+                + nyq * np.cos(np.pi * n * t))
+    scale = 1.0 + np.abs(c).sum() + np.abs(s).sum() + abs(nyq)
+    assert np.max(np.abs(sp.fourier_interpolate(f(sp.fourier_nodes(n)), yq) - f(yq))) \
+        <= 1e-13 * scale
 
 
 def _aliasing_fraction(values):
