@@ -25,7 +25,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .fields import BoundaryTriple, Grid2D, TripleField
 from .geometry import (CompatibilityViolation, CutoffProfile, SurfaceMesh,
                        check_mesh_resolution, frame_vectors, mesh_surface, spine_samples)
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
-from .picard import (GuardViolation, NoConvergence, SolveFailure, SolveOptions, SolveReport,
-                     residual_record, solve_nonlinear)
+from .picard import (GuardViolation, NoConvergence, ResidualRecord, SolveFailure, SolveOptions,
+                     SolveReport, residual_record, solve_nonlinear)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -46,69 +46,34 @@ EXIT_GATES = 5
 
 RESIDUAL_GATES = {"conormal_sup": 1e-6, "trace_sum": 1e-10, "outer_trace": 1e-10}
 
+# verify's finite-difference probes: x in PROBE_X plus the cutoff joins
+# delta, 2 delta, where the solution is least smooth, times y in PROBE_Y; a
+# probe whose stencil (step FD_STEP) leaves [0, 1] is skipped
+PROBE_X = (0.3, 0.5, 0.7)
+PROBE_Y = (0.1, 0.45, 0.8)
+FD_STEP = 1e-3
+# verify's bounds: max FD |H|, max junction-angle deviation (rad), junction defect
+FD_BOUND = 1e-4
+ANGLE_BOUND = 1e-4
+JUNCTION_BOUND = 1e-6
+
 # the exit code and the stderr label of each way a solve can fail
 SOLVE_FAILURES = {GuardViolation: (EXIT_GUARD, "guard violation"),
                   NoConvergence: (EXIT_NO_CONVERGENCE, "no convergence")}
 
 
+# The early stops of a command, each with its exit code and stderr label:
+# main() prints "label: message" and returns the code.
 class ConfigError(ValueError):
-    pass
+    code, label = EXIT_CONFIG, "config error"
 
 
-@dataclass
-class RunConfig:
-    delta: float = 0.25
-    alpha: float = 0.5
-    nx: int = 48
-    ny: int = 64
-    tol: float = 1e-10
-    max_iter: int = 50
-    r_guard: float | None = None
-    family: str | None = None
-    phi_coeffs: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
-    out: str = "run"
-    mesh_resolution: tuple[int, int] = (33, 64)
+class UnreadableArtifacts(Exception):
+    code, label = EXIT_VERIFY_FAIL, "cannot load artifacts"
 
-    def echo(self) -> dict:
-        d = {
-            "delta": self.delta, "alpha": self.alpha, "nx": self.nx, "ny": self.ny,
-            "tol": self.tol, "max_iter": self.max_iter,
-            "r_guard": "" if self.r_guard is None else self.r_guard,
-            "family": self.family or "",
-            "mesh_resolution": f"{self.mesh_resolution[0]}x{self.mesh_resolution[1]}",
-        }
-        for i in (1, 2, 3):
-            if i in self.phi_coeffs:
-                d[f"phi{i}"] = format_coeffs(self.phi_coeffs[i])
-        return d
 
-    def validate(self):
-        """The checks no solver type owns; :meth:`setup` runs the others."""
-        if self.family is not None and self.phi_coeffs:
-            raise ConfigError("give either a named family or phi coefficient lists, not both")
-        for i, triples in self.phi_coeffs.items():
-            for k, c, s in triples:
-                if k < 0 or not (np.isfinite(c) and np.isfinite(s)):
-                    raise ConfigError(f"bad phi{i} coefficient triple ({k},{c},{s})")
-                if k > self.ny // 2 or (k == self.ny // 2 and s != 0.0):
-                    raise ConfigError(
-                        f"phi{i} triple {k}:{c!r}:{s!r} is not carried by ny = {self.ny} "
-                        f"points: modes above {self.ny // 2} alias to lower ones, and "
-                        f"the sine of mode {self.ny // 2} vanishes at every node")
-        try:
-            check_mesh_resolution(self.mesh_resolution)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def setup(self) -> tuple[Grid2D, CutoffProfile, SolveOptions]:
-        """The grid, cutoff and solver options of this run; a value they
-        reject is a :class:`ConfigError`."""
-        try:
-            return (Grid2D(self.nx, self.ny), CutoffProfile(self.delta),
-                    SolveOptions(tol=self.tol, max_iter=self.max_iter,
-                                 r_guard=self.r_guard, alpha=self.alpha))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+class UnwritableArtifacts(Exception):
+    code, label = EXIT_CONFIG, "cannot write artifacts"
 
 
 def parse_coeffs(text: str) -> list[tuple[int, float, float]]:
@@ -127,6 +92,96 @@ def parse_coeffs(text: str) -> list[tuple[int, float, float]]:
 
 def format_coeffs(triples: list[tuple[int, float, float]]) -> str:
     return ", ".join(f"{k}:{c!r}:{s!r}" for k, c, s in triples)
+
+
+def parse_resolution(text: str) -> tuple[int, int]:
+    """An 'AxB' mesh resolution; :func:`check_mesh_resolution` bounds it."""
+    a, _, b = text.partition("x")
+    return int(a), int(b)
+
+
+def parse_family(text: str) -> tuple[str, object]:
+    kind, _, rest = text.partition(":")
+    if kind == "translate":
+        try:
+            cx, cy = (float(t) for t in rest.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"translate family needs cx,cy, got {rest!r}") from exc
+        return kind, (cx, cy)
+    if kind == "rotate":
+        try:
+            return kind, float(rest)
+        except ValueError as exc:
+            raise ConfigError(f"rotate family needs beta, got {rest!r}") from exc
+    raise ConfigError(f"unknown family {kind!r} (use translate:cx,cy or rotate:beta)")
+
+
+# Every config key once, in the order the artifacts echo them: the parser of
+# its text (a config file line, a flag and an artifact header are all read
+# as text), its echo writer (None: not echoed) and its flag help.  An unset
+# r_guard or family is None, read from and echoed as empty text; phiN is
+# RunConfig.phi_coeffs[N], echoed only when given.
+CONFIG_KEYS = {
+    "delta": (float, str, "cutoff scale, in (0, 1/2)"),
+    "alpha": (float, str, "Hoelder proxy exponent, in (0, 1]"),
+    "nx": (int, str, "Chebyshev-Lobatto points in x, at least 8"),
+    "ny": (int, str, "equispaced points in y, even and at least 8"),
+    "tol": (float, str, "update-norm tolerance"),
+    "max_iter": (int, str, "most Picard iterations"),
+    "r_guard": (lambda text: float(text) if text else None, str,
+                "trust radius (empty: min(delta/10, 0.05))"),
+    "family": (lambda text: text or None, str, "translate:cx,cy or rotate:beta"),
+    "mesh_resolution": (parse_resolution, lambda value: "%dx%d" % value, "e.g. 33x64"),
+    **{f"phi{i}": (parse_coeffs, format_coeffs, f"boundary modes of sheet {i} as k:cos:sin,...")
+       for i in (1, 2, 3)},
+    "out": (str, None, "output directory"),
+}
+
+
+@dataclass
+class RunConfig:
+    delta: float = 0.25
+    alpha: float = 0.5
+    nx: int = 48
+    ny: int = 64
+    tol: float = 1e-10
+    max_iter: int = 50
+    r_guard: float | None = None
+    family: str | None = None
+    phi_coeffs: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
+    out: str = "run"
+    mesh_resolution: tuple[int, int] = (33, 64)
+    # (kind, value) of the named family, set by validate()
+    parsed_family: tuple[str, object] | None = field(default=None, init=False, repr=False)
+
+    def echo(self) -> dict[str, str]:
+        values = {**vars(self), **{f"phi{i}": c for i, c in self.phi_coeffs.items()}}
+        return {key: "" if values[key] is None else write(values[key])
+                for key, (_, write, _) in CONFIG_KEYS.items() if write and key in values}
+
+    def validate(self):
+        """The checks no solver type owns, each raising ``ValueError``;
+        :meth:`setup` runs the others."""
+        if self.family is not None and self.phi_coeffs:
+            raise ConfigError("give either a named family or phi coefficient lists, not both")
+        for i, triples in self.phi_coeffs.items():
+            for k, c, s in triples:
+                if k < 0 or not (np.isfinite(c) and np.isfinite(s)):
+                    raise ConfigError(f"bad phi{i} coefficient triple ({k},{c},{s})")
+                if k > self.ny // 2 or (k == self.ny // 2 and s != 0.0):
+                    raise ConfigError(
+                        f"phi{i} triple {k}:{c!r}:{s!r} is not carried by ny = {self.ny} "
+                        f"points: modes above {self.ny // 2} alias to lower ones, and "
+                        f"the sine of mode {self.ny // 2} vanishes at every node")
+        check_mesh_resolution(self.mesh_resolution)
+        self.parsed_family = parse_family(self.family) if self.family else None
+
+    def setup(self) -> tuple[Grid2D, CutoffProfile, SolveOptions]:
+        """The grid, cutoff and solver options of this run; a value they
+        reject raises ``ValueError``."""
+        return (Grid2D(self.nx, self.ny), CutoffProfile(self.delta),
+                SolveOptions(tol=self.tol, max_iter=self.max_iter,
+                             r_guard=self.r_guard, alpha=self.alpha))
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -150,31 +205,17 @@ def apply_config_values(cfg: RunConfig, raw: dict[str, str]):
     """Set ``cfg`` fields from ``key = value`` text (config file, flags, artifact header)."""
     try:
         for key, val in raw.items():
-            if key in ("delta", "alpha", "tol"):
-                setattr(cfg, key, float(val))
-            elif key in ("nx", "ny", "max_iter"):
-                setattr(cfg, key, int(val))
-            elif key == "r_guard":
-                cfg.r_guard = float(val) if val else None
-            elif key == "family":
-                cfg.family = val or None
-            elif key in ("phi1", "phi2", "phi3"):
-                cfg.phi_coeffs[int(key[-1])] = parse_coeffs(val)
-            elif key == "out":
-                cfg.out = val
-            elif key == "mesh_resolution":
-                a, _, b = val.partition("x")
-                cfg.mesh_resolution = (int(a), int(b))
-            else:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            value = CONFIG_KEYS[key][0](val)
+            if key.startswith("phi"):
+                cfg.phi_coeffs[int(key[3:])] = value
+            else:
+                setattr(cfg, key, value)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
-
-
-CONFIG_FLAGS = ("nx", "ny", "delta", "alpha", "tol", "max_iter", "r_guard", "family",
-                "phi1", "phi2", "phi3", "out", "mesh_resolution")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -182,7 +223,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         apply_config_values(cfg, load_config_file(args.config))
-    apply_config_values(cfg, {key: getattr(args, key) for key in CONFIG_FLAGS
+    apply_config_values(cfg, {key: getattr(args, key) for key in CONFIG_KEYS
                               if getattr(args, key) is not None})
     cfg.validate()
     return cfg
@@ -197,31 +238,11 @@ def make_out_dir(path: str):
         raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
 
 
-def parse_family(text: str) -> tuple[str, object]:
-    kind, _, rest = text.partition(":")
-    if kind == "translate":
-        try:
-            cx, cy = (float(t) for t in rest.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"translate family needs cx,cy, got {rest!r}") from exc
-        return kind, (cx, cy)
-    if kind == "rotate":
-        try:
-            return kind, float(rest)
-        except ValueError as exc:
-            raise ConfigError(f"rotate family needs beta, got {rest!r}") from exc
-    raise ConfigError(f"unknown family {kind!r} (use translate:cx,cy or rotate:beta)")
-
-
 def boundary_from_config(cfg: RunConfig, grid: Grid2D, cutoff: CutoffProfile,
                          scale: float = 1.0) -> BoundaryTriple:
-    if cfg.family:
-        kind, value = parse_family(cfg.family)
-        if kind == "translate":
-            value = (value[0] * scale, value[1] * scale)
-        else:
-            value = value * scale
-        phi, _ = exact_family(kind, value, grid, cutoff)
+    if cfg.parsed_family:
+        kind, value = cfg.parsed_family
+        phi, _ = exact_family(kind, np.multiply(value, scale), grid, cutoff)
         return phi
     rows = np.zeros((3, grid.ny))
     y = grid.y
@@ -235,7 +256,7 @@ def boundary_from_config(cfg: RunConfig, grid: Grid2D, cutoff: CutoffProfile,
 # Artifact I/O: the one place that formats, writes and reads run files
 # ---------------------------------------------------------------------------
 
-RESIDUAL_NAMES = ("laplace", "boundary", "conormal_sup", "outer_trace", "trace_sum")
+RESIDUAL_NAMES = tuple(f.name for f in fields(ResidualRecord))
 
 
 def atomic_write_text(path: str, text: str):
@@ -406,20 +427,24 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
 
 def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, dict]:
     """The stored config, fields, boundary data and residuals of a run; raises
-    ``ValueError`` for artifacts that cannot be read or do not fit together."""
-    sheets = [read_table(os.path.join(path, f"u{i}.csv"), "nx,ny,delta") for i in (1, 2, 3)]
-    header, size, values = sheets[-1]
-    u = TripleField(Grid2D(*values.shape), [table for _, _, table in sheets])
-    _, phi_size, rows = read_table(os.path.join(path, "phi.csv"), "ny")
-    phi = BoundaryTriple(int(phi_size["ny"]), rows)
-    if phi.ny != u.grid.ny:
-        raise ValueError(f"phi.csv has ny = {phi.ny}, the fields ny = {u.grid.ny}")
-    cfg = RunConfig(delta=float(size["delta"]))
-    apply_config_values(cfg, header)
-    CutoffProfile(cfg.delta)            # a delta the cutoff rejects is unusable
-    _, lines = read_csv(os.path.join(path, "residuals.csv"))
-    stored = {name: float(val) for name, _, val in
-              (line.partition(",") for line in lines if line != "name,value")}
+    :class:`UnreadableArtifacts` for artifacts that cannot be read or do not
+    fit together."""
+    try:
+        sheets = [read_table(os.path.join(path, f"u{i}.csv"), "nx,ny,delta") for i in (1, 2, 3)]
+        header, size, values = sheets[-1]
+        u = TripleField(Grid2D(*values.shape), [table for _, _, table in sheets])
+        _, phi_size, rows = read_table(os.path.join(path, "phi.csv"), "ny")
+        phi = BoundaryTriple(int(phi_size["ny"]), rows)
+        if phi.ny != u.grid.ny:
+            raise ValueError(f"phi.csv has ny = {phi.ny}, the fields ny = {u.grid.ny}")
+        cfg = RunConfig(delta=float(size["delta"]))
+        apply_config_values(cfg, header)
+        CutoffProfile(cfg.delta)            # a delta the cutoff rejects is unusable
+        _, lines = read_csv(os.path.join(path, "residuals.csv"))
+        stored = {name: float(val) for name, _, val in
+                  (line.partition(",") for line in lines if line != "name,value")}
+    except (OSError, ValueError) as exc:
+        raise UnreadableArtifacts(exc) from None
     return cfg, u, phi, stored
 
 
@@ -433,9 +458,8 @@ def cmd_solve(args) -> int:
         grid, cutoff, opts = cfg.setup()
         phi = boundary_from_config(cfg, grid, cutoff)
         make_out_dir(cfg.out)
-    except ValueError as exc:           # ConfigError, or data exact_family rejects
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:           # a value the checks or exact_family reject
+        raise ConfigError(exc) from None
     modes: list[dict] = []
     failure = None
     try:
@@ -445,8 +469,7 @@ def cmd_solve(args) -> int:
     try:
         write_artifacts(cfg.out, cfg, u, phi, report, modes)
     except OSError as exc:
-        print(f"cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UnwritableArtifacts(exc) from None
     if failure is not None:
         code, label = SOLVE_FAILURES[type(failure)]
         print(f"{label}: {failure}", file=sys.stderr)
@@ -463,39 +486,32 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg, u, phi, stored = load_artifacts(args.artifacts)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load artifacts: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    cfg, u, phi, stored = load_artifacts(args.artifacts)
     cutoff = CutoffProfile(cfg.delta)
     frame = frame_vectors()
 
     results: list[tuple[str, bool, str]] = []
 
-    # fixed probes plus the cutoff joins x = delta, 2 delta, where the
-    # solution is least smooth; a probe whose stencil leaves [0, 1] is skipped
-    h = 1e-3
-    xs = [x for x in sorted({0.3, 0.5, 0.7, cfg.delta, 2 * cfg.delta})
-          if 2 * h <= x <= 1.0 - 2 * h]
-    points = np.array([(x, y) for x in xs for y in (0.1, 0.45, 0.8)])
-    H = np.abs([fd_mean_curvature(i, u, points, h, cutoff, frame) for i in (1, 2, 3)])
+    xs = [x for x in sorted({*PROBE_X, cfg.delta, 2 * cfg.delta})
+          if 2 * FD_STEP <= x <= 1.0 - 2 * FD_STEP]
+    points = np.array([(x, y) for x in xs for y in PROBE_Y])
+    H = np.abs([fd_mean_curvature(i, u, points, FD_STEP, cutoff, frame) for i in (1, 2, 3)])
     i, j = np.unravel_index(np.argmax(H), H.shape)
     worst = float(H[i, j])
-    results.append(("mean curvature (FD oracle)", worst <= 1e-4,
-                    f"max |H| = {worst:.3e} (h = {h}) at sheet {i + 1}, "
+    results.append(("mean curvature (FD oracle)", worst <= FD_BOUND,
+                    f"max |H| = {worst:.3e} (h = {FD_STEP}) at sheet {i + 1}, "
                     f"(x, y) = ({points[j, 0]:.6g}, {points[j, 1]:.6g})"))
 
     try:
         angles = junction_angle_check(u, frame)
-        results.append(("junction angles", angles.max_deviation <= 1e-4,
+        results.append(("junction angles", angles.max_deviation <= ANGLE_BOUND,
                         f"max deviation from 120 deg = {angles.max_deviation:.3e} rad"))
     except CompatibilityViolation as exc:
         results.append(("junction angles", False, f"no common spine: {exc}"))
 
     try:
         rec = residual_record(u, phi, cutoff, frame)
-        results.append(("junction conditions", rec.boundary <= 1e-6,
+        results.append(("junction conditions", rec.boundary <= JUNCTION_BOUND,
                         f"defect = {rec.boundary:.3e}"))
         results.append(("trace sum", rec.trace_sum <= RESIDUAL_GATES["trace_sum"],
                         f"{rec.trace_sum:.3e}"))
@@ -532,9 +548,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError("sweep needs a boundary family or phi coefficients")
         grid, cutoff, opts = cfg.setup()
         make_out_dir(cfg.out)
-    except ValueError as exc:           # ConfigError, or a scale that is not a number
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:           # a bad scale, or a value the checks reject
+        raise ConfigError(exc) from None
     rows = ["scale,status,iterations,final_residual,last_contraction_ratio"]
     iter_counts = []
     for scale in scales:
@@ -559,8 +574,7 @@ def cmd_sweep(args) -> int:
     try:
         atomic_write_text(path, "\n".join(rows) + "\n")
     except OSError as exc:
-        print(f"cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UnwritableArtifacts(exc) from None
     if len(iter_counts) >= 2:
         ordered = sorted(iter_counts)
         monotone = all(a[1] <= b[1] for a, b in zip(ordered, ordered[1:]))
@@ -570,33 +584,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
+    cfg, u, _, stored = load_artifacts(args.artifacts)
     try:
-        cfg, u, phi, stored = load_artifacts(args.artifacts)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load artifacts: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    try:
-        a, _, b = args.resolution.partition("x")
-        resolution = (int(a), int(b))
+        resolution = parse_resolution(args.resolution)
         check_mesh_resolution(resolution)
     except ValueError as exc:
-        print(f"config error: bad resolution {args.resolution!r}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"bad resolution {args.resolution!r}: {exc}") from None
     out = args.out or os.path.join(args.artifacts, "surface.obj")
-    try:
-        if os.path.isdir(out):
-            raise ConfigError(f"output path {out!r} is a directory")
-        make_out_dir(os.path.dirname(os.path.abspath(out)))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if os.path.isdir(out):
+        raise ConfigError(f"output path {out!r} is a directory")
+    make_out_dir(os.path.dirname(os.path.abspath(out)))
     cfg.mesh_resolution = resolution
     mesh = mesh_surface(u, resolution, CutoffProfile(cfg.delta))
     try:
         atomic_write_text(out, mesh_to_obj(mesh, _mesh_header(cfg, stored)))
     except OSError as exc:
-        print(f"cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UnwritableArtifacts(exc) from None
     print(f"mesh written to {out}")
     return EXIT_OK
 
@@ -605,19 +608,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     # every flag is a string that apply_config_values parses like a config
     # line, so a malformed number is a config error (exit 4), not argparse's 2
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--nx")
-    p.add_argument("--ny")
-    p.add_argument("--delta")
-    p.add_argument("--alpha")
-    p.add_argument("--tol")
-    p.add_argument("--max-iter", dest="max_iter")
-    p.add_argument("--r-guard", dest="r_guard")
-    p.add_argument("--family", help="translate:cx,cy or rotate:beta")
-    p.add_argument("--phi1", help="boundary modes for sheet 1 as k:cos:sin,...")
-    p.add_argument("--phi2")
-    p.add_argument("--phi3")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--mesh-resolution", dest="mesh_resolution", help="e.g. 33x64")
+    for key, (_, _, text) in CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
 
 
 def main(argv=None) -> int:
@@ -647,7 +639,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_export_mesh)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigError, UnreadableArtifacts, UnwritableArtifacts) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -264,9 +264,6 @@ class AngleReport:
     angles: np.ndarray          # (3, ny): pairs (1,2), (2,3), (3,1)
     max_deviation: float        # from 2 pi / 3
 
-    def passed(self, tol: float = 1e-4) -> bool:
-        return self.max_deviation <= tol
-
 
 def junction_angle_check(u: TripleField, frame: JunctionFrame | None = None) -> AngleReport:
     """Angles between the sheet conormals along the spine; 120 degrees at stationarity."""

@@ -300,15 +300,18 @@ def fourier_interpolate(values: np.ndarray, yq) -> np.ndarray:
     w_k (Re X_k cos(2 pi k y) - Im X_k sin(2 pi k y)) / n, with w_k = 2 except
     w = 1 at k = 0 and at the Nyquist mode of an even grid.  The rfft of real
     samples has Im X_k = 0 exactly at both, so the Nyquist mode is taken as
-    a cosine.  The phase 2 pi k y rounds to within about k eps, so the node
-    values come back to about n eps times the size of the highest modes.
-    The result has the leading axes of ``values``, then the shape of ``yq``.
+    a cosine.  The phase is 2 pi (k y mod 1), so it rounds to about eps
+    where k y is exact, as on the nodes j/n of a power-of-two n, and the
+    node values come back to round-off; an inexact y (j/90, say) still
+    carries its own rounding times k.  The result has the leading axes of
+    ``values``, then the shape of ``yq``.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     X = np.fft.rfft(values)
     X[..., 1:(n + 1) // 2] *= 2.0
-    phase = 2.0 * np.pi * np.multiply.outer(np.asarray(yq, dtype=float), np.arange(X.shape[-1]))
+    phase = 2.0 * np.pi * (np.multiply.outer(np.asarray(yq, dtype=float),
+                                             np.arange(X.shape[-1])) % 1.0)
     return (np.tensordot(X.real, np.cos(phase), axes=([-1], [-1]))
             - np.tensordot(X.imag, np.sin(phase), axes=([-1], [-1]))) / n
 

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows: solve, verify, sweep, export-mesh."""
 
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -89,6 +90,23 @@ def test_solve_config_errors(tmp_path):
                     "--out", str(tmp_path)]) == EXIT_CONFIG, flags
 
 
+@pytest.mark.parametrize("family", ["foo:1", "translate:abc", "rotate:x"])
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--scales", "0.5,1"]],
+                         ids=["solve", "sweep"])
+def test_a_malformed_family_is_a_config_error(tmp_path, monkeypatch, capsys, family, command):
+    # the family is parsed with the other keys, so sweep stops before any
+    # solve instead of recording one error row per scale
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
+    out = tmp_path / "run"
+    assert run([*command, "--family", family, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("modes", [("64:0.001:0", "64:-0.001:0"),
                                    ("32:0:0.001", "32:0:-0.001")])
 def test_modes_the_grid_cannot_carry_are_config_errors(tmp_path, monkeypatch, capsys, modes):
@@ -138,6 +156,50 @@ def test_config_file_with_overrides(tmp_path):
     assert u1.shape[1] == 64                  # flag overrides the file
     cfg.write_text("nonsense line\n")
     assert run(["solve", "--config", str(cfg), "--out", out]) == EXIT_CONFIG
+
+
+def _flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+
+
+def test_solve_and_sweep_take_exactly_the_config_keys_as_flags(capsys):
+    keys = ["--delta", "--alpha", "--nx", "--ny", "--tol", "--max-iter", "--r-guard",
+            "--family", "--mesh-resolution", "--phi1", "--phi2", "--phi3", "--out"]
+    assert _flags(capsys, "solve") == ["--help", "--config", *keys]
+    assert _flags(capsys, "sweep") == ["--help", "--config", *keys, "--scales"]
+
+
+# a text per config key that differs from its default and is its own echo
+KEY_TEXTS = {"delta": "0.3", "alpha": "0.75", "nx": "12", "ny": "20", "tol": "1e-09",
+             "max_iter": "7", "r_guard": "0.01", "family": "translate:0.001,0",
+             "mesh_resolution": "9x12", "phi1": "1:1e-06:0.0", "phi2": "0:-1e-06:0.0",
+             "phi3": "2:0.0:1e-06"}
+
+
+@pytest.mark.parametrize("via", ["flag", "config file"])
+@pytest.mark.parametrize("key", list(cli.CONFIG_KEYS))
+def test_each_config_key_round_trips(tmp_path, key, via):
+    # the text given as a flag or a config file line comes back unchanged in
+    # config_used.txt and from the artifact header that load_artifacts reads
+    out = str(tmp_path / "run")
+    values = {"nx": "16", "ny": "16", "out": out}
+    values[key] = out if key == "out" else KEY_TEXTS[key]
+    if via == "flag":
+        argv = ["solve"] + [item for k, v in values.items()
+                            for item in ("--" + k.replace("_", "-"), v)]
+    else:
+        (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = ["solve", "--config", str(tmp_path / "run.cfg")]
+    assert run(argv) == EXIT_OK
+    with open(os.path.join(out, "config_used.txt")) as fh:
+        written = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+    echo = load_artifacts(out)[0].echo()
+    if key == "out":
+        assert key not in written and key not in echo
+    else:
+        assert written[key] == echo[key] == values[key]
 
 
 def test_verify_round_trip(tmp_path):
@@ -335,6 +397,45 @@ def test_export_mesh_write_failure_exits_config(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert run(["export-mesh", out, "--out", os.path.join(out, "fine.obj")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("cannot write artifacts: ")
+
+
+@pytest.fixture(scope="module")
+def solved_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("solved") / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--nx", "16", "--ny", "16",
+                "--out", out]) == EXIT_OK
+    return out
+
+
+EARLY_STOPS = {  # (argv, exit code, stderr label); every artifact write fails
+    "solve-config": (["solve", "--nx", "abc"], EXIT_CONFIG, "config error"),
+    "sweep-config": (["sweep", "--scales", "x"], EXIT_CONFIG, "config error"),
+    "export-mesh-config": (["export-mesh", "RUN", "--resolution", "bad"], EXIT_CONFIG,
+                           "config error"),
+    "verify-load": (["verify", "MISSING"], EXIT_VERIFY_FAIL, "cannot load artifacts"),
+    "export-mesh-load": (["export-mesh", "MISSING"], EXIT_VERIFY_FAIL, "cannot load artifacts"),
+    "solve-write": (["solve"], EXIT_CONFIG, "cannot write artifacts"),
+    "sweep-write": (["sweep", "--family", "rotate:0.001", "--scales", "1.0"], EXIT_CONFIG,
+                    "cannot write artifacts"),
+    "export-mesh-write": (["export-mesh", "RUN", "--out", "OUT/x.obj"], EXIT_CONFIG,
+                          "cannot write artifacts")}
+
+
+@pytest.mark.parametrize("stop", list(EARLY_STOPS))
+def test_each_early_stop_prints_one_labelled_line(tmp_path, monkeypatch, capsys, solved_run,
+                                                 stop):
+    def fail(path, text):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "atomic_write_text", fail)
+    argv, code, label = EARLY_STOPS[stop]
+    paths = {"RUN": solved_run, "MISSING": str(tmp_path / "missing"), "OUT": str(tmp_path)}
+    argv = [re.sub("RUN|MISSING|OUT", lambda m: paths[m.group()], a) for a in argv]
+    if argv[0] in ("solve", "sweep"):
+        argv[1:1] = ["--nx", "16", "--ny", "16", "--out", str(tmp_path / "out")]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(label + ": ") and err.count("\n") == 1, err
 
 
 def _obj_header(path):
@@ -598,3 +699,19 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_names_every_config_key_with_its_default_and_every_exit_code():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    defaults = {**RunConfig().echo(), "out": RunConfig().out}
+    for key in cli.CONFIG_KEYS:
+        row = re.search(rf"^\| `{key}` \|(.*)$", readme, re.M)
+        assert row is not None, key
+        if defaults.get(key):
+            assert f"`{defaults[key]}`" in row.group(1), key
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert codes == set(range(6))
+    for code in codes:
+        assert f"`{code}`" in readme, code

@@ -212,10 +212,12 @@ def _trig_polynomial(t, n):
             + 0.5 * np.cos(2 * np.pi * (n // 2 - 1) * t + 0.4))
 
 
-@pytest.mark.parametrize("n", [16, 17, 32])
+@pytest.mark.parametrize("n", [16, 17, 32, 64, 128, 256])
 def test_fourier_interpolate_reproduces_the_node_values(n):
-    # white data: mode k's phase carries round-off of order k eps, so the
-    # bound scales with n (smooth data on 64 points: the round-trip test)
+    # white data: the phase is reduced mod 1 before the 2 pi product, so on
+    # the exact nodes j/n of a power-of-two n it rounds to about eps whatever
+    # k; an unreduced 2 pi k y carries round-off of order k eps (1.3e-13 at
+    # n = 256)
     v = np.random.default_rng(n).standard_normal((3, 5, n))
     assert np.max(np.abs(sp.fourier_interpolate(v, sp.fourier_nodes(n)) - v)) <= 1e-14
 
