@@ -129,7 +129,7 @@ CONFIG_KEYS = {
     "tol": (float, str, "update-norm tolerance"),
     "max_iter": (int, str, "most Picard iterations"),
     "r_guard": (lambda text: float(text) if text else None, str,
-                "trust radius (empty: min(delta/10, 0.05))"),
+                "trust radius (empty: delta/10)"),
     "family": (lambda text: text or None, str, "translate:cx,cy or rotate:beta"),
     "mesh_resolution": (parse_resolution, lambda value: "%dx%d" % value, "e.g. 33x64"),
     **{f"phi{i}": (parse_coeffs, format_coeffs, f"boundary modes of sheet {i} as k:cos:sin,...")
@@ -354,7 +354,7 @@ def report_summary(report: SolveReport) -> str:
         f"  trace sum error    : {r.trace_sum:.6e}",
         f"  norm proxy         : {g.norm_proxy:.6e} (guard {g.r_guard:.6e}, "
         f"within: {g.within_guard})",
-        f"  embed margin       : {g.embed_margin:.6f}",
+        f"  embed margin       : {g.embed_margin:.6e}",
         f"  smallness flag     : {g.smallness_ok}",
     ]
     return "\n".join(lines) + "\n"
@@ -402,7 +402,7 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
     config = [f"{k} = {v}\n" for k, v in echo.items()]
     rec = report.final_residuals
     size = f"{u.grid.nx},{u.grid.ny},{cfg.delta!r}"
-    spine = np.column_stack([u.grid.y, spine_samples(u.traces(), tol=np.inf)])
+    spine = np.column_stack([u.grid.y, *spine_samples(u.traces(), tol=np.inf)])
     mesh = mesh_surface(u, cfg.mesh_resolution, CutoffProfile(cfg.delta))
     texts = {f"u{i}.csv": table_csv("nx,ny,delta", size, values, echo)
              for i, values in enumerate(u.values, 1)}

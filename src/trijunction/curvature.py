@@ -32,7 +32,7 @@ from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
 
 
 class DegenerateMetric(RuntimeError):
-    """The perturbation is too large: the induced metric lost definiteness."""
+    """The perturbation is too large: the induced metric lost definiteness or overflowed."""
 
 
 def _wall_data(u: TripleField, cutoff: CutoffProfile):
@@ -103,13 +103,18 @@ def mean_curvature(u: TripleField, cutoff: CutoffProfile) -> np.ndarray:
     """Mean curvature tr(g^{-1} h) of the three sheets, one (3, nx, ny) array.
 
     The three sheets share one set of eight (nx, ny) work arrays.  Raises
-    :class:`DegenerateMetric` when a sheet's metric loses definiteness.
+    :class:`DegenerateMetric` when a sheet's metric loses definiteness or
+    is not finite: an overflowing or invalid operation stops the evaluation.
     """
     wall = _wall_data(u, cutoff)
     H = np.empty(u.values.shape)
     work = np.empty((8,) + u.values.shape[1:])
-    for i in (1, 2, 3):
-        _sheet_scalars(i, u.jet, wall, work, H[i - 1])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in (1, 2, 3):
+                _sheet_scalars(i, u.jet, wall, work, H[i - 1])
+    except FloatingPointError as exc:
+        raise DegenerateMetric(f"sheet {i}: the metric is not finite ({exc})") from None
     return H
 
 
@@ -133,8 +138,8 @@ def _conormals(u: TripleField, frame: JunctionFrame):
     from the spine into the sheet: at u = 0 it reduces to (-n_i, 0).
     """
     dxu0, ny = u.jet.ux[:, 0], u.grid.ny
-    vprime = spectral.fourier_derivative(spine_samples(u.traces(), frame), 1, axis=0)
-    T = np.column_stack([vprime, np.ones(ny)])
+    vprime = spectral.fourier_derivative(spine_samples(u.traces(), frame), 1)
+    T = np.column_stack([*vprime, np.ones(ny)])
     tau = np.zeros((3, ny, 3))
     tau[..., :2] = -frame.n[:, None] + dxu0[..., None] * frame.nu[:, None]
     proj = tau - ((tau * T).sum(axis=2) / (T * T).sum(axis=1))[..., None] * T

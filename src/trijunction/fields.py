@@ -140,8 +140,7 @@ class TripleField:
         block = np.empty((5,) + v.shape)
         # one Chebyshev analysis of the whole array gives u_x and u_xx, one
         # Fourier pass u_y and u_yy, and one more u_xy, each written in place
-        spectral.cheb_derivative_values(np.moveaxis(v, 1, 0), (1, 2),
-                                        out=np.moveaxis(block[::4], 2, 1))
+        spectral.cheb_derivative_values(v, (1, 2), out=block[::4])
         spectral.fourier_derivative(v, (1, 2), out=block[1:3])
         spectral.fourier_derivative(block[0], 1, out=block[3])
         block.flags.writeable = False

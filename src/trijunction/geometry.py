@@ -123,7 +123,7 @@ def wall_scalars(traces: np.ndarray) -> np.ndarray:
 
 def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
                   tol: float = 1e-10) -> np.ndarray:
-    """The spine v at the y grid nodes, shape (ny, 2), from the three inner traces.
+    """The spine v at the y grid nodes, shape (2, ny), from the three inner traces.
 
     Requires sum_i u_i(0, y) = 0 pointwise (within ``tol``); the sheet-1
     formula v = <w_1, n_1> n_1 + u_1(0,.) nu_1 is returned.  All three
@@ -138,7 +138,7 @@ def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
             f"trace sum reaches {defect:.3e} (tolerance {tol:.1e}); "
             "the three sheets do not meet along a common spine")
     w1 = wall_scalars(traces)[0]
-    return np.outer(w1, frame.n_vec(1)) + np.outer(traces[0], frame.nu_vec(1))
+    return np.outer(frame.n_vec(1), w1) + np.outer(frame.nu_vec(1), traces[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +225,8 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
 
     tr = u.traces()
     # the series of the spine samples at the mesh y's; meshing never refuses
-    spine = spectral.fourier_interpolate(spine_samples(tr, frame, tol=np.inf).T, ys)
+    spine = spectral.fourier_interpolate(spine_samples(tr, frame, tol=np.inf), ys)
     spine_pts = np.column_stack([*spine, ys])
-    spine_pts[-1, 2] = 1.0
 
     cols = spectral.fourier_interpolate(u.values, ys)
     heights = spectral.bary_matrix(u.grid.nx, xs) @ cols           # (3, mx-1, my+1)

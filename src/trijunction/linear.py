@@ -194,7 +194,7 @@ def _solve_stack(nx: int, p: np.ndarray, nd: int, f: np.ndarray | None,
         debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",
                       "path": "collocation", "residual": float(residual[j, k, i])}
                      for j in range(m) for k in range(K + 1)
-                     for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < k < K)
+                     for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < 2 * k < ny)
     return np.fft.irfft(a.view(complex), n=ny, axis=-1)
 
 

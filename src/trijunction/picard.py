@@ -48,8 +48,8 @@ class GuardViolation(SolveFailure):
 class SolveOptions:
     """Knobs of the fixed-point driver.
 
-    ``r_guard`` defaults to min(delta/10, 0.05): the smallness radius the
-    embedding argument needs.  ``alpha`` is the Hoelder exponent of the
+    ``r_guard`` defaults to delta/10: the smallness radius the embedding
+    argument needs.  ``alpha`` is the Hoelder exponent of the
     guard proxy.
     """
 
@@ -71,7 +71,7 @@ class SolveOptions:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
 
     def guard_radius(self, delta: float) -> float:
-        return self.r_guard if self.r_guard is not None else min(delta / 10.0, 0.05)
+        return self.r_guard if self.r_guard is not None else delta / 10.0
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ barycentric interpolation, Chebyshev series transforms (the analysis and
 the synthesis are each a product with a cached matrix; no FFT runs along
 x), cumulative integrals, Clenshaw-Curtis weights, and periodic spectral
 helpers.
+
+Sampled data has one layout, the fields': the x (Chebyshev node) axis is
+the second to last, or the only axis of a 1-D array, and the y (periodic)
+axis is the last.  Leading axes stack independent samples, such as the
+three sheets of a (3, nx, ny) field.
 """
 
 from __future__ import annotations
@@ -127,16 +132,12 @@ def _cheb_analysis_matrix(n: int) -> np.ndarray:
 def cheb_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev series coefficients (in xi = 1 - 2x) of Lobatto samples.
 
-    Node axis first; returns coefficients a_n with f = sum a_n T_n(xi).  The
-    analysis is one product with a cached (n, n) matrix per (n, m) slab of
-    the node axis and the last axis, so a slab's coefficients are bit for bit
-    those it has alone.
+    Returns coefficients a_n with f = sum a_n T_n(xi), along the node axis.
+    The analysis is one product with a cached (n, n) matrix per (n, m) slab,
+    so a slab's coefficients are bit for bit those it has alone.
     """
     values = np.asarray(values, dtype=float)
-    A = _cheb_analysis_matrix(values.shape[0])
-    if values.ndim <= 2:
-        return A @ values
-    return np.moveaxis(A @ np.moveaxis(values, 0, -2), -2, 0)
+    return _cheb_analysis_matrix(values.shape[max(values.ndim - 2, 0)]) @ values
 
 
 @lru_cache(maxsize=None)
@@ -182,13 +183,14 @@ def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...],
     synthesis block of every requested order differentiates them and
     evaluates the result at the nodes.  Going through coefficients avoids
     the large cancellations of dense differentiation matrices: polynomials
-    of low degree come out exact, and constants map to exactly zero.  Node
-    axis first.  ``order`` is an int, or a tuple of ints for several
-    derivatives from one pass, stacked along a new leading axis.  The result
-    is written into ``out`` when given, and returned.
+    of low degree come out exact, and constants map to exactly zero.
+    ``order`` is an int, or a tuple of ints for several derivatives from one
+    pass, stacked along a new leading axis.  The result is written into
+    ``out`` when given, and returned.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
+    node = max(values.ndim - 2, 0)
+    n = values.shape[node]
     orders = order if isinstance(order, tuple) else (order,)
     if out is None:
         out = np.empty((len(orders),) + values.shape)
@@ -198,32 +200,20 @@ def cheb_derivative_values(values: np.ndarray, order: int | tuple[int, ...],
     # chop sub-round-off tail coefficients (per column): they carry no
     # information and differentiation would amplify them by O(N^2) per order
     mag = np.abs(a)
-    a[mag < 4.0 * np.finfo(float).eps * mag.max(axis=0)] = 0.0
-    # one product per order and (n, m) slab, the node axis moved next to
-    # last: a slab comes out bit for bit as it would alone
-    if a.ndim == 1:
-        a, dest = a[:, None], out[..., None]
-    else:
-        a, dest = np.moveaxis(a, 0, -2), np.moveaxis(out, 1, -2)
-    blocks = _cheb_synthesis_matrix(n, orders).reshape(
-        (len(orders),) + (1,) * (a.ndim - 2) + (n, n))
-    np.matmul(blocks, a, out=dest)
+    a[mag < 4.0 * np.finfo(float).eps * mag.max(axis=node, keepdims=True)] = 0.0
+    # one product per order and (n, m) slab: each slab bit for bit as alone
+    blocks = _cheb_synthesis_matrix(n, orders).reshape((len(orders),) + (1,) * node + (n, n))
+    np.matmul(blocks, a, out=out)
     return out if isinstance(order, tuple) else out[0]
 
 
 def cheb_cumulative_integral(values: np.ndarray) -> np.ndarray:
-    """Values of x -> integral_0^x f dt at the Lobatto nodes (node axis first)."""
+    """Values of x -> integral_0^x f dt at the Lobatto nodes, for one column of samples."""
     values = np.asarray(values, dtype=float)
-    a = cheb_coefficients(values)
-    flat = a.reshape(a.shape[0], -1)
-    out = np.empty_like(flat)
-    nodes_xi = 1.0 - 2.0 * cheb_nodes(values.shape[0])
-    for m in range(flat.shape[1]):
-        A = np.polynomial.chebyshev.chebint(flat[:, m])
-        # d/dx = -2 d/dxi, so integral_0^x f = (A(1) - A(xi)) / 2
-        out[:, m] = (np.polynomial.chebyshev.chebval(1.0, A)
-                     - np.polynomial.chebyshev.chebval(nodes_xi, A)) / 2.0
-    return out.reshape(values.shape)
+    A = np.polynomial.chebyshev.chebint(cheb_coefficients(values))
+    # d/dx = -2 d/dxi, so integral_0^x f = (A(1) - A(xi)) / 2
+    return (np.polynomial.chebyshev.chebval(1.0, A)
+            - np.polynomial.chebyshev.chebval(1.0 - 2.0 * cheb_nodes(len(values)), A)) / 2.0
 
 
 @lru_cache(maxsize=None)
@@ -260,21 +250,21 @@ def fourier_nodes(ny: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _derivative_factors(n: int, orders: tuple[int, ...], axis: int, ndim: int) -> np.ndarray:
+def _derivative_factors(n: int, orders: tuple[int, ...], ndim: int) -> np.ndarray:
     """The mode multipliers (2 pi i k)^m of an n-point grid, one row per order,
-    shaped to multiply the transform of an ndim array along ``axis``."""
+    shaped to multiply the transform of an ndim array."""
     k = np.arange(n // 2 + 1)
     factors = np.stack([(2j * np.pi * k) ** m for m in orders])
     if n % 2 == 0:
         factors[[m % 2 == 1 for m in orders], -1] = 0.0
-    factors = factors.reshape((len(orders),) + (1,) * axis + (len(k),) + (1,) * (ndim - axis - 1))
+    factors = factors.reshape((len(orders),) + (1,) * (ndim - 1) + (len(k),))
     factors.flags.writeable = False
     return factors
 
 
 def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
-                       axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Spectral derivative along a periodic axis.
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Spectral y-derivative of periodic samples (last axis).
 
     ``order`` is an int, or a tuple of ints for several derivatives from one
     forward transform and one inverse transform of the stacked products,
@@ -283,13 +273,12 @@ def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
     and returned.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
-    axis %= values.ndim
+    n = values.shape[-1]
     orders = order if isinstance(order, tuple) else (order,)
     if out is not None and not isinstance(order, tuple):
         out = out[None]
-    factors = _derivative_factors(n, orders, axis, values.ndim)
-    out = np.fft.irfft(np.fft.rfft(values, axis=axis) * factors, n=n, axis=axis + 1, out=out)
+    factors = _derivative_factors(n, orders, values.ndim)
+    out = np.fft.irfft(np.fft.rfft(values) * factors, n=n, out=out)
     return out if isinstance(order, tuple) else out[0]
 
 
@@ -335,11 +324,17 @@ def aliasing_fraction(X: np.ndarray, n: int) -> float:
     Reads the ``np.fft.rfft`` spectrum X of n-point data, mode axis last,
     over all leading axes together.  By Parseval the energy of mode k is
     |X_k|^2 at k = 0 and at the Nyquist mode of an even grid, and
-    2 |X_k|^2 otherwise (each over n^2, which cancels in the fraction).
+    2 |X_k|^2 otherwise (each over n^2, which cancels in the fraction).  A
+    finite spectrum too large to square is read scaled by an exact power of
+    two, which the fraction does not see; any other is read unscaled.
     """
-    energy = X.real ** 2 + X.imag ** 2
-    energy[..., 1:(n + 1) // 2] *= 2.0
-    total = energy.sum()
+    with np.errstate(over="ignore"):
+        energy = X.real ** 2 + X.imag ** 2
+        energy[..., 1:(n + 1) // 2] *= 2.0
+        total = energy.sum()
+    if total == np.inf and np.isfinite(X).all():
+        # |X_k| / 2^e < 1 for e the binary exponent of the largest |X_k|
+        return aliasing_fraction(X * 2.0 ** -np.frexp(np.abs(X).max())[1], n)
     if total == 0.0:
         return 0.0
     cut = 2 * (n // 2) // 3

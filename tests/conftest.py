@@ -38,9 +38,9 @@ def translation_field(grid, frame, c):
 
 
 def spine_series(traces, frame, ys=None, tol=1e-10):
-    """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (len(ys), 2)."""
+    """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (2, len(ys))."""
     ys = fourier_nodes(np.shape(traces)[1]) if ys is None else np.asarray(ys, float)
-    return fourier_interpolate(spine_samples(traces, frame, tol).T, ys).T
+    return fourier_interpolate(spine_samples(traces, frame, tol), ys)
 
 
 def rotation_field(grid, beta):

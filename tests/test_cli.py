@@ -63,6 +63,18 @@ def test_solve_oversized_boundary_trips_guard(tmp_path):
     assert os.path.exists(os.path.join(out, "report.csv"))
 
 
+def test_overflowing_boundary_data_trips_the_guard_quietly(tmp_path, capsys):
+    # data of size 1e300 overflows the aliasing check's energies and the
+    # metric; the run exits with a guard violation and no RuntimeWarning
+    # (the suite turns one into an error), and the summary prints the huge
+    # embed margin in the %.6e form of every other number
+    out = str(tmp_path / "huge")
+    assert run(["solve", "--phi1", "1:1e300:1e300", "--out", out]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert "laplace residual   : nan" in err
+    assert re.search(r"^  embed margin       : -\d\.\d{6}e\+\d+$", err, re.M)
+
+
 def test_solve_converged_but_gates_failed(tmp_path):
     # tol = 1 stops at the first (linear) iterate, whose conormal defect is
     # quadratic in the data and far above its 1e-6 gate

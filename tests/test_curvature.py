@@ -36,7 +36,7 @@ def random_small(grid, frame, proxy, seed):
 # Mean curvature and the interior defect
 # ---------------------------------------------------------------------------
 
-def test_degenerate_metric_raises(grid_small, cutoff):
+def test_degenerate_metric_raises(grid_small, cutoff, frame):
     d = cutoff.delta
     u = TripleField(
         grid_small, [np.full((grid_small.nx, grid_small.ny), v) for v in (0.0, d, -d)])
@@ -44,6 +44,11 @@ def test_degenerate_metric_raises(grid_small, cutoff):
         mean_curvature(u, cutoff)
     with pytest.raises(DegenerateMetric):
         F_eval(u, cutoff)
+    # heights of 1e300 overflow the metric: a DegenerateMetric, not an
+    # overflow warning and a NaN curvature
+    huge = 1e300 * random_small(grid_small, frame, 0.01, seed=6)
+    with pytest.raises(DegenerateMetric, match="sheet 1: the metric is not finite"):
+        F_eval(huge, cutoff)
 
 
 def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
@@ -153,8 +158,8 @@ def test_conormal_flat(grid, frame):
 def test_conormal_unit_and_orthogonal_to_spine(grid_small, frame):
     u = random_small(grid_small, frame, 0.01, seed=2)
     from trijunction.geometry import spine_samples
-    vprime = fourier_derivative(spine_samples(u.traces(), frame), 1, axis=0)
-    T = np.column_stack([vprime, np.ones(grid_small.ny)])
+    vprime = fourier_derivative(spine_samples(u.traces(), frame), 1)
+    T = np.column_stack([*vprime, np.ones(grid_small.ny)])
     for i in (1, 2, 3):
         xi = _conormals(u, frame)[0][i - 1]
         assert np.max(np.abs(np.linalg.norm(xi, axis=1) - 1.0)) < 1e-14
@@ -208,7 +213,7 @@ def test_G_is_junction_condition_minus_projection(grid_small, frame):
     G1, G2 = G_eval(u, frame)
     S = conormal_sum(u, frame)
     dn = -u.jet.ux[:, 0]                     # the outward normal at x = 0 is -x
-    dy0 = fourier_derivative(u.traces(), 1, axis=1)
+    dy0 = fourier_derivative(u.traces(), 1)
     b1 = np.column_stack([np.tile(frame.n_vec(1), (grid_small.ny, 1)),
                           (dy0[1] - dy0[2]) / SQRT3])
     b2 = np.column_stack([np.tile(frame.nu_vec(1), (grid_small.ny, 1)), -dy0[0]])

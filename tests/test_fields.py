@@ -437,10 +437,10 @@ def test_jet_rows_are_contiguous_and_equal_the_per_sheet_derivatives(grid_small)
     for i, v in enumerate(u.values):
         ux = spectral.cheb_derivative_values(v, 1)
         per_sheet = {"ux": ux,
-                     "uy": spectral.fourier_derivative(v, 1, axis=1),
+                     "uy": spectral.fourier_derivative(v, 1),
                      "uxx": spectral.cheb_derivative_values(v, 2),
-                     "uxy": spectral.fourier_derivative(ux, 1, axis=1),
-                     "uyy": spectral.fourier_derivative(v, 2, axis=1)}
+                     "uxy": spectral.fourier_derivative(ux, 1),
+                     "uyy": spectral.fourier_derivative(v, 2)}
         for name, arr in u.jet._asdict().items():
             assert np.array_equal(arr[i], per_sheet[name]), (i, name)
 

@@ -126,7 +126,7 @@ def test_wall_offset_matches_spine_projection(frame):
     v = spine_series(np.stack(traces), frame)
     for i in (1, 2, 3):
         wi = np.outer(wall_scalars(np.stack(traces))[i - 1], frame.n_vec(i))
-        expected = (v @ frame.n_vec(i))[:, None] * frame.n_vec(i)
+        expected = np.outer(frame.n_vec(i) @ v, frame.n_vec(i))
         assert np.max(np.abs(wi - expected)) < 1e-12
 
 
@@ -136,9 +136,9 @@ def test_spine_from_traces_examples(grid, frame):
 
     c = np.array([0.01, 0.0])
     traces = np.stack([np.full(ny, frame.nu_vec(i) @ c) for i in (1, 2, 3)])
-    assert np.max(np.abs(spine_series(traces, frame) - c)) < 1e-15
+    assert np.max(np.abs(spine_series(traces, frame) - c[:, None])) < 1e-15
     ys = np.arange(4 * ny) / (4 * ny)           # a refined grid
-    assert np.max(np.linalg.norm(spine_series(traces, frame, ys), axis=1)) \
+    assert np.max(np.linalg.norm(spine_series(traces, frame, ys), axis=0)) \
         == pytest.approx(0.01, abs=1e-15)
 
 
@@ -169,8 +169,8 @@ def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
         traces = np.stack([frame.nu_vec(i) @ v for i in (1, 2, 3)])
         traces[2] = -traces[0] - traces[1]
         samples = spine_samples(traces, frame)
-        assert np.array_equal(samples, np.outer(wall_scalars(traces)[0], frame.n_vec(1))
-                              + np.outer(traces[0], frame.nu_vec(1)))
+        assert np.array_equal(samples, np.outer(frame.n_vec(1), wall_scalars(traces)[0])
+                              + np.outer(frame.nu_vec(1), traces[0]))
         series = spine_series(traces, frame)
         sup = np.max(np.abs(samples))
         assert np.max(np.abs(series - samples)) <= 16 * np.spacing(sup)
@@ -344,7 +344,7 @@ def _mesh_per_point(u, resolution, cutoff, frame):
     mx, my = resolution
     xs = np.linspace(0.0, 1.0, mx)
     ys = np.linspace(0.0, 1.0, my + 1)
-    verts = [np.column_stack([spine_series(u.traces(), frame, ys, tol=np.inf), ys])]
+    verts = [np.column_stack([*spine_series(u.traces(), frame, ys, tol=np.inf), ys])]
     faces, tags = [], []
     offset = my + 1
     for i in (1, 2, 3):
@@ -411,7 +411,7 @@ def test_spine_stays_within_regime(grid_small, frame, cutoff):
         u = scaled_to_proxy(random_compatible_field(grid_small, rng, frame),
                             cutoff.delta / 10.0 * 0.99, 0.5)
         spine = spine_series(u.traces(), frame, ys)
-        assert np.max(np.linalg.norm(spine, axis=1)) < cutoff.delta / 5.0
+        assert np.max(np.linalg.norm(spine, axis=0)) < cutoff.delta / 5.0
 
 
 def test_rotation_embed_margin_and_smallness_in_regime(grid, frame):

@@ -628,6 +628,23 @@ def test_mode_debug_records(grid_small):
     assert len(text.splitlines()) == len(debug) + 1
 
 
+@pytest.mark.parametrize("ny", [8, 9])
+def test_each_solved_mode_column_has_one_record(ny):
+    # ny columns per problem: the cosine of each k <= ny / 2 and the sine of
+    # each k with 0 < 2k < ny, which on an odd grid includes the top mode
+    nx, y = 16, np.arange(ny) / ny
+    x = cheb_nodes(nx)
+    f = np.outer(1.0 - x ** 2, np.cos(2 * np.pi * y))
+    expected = sorted([(k, "cos") for k in range(ny // 2 + 1)]
+                      + [(k, "sin") for k in range(1, ny) if 2 * k < ny])
+    assert len(expected) == ny
+    for g in (None, 0.1 * np.cos(2 * np.pi * y)):
+        debug = []
+        solve_scalar(f, np.sin(2 * np.pi * y), g, debug=debug)
+        assert sorted((r["k"], r["part"]) for r in debug) == expected, (ny, g is None)
+        assert max(r["residual"] for r in debug) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Stability probe
 # ---------------------------------------------------------------------------

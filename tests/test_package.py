@@ -66,6 +66,18 @@ def test_only_the_cli_touches_files():
             assert not opens, (name, opens)
 
 
+def test_no_module_moves_an_array_axis():
+    # sampled data has one layout, x second to last and y last, so no module
+    # transposes for a helper: none calls np.moveaxis
+    package = os.path.dirname(trijunction.__file__)
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        moves = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr == "moveaxis"]
+        assert not moves, (name, moves)
+
+
 def test_declared_numpy_floor_has_the_fft_out_argument():
     # spectral.fourier_derivative passes out= to np.fft.irfft, which numpy
     # added in 2.0.0; an older numpy raises TypeError on the hot path

@@ -73,7 +73,7 @@ def test_solve_translation_family(grid, cutoff, frame):
     assert report.converged and report.iterations <= 10
     # the reconstructed spine is the translation vector
     spine = spine_series(u.traces(), frame)
-    assert np.max(np.abs(spine - np.array(c))) < 1e-10
+    assert np.max(np.abs(spine - np.array(c)[:, None])) < 1e-10
 
 
 def test_solve_rotation_family(grid, frame):

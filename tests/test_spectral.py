@@ -147,6 +147,14 @@ def test_synthesis_matrix_matches_transform_route(nx):
     for const in (np.full(nx, 3.7), np.full((nx, 3), -0.25)):
         for order in (1, 2, (1, 2)):
             assert np.all(sp.cheb_derivative_values(const, order) == 0.0), (nx, order)
+    # a (3, nx, 4) stack reads its node axis second to last: each (nx, 4)
+    # slab comes out bit for bit as it does alone
+    stack = rng.standard_normal((3, nx, 4))
+    for s, slab in enumerate(stack):
+        assert np.array_equal(sp.cheb_coefficients(stack)[s], sp.cheb_coefficients(slab))
+        for order in (1, 2, (1, 2)):
+            assert np.array_equal(sp.cheb_derivative_values(stack, order)[..., s, :, :],
+                                  sp.cheb_derivative_values(slab, order)), (nx, s, order)
 
 
 def test_cumulative_integral():
@@ -174,30 +182,27 @@ def test_fourier_roundtrip_and_derivatives():
     assert np.max(np.abs(d2 - exact)) < 1e-10
 
 
-def _one_order_derivative(values, m, axis):
+def _one_order_derivative(values, m):
     # one rfft/irfft pair per order, odd orders dropping the Nyquist mode
-    n = values.shape[axis]
+    n = values.shape[-1]
     k = np.arange(n // 2 + 1)
     factor = (2j * np.pi * k) ** m
     if m % 2 == 1 and n % 2 == 0:
         factor[-1] = 0.0
-    shape = [1] * values.ndim
-    shape[axis] = len(k)
-    return np.fft.irfft(np.fft.rfft(values, axis=axis) * factor.reshape(shape), n=n, axis=axis)
+    return np.fft.irfft(np.fft.rfft(values) * factor, n=n)
 
 
 @pytest.mark.parametrize("n", [16, 17])
 def test_fourier_derivative_orders_share_one_transform(n):
     rng = np.random.default_rng(n)
-    f = rng.standard_normal((5, n))
-    for axis, values in ((-1, f), (0, f.T.copy())):
+    for values in (rng.standard_normal((5, n)), rng.standard_normal((3, 5, n))):
         for orders in ((1, 2), (2, 1, 3)):
-            stacked = sp.fourier_derivative(values, orders, axis=axis)
+            stacked = sp.fourier_derivative(values, orders)
             assert stacked.shape == (len(orders),) + values.shape
             for j, m in enumerate(orders):
-                ref = _one_order_derivative(values, m, axis)
-                assert np.array_equal(stacked[j], ref), (n, axis, orders, m)
-                assert np.array_equal(sp.fourier_derivative(values, m, axis=axis), ref)
+                ref = _one_order_derivative(values, m)
+                assert np.array_equal(stacked[j], ref), (n, values.shape, orders, m)
+                assert np.array_equal(sp.fourier_derivative(values, m), ref)
     if n % 2 == 0:
         # odd orders zero the Nyquist mode, even orders keep it
         nyq = np.cos(np.pi * np.arange(n))
@@ -300,3 +305,7 @@ def test_aliasing_fraction_is_the_rfft_energy_fraction(shape):
     energy = weight * np.abs(A) ** 2
     ref = energy[..., (2 * (n // 2)) // 3 + 1:].sum() / energy.sum()
     assert _aliasing_fraction(v) == pytest.approx(ref, rel=1e-13)
+    # 2^1000 A squares past the float range: the fraction is still A's, bit
+    # for bit, and no overflow warning is raised
+    assert np.abs(A * 2.0 ** 1000).max() > 2.0 ** 512
+    assert sp.aliasing_fraction(A * 2.0 ** 1000, n) == _aliasing_fraction(v)
