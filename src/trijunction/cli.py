@@ -15,7 +15,7 @@ for reproducibility.  Exit codes:
 * 1  verification failure or unreadable artifacts
 * 2  no convergence (``sweep``: no scale converged)
 * 3  guard violation
-* 4  bad configuration, or artifacts that cannot be written
+* 4  bad configuration or usage, or artifacts that cannot be written
 * 5  converged, but the residual gates failed
 """
 
@@ -74,6 +74,13 @@ class UnreadableArtifacts(Exception):
 
 class UnwritableArtifacts(Exception):
     code, label = EXIT_CONFIG, "cannot write artifacts"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors: argparse's exit 2 is "no convergence" here."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
 
 
 def parse_coeffs(text: str) -> list[tuple[int, float, float]]:
@@ -246,10 +253,12 @@ def boundary_from_config(cfg: RunConfig, grid: Grid2D, cutoff: CutoffProfile,
         return phi
     rows = np.zeros((3, grid.ny))
     y = grid.y
-    for i, triples in cfg.phi_coeffs.items():
-        for k, c, s in triples:
-            rows[i - 1] += c * np.cos(2 * np.pi * k * y) + s * np.sin(2 * np.pi * k * y)
-    return BoundaryTriple(grid.ny, rows * scale)
+    # a sum beyond the float range is left to BoundaryTriple, which rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, triples in cfg.phi_coeffs.items():
+            for k, c, s in triples:
+                rows[i - 1] += c * np.cos(2 * np.pi * k * y) + s * np.sin(2 * np.pi * k * y)
+        return BoundaryTriple(grid.ny, rows * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +614,14 @@ def cmd_export_mesh(args) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    # every flag is a string that apply_config_values parses like a config
-    # line, so a malformed number is a config error (exit 4), not argparse's 2
+    # every flag is a string that apply_config_values parses like a config line
     p.add_argument("--config", help="flat key = value configuration file")
     for key, (_, _, text) in CONFIG_KEYS.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trijunction",
         description="Stationary perturbations of the triple-junction surface: "
                     "solve, verify, sweep, export.")
@@ -638,8 +646,8 @@ def main(argv=None) -> int:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_export_mesh)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (ConfigError, UnreadableArtifacts, UnwritableArtifacts) as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

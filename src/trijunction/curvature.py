@@ -6,14 +6,15 @@ Two defect quantities drive the fixed-point iteration:
   scalar tr(g^{-1} h) of sheet i computed exactly from the parametrization
   (first fundamental form g, second fundamental form h, unit normal);
 
-* the junction defect (G_1, G_2) obtained by projecting the conormal sum
-  S(y) = xi_1 + xi_2 + xi_3 onto a basis of the plane orthogonal to the
-  spine tangent and folding the projections into the two Neumann-type
-  boundary combinations.
+* the junction defect G = N(u) + P, one (2, ny) array: N(u) are the two
+  Neumann combinations of the junction conditions (``linear.DECOUPLE``'s
+  rows) and P projects the conormal sum S(y) = xi_1 + xi_2 + xi_3 onto a
+  basis of the plane orthogonal to the spine tangent.
 
-Both vanish identically on the two exact families (rigid translations of the
-cone and rotations of its rays) and are quadratically small in the height
-functions, which is certified numerically by
+H and P themselves certify stationarity (``picard.residual_record``).  F
+and G vanish identically on the two exact families (rigid translations of
+the cone and rotations of its rays) and are quadratically small in the
+height functions, which is certified numerically by
 :func:`trijunction.oracles.structural_certificate` rather than encoded term
 by term.
 
@@ -29,6 +30,7 @@ from . import spectral
 from .fields import Jet, TripleField
 from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
                        spine_samples, wall_scalars)
+from .linear import DECOUPLE
 
 
 class DegenerateMetric(RuntimeError):
@@ -146,41 +148,29 @@ def _conormals(u: TripleField, frame: JunctionFrame):
     return proj / np.linalg.norm(proj, axis=2, keepdims=True), dxu0, u.jet.uy[:, 0]
 
 
-def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Junction defect pair (G_1, G_2) on the y grid.
+def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
+    """Junction defect G = N(u) + P, one (2, ny) array on the y grid.
 
-    With S the conormal sum and the basis b_1 = (n_1, (d_y u_2 - d_y u_3)/sqrt 3),
-    b_2 = (nu_1, -d_y u_1) of the plane orthogonal to the spine tangent,
-
-        G_1 = (dn u_2 - dn u_3) - (2/sqrt 3) <S, b_1>,
-        G_2 = (dn u_1 - (dn u_2 + dn u_3)/2) + <S, b_2>,
-
-    where dn = -d_x at the inner circle.  The linear parts of the projections
-    cancel the explicit Neumann combinations, so both maps are quadratically
-    small, and the fixed-point equations dn u_2 - dn u_3 = G_1,
-    dn u_1 - (dn u_2 + dn u_3)/2 = G_2 are equivalent to S = 0.
+    N(u) = ``DECOUPLE[1:] @ dn`` are the two Neumann combinations of the
+    junction conditions (dn u_2 - dn u_3, dn u_1 - (dn u_2 + dn u_3)/2, with
+    dn = -d_x at the inner circle), the rows of
+    :func:`~trijunction.linear.boundary_operator`.  P holds the projections
+    (-(2/sqrt 3) <S, b_1>, <S, b_2>) of the conormal sum S onto the basis
+    b_1 = (n_1, (d_y u_2 - d_y u_3)/sqrt 3), b_2 = (nu_1, -d_y u_1) of the
+    plane orthogonal to the spine tangent.  The linear part of P cancels N,
+    so G is quadratically small, and the fixed-point equations N(u) = G are
+    equivalent to S = 0.
     """
-    G1, G2, _ = _junction_defect(u, frame or frame_vectors())
-    return G1, G2
+    return _junction_defect(u, frame or frame_vectors())[0]
 
 
 def _junction_defect(u: TripleField, frame: JunctionFrame):
-    """(G_1, G_2, S) from one spine and conormal pass; see :func:`G_eval`."""
+    """(G, P, S) from one spine and conormal pass; see :func:`G_eval`."""
     xi, dxu0, dyu0 = _conormals(u, frame)
     S = xi[0] + xi[1] + xi[2]
-    ny = u.grid.ny
-
-    b1 = np.empty((ny, 3))
-    b1[:, :2] = frame.n_vec(1)
-    b1[:, 2] = (dyu0[1] - dyu0[2]) / SQRT3
-    b2 = np.empty((ny, 3))
-    b2[:, :2] = frame.nu_vec(1)
-    b2[:, 2] = -dyu0[0]
-
-    P1 = (S * b1).sum(axis=1)
-    P2 = (S * b2).sum(axis=1)
-
-    dn = -dxu0
-    G1 = (dn[1] - dn[2]) - (2.0 / SQRT3) * P1
-    G2 = (dn[0] - 0.5 * (dn[1] + dn[2])) + P2
-    return G1, G2, S
+    b = np.empty((2, u.grid.ny, 3))         # b_1 and b_2 at every y
+    b[..., :2] = np.stack([frame.n_vec(1), frame.nu_vec(1)])[:, None]
+    b[..., 2] = (dyu0[1] - dyu0[2]) / SQRT3, -dyu0[0]
+    P = (S * b).sum(axis=2)
+    P[0] *= -2.0 / SQRT3
+    return DECOUPLE[1:] @ -dxu0 + P, P, S

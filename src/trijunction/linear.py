@@ -130,9 +130,10 @@ def _harmonic_profiles(nx: int, ny: int, kind: Kind) -> np.ndarray:
 
 
 def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
-    """Max interior |a'' - lam2 a - f| over the node axis (per column), for
-    ``a`` and ``f`` shaped as in :func:`_solve_modes`."""
-    res = spectral.cheb_diff2_matrix(a.shape[-2]) @ a - lam2 * a - f
+    """Max interior |a'' - lam2 a - f| over the node axis (per column, inf
+    where a'' overflows), for ``a`` and ``f`` shaped as in :func:`_solve_modes`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = spectral.cheb_diff2_matrix(a.shape[-2]) @ a - lam2 * a - f
     return np.abs(res[..., 1:-1, :]).max(axis=-2)
 
 
@@ -226,18 +227,19 @@ def boundary_operator(u: TripleField) -> np.ndarray:
     return np.vstack([DECOUPLE[:1] @ u.traces(), DECOUPLE[1:] @ dn])
 
 
-def solve_linear_system(F: TripleField, G: tuple[np.ndarray, np.ndarray],
-                        phi: BoundaryTriple, debug: list | None = None) -> TripleField:
-    """Solve the coupled system: Lap u = F, junction conditions (0, G1, G2), u(1,.) = phi.
+def solve_linear_system(F: TripleField, G: np.ndarray, phi: BoundaryTriple,
+                        debug: list | None = None) -> TripleField:
+    """Solve the coupled system: Lap u = F, junction conditions (0, G), u(1,.) = phi.
 
     The decoupled unknowns v = DECOUPLE u solve one Dirichlet problem (v1)
-    and two mixed problems (v2, v3) with Neumann data G1 and G2; u is
+    and two mixed problems (v2, v3) with the rows of G as Neumann data; u is
     RECOMPOSE v.  A ``debug`` list gains one record per solved mode of v1, v2, v3.
     """
     grid = F.grid
-    _check_ny(grid.ny, ("phi", phi.values), ("G", G[0]), ("G", G[1]))
+    G = np.asarray(G, dtype=float)
+    _check_ny(grid.ny, ("phi", phi.values), ("G", G))
     f = (DECOUPLE @ F.values.reshape(3, -1)).reshape(F.values.shape)
-    v = _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, f, np.array(G, dtype=float), debug)
+    v = _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, f, G, debug)
     return _recomposed(grid, v)
 
 

@@ -236,8 +236,7 @@ def _formula_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray,
     return np.fft.irfft(A.view(complex), n=f.shape[1])
 
 
-def formula_linear_solve(F: TripleField, G: tuple[np.ndarray, np.ndarray],
-                         phi: BoundaryTriple) -> TripleField:
+def formula_linear_solve(F: TripleField, G: np.ndarray, phi: BoundaryTriple) -> TripleField:
     """The coupled linear solve with every mode taken from the closed forms.
 
     Same change of variables as :func:`trijunction.linear.solve_linear_system`
@@ -384,11 +383,9 @@ def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
     qF, qG = [], []
     for _ in range(n_samples):
         u = scaled_to_proxy(random_compatible_field(grid, rng, frame), sample_radius, alpha)
-        F = F_eval(u, cutoff)
-        G1, G2 = G_eval(u, frame)
         p2 = sample_radius ** 2
-        qF.append(F.sup() / p2)
-        qG.append(max(np.max(np.abs(G1)), np.max(np.abs(G2))) / p2)
+        qF.append(F_eval(u, cutoff).sup() / p2)
+        qG.append(np.abs(G_eval(u, frame)).max() / p2)
     return StructuralCertificate(
         c_F=float(np.max(qF)), c_G=float(np.max(qG)),
         sample_radius=sample_radius, n_samples=n_samples, alpha=alpha,

@@ -10,8 +10,8 @@ Because F and G are quadratically small near zero, the step map contracts on
 a small ball and the iterates converge geometrically for small boundary
 data.  The driver enforces a ball-radius guard (leaving it means the data is
 outside the contraction regime), measures update norms in the sup norm, and
-certifies the limit through residuals rather than norms: interior defect,
-junction defect, conormal balance, and trace errors are all reported.
+certifies the limit through residuals rather than norms: mean curvature,
+conormal projections, conormal balance and trace errors are all reported.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect
+from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect, mean_curvature
 from .fields import BoundaryTriple, Grid2D, TripleField, norm_proxy
 from .geometry import CutoffProfile, JunctionFrame, embed_margin, frame_vectors
-from .linear import boundary_operator, solve_harmonic, solve_linear_system
+from .linear import DECOUPLE, solve_harmonic, solve_linear_system
 
 
 class SolveFailure(RuntimeError):
@@ -78,8 +78,8 @@ class SolveOptions:
 class ResidualRecord:
     """Pointwise stationarity certificates of a candidate solution."""
 
-    laplace: float          # max interior |Lap u_i - F_i(u)|
-    boundary: float         # max junction-condition defect over the two Neumann rows
+    laplace: float          # max interior |H_i|: what |Lap u_i - F_i(u)| reduces to
+    boundary: float         # max |P|: the conormal projections, the junction rows' defect
     conormal_sup: float     # sup_y |xi_1 + xi_2 + xi_3|
     outer_trace: float      # max |u_i(1, .) - phi_i|
     trace_sum: float        # max |sum_i u_i(0, .)|
@@ -108,31 +108,28 @@ def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
                 frame: JunctionFrame | None = None,
                 debug: list | None = None) -> TripleField:
     """One application of the step map: linear solve with frozen nonlinearities."""
-    frame = frame or frame_vectors()
     return solve_linear_system(F_eval(u, cutoff), G_eval(u, frame), phi, debug)
 
 
 def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
                     frame: JunctionFrame | None = None) -> ResidualRecord:
     """Evaluate all stationarity residuals of a candidate solution."""
-    frame = frame or frame_vectors()
-    F = F_eval(u, cutoff)
-    G1, G2, S = _junction_defect(u, frame)
-    jet = u.jet
-    lap = float(np.abs(jet.uxx[:, 1:-1] + jet.uyy[:, 1:-1] - F.values[:, 1:-1]).max())
-    B = boundary_operator(u)
-    bres = max(float(np.abs(B[1] - G1).max()), float(np.abs(B[2] - G2).max()))
-    return ResidualRecord(
-        laplace=lap,
-        boundary=bres,
-        conormal_sup=float(np.linalg.norm(S, axis=1).max()),
-        outer_trace=float(np.abs(u.traces("outer") - phi.values).max()),
-        trace_sum=float(np.abs(B[0]).max()),
-    )
+    H = mean_curvature(u, cutoff)
+    _, P, S = _junction_defect(u, frame or frame_vectors())
+    return ResidualRecord(float(np.abs(H[:, 1:-1]).max()), float(np.abs(P).max()),
+                          float(np.linalg.norm(S, axis=1).max()), *_trace_errors(u, phi))
+
+
+def _trace_errors(u: TripleField, phi: BoundaryTriple) -> tuple[float, float]:
+    """The residuals ``outer_trace`` and ``trace_sum``, read off the values alone."""
+    return (float(np.abs(u.traces("outer") - phi.values).max()),
+            float(np.abs(DECOUPLE[:1] @ u.traces()).max()))
 
 
 def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> GuardRecord:
-    proxy = norm_proxy(u, opts.alpha)
+    # a jet beyond the float range reads as an inf or NaN proxy: a failed guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        proxy = norm_proxy(u, opts.alpha)
     r = opts.guard_radius(cutoff.delta)
     return GuardRecord(
         norm_proxy=proxy,
@@ -161,24 +158,29 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     if phi.ny != grid.ny:
         raise ValueError("boundary data and grid disagree on ny")
 
+    u = TripleField.zero(grid)
     updates: list[float] = []
-    guards = None
+    guards = None                   # the guard record of u, once u is an iterate
     failure = cause = None          # the failure's class, and the error that caused it
 
     for it in range(1, opts.max_iter + 1):
         step_debug = None if debug is None else []
         try:
-            if it == 1:
+            # an overflow stops the step: its result would not be finite
+            with np.errstate(over="raise", invalid="raise"):
                 # the zero start is the stationary cone, where F and G vanish:
                 # the first step is the harmonic solve of the boundary data
-                u_next = solve_harmonic(phi, grid, step_debug)
-            else:
-                u_next = picard_step(u, phi, cutoff, frame, step_debug)
+                u_next = (solve_harmonic(phi, grid, step_debug) if it == 1 else
+                          picard_step(u, phi, cutoff, frame, step_debug))
         except DegenerateMetric as exc:
-            # the previous iterate already left the embeddable regime; only
-            # steps after the first evaluate the metric, so it has a guard record
+            # only steps after the first evaluate the metric: the previous
+            # iterate already left the embeddable regime
             failure, cause = GuardViolation, exc
             msg = f"iteration {it}: the iterate left the embeddable regime ({exc})"
+            break
+        except FloatingPointError as exc:
+            failure, cause = GuardViolation, exc
+            msg = f"iteration {it}: the step left the float range ({exc})"
             break
         if debug is not None:
             debug[:] = step_debug
@@ -201,6 +203,8 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
         msg = (f"no convergence after {opts.max_iter} iterations "
                f"(last update {updates[-1]:.3e}, trend {trend})")
 
+    if guards is None:              # the first step failed: report the zero start
+        guards = _guard_record(u, opts, cutoff)
     report = _assemble_report(updates, u, phi, cutoff, frame, guards,
                               converged=failure is None)
     if failure is not None:
@@ -219,11 +223,8 @@ def _assemble_report(updates: list[float], u: TripleField, phi: BoundaryTriple,
     except DegenerateMetric:
         # the iterate is outside the regime where the defects make sense;
         # report what can still be evaluated
-        B = boundary_operator(u)
-        residuals = ResidualRecord(
-            laplace=float("nan"), boundary=float("nan"), conormal_sup=float("nan"),
-            outer_trace=float(np.max(np.abs(u.traces("outer") - phi.values))),
-            trace_sum=float(np.max(np.abs(B[0]))))
+        nan = float("nan")
+        residuals = ResidualRecord(nan, nan, nan, *_trace_errors(u, phi))
     return SolveReport(
         iterations=len(updates),
         update_norms=tuple(updates),

@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,16 @@ def spine_series(traces, frame, ys=None, tol=1e-10):
     """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (2, len(ys))."""
     ys = fourier_nodes(np.shape(traces)[1]) if ys is None else np.asarray(ys, float)
     return fourier_interpolate(spine_samples(traces, frame, tol), ys)
+
+
+def benchmark_inputs():
+    """The benchmark's seeded input module, ``perfbench/inputs.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                         "inputs.py"))
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def rotation_field(grid, beta):

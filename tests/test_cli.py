@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trijunction
-from trijunction import (CutoffProfile, Grid2D, SolveFailure, SolveOptions,
+from trijunction import (AliasingWarning, CutoffProfile, Grid2D, SolveFailure, SolveOptions,
                          fd_mean_curvature, frame_vectors, solve_nonlinear)
 from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
@@ -73,6 +73,38 @@ def test_overflowing_boundary_data_trips_the_guard_quietly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "laplace residual   : nan" in err
     assert re.search(r"^  embed margin       : -\d\.\d{6}e\+\d+$", err, re.M)
+
+
+@pytest.mark.parametrize("size", ["1e303", "1e305", "1e308"])
+def test_data_near_the_float_range_trips_the_guard_quietly(tmp_path, capsys, size):
+    # 1e303 overflows the mode records' residual, 1e305 the first iterate's
+    # jet, 1e308 the spectrum of the data itself; each run ends in one
+    # labelled guard violation and the summary, with no traceback and no
+    # RuntimeWarning (the suite turns one into an error)
+    out = str(tmp_path / "huge")
+    assert run(["solve", "--phi1", f"1:{size}:{size}", "--out", out]) == EXIT_GUARD
+    err = capsys.readouterr().err
+    assert err.startswith("guard violation: ") and err.count("guard violation") == 1
+    assert err.splitlines()[1] == "fixed-point solve summary"
+    assert "converged          : False" in open(os.path.join(out, "summary.txt")).read()
+
+
+def test_data_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    # the cosine and sine terms of sheet 1 sum past the float range
+    assert run(["solve", "--phi1", "1:1.7e308:1.7e308", "--out", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: boundary values must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [["solve", "--bogus", "1"], ["verify"], []])
+def test_usage_errors_are_config_errors(capsys, argv):
+    # argparse's own exit code, 2, is "no convergence" here
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:1], "--help"])
+    assert exc.value.code == 0
 
 
 def test_solve_converged_but_gates_failed(tmp_path):
@@ -141,10 +173,12 @@ def test_modes_the_grid_carries_are_accepted(tmp_path):
     RunConfig(phi_coeffs={1: [(32, 0.001, 0.0)], 2: [(32, -0.001, 0.0)]}).validate()
     RunConfig(ny=128, phi_coeffs={1: [(64, 0.001, 0.0), (63, 0.0, 0.001)]}).validate()
     out = str(tmp_path / "run")
-    assert run(["solve", "--phi1", "32:0.001:0", "--phi2", "32:-0.001:0",
-                "--out", out]) == EXIT_GUARD
+    with pytest.warns(AliasingWarning, match="^outer boundary data: "):
+        assert run(["solve", "--phi1", "32:0.001:0", "--phi2", "32:-0.001:0",
+                    "--out", out]) == EXIT_GUARD
 
 
+@pytest.mark.filterwarnings("ignore::trijunction.fields.AliasingWarning")   # out-of-regime data
 def test_degenerate_metric_exits_guard(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["solve", "--phi1", "1:30:0", "--phi2", "1:-30:0", "--r-guard", "1e6",

@@ -1,6 +1,5 @@
 """Discrete fields: spectral calculus, traces, norm proxies, CSV round trips."""
 
-import importlib.util
 import os
 import tempfile
 import warnings
@@ -18,7 +17,7 @@ from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_semin
                                checked_spectrum)
 from trijunction.spectral import bary_matrix, fourier_interpolate, interpolate
 
-from conftest import count_calls, translation_field
+from conftest import benchmark_inputs, count_calls, translation_field
 
 
 def sampled(grid, fn):
@@ -205,11 +204,6 @@ def test_holder_seminorms_equal_roll_reference(nx, ny, alpha):
 def _benchmark_iterates(nx, ny, n):
     """Every iterate the guard sees while solving the first ``n`` seed-1
     benchmark inputs at nx x ny (``perfbench/inputs.py``)."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_inputs", os.path.join(os.path.dirname(__file__), "..", "perfbench",
-                                         "inputs.py"))
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     grid, cutoff, seen = Grid2D(nx, ny), CutoffProfile(0.25), []
 
     def spy(u, alpha, order=2):
@@ -218,7 +212,7 @@ def _benchmark_iterates(nx, ny, n):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(picard, "norm_proxy", spy)
-        for phi in inputs.library_inputs(1, ny, n):
+        for phi in benchmark_inputs().library_inputs(1, ny, n):
             solve_nonlinear(phi, SolveOptions(), grid, cutoff)
     assert len(seen) == 2 * n                   # two iterates per solve
     return grid, seen
