@@ -18,18 +18,20 @@ height functions, which is certified numerically by
 :func:`trijunction.oracles.structural_certificate` rather than encoded term
 by term.
 
-H is evaluated in place, into work arrays the three sheets share, and is
-bit for bit the value of its closed-form expression.
+Every derivative is read from the field's jet: the walls and the spine are
+linear in the inner traces, so their y-derivatives are the same formulas on
+the jet's inner rows of u_y and u_yy.  H is evaluated in place, into work
+arrays the three sheets share, and is bit for bit the value of its
+closed-form expression.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import spectral
 from .fields import Jet, TripleField
-from .geometry import (SQRT3, CutoffProfile, JunctionFrame, frame_vectors,
-                       spine_samples, wall_scalars)
+from .geometry import (SQRT3, CutoffProfile, JunctionFrame, check_compatibility,
+                       frame_vectors, spine_samples, wall_scalars)
 from .linear import DECOUPLE
 
 
@@ -38,13 +40,10 @@ class DegenerateMetric(RuntimeError):
 
 
 def _wall_data(u: TripleField, cutoff: CutoffProfile):
-    """Wall data the three sheets share.
-
-    The (3, ny) wall scalars <w_i, n_i> and their first and second
-    y-derivatives, then the cutoff eta, eta', eta'' as (nx, 1) columns.
-    """
-    w = wall_scalars(u.traces())
-    return (w, *spectral.fourier_derivative(w, (1, 2)), *cutoff.on_grid(u.grid))
+    """Wall data the three sheets share: the (3, ny) wall scalars <w_i, n_i> and
+    their first and second y-derivatives, then eta, eta', eta'' as (nx, 1) columns."""
+    rows = u.traces(), u.jet.uy[:, 0], u.jet.uyy[:, 0]
+    return (*map(wall_scalars, rows), *cutoff.on_grid(u.grid))
 
 
 def _sheet_scalars(i: int, jet: Jet, wall, work: np.ndarray, out: np.ndarray):
@@ -133,19 +132,21 @@ def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
 
 def _conormals(u: TripleField, frame: JunctionFrame):
     """The unit conormals of the spine inside the three sheets, one (3, ny, 3)
-    array from one spine pass, and the inner rows of d_x u_i and d_y u_i.
+    array, the inner rows of d_x u_i, and the (2, ny) spine slope v'; raises
+    CompatibilityViolation unless the traces share a spine.
 
     Conormal i projects the sheet tangent tau_i = (-n_i + d_x u_i(0,.) nu_i, 0)
     orthogonally to the spine tangent T = (v'(y), 1) and normalizes.  It points
     from the spine into the sheet: at u = 0 it reduces to (-n_i, 0).
     """
+    check_compatibility(u.traces())
     dxu0, ny = u.jet.ux[:, 0], u.grid.ny
-    vprime = spectral.fourier_derivative(spine_samples(u.traces(), frame), 1)
+    vprime = spine_samples(u.jet.uy[:, 0], frame)
     T = np.column_stack([*vprime, np.ones(ny)])
     tau = np.zeros((3, ny, 3))
     tau[..., :2] = -frame.n[:, None] + dxu0[..., None] * frame.nu[:, None]
     proj = tau - ((tau * T).sum(axis=2) / (T * T).sum(axis=1))[..., None] * T
-    return proj / np.linalg.norm(proj, axis=2, keepdims=True), dxu0, u.jet.uy[:, 0]
+    return proj / np.linalg.norm(proj, axis=2, keepdims=True), dxu0, vprime
 
 
 def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
@@ -156,8 +157,8 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
     dn = -d_x at the inner circle), the rows of
     :func:`~trijunction.linear.boundary_operator`.  P holds the projections
     (-(2/sqrt 3) <S, b_1>, <S, b_2>) of the conormal sum S onto the basis
-    b_1 = (n_1, (d_y u_2 - d_y u_3)/sqrt 3), b_2 = (nu_1, -d_y u_1) of the
-    plane orthogonal to the spine tangent.  The linear part of P cancels N,
+    b_k = (e_k, -<v', e_k>), (e_1, e_2) = (n_1, nu_1), of the plane
+    orthogonal to the spine tangent (v', 1).  The linear part of P cancels N,
     so G is quadratically small, and the fixed-point equations N(u) = G are
     equivalent to S = 0.
     """
@@ -166,11 +167,12 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
 
 def _junction_defect(u: TripleField, frame: JunctionFrame):
     """(G, P, S) from one spine and conormal pass; see :func:`G_eval`."""
-    xi, dxu0, dyu0 = _conormals(u, frame)
+    xi, dxu0, vprime = _conormals(u, frame)
     S = xi[0] + xi[1] + xi[2]
+    e = np.stack([frame.n_vec(1), frame.nu_vec(1)])
     b = np.empty((2, u.grid.ny, 3))         # b_1 and b_2 at every y
-    b[..., :2] = np.stack([frame.n_vec(1), frame.nu_vec(1)])[:, None]
-    b[..., 2] = (dyu0[1] - dyu0[2]) / SQRT3, -dyu0[0]
+    b[..., :2] = e[:, None]
+    b[..., 2] = -(e @ vprime)
     P = (S * b).sum(axis=2)
     P[0] *= -2.0 / SQRT3
     return DECOUPLE[1:] @ -dxu0 + P, P, S

@@ -121,24 +121,25 @@ def wall_scalars(traces: np.ndarray) -> np.ndarray:
     return (traces[[2, 0, 1]] - traces[[1, 2, 0]]) / SQRT3
 
 
-def spine_samples(traces: np.ndarray, frame: JunctionFrame | None = None,
-                  tol: float = 1e-10) -> np.ndarray:
-    """The spine v at the y grid nodes, shape (2, ny), from the three inner traces.
+def check_compatibility(traces: np.ndarray):
+    """Raise :class:`CompatibilityViolation` unless sum_i u_i(0, y) = 0 within 1e-10."""
+    defect = float(np.max(np.abs(np.asarray(traces, dtype=float).sum(axis=0))))
+    if defect > 1e-10:
+        raise CompatibilityViolation(
+            f"trace sum reaches {defect:.3e} (tolerance 1.0e-10); "
+            "the three sheets do not meet along a common spine")
 
-    Requires sum_i u_i(0, y) = 0 pointwise (within ``tol``); the sheet-1
-    formula v = <w_1, n_1> n_1 + u_1(0,.) nu_1 is returned.  All three
-    per-sheet reconstructions agree whenever the compatibility condition
-    holds.
+
+def spine_samples(rows: np.ndarray, frame: JunctionFrame | None = None) -> np.ndarray:
+    """The sheet-1 formula v = <w_1, n_1> n_1 + u_1 nu_1 on (3, ny) rows, shape (2, ny).
+
+    On the inner traces it is the spine at the y nodes (all three sheets'
+    formulas agree when the traces pass :func:`check_compatibility`, which
+    it does not check); it is linear, so on the rows of d_y u(0, .) it is v'.
     """
     frame = frame or frame_vectors()
-    traces = np.asarray(traces, dtype=float)
-    defect = float(np.max(np.abs(traces.sum(axis=0))))
-    if defect > tol:
-        raise CompatibilityViolation(
-            f"trace sum reaches {defect:.3e} (tolerance {tol:.1e}); "
-            "the three sheets do not meet along a common spine")
-    w1 = wall_scalars(traces)[0]
-    return np.outer(frame.n_vec(1), w1) + np.outer(frame.nu_vec(1), traces[0])
+    rows = np.asarray(rows, dtype=float)
+    return np.outer(frame.n_vec(1), wall_scalars(rows)[0]) + np.outer(frame.nu_vec(1), rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,8 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     the spine row is shared by the three sheets so the junction is watertight.
     The sheet parametrization of :func:`embed_point` is evaluated on the
     tensor grid at once: the trigonometric interpolant of the three sheets
-    at the mesh y's, then one barycentric matrix for the mesh x's.
+    at the mesh y's, then one barycentric matrix for the mesh x's; the spine
+    and the walls are the formulas of the interpolated traces.
     """
     check_mesh_resolution(resolution)
     mx, my = resolution
@@ -223,14 +225,11 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     xs = np.linspace(0.0, 1.0, mx)[1:]          # x = 0 is the spine row
     ys = np.linspace(0.0, 1.0, my + 1)          # duplicated seam
 
-    tr = u.traces()
-    # the series of the spine samples at the mesh y's; meshing never refuses
-    spine = spectral.fourier_interpolate(spine_samples(tr, frame, tol=np.inf), ys)
-    spine_pts = np.column_stack([*spine, ys])
-
-    cols = spectral.fourier_interpolate(u.values, ys)
+    cols = spectral.fourier_interpolate(u.values, ys)               # (3, nx, my+1)
     heights = spectral.bary_matrix(u.grid.nx, xs) @ cols           # (3, mx-1, my+1)
-    walls = spectral.fourier_interpolate(wall_scalars(tr), ys)
+    # the interpolated traces are row x = 0; meshing never refuses incompatible ones
+    spine_pts = np.column_stack([*spine_samples(cols[:, 0], frame), ys])
+    walls = wall_scalars(cols[:, 0])
     eta, _, _ = cutoff(xs)
     verts = [spine_pts]
     for i in (1, 2, 3):

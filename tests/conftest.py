@@ -40,10 +40,10 @@ def translation_field(grid, frame, c):
         grid, [np.full((grid.nx, grid.ny), float(frame.nu_vec(i) @ c)) for i in (1, 2, 3)])
 
 
-def spine_series(traces, frame, ys=None, tol=1e-10):
+def spine_series(traces, frame, ys=None):
     """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (2, len(ys))."""
     ys = fourier_nodes(np.shape(traces)[1]) if ys is None else np.asarray(ys, float)
-    return fourier_interpolate(spine_samples(traces, frame, tol), ys)
+    return fourier_interpolate(spine_samples(traces, frame), ys)
 
 
 def benchmark_inputs():

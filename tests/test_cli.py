@@ -21,6 +21,8 @@ from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVER
 from trijunction.geometry import wall_scalars
 from trijunction.picard import SolveReport, residual_record
 
+from conftest import count_calls
+
 
 def run(argv):
     return main(argv)
@@ -566,6 +568,53 @@ def test_verify_failed_run_artifacts(tmp_path):
                 "--phi3", "1:-0.2:-0.1", "--out", out])
     assert code in (EXIT_GUARD, EXIT_NO_CONVERGENCE)
     assert run(["verify", out]) == EXIT_VERIFY_FAIL
+
+
+VERIFY_ROWS = ["mean curvature (FD oracle)", "junction angles", "junction conditions",
+               "trace sum", "outer trace"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--phi1", "1:1e303:1e303"], ["--phi1", "1:1e305:1e305"],
+    pytest.param(["--phi1", "1:30:0", "--phi2", "1:-30:0", "--r-guard", "1e6",
+                  "--nx", "16", "--ny", "16"],
+                 marks=pytest.mark.filterwarnings(                   # out-of-regime data
+                     "ignore::trijunction.fields.AliasingWarning"))])
+def test_verify_out_of_regime_artifacts_fails_every_row_quietly(tmp_path, capsys, argv):
+    # fields that overflow the certificates or leave the embeddable regime:
+    # each certificate prints a row, a NaN or inf one fails its test, and no
+    # RuntimeWarning is printed (the suite turns one into an error); the
+    # trace rows read the values alone, so they are printed too
+    out = str(tmp_path / "run")
+    assert run(["solve", *argv, "--out", out]) == EXIT_GUARD
+    capsys.readouterr()
+    assert run(["verify", out]) == EXIT_VERIFY_FAIL
+    printed = capsys.readouterr().out.splitlines()
+    assert [ln.split("  ")[0] for ln in printed] == VERIFY_ROWS
+    assert all(ln[len(name):].split()[0] == "FAIL" for ln, name in zip(printed, VERIFY_ROWS[:3]))
+
+
+def test_verify_differentiates_the_stored_field_once(tmp_path, monkeypatch, capsys):
+    # the jet is verify's one Fourier derivative pass (u_y with u_yy, then
+    # u_xy): the angle check and the residuals read the wall and spine slopes
+    # from it; an in-regime run prints its six rows in order
+    from trijunction import spectral
+    out = str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    calls = count_calls(monkeypatch, spectral, ("fourier_derivative",))
+    assert run(["verify", out]) == EXIT_OK
+    assert calls == {"fourier_derivative": 2}
+    printed = capsys.readouterr().out.splitlines()
+    assert [ln.split("  ")[0] for ln in printed] == VERIFY_ROWS + ["stored residual match"]
+
+
+def test_run_config_defaults_are_the_solver_defaults():
+    # each solver default is stated once, by the type that owns it
+    grid, cutoff, opts = RunConfig().setup()
+    assert grid == Grid2D(48, 64)
+    assert cutoff == CutoffProfile()
+    assert opts == SolveOptions()
 
 
 def test_solve_artifacts_get_umask_mode(tmp_path):

@@ -7,6 +7,7 @@ from trijunction import (BoundaryTriple, DegenerateMetric, Grid2D, GuardViolatio
                          SolveOptions, TripleField, F_eval, G_eval, mean_curvature,
                          solve_nonlinear, structural_certificate)
 from trijunction.curvature import _conormals, _wall_data
+from trijunction.geometry import spine_samples, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.spectral import fourier_derivative
 
@@ -158,7 +159,6 @@ def test_conormal_flat(grid, frame):
 
 def test_conormal_unit_and_orthogonal_to_spine(grid_small, frame):
     u = random_small(grid_small, frame, 0.01, seed=2)
-    from trijunction.geometry import spine_samples
     vprime = fourier_derivative(spine_samples(u.traces(), frame), 1)
     T = np.column_stack([*vprime, np.ones(grid_small.ny)])
     for i in (1, 2, 3):
@@ -203,6 +203,26 @@ def test_G_quadratic_scaling(grid_small, frame):
     sups = [G_sup((0.5 ** j) * u, frame) for j in range(3)]
     for j in range(2):
         assert sups[j] / sups[j + 1] >= 3.5
+
+
+@pytest.mark.parametrize("nx,ny", [(48, 64), (96, 256)])
+def test_wall_and_spine_slopes_from_the_jet_are_the_fft_derivatives(nx, ny, cutoff, frame):
+    # the walls and the spine are linear in the inner traces, so the wall and
+    # spine formulas on the jet's inner rows give their derivatives; they
+    # differ from differentiating the formulas' samples by the round-off of
+    # those samples carried through the m-th derivative, whose symbol is at
+    # most (pi ny)^m: a few ulp of the samples' sup, times (pi ny)^m
+    def agree(slope, samples, m):
+        ref = fourier_derivative(samples, m)
+        bound = 4 * np.spacing(np.abs(samples).max()) * (np.pi * ny) ** m
+        return np.abs(slope - ref).max() <= bound
+
+    for seed in range(10):
+        u = random_small(Grid2D(nx, ny), frame, 0.02, seed)
+        w, w1, w2, *_ = _wall_data(u, cutoff)
+        assert np.array_equal(w, wall_scalars(u.traces()))
+        assert agree(w1, w, 1) and agree(w2, w, 2), seed
+        assert agree(_conormals(u, frame)[2], spine_samples(u.traces(), frame), 1), seed
 
 
 def test_G_is_junction_condition_minus_projection(grid_small, frame):

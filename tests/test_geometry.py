@@ -6,11 +6,12 @@ import pytest
 from trijunction import (CompatibilityViolation, CutoffProfile, SolveOptions, TripleField,
                          embed_margin, embed_point, frame_vectors, mesh_surface)
 from trijunction.cli import mesh_to_obj
-from trijunction.geometry import SurfaceMesh, spine_samples, wall_scalars
+from trijunction.curvature import _conormals
+from trijunction.geometry import SurfaceMesh, check_compatibility, spine_samples, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.picard import _guard_record
 
-from conftest import rotation_field, spine_series, translation_field
+from conftest import count_calls, rotation_field, spine_series, translation_field
 
 ULP4 = 4 * np.finfo(float).eps
 PRED = (3, 1, 2)            # cyclic order 1 -> 2 -> 3 -> 1: PRED[i - 1] precedes i
@@ -176,12 +177,21 @@ def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
         assert np.max(np.abs(series - samples)) <= 16 * np.spacing(sup)
 
 
-def test_spine_rejects_incompatible_traces(frame):
-    ny = 32
-    traces = np.zeros((3, ny))
+def test_spine_rejects_incompatible_traces(grid_small, frame):
+    # check_compatibility is the one trace-sum policy: a sum below 1e-10
+    # passes, one of 1e-6 is refused with the sum it reached, and so are the
+    # conormals of a field whose traces reach it
+    traces = np.zeros((3, grid_small.ny))
+    traces[0] += 1e-11
+    check_compatibility(traces)
     traces[0] += 1e-6
+    with pytest.raises(CompatibilityViolation, match=r"^trace sum reaches 1\.000e-06 "
+                       r"\(tolerance 1\.0e-10\); the three sheets do not meet"):
+        check_compatibility(traces)
+    values = np.zeros((3, grid_small.nx, grid_small.ny))
+    values[:, 0] = traces
     with pytest.raises(CompatibilityViolation):
-        spine_samples(traces, frame, tol=1e-10)
+        _conormals(TripleField(grid_small, values), frame)
 
 
 def test_embed_point_examples(grid, frame, cutoff):
@@ -344,7 +354,7 @@ def _mesh_per_point(u, resolution, cutoff, frame):
     mx, my = resolution
     xs = np.linspace(0.0, 1.0, mx)
     ys = np.linspace(0.0, 1.0, my + 1)
-    verts = [np.column_stack([*spine_series(u.traces(), frame, ys, tol=np.inf), ys])]
+    verts = [np.column_stack([*spine_series(u.traces(), frame, ys), ys])]
     faces, tags = [], []
     offset = my + 1
     for i in (1, 2, 3):
@@ -388,6 +398,20 @@ def test_mesh_surface_matches_per_point_meshing(grid, frame, resolution):
     assert np.array_equal(mesh.face_sheet, tags)
     assert mesh.vertices.shape == verts.shape
     assert np.max(np.abs(mesh.vertices - verts)) <= 1e-14
+
+
+def test_mesh_surface_interpolates_the_field_once(grid, frame, cutoff, monkeypatch):
+    # the spine row and the walls are the formulas of the interpolated traces,
+    # not interpolants of their own
+    from trijunction import spectral
+    u = scaled_to_proxy(random_compatible_field(grid, np.random.default_rng(12), frame),
+                        0.01, 0.5)
+    calls = count_calls(monkeypatch, spectral, ("fourier_interpolate",))
+    mesh = mesh_surface(u, (9, 16), cutoff, frame)
+    assert calls == {"fourier_interpolate": 1}
+    ys = np.linspace(0.0, 1.0, 17)
+    traces = spectral.fourier_interpolate(u.values, ys)[:, 0]
+    assert np.array_equal(mesh.vertices[:17, :2].T, spine_samples(traces, frame))
 
 
 def test_obj_text_matches_per_line_writer(grid, frame, cutoff):

@@ -78,6 +78,25 @@ def test_no_module_moves_an_array_axis():
         assert not moves, (name, moves)
 
 
+def test_only_the_fields_differentiate():
+    # the jet (and the data proxy of boundary maps) is the one place that
+    # calls the spectral derivative helpers; every other derivative is read
+    # from it, so curvature does not even import spectral
+    package = os.path.dirname(trijunction.__file__)
+    helpers = {"fourier_derivative", "cheb_derivative_values"}
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) in helpers]
+        assert bool(calls) == (name == "fields.py"), (name, calls)
+        if name == "curvature.py":
+            imported = [(getattr(node, "module", None) or "") + "." + alias.name
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+            assert not [m for m in imported if "spectral" in m], imported
+
+
 def test_declared_numpy_floor_has_the_fft_out_argument():
     # spectral.fourier_derivative passes out= to np.fft.irfft, which numpy
     # added in 2.0.0; an older numpy raises TypeError on the hot path
