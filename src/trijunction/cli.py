@@ -509,11 +509,17 @@ def cmd_verify(args) -> int:
     # fail their tests, without numpy warnings
     with np.errstate(all="ignore"):
         H = np.abs([fd_mean_curvature(i, u, points, FD_STEP, cutoff, frame) for i in (1, 2, 3)])
-        i, j = np.unravel_index(np.argmax(H), H.shape)
-        worst = float(H[i, j])
-        results.append(("mean curvature (FD oracle)", worst <= FD_BOUND,
-                        f"max |H| = {worst:.3e} (h = {FD_STEP}) at sheet {i + 1}, "
-                        f"(x, y) = ({points[j, 0]:.6g}, {points[j, 1]:.6g})"))
+        if np.isfinite(H).all():
+            i, j = np.unravel_index(np.argmax(H), H.shape)
+            worst = float(H[i, j])
+            results.append(("mean curvature (FD oracle)", worst <= FD_BOUND,
+                            f"max |H| = {worst:.3e} (h = {FD_STEP}) at sheet {i + 1}, "
+                            f"(x, y) = ({points[j, 0]:.6g}, {points[j, 1]:.6g})"))
+        else:
+            # argmax would name the first NaN, a location that says nothing
+            results.append(("mean curvature (FD oracle)", False,
+                            f"|H| is non-finite at {np.count_nonzero(~np.isfinite(H))} of "
+                            f"{H.size} probes (h = {FD_STEP})"))
 
         try:
             angles = junction_angle_check(u, frame)

@@ -30,6 +30,19 @@ order of bound / dist^alpha until the next bound is no more than the
 maximum found; since rounded subtraction and division are monotone, a
 skipped lag cannot raise that maximum, and the value is the one every lag
 gives, bit for bit.  A non-finite ``span`` evaluates every lag.
+
+Every pass over the jet block is a flat loop.  numpy cannot flatten a
+lag-offset (nx, ny) view, so ``A[..., L:] - A[..., :-L]`` runs one short
+loop per grid row, which cost more than the arithmetic.  A y-lag therefore
+reads each C-contiguous slab as one flat row and subtracts it from itself
+shifted by L, into a C-contiguous buffer (a reshape of any other buffer
+would be a copy, and the writes would be lost); only the last L columns of
+each grid row reach into the next row, and they are overwritten with the
+wrap past the seam.  max |d| is max(max d, -min d), with no abs pass; a
+NaN gives NaN, as abs().max() does.  An x-lag is whole rows apart, so it
+is flat already; it keeps its abs pass, since one reduction of |d| over
+the stack and y measured faster than max and min reductions.  The proxy takes every sheet's sup and span from one max
+and one min pass over the values and one over the jet block.
 """
 
 from __future__ import annotations
@@ -241,13 +254,17 @@ def _dyadic_lags(n: int) -> list[int]:
 
 
 def _y_lag(values: np.ndarray, lag: int, diff: np.ndarray) -> float:
-    """max |A(., y + lag) - A(., y)| along the periodic last axis, into ``diff``."""
+    """max |A(., y + lag) - A(., y)| along the periodic last axis, into ``diff``,
+    a C-contiguous array of the same shape: one flat subtraction per slab,
+    then the seam columns (see the module docstring)."""
     n = values.shape[-1]
-    # np.roll(values, -lag, axis=-1) - values without the roll copy:
-    # the unwrapped part, then the wrap past the seam
-    np.subtract(values[..., lag:], values[..., :-lag], out=diff[..., :n - lag])
+    flat = values.shape[:-2] + (-1,)
+    rows = values.reshape(flat)                 # a view of C-contiguous slabs, else a copy
+    out = np.reshape(diff, flat, copy=False)    # a view, or it raises: writes land in diff
+    np.subtract(rows[..., lag:], rows[..., :-lag], out=out[..., :-lag])
     np.subtract(values[..., :lag], values[..., n - lag:], out=diff[..., n - lag:])
-    return float(np.abs(diff, out=diff).max())
+    # max |d| without an abs pass; np.maximum keeps a NaN as abs().max() does
+    return float(np.maximum(diff.max(), -diff.min()))
 
 
 def _x_lag(A: np.ndarray, lag: int, diff: np.ndarray) -> np.ndarray:
@@ -274,7 +291,7 @@ def _holder_seminorm_2d(A, grid: Grid2D, alpha: float, span: float | None = None
     max - min among them.
     """
     A = np.asarray(A)
-    diff = np.empty_like(A)                     # one buffer for every lag
+    diff = np.empty(A.shape)                    # one C-contiguous buffer for every lag
     dy, dx = _lag_distances(grid, alpha)
 
     def y_value(lag):
@@ -313,7 +330,7 @@ def _holder_seminorm_2d(A, grid: Grid2D, alpha: float, span: float | None = None
 def _holder_seminorm_1d(values: np.ndarray, alpha: float) -> float:
     """Divided differences at dyadic lags along the periodic last axis."""
     n = values.shape[-1]
-    diff = np.empty_like(values)
+    diff = np.empty(values.shape)
     best = 0.0
     for lag in _dyadic_lags(n):
         d = min(lag, n - lag) / n
@@ -327,22 +344,23 @@ def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
     The sum over the sheets of the grid maximum of every derivative up to
     ``order`` plus the Hoelder seminorm of the top ones.  Each sheet is read
     in place: its row of the values, and views of its rows of the jet block
-    (order 0 computes no jet).  Each array's extrema are read once and serve
-    both the sup and the seminorm's span.
+    (order 0 computes no jet).  The extrema of every array of every sheet
+    come from one max and one min pass over the values and one over the
+    block, and serve both the sups and the seminorms' spans.
     """
-    # jet slots u_x, u_y, then u_yy, u_xy, u_xx: the top ones are the last
-    derivs = None if order == 0 else u._jet_block[:2] if order == 1 else u._jet_block
+    v = u.values
+    hi, lo = v.max(axis=(1, 2)), v.min(axis=(1, 2))
+    sups, spans, tops = np.maximum(hi, -lo), hi - lo, v[None]
+    if order:
+        # jet slots u_x, u_y, then u_yy, u_xy, u_xx: the top ones are the last
+        derivs = u._jet_block[:2] if order == 1 else u._jet_block
+        hi, lo = derivs.max(axis=(2, 3)), derivs.min(axis=(2, 3))
+        sups = np.maximum(sups, np.maximum(hi.max(axis=0), -lo.min(axis=0)))
+        spans = (hi - lo)[-order - 1:].max(axis=0)
+        tops = derivs[-order - 1:]
     total = 0.0
     for i in range(3):
-        v = u.values[i]
-        v_max, v_min = v.max(), v.min()
-        extrema, top, span = [v_max, -v_min], v[None], v_max - v_min
-        if derivs is not None:
-            d = derivs[:, i]
-            hi, lo = d.max(axis=(1, 2)), d.min(axis=(1, 2))
-            extrema += [hi.max(), -lo.min()]
-            top, span = d[-order - 1:], (hi - lo)[-order - 1:].max()
-        total += float(np.max(extrema)) + _holder_seminorm_2d(top, u.grid, alpha, float(span))
+        total += float(sups[i]) + _holder_seminorm_2d(tops[:, i], u.grid, alpha, float(spans[i]))
     return total
 
 

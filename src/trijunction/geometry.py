@@ -155,12 +155,14 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
     points.
     """
     _check_sheet(i)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
-    ui = spectral.interpolate(u.values[i - 1], x, y)
-    tr = u.traces()
-    wi = spectral.fourier_interpolate(wall_scalars(tr)[i - 1], y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    nx = u.grid.nx
+    # one trigonometric interpolation of the sheet's rows and the three inner
+    # traces; the wall is the formula of the interpolated traces
+    cols = spectral.fourier_interpolate(np.concatenate([u.values[i - 1], u.traces()]),
+                                        y.reshape(-1))              # (nx + 3, q)
+    ui = spectral.bary_eval(cols[:nx], x)
+    wi = wall_scalars(cols[nx:])[i - 1].reshape(x.shape)
     eta, _, _ = cutoff(x)
     p = _sheet_map(i, x, ui, eta * wi, frame)
     return np.concatenate([p, np.mod(y, 1.0)[..., None]], axis=-1)

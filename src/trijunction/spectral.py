@@ -305,17 +305,24 @@ def fourier_interpolate(values: np.ndarray, yq) -> np.ndarray:
             - np.tensordot(X.imag, np.sin(phase), axes=([-1], [-1]))) / n
 
 
+def bary_eval(cols: np.ndarray, x) -> np.ndarray | float:
+    """Point q of ``x`` evaluated on column q of (nx, q) Lobatto samples.
+
+    The diagonal of ``bary_matrix(nx, x) @ cols``; ``x`` may have any shape
+    of q points, and a scalar gives a float.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = np.einsum("qj,jq->q", bary_matrix(cols.shape[0], x), cols)
+    return flat.reshape(x.shape) if x.shape else float(flat[0])
+
+
 def interpolate(values: np.ndarray, x, y) -> np.ndarray | float:
     """Spectral interpolant of (nx, ny) grid samples at arbitrary points.
 
     Fourier in y, then barycentric in x; scalar points give a float.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    cols = fourier_interpolate(values, y.reshape(-1))   # (nx, q)
-    # point q reads its own column: the diagonal of bary_matrix @ cols
-    B = bary_matrix(values.shape[0], x)                 # (q, nx)
-    flat = np.einsum("qj,jq->q", B, cols)
-    return flat.reshape(x.shape) if x.shape else float(flat[0])
+    return bary_eval(fourier_interpolate(values, y.reshape(-1)), x)
 
 
 def aliasing_fraction(X: np.ndarray, n: int) -> float:

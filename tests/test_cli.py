@@ -594,6 +594,20 @@ def test_verify_out_of_regime_artifacts_fails_every_row_quietly(tmp_path, capsys
     assert all(ln[len(name):].split()[0] == "FAIL" for ln, name in zip(printed, VERIFY_ROWS[:3]))
 
 
+def test_verify_names_no_location_for_a_non_finite_fd_curvature(tmp_path, capsys):
+    # the FD oracle's |H| is NaN at every probe of this run: the row says so
+    # and fails, and names no sheet or point, which would only be the first NaN
+    out = str(tmp_path / "run")
+    assert run(["solve", "--phi1", "1:1e303:1e303", "--out", out]) == EXIT_GUARD
+    capsys.readouterr()
+    assert run(["verify", out]) == EXIT_VERIFY_FAIL
+    row = capsys.readouterr().out.splitlines()[0]
+    name = "mean curvature (FD oracle)"
+    assert row.startswith(name) and row[len(name):].split()[0] == "FAIL"
+    assert row.endswith("|H| is non-finite at 36 of 36 probes (h = 0.001)")
+    assert "sheet" not in row and "(x, y)" not in row
+
+
 def test_verify_differentiates_the_stored_field_once(tmp_path, monkeypatch, capsys):
     # the jet is verify's one Fourier derivative pass (u_y with u_yy, then
     # u_xy): the angle check and the residuals read the wall and spine slopes
@@ -607,6 +621,17 @@ def test_verify_differentiates_the_stored_field_once(tmp_path, monkeypatch, caps
     assert calls == {"fourier_derivative": 2}
     printed = capsys.readouterr().out.splitlines()
     assert [ln.split("  ")[0] for ln in printed] == VERIFY_ROWS + ["stored residual match"]
+
+
+def test_verify_interpolates_each_sheet_once(tmp_path, monkeypatch, capsys):
+    # the FD oracle embeds each sheet's stencils with one trigonometric
+    # interpolation of the sheet and its inner traces: 3 in all, not 6
+    from trijunction import spectral
+    out = str(tmp_path / "run")
+    assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
+    calls = count_calls(monkeypatch, spectral, ("fourier_interpolate",))
+    assert run(["verify", out]) == EXIT_OK
+    assert calls == {"fourier_interpolate": 3}
 
 
 def test_run_config_defaults_are_the_solver_defaults():

@@ -255,6 +255,91 @@ def test_pruned_seminorm_equals_roll_reference_on_spikes_steps_and_constants(nx,
                 == _roll_seminorm_2d(arrays, grid, alpha))
 
 
+def _layouts(stack):
+    """The same kind of data in the layouts a lag pass may be handed: C and
+    Fortran stacks, reversed rows, every other column, a strided stack of
+    C-contiguous slabs (the jet block's), and a list of arrays."""
+    k, nx, ny = stack.shape
+    wide = np.repeat(stack, 2, axis=-1)
+    wide[..., 1::2] = -7.0                      # what a wrong stride would read
+    spaced = np.zeros((2 * k, nx, ny))
+    spaced[::2] = stack
+    return {"C": stack, "fortran": np.asfortranarray(stack), "reversed rows": stack[:, ::-1],
+            "every other column": wide[..., ::2], "strided slabs": spaced[::2],
+            "list": list(stack)}
+
+
+@pytest.mark.parametrize("nx,ny", [(9, 10), (48, 64)])
+def test_lag_passes_equal_roll_reference_on_any_layout(nx, ny):
+    # a y-lag reads each slab as one flat row: a slab that is not C-contiguous
+    # is copied in, but the difference is always written into the buffer, and
+    # the seam columns always hold the wrap
+    rng = np.random.default_rng(nx + ny)
+    grid = Grid2D(nx, ny)
+    # random data, whose short x-lags on the clustered Chebyshev rows dominate
+    # the seminorm, and data constant in x, where the y-lags decide it
+    stacks = [rng.standard_normal((3, nx, ny)), np.repeat(rng.standard_normal((3, 1, ny)), nx, 1)]
+    for name, A in [item for stack in stacks for item in _layouts(stack).items()]:
+        ref = np.asarray(A)
+        for lag in _dyadic_lags(ny):
+            diff = np.full(ref.shape, np.nan)   # a write lost in a copy stays NaN
+            assert fields._y_lag(ref, lag, diff) == np.abs(np.roll(ref, -lag, -1) - ref).max()
+            assert np.array_equal(diff, np.roll(ref, -lag, -1) - ref), (name, lag)
+        for alpha in (0.1, 0.5, 1.0):
+            assert (_holder_seminorm_2d(A, grid, alpha)
+                    == _roll_seminorm_2d(ref, grid, alpha)), (name, alpha)
+    # periodic rows: contiguous, strided and reversed
+    wide = rng.standard_normal(2 * ny)
+    for row in (wide[:ny], wide[::2], wide[::-2]):
+        for alpha in (0.1, 0.5, 1.0):
+            assert _holder_seminorm_1d(row, alpha) == _roll_seminorm_1d(row, alpha)
+
+
+def test_seminorm_of_jet_block_views_equals_roll_reference_on_96x256_iterates():
+    # the proxy hands the seminorm a view of three C-contiguous slabs of the
+    # jet block, strided across the stack; no copy and the same value
+    grid, iterates = _benchmark_iterates(96, 256, 3)
+    for u in iterates:
+        for i in range(3):
+            view = u._jet_block[2:, i]
+            assert np.shares_memory(view.reshape(3, -1), u._jet_block)
+            for alpha in (0.1, 0.5, 1.0):
+                assert (_holder_seminorm_2d(view, grid, alpha)
+                        == _roll_seminorm_2d(view, grid, alpha))
+
+
+def _with_non_finite(rng, shape, frac):
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+    mask = rng.random(shape) < frac
+    A[mask] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], mask.sum())
+    return A
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.02, 0.3])
+def test_lag_passes_propagate_nan_and_inf_as_abs_max(frac):
+    # a NaN, an inf or an overflowing difference gives each pass the value
+    # abs().max() gives it; a one-array seminorm then matches the roll
+    # reference lag for lag, whose order of lags it shares
+    rng = np.random.default_rng(int(frac * 100))
+    grid = Grid2D(9, 10)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            for name, A in _layouts(_with_non_finite(rng, (3, 9, 10), frac)).items():
+                A = np.asarray(A)
+                for lag in (1, 2, 4, 8):
+                    got = fields._y_lag(A, lag, np.empty(A.shape))
+                    ref = np.abs(np.roll(A, -lag, -1) - A).max()
+                    assert np.array_equal(got, ref, equal_nan=True), (name, lag)
+                    rows = fields._x_lag(A, lag, np.empty(A.shape))
+                    ref = np.abs(A[:, lag:] - A[:, :-lag]).max(axis=(0, 2))
+                    assert np.array_equal(rows, ref, equal_nan=True), (name, lag)
+                for alpha in (0.1, 0.5, 1.0):
+                    assert np.array_equal(_holder_seminorm_2d(A[:1], grid, alpha),
+                                          _roll_seminorm_2d(A[:1], grid, alpha), equal_nan=True)
+                    assert np.array_equal(_holder_seminorm_1d(A[0, 0], alpha),
+                                          _roll_seminorm_1d(A[0, 0], alpha), equal_nan=True)
+
+
 def test_seminorm_evaluates_at_most_four_lags_on_benchmark_iterates(monkeypatch):
     # lag 1 in y and in x, then at most two more: the bounds prune the rest
     # (15 lags at 96x256, 12 at 48x64), so a fall-back to every lag fails here

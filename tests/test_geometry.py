@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trijunction import (CompatibilityViolation, CutoffProfile, SolveOptions, TripleField,
-                         embed_margin, embed_point, frame_vectors, mesh_surface)
+                         embed_margin, embed_point, frame_vectors, mesh_surface, spectral)
 from trijunction.cli import mesh_to_obj
 from trijunction.curvature import _conormals
 from trijunction.geometry import SurfaceMesh, check_compatibility, spine_samples, wall_scalars
@@ -243,6 +243,30 @@ def test_embed_point_equivariance(grid, frame, cutoff):
         rotated = embed_point(i, xs, ys, shifted, frame, cutoff)
         assert np.max(np.abs(rotated[:, :2] - base[:, :2] @ R.T)) < 1e-13
         assert np.max(np.abs(rotated[:, 2] - base[:, 2])) < 1e-15
+
+
+def test_embed_point_interpolates_the_sheet_and_its_traces_once(grid, frame, cutoff,
+                                                                  monkeypatch):
+    # one trigonometric interpolation (one rfft) of the sheet's rows and the
+    # three inner traces per call; the point is the sheet map of the sheet's
+    # interpolant and of the wall interpolated on its own, to round-off
+    u = random_compatible_field(grid, np.random.default_rng(10), frame, amplitude=1e-2)
+    xs = np.array([[0.0, 0.1, 0.3], [0.45, 0.7, 1.0]])
+    ys = np.array([[0.37, 0.02, 0.99], [0.5, 0.21, 0.0]])
+    eta = cutoff(xs)[0]
+    for i in (1, 2, 3):
+        height = spectral.interpolate(u.values[i - 1], xs, ys)
+        wall = spectral.fourier_interpolate(wall_scalars(u.traces())[i - 1], ys)
+        ref = (np.multiply.outer(-xs, frame.n_vec(i)) + np.multiply.outer(height, frame.nu_vec(i))
+               + np.multiply.outer(eta * wall, frame.n_vec(i)))
+        with monkeypatch.context() as mp:
+            calls = count_calls(mp, spectral, ("fourier_interpolate",))
+            rffts = count_calls(mp, np.fft, ("rfft",))
+            p = embed_point(i, xs, ys, u, frame, cutoff)
+        assert calls == {"fourier_interpolate": 1} and rffts == {"rfft": 1}
+        assert p.shape == xs.shape + (3,)
+        assert np.max(np.abs(p[..., :2] - ref)) <= 1e-15
+        assert np.array_equal(p[..., 2], np.mod(ys, 1.0))
 
 
 def test_embed_margin_and_smallness_flag(grid, frame, cutoff):
