@@ -36,6 +36,7 @@ from .geometry import (CompatibilityViolation, CutoffProfile, SurfaceMesh,
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
 from .picard import (GuardViolation, NoConvergence, ResidualRecord, SolveFailure, SolveOptions,
                      SolveReport, _trace_errors, residual_record, solve_nonlinear)
+from .spectral import cheb_coefficients
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -370,9 +371,18 @@ def report_summary(report: SolveReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mode_debug_csv(records: list[dict]) -> str:
-    return csv_text("k,part,kind,path,residual", "%d,%s,%s,%s,%.6e",
-                    ((r["k"], r["part"], r["kind"], r["path"], r["residual"]) for r in records))
+def spectral_record_csv(u: TripleField, header: dict) -> str:
+    """``modes.csv``: per sheet, the field's Fourier then Chebyshev coefficient
+    sizes.  Mode k reads max over x of |X_k| w_k / ny, X the rfft along y and
+    w_k = 2, or 1 at k = 0 and the Nyquist mode (its cos/sin coefficients'
+    size); degree n reads max over y of |a_n|."""
+    k, ny = np.arange(u.grid.ny // 2 + 1), u.grid.ny
+    weight = np.where((k == 0) | (2 * k == ny), 1.0, 2.0) / ny
+    tables = (("fourier", np.abs(np.fft.rfft(u.values)).max(axis=-2) * weight),
+              ("chebyshev", np.abs(cheb_coefficients(u.values)).max(axis=-1)))
+    rows = [(i, basis, n, size) for i in (1, 2, 3) for basis, table in tables
+            for n, size in enumerate(table[i - 1].tolist())]
+    return csv_text("sheet,basis,mode,max_abs", "%d,%s,%d,%.6e", rows, header)
 
 
 def mesh_to_obj(mesh: SurfaceMesh, header: dict) -> str:
@@ -403,11 +413,10 @@ def _mesh_header(cfg: RunConfig, residuals: dict[str, float]) -> dict:
 
 
 def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTriple,
-                    report: SolveReport, modes: list[dict]):
-    """Write every artifact of a run; ``modes`` are the mode records of the
-    linear solve that produced ``u`` (see ``solve_nonlinear``'s ``debug``).
-    Every text is formatted before the first file is written, and an earlier
-    run's files are removed before it, so a failed write mixes no two runs."""
+                    report: SolveReport):
+    """Write every artifact of a run.  Every text is formatted before the
+    first file is written, and an earlier run's files are removed before it,
+    so a failed write mixes no two runs."""
     echo = cfg.echo()
     config = [f"{k} = {v}\n" for k, v in echo.items()]
     rec = report.final_residuals
@@ -426,7 +435,7 @@ def write_artifacts(out: str, cfg: RunConfig, u: TripleField, phi: BoundaryTripl
         "spine.csv": csv_text("y,v1,v2", "%.17g,%.17g,%.17g", spine.tolist(), echo),
         "config_used.txt": "".join(config),
         "surface.obj": mesh_to_obj(mesh, _mesh_header(cfg, vars(rec))),
-        "modes.csv": mode_debug_csv(modes),
+        "modes.csv": spectral_record_csv(u, echo),
     })
     paths = [os.path.join(out, name) for name in texts]
     for path in filter(os.path.lexists, paths):
@@ -470,14 +479,13 @@ def cmd_solve(args) -> int:
         make_out_dir(cfg.out)
     except ValueError as exc:           # a value the checks or exact_family reject
         raise ConfigError(exc) from None
-    modes: list[dict] = []
     failure = None
     try:
-        u, report = solve_nonlinear(phi, opts, grid, cutoff, debug=modes)
+        u, report = solve_nonlinear(phi, opts, grid, cutoff)
     except SolveFailure as exc:
         u, report, failure = exc.field, exc.report, exc
     try:
-        write_artifacts(cfg.out, cfg, u, phi, report, modes)
+        write_artifacts(cfg.out, cfg, u, phi, report)
     except OSError as exc:
         raise UnwritableArtifacts(exc) from None
     if failure is not None:

@@ -303,12 +303,12 @@ def _holder_seminorm_2d(A, grid: Grid2D, alpha: float, span: float | None = None
     if span is None:
         span = float((A.max(axis=(1, 2)) - A.min(axis=(1, 2))).max())
     if not np.isfinite(span):
-        # NaN or overflow: the bounds do not hold, so every lag
+        # NaN or overflow: the bounds do not hold, so every lag (np.maximum keeps a NaN)
         best = 0.0
         for value, lags in ((y_value, dy), (x_value, dx)):
             for lag in lags:
-                best = max(best, value(lag))
-        return best
+                best = np.maximum(best, value(lag))
+        return float(best)
 
     m1 = _y_lag(A, 1, diff)
     rows = _x_lag(A, 1, diff)                   # B_1[r]
@@ -334,8 +334,8 @@ def _holder_seminorm_1d(values: np.ndarray, alpha: float) -> float:
     best = 0.0
     for lag in _dyadic_lags(n):
         d = min(lag, n - lag) / n
-        best = max(best, _y_lag(values, lag, diff) / d ** alpha)
-    return best
+        best = np.maximum(best, _y_lag(values, lag, diff) / d ** alpha)   # keeps a NaN
+    return float(best)
 
 
 def norm_proxy(u: TripleField, alpha: float, order: int = 2) -> float:
@@ -370,7 +370,7 @@ def periodic_proxy(values: np.ndarray, alpha: float, order: int = 2) -> float:
     derivs = [values]
     for _ in range(order):
         derivs.append(spectral.fourier_derivative(derivs[-1], 1))
-    sup_part = max(float(np.max(np.abs(d))) for d in derivs)
+    sup_part = float(np.max([np.abs(d).max() for d in derivs]))      # keeps a NaN
     return sup_part + _holder_seminorm_1d(derivs[-1], alpha)
 
 

@@ -129,14 +129,6 @@ def _harmonic_profiles(nx: int, ny: int, kind: Kind) -> np.ndarray:
     return H
 
 
-def _interior_defect(a: np.ndarray, lam2, f: np.ndarray) -> np.ndarray:
-    """Max interior |a'' - lam2 a - f| over the node axis (per column, inf
-    where a'' overflows), for ``a`` and ``f`` shaped as in :func:`_solve_modes`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = spectral.cheb_diff2_matrix(a.shape[-2]) @ a - lam2 * a - f
-    return np.abs(res[..., 1:-1, :]).max(axis=-2)
-
-
 # ---------------------------------------------------------------------------
 # The scalar solve on the full grid
 # ---------------------------------------------------------------------------
@@ -149,7 +141,7 @@ def _check_ny(ny: int, *named):
 
 
 def _solve_stack(nx: int, p: np.ndarray, nd: int, f: np.ndarray | None,
-                 g: np.ndarray | None, debug: list | None) -> np.ndarray:
+                 g: np.ndarray | None) -> np.ndarray:
     """Solve Lap v_j = f_j, v_j(1, .) = p_j for m problems: (m, ny) outer data
     and (m, nx, ny) forcing ``f`` on an nx-row grid.
 
@@ -169,7 +161,6 @@ def _solve_stack(nx: int, p: np.ndarray, nd: int, f: np.ndarray | None,
     scale = np.maximum(f_sup, p_sup)
     scale[nd:] = np.maximum(scale[nd:], g_sup)
     floor = 5e-14 * np.maximum(1.0, scale)
-    K = ny // 2
     lam2 = _mode_lam2(ny)
     forced = bool(f_sup.any() or g_sup.any())
     rhs = checked_spectrum(f, "forcing", f_sup > floor).view(float) if forced else 0.0
@@ -184,34 +175,19 @@ def _solve_stack(nx: int, p: np.ndarray, nd: int, f: np.ndarray | None,
         # forcing-free: each mode is its outer datum times its harmonic profile
         np.multiply(_harmonic_profiles(nx, ny, "dirichlet"), data[:nd], out=a[:nd])
         np.multiply(_harmonic_profiles(nx, ny, "mixed"), data[nd:], out=a[nd:])
-    if debug is not None:
-        # each record reads in cos/sin coefficient units: mode k's columns
-        # times 1/ny at k = 0 and the Nyquist mode, 2/ny otherwise
-        weight = np.full(K + 1, 2.0 / ny)
-        weight[0] = 1.0 / ny
-        if ny % 2 == 0:
-            weight[K] = 1.0 / ny
-        residual = _interior_defect(a, lam2, rhs).reshape(m, K + 1, 2) * weight[:, None]
-        debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",
-                      "path": "collocation", "residual": float(residual[j, k, i])}
-                     for j in range(m) for k in range(K + 1)
-                     for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < 2 * k < ny)
     return np.fft.irfft(a.view(complex), n=ny, axis=-1)
 
 
-def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None,
-                 debug: list | None = None) -> np.ndarray:
+def solve_scalar(f: np.ndarray, phi_out: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
     """Solve Lap v = f on (nx, ny) samples with v(1, .) = phi_out.
 
     Without ``g`` the problem is of Dirichlet kind, v(0, .) = 0; with it, of
-    mixed kind, with outward normal derivative g at x = 0.  A ``debug`` list
-    gains one record per solved mode.
-    """
+    mixed kind, with outward normal derivative g at x = 0."""
     f = np.asarray(f, dtype=float)
     _check_ny(f.shape[-1], ("phi_out", phi_out), ("g", g))
     g = np.empty((0, f.shape[-1])) if g is None else np.asarray(g, dtype=float)[None]
     return _solve_stack(f.shape[0], np.asarray(phi_out, dtype=float)[None], 1 - len(g),
-                        f[None], g, debug)[0]
+                        f[None], g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +203,21 @@ def boundary_operator(u: TripleField) -> np.ndarray:
     return np.vstack([DECOUPLE[:1] @ u.traces(), DECOUPLE[1:] @ dn])
 
 
-def solve_linear_system(F: TripleField, G: np.ndarray, phi: BoundaryTriple,
-                        debug: list | None = None) -> TripleField:
+def solve_linear_system(F: TripleField, G: np.ndarray, phi: BoundaryTriple) -> TripleField:
     """Solve the coupled system: Lap u = F, junction conditions (0, G), u(1,.) = phi.
 
     The decoupled unknowns v = DECOUPLE u solve one Dirichlet problem (v1)
     and two mixed problems (v2, v3) with the rows of G as Neumann data; u is
-    RECOMPOSE v.  A ``debug`` list gains one record per solved mode of v1, v2, v3.
-    """
+    RECOMPOSE v."""
     grid = F.grid
     G = np.asarray(G, dtype=float)
     _check_ny(grid.ny, ("phi", phi.values), ("G", G))
     f = (DECOUPLE @ F.values.reshape(3, -1)).reshape(F.values.shape)
-    v = _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, f, G, debug)
+    v = _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, f, G)
     return _recomposed(grid, v)
 
 
-def solve_harmonic(phi: BoundaryTriple, grid: Grid2D, debug: list | None = None) -> TripleField:
+def solve_harmonic(phi: BoundaryTriple, grid: Grid2D) -> TripleField:
     """:func:`solve_linear_system` with zero forcing and zero junction data:
     Lap u = 0, junction conditions (0, 0, 0), u(1, .) = phi.
 
@@ -251,7 +225,7 @@ def solve_harmonic(phi: BoundaryTriple, grid: Grid2D, debug: list | None = None)
     the modes are its spectrum times the cached harmonic profiles.
     """
     _check_ny(grid.ny, ("phi", phi.values))
-    return _recomposed(grid, _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, None, None, debug))
+    return _recomposed(grid, _solve_stack(grid.nx, DECOUPLE @ phi.values, 1, None, None))
 
 
 def _recomposed(grid: Grid2D, v: np.ndarray) -> TripleField:

@@ -105,10 +105,9 @@ class SolveReport:
 
 
 def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
-                frame: JunctionFrame | None = None,
-                debug: list | None = None) -> TripleField:
+                frame: JunctionFrame | None = None) -> TripleField:
     """One application of the step map: linear solve with frozen nonlinearities."""
-    return solve_linear_system(F_eval(u, cutoff), G_eval(u, frame), phi, debug)
+    return solve_linear_system(F_eval(u, cutoff), G_eval(u, frame), phi)
 
 
 def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
@@ -142,18 +141,13 @@ def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> 
 
 def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
                     cutoff: CutoffProfile,
-                    frame: JunctionFrame | None = None,
-                    debug: list | None = None) -> tuple[TripleField, SolveReport]:
+                    frame: JunctionFrame | None = None) -> tuple[TripleField, SolveReport]:
     """Iterate the step map from zero until the sup-norm update drops below tol.
 
     Raises :class:`GuardViolation` when an iterate leaves the trust ball and
     :class:`NoConvergence` when the iteration budget runs out; both are a
     :class:`SolveFailure` and carry the last iterate and the full report for
-    post-mortem inspection.  A ``debug`` list, when given, ends up holding
-    the per-mode records (see :func:`~trijunction.linear.solve_linear_system`)
-    of the linear solve that produced the returned or carried iterate: the
-    last completed step's.
-    """
+    post-mortem inspection."""
     frame = frame or frame_vectors()
     if phi.ny != grid.ny:
         raise ValueError("boundary data and grid disagree on ny")
@@ -164,14 +158,13 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     failure = cause = None          # the failure's class, and the error that caused it
 
     for it in range(1, opts.max_iter + 1):
-        step_debug = None if debug is None else []
         try:
             # an overflow stops the step: its result would not be finite
             with np.errstate(over="raise", invalid="raise"):
                 # the zero start is the stationary cone, where F and G vanish:
                 # the first step is the harmonic solve of the boundary data
-                u_next = (solve_harmonic(phi, grid, step_debug) if it == 1 else
-                          picard_step(u, phi, cutoff, frame, step_debug))
+                u_next = (solve_harmonic(phi, grid) if it == 1 else
+                          picard_step(u, phi, cutoff, frame))
         except DegenerateMetric as exc:
             # only steps after the first evaluate the metric: the previous
             # iterate already left the embeddable regime
@@ -182,8 +175,6 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
             failure, cause = GuardViolation, exc
             msg = f"iteration {it}: the step left the float range ({exc})"
             break
-        if debug is not None:
-            debug[:] = step_debug
         # the first update is from the zero start: sup |u_1|, bit for bit |u_1 - 0|
         updates.append(u_next.sup() if it == 1 else
                        float(np.abs(u_next.values - u.values).max()))

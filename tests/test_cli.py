@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trijunction
-from trijunction import (AliasingWarning, CutoffProfile, Grid2D, SolveFailure, SolveOptions,
-                         fd_mean_curvature, frame_vectors, solve_nonlinear)
+from trijunction import (AliasingWarning, CutoffProfile, Grid2D, SolveOptions, fd_mean_curvature,
+                         frame_vectors)
 from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
                              EXIT_OK, EXIT_VERIFY_FAIL, RESIDUAL_NAMES, RunConfig,
-                             apply_config_values, load_artifacts, main, mode_debug_csv,
-                             read_table, report_to_csv)
+                             apply_config_values, load_artifacts, main, read_table,
+                             report_to_csv)
 from trijunction.geometry import wall_scalars
 from trijunction.picard import SolveReport, residual_record
+from trijunction.spectral import cheb_coefficients
 
 from conftest import count_calls
 
@@ -79,10 +80,11 @@ def test_overflowing_boundary_data_trips_the_guard_quietly(tmp_path, capsys):
 
 @pytest.mark.parametrize("size", ["1e303", "1e305", "1e308"])
 def test_data_near_the_float_range_trips_the_guard_quietly(tmp_path, capsys, size):
-    # 1e303 overflows the mode records' residual, 1e305 the first iterate's
-    # jet, 1e308 the spectrum of the data itself; each run ends in one
-    # labelled guard violation and the summary, with no traceback and no
-    # RuntimeWarning (the suite turns one into an error)
+    # 1e303 leaves a finite first iterate far outside the guard, 1e305
+    # overflows its jet, 1e308 the spectrum of the data itself; each run ends
+    # in one labelled guard violation and the summary, and writes modes.csv,
+    # with no traceback and no RuntimeWarning (the suite turns one into an
+    # error)
     out = str(tmp_path / "huge")
     assert run(["solve", "--phi1", f"1:{size}:{size}", "--out", out]) == EXIT_GUARD
     err = capsys.readouterr().err
@@ -672,38 +674,40 @@ def test_load_artifacts_round_trips_config(tmp_path):
     assert {k: header[k] for k in written} == written
 
 
-def _direct_solve_modes(out):
-    """The mode records of a library solve on the run's stored input and config."""
-    cfg, _, phi, _ = load_artifacts(out)
-    opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter, r_guard=cfg.r_guard,
-                        alpha=cfg.alpha)
-    debug = []
-    try:
-        solve_nonlinear(phi, opts, Grid2D(cfg.nx, cfg.ny), CutoffProfile(cfg.delta),
-                        debug=debug)
-    except SolveFailure:
-        pass
-    return debug
+def _modes_csv_lines(out):
+    """The lines of a run's modes.csv, recomputed one by one from its stored
+    config and fields: per sheet, max over x of |X_k| w_k / ny for each rfft
+    mode k (w_k = 2, or 1 at k = 0 and the Nyquist mode), then max over y of
+    |a_n| for each Chebyshev degree n."""
+    cfg, u, _, _ = load_artifacts(out)
+    lines = [f"# {k} = {v}" for k, v in cfg.echo().items()] + ["sheet,basis,mode,max_abs"]
+    for i, values in enumerate(u.values, 1):
+        X = np.fft.rfft(values, axis=1)
+        for k in range(cfg.ny // 2 + 1):
+            w = 1.0 if k == 0 or 2 * k == cfg.ny else 2.0
+            lines.append(f"{i},fourier,{k},{np.abs(X[:, k]).max() * (w / cfg.ny):.6e}")
+        a = cheb_coefficients(values)
+        lines += [f"{i},chebyshev,{n},{np.abs(a[n]).max():.6e}" for n in range(cfg.nx)]
+    return lines
 
 
 def test_modes_csv_comes_from_the_solve_that_produced_the_fields(tmp_path):
     out = str(tmp_path / "run")
     assert run(["solve", "--phi1", "1:1e-5:0", "--phi2", "1:-5e-6:1e-5",
                 "--phi3", "1:-5e-6:-1e-5", "--out", out]) == EXIT_OK
-    debug = _direct_solve_modes(out)
-    assert len(debug) == 3 * 64            # three scalar solves of 64 modes each
+    lines = _modes_csv_lines(out)
+    # per sheet, the 33 rfft modes of ny = 64 and the 48 degrees of nx = 48
+    assert sum(not line.startswith("#") for line in lines) == 1 + 3 * (33 + 48)
     with open(os.path.join(out, "modes.csv")) as fh:
-        assert fh.read() == mode_debug_csv(debug)
+        assert fh.read() == "\n".join(lines) + "\n"
 
 
 def test_modes_csv_written_on_guard_violation(tmp_path):
     out = str(tmp_path / "big")
     assert run(["solve", "--phi1", "0:0.25:0", "--phi2", "1:0.2:0.1",
                 "--phi3", "1:-0.2:-0.1", "--out", out]) == EXIT_GUARD
-    debug = _direct_solve_modes(out)
-    assert debug
     with open(os.path.join(out, "modes.csv")) as fh:
-        assert fh.read() == mode_debug_csv(debug)
+        assert fh.read() == "\n".join(_modes_csv_lines(out)) + "\n"
 
 
 def test_artifact_csv_text_matches_per_line_writers(tmp_path):
@@ -733,10 +737,6 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
     assert report_to_csv(report, {"a": 1}) == (
         "# a = 1\niteration,update_norm,contraction_ratio\n"
         "1,0.5,\n2,0.25,0.5\n3,0,\n")
-    records = [{"k": 3, "part": "sin", "kind": "mixed", "path": "collocation",
-                "residual": 1.25e-13}]
-    assert mode_debug_csv(records) == "k,part,kind,path,residual\n3,sin,mixed,collocation,1.250000e-13\n"
-    assert mode_debug_csv([]) == "k,part,kind,path,residual\n"
 
 
 def test_verify_probes_the_cutoff_joins(tmp_path, monkeypatch, capsys):

@@ -166,18 +166,19 @@ def test_norm_proxy_triangle_inequality(grid_small):
 
 
 def _roll_seminorm_2d(arrays, grid, alpha):
-    """Reference: every periodic y-lag as an ``np.roll`` copy, one array at a time."""
+    """Reference: every periodic y-lag as an ``np.roll`` copy, one array at a
+    time, combined by np.maximum, so that a NaN anywhere gives NaN."""
     best = 0.0
     x = grid.x
     for A in arrays:
         for lag in _dyadic_lags(grid.ny):
             d = min(lag, grid.ny - lag) / grid.ny
-            best = max(best, np.max(np.abs(np.roll(A, -lag, axis=1) - A)) / d ** alpha)
+            best = np.maximum(best, np.max(np.abs(np.roll(A, -lag, axis=1) - A)) / d ** alpha)
         for lag in _dyadic_lags(grid.nx):
             dx = np.abs(x[lag:] - x[:-lag]) ** alpha
             num = np.max(np.abs(A[lag:, :] - A[:-lag, :]), axis=1)
-            best = max(best, float(np.max(num / dx)))
-    return best
+            best = np.maximum(best, np.max(num / dx))
+    return float(best)
 
 
 def _roll_seminorm_1d(values, alpha):
@@ -185,8 +186,9 @@ def _roll_seminorm_1d(values, alpha):
     best = 0.0
     for lag in _dyadic_lags(n):
         d = min(lag, n - lag) / n
-        best = max(best, np.max(np.abs(np.roll(values, -lag, axis=-1) - values)) / d ** alpha)
-    return best
+        best = np.maximum(best,
+                          np.max(np.abs(np.roll(values, -lag, axis=-1) - values)) / d ** alpha)
+    return float(best)
 
 
 @pytest.mark.parametrize("nx,ny", [(8, 8), (9, 10), (48, 64)])
@@ -319,7 +321,7 @@ def _with_non_finite(rng, shape, frac):
 def test_lag_passes_propagate_nan_and_inf_as_abs_max(frac):
     # a NaN, an inf or an overflowing difference gives each pass the value
     # abs().max() gives it; a one-array seminorm then matches the roll
-    # reference lag for lag, whose order of lags it shares
+    # reference, and a NaN in any lag makes both NaN
     rng = np.random.default_rng(int(frac * 100))
     grid = Grid2D(9, 10)
     with np.errstate(all="ignore"):
@@ -338,6 +340,18 @@ def test_lag_passes_propagate_nan_and_inf_as_abs_max(frac):
                                           _roll_seminorm_2d(A[:1], grid, alpha), equal_nan=True)
                     assert np.array_equal(_holder_seminorm_1d(A[0, 0], alpha),
                                           _roll_seminorm_1d(A[0, 0], alpha), equal_nan=True)
+
+
+def test_a_nan_reaches_the_seminorm_and_the_periodic_proxy():
+    # Python's max(0.0, nan) is 0.0: combining lags or derivative sups with
+    # it would read a NaN row as smooth.  1e307 cos(2 pi y) overflows its
+    # first derivative's spectrum, which comes back NaN
+    row = np.zeros(16)
+    row[5] = np.nan
+    y = np.arange(64) / 64
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_holder_seminorm_1d(row, 0.5))
+        assert np.isnan(periodic_proxy(1e307 * np.cos(2 * np.pi * y), 0.5))
 
 
 def test_seminorm_evaluates_at_most_four_lags_on_benchmark_iterates(monkeypatch):

@@ -9,15 +9,33 @@ from trijunction import (DECOUPLE, RECOMPOSE, AliasingWarning, BoundaryTriple, G
                          ModeProblem, SolveOptions, TripleField, boundary_operator,
                          schauder_probe, solve_linear_system, solve_nonlinear, solve_scalar)
 from trijunction import linear
-from trijunction.cli import mode_debug_csv
-from trijunction.linear import _interior_defect, _mode_lam2, _solve_modes, solve_harmonic
+from trijunction.linear import _mode_lam2, _solve_modes, solve_harmonic
 from trijunction.oracles import (formula_linear_solve, mode_solve_formula, random_smooth_field,
                                  random_smooth_map)
-from trijunction.spectral import bary_matrix, cheb_nodes
+from trijunction.spectral import bary_matrix, cheb_diff2_matrix, cheb_nodes
 
 from conftest import count_calls, mode_solve_collocation, random_boundary
 
 ULP4 = 4 * np.finfo(float).eps
+
+
+def _ode_defect(a, lam2, f):
+    """Max interior |a'' - lam2 a - f| per column of an (nx, m) or (p, nx, m)
+    block of mode columns, a'' by the collocation matrix."""
+    res = cheb_diff2_matrix(a.shape[-2]) @ a - lam2 * a - f
+    return np.abs(res[..., 1:-1, :]).max(axis=-2)
+
+
+def _pair_lam2(ny):
+    """(2 pi k)^2 per rfft column pair of an ny-point grid, k = 0 .. ny // 2."""
+    return np.repeat((2.0 * np.pi * np.arange(ny // 2 + 1)) ** 2, 2)
+
+
+def _cos_sin_weight(ny):
+    """The factor that reads rfft mode k of an ny-point grid as a cos/sin
+    coefficient: 1/ny at k = 0 and the Nyquist mode, 2/ny otherwise."""
+    k = np.arange(ny // 2 + 1)
+    return np.where((k == 0) | (2 * k == ny), 1.0, 2.0) / ny
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +139,7 @@ def test_mode_residual_production_path():
                 p = ModeProblem(k=k, kind=kind, f=f, phi=0.4, g=0.2)
                 a = mode_solve_collocation(p)
                 scale = np.max(np.abs(f)) + abs(p.phi) + abs(p.g)
-                residual = _interior_defect(a[:, None], (2.0 * np.pi * k) ** 2, f[:, None])
+                residual = _ode_defect(a[:, None], (2.0 * np.pi * k) ** 2, f[:, None])
                 assert residual < 1e-8 * scale, (nx, k, kind)
 
 
@@ -334,14 +352,13 @@ def _fourier_synthesis(c, s, n):
     return np.fft.irfft(A, n=n)
 
 
-def _cos_sin_solve(nx, p, nd, f=None, g=None, debug=None):
+def _cos_sin_solve(nx, p, nd, f=None, g=None):
     """The stacked scalar solve in cos/sin coefficient columns: the
     ``_fourier_coefficients`` of each input, one ``_solve_modes`` per kind
     with the cos columns' (2 pi k)^2 followed by the sin columns', and
     ``_fourier_synthesis``.  ``f`` None is the forcing-free solve: each mode
     is its outer coefficient times the harmonic profile of its column."""
-    m, ny = p.shape
-    K = ny // 2
+    K = p.shape[-1] // 2
     lam2 = np.tile((2.0 * np.pi * np.arange(K + 1)) ** 2, 2)
 
     def columns(x):
@@ -349,7 +366,6 @@ def _cos_sin_solve(nx, p, nd, f=None, g=None, debug=None):
 
     data = columns(p[:, None])
     if f is None:
-        rhs = 0.0
         dirichlet, mixed = (_solve_modes(kind, lam2, np.zeros((nx, lam2.size)), 1.0, 0.0)
                             for kind in ("dirichlet", "mixed"))
         a = np.concatenate([dirichlet * data[:nd], mixed * data[nd:]])
@@ -357,17 +373,11 @@ def _cos_sin_solve(nx, p, nd, f=None, g=None, debug=None):
         rhs = columns(f)
         a = np.concatenate([_solve_modes("dirichlet", lam2, rhs[:nd], data[:nd], 0.0),
                             _solve_modes("mixed", lam2, rhs[nd:], data[nd:], columns(g[:, None]))])
-    if debug is not None:
-        residual = _interior_defect(a, lam2, rhs).reshape(m, 2, K + 1)
-        debug.extend({"k": k, "part": part, "kind": "dirichlet" if j < nd else "mixed",
-                      "path": "collocation", "residual": float(residual[j, i, k])}
-                     for j in range(m) for k in range(K + 1)
-                     for i, part in enumerate(("cos", "sin")) if part == "cos" or 0 < k < K)
-    return _fourier_synthesis(a[..., :K + 1], a[..., K + 1:], ny)
+    return _fourier_synthesis(a[..., :K + 1], a[..., K + 1:], p.shape[-1])
 
 
 def _pair_and_cos_sin_solves(nx, ny, white):
-    """(solution, cos/sin reference, the debug records of each) per entry point.
+    """(solution, cos/sin reference) per entry point.
 
     The data is band-limited (modes <= 3, the kind Picard iterates carry) or,
     with ``white``, standard normal, so that every mode is of order one."""
@@ -382,25 +392,24 @@ def _pair_and_cos_sin_solves(nx, ny, white):
     f, p = np.tensordot(DECOUPLE, F.values, axes=1), DECOUPLE @ phi.values
     zero = np.zeros(ny)
     cases = [
-        (lambda d: solve_linear_system(F, G, phi, d).values,
-         lambda d: _cos_sin_solve(nx, p, 1, f, np.array(G), d)),
-        (lambda d: solve_linear_system(TripleField.zero(grid), (zero, zero), phi, d).values,
-         lambda d: _cos_sin_solve(nx, p, 1, debug=d)),
-        (lambda d: solve_harmonic(phi, grid, d).values,
-         lambda d: _cos_sin_solve(nx, p, 1, debug=d)),
-        (lambda d: solve_scalar(f[0], p[0], debug=d),
-         lambda d: _cos_sin_solve(nx, p[:1], 1, f[:1], np.empty((0, ny)), d)[0]),
-        (lambda d: solve_scalar(f[1], p[1], G[0], debug=d),
-         lambda d: _cos_sin_solve(nx, p[1:2], 0, f[1:2], G[0][None], d)[0]),
+        (lambda: solve_linear_system(F, G, phi).values,
+         lambda: _cos_sin_solve(nx, p, 1, f, np.array(G))),
+        (lambda: solve_linear_system(TripleField.zero(grid), (zero, zero), phi).values,
+         lambda: _cos_sin_solve(nx, p, 1)),
+        (lambda: solve_harmonic(phi, grid).values,
+         lambda: _cos_sin_solve(nx, p, 1)),
+        (lambda: solve_scalar(f[0], p[0]),
+         lambda: _cos_sin_solve(nx, p[:1], 1, f[:1], np.empty((0, ny)))[0]),
+        (lambda: solve_scalar(f[1], p[1], G[0]),
+         lambda: _cos_sin_solve(nx, p[1:2], 0, f[1:2], G[0][None])[0]),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)     # white data
         for solve, reference in cases:
-            debug, ref_debug = [], []
-            u, ref = solve(debug), reference(ref_debug)
+            u, ref = solve(), reference()
             if ref.ndim == 3:
                 ref = np.tensordot(RECOMPOSE, ref, axes=1)
-            yield u, ref, debug, ref_debug
+            yield u, ref
 
 
 @pytest.mark.parametrize("nx, ny", [(32, 32), (48, 64), (96, 256)])
@@ -410,15 +419,9 @@ def test_pair_layout_solve_is_the_cos_sin_solve_bit_for_bit(nx, ny):
     # The last columns of a mode product may round differently from the
     # others: cos K is one of them in the pair layout, sin K - 1 in the
     # cos/sin layout.  Those two modes carry round-off alone in band-limited
-    # data: the fields come out equal, and their records are the only ones
-    # that differ.
-    edge = {(ny // 2, "cos"), (ny // 2 - 1, "sin")}
-    for u, ref, debug, ref_debug in _pair_and_cos_sin_solves(nx, ny, white=False):
+    # data, so the fields come out equal.
+    for u, ref in _pair_and_cos_sin_solves(nx, ny, white=False):
         assert np.array_equal(u, ref)
-        assert [r for r in debug if (r["k"], r["part"]) not in edge] == \
-            [r for r in ref_debug if (r["k"], r["part"]) not in edge]
-        assert [(r["k"], r["part"], r["kind"]) for r in debug] == \
-            [(r["k"], r["part"], r["kind"]) for r in ref_debug]
 
 
 @pytest.mark.parametrize("nx, ny, white", [(16, 10, False), (40, 90, False), (16, 10, True),
@@ -426,32 +429,32 @@ def test_pair_layout_solve_is_the_cos_sin_solve_bit_for_bit(nx, ny):
 def test_pair_layout_solve_agrees_with_the_cos_sin_solve(nx, ny, white):
     # ny not a power of two: the normalizations round; white data: the edge
     # columns carry order-one modes.  Either way the solves agree to round-off
-    for u, ref, debug, ref_debug in _pair_and_cos_sin_solves(nx, ny, white):
+    for u, ref in _pair_and_cos_sin_solves(nx, ny, white):
         assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert [(r["k"], r["part"], r["kind"]) for r in debug] == \
-            [(r["k"], r["part"], r["kind"]) for r in ref_debug]
 
 
 @pytest.mark.parametrize("nx, ny", [(32, 32), (16, 10)])
 def test_mode_records_read_in_cos_sin_coefficient_units(nx, ny):
-    # a record is its rfft column's interior defect times the factor that
-    # makes the column a cos/sin coefficient: c_0 = X_0 / ny, c_K = X_K / ny
-    # at the Nyquist mode, and c_k = 2 Re X_k / ny, s_k = -2 Im X_k / ny
-    grid, K = Grid2D(nx, ny), ny // 2
+    # a forcing-free solve's rfft columns are the data's spectrum times the
+    # harmonic profiles; times the factor that makes each a cos/sin
+    # coefficient (c_0 = X_0 / ny, c_K = X_K / ny at the Nyquist mode, and
+    # c_k = 2 Re X_k / ny, s_k = -2 Im X_k / ny), they synthesize the solve
+    grid = Grid2D(nx, ny)
     phi = BoundaryTriple(ny, np.random.default_rng(24).standard_normal((3, ny)))
-    debug = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingWarning)
-        solve_harmonic(phi, grid, debug)
+        u = solve_harmonic(phi, grid)
+    a = _harmonic_mode_columns(nx, phi).reshape(3, nx, -1, 2) * _cos_sin_weight(ny)[:, None]
+    v = _fourier_synthesis(a[..., 0], -a[..., 1], ny)
+    assert np.max(np.abs(u.values - np.tensordot(RECOMPOSE, v, axes=1))) <= 1e-14 * u.sup()
+
+
+def _harmonic_mode_columns(nx, phi):
+    """The (3, nx, m) mode columns of the forcing-free solve of ``phi``: the
+    rfft pairs of DECOUPLE phi times the cached harmonic profiles."""
     data = np.fft.rfft(DECOUPLE @ phi.values).view(float)[:, None]
-    a = np.concatenate([linear._harmonic_profiles(nx, ny, "dirichlet") * data[:1],
-                        linear._harmonic_profiles(nx, ny, "mixed") * data[1:]])
-    k = np.arange(K + 1)
-    factor = np.where((k == 0) | (k == K), 1.0, 2.0) / ny
-    residual = _interior_defect(a, _mode_lam2(ny), 0.0).reshape(3, K + 1, 2) * factor[:, None]
-    assert [r["residual"] for r in debug] == \
-        [residual[j, k, i] for j in range(3) for k in range(K + 1)
-         for i in range(2) if i == 0 or 0 < k < K]
+    return np.concatenate([linear._harmonic_profiles(nx, phi.ny, "dirichlet") * data[:1],
+                           linear._harmonic_profiles(nx, phi.ny, "mixed") * data[1:]])
 
 
 def test_forcing_free_solve_takes_one_transform_each_way_and_no_mode_solve(grid_small,
@@ -497,19 +500,18 @@ def test_aliasing_warning_names_the_callers_line(grid_small, entry):
 
 
 def test_forcing_free_first_step_records_every_mode(grid, cutoff):
-    # modes.csv of a run stopped at iterate 1 holds the forcing-free step's
-    # records: one per (problem, k, part), as a forced solve writes them
+    # a run stopped at iterate 1 returns the forcing-free step: the synthesis
+    # of its mode columns, every one of which (each k, cos and sin) meets its
+    # ODE to round-off in cos/sin coefficient units
     rng = np.random.default_rng(21)
     phi = random_boundary(grid.ny, rng, 0.005)
-    first, forced = [], []
-    solve_nonlinear(phi, SolveOptions(tol=1.0, max_iter=1), grid, cutoff, debug=first)
-    F, G, _ = _random_linear_data(grid, rng)
-    solve_linear_system(F, G, phi, forced)
-    assert [(r["k"], r["part"], r["kind"]) for r in first] == \
-        [(r["k"], r["part"], r["kind"]) for r in forced]
-    assert all(r["path"] == "collocation" for r in first)
-    residuals = np.array([r["residual"] for r in first])
-    assert np.all(np.isfinite(residuals)) and residuals.max() <= 1e-12
+    first, _ = solve_nonlinear(phi, SolveOptions(tol=1.0, max_iter=1), grid, cutoff)
+    a = _harmonic_mode_columns(grid.nx, phi)
+    v = np.fft.irfft(a.view(complex), n=grid.ny, axis=-1)
+    assert np.array_equal(first.values, (RECOMPOSE @ v.reshape(3, -1)).reshape(v.shape))
+    residual = (_ode_defect(a, _pair_lam2(grid.ny), 0.0).reshape(3, -1, 2)
+                * _cos_sin_weight(grid.ny)[:, None])
+    assert np.all(np.isfinite(residual)) and residual.max() <= 1e-12
 
 
 @pytest.mark.parametrize("which, label", [("F", "forcing"), ("phi", "outer boundary data"),
@@ -531,18 +533,14 @@ def test_linear_solve_warns_on_aliased_inputs(grid_small, which, label):
 def test_stacked_solve_equals_three_scalar_solves(nx, ny):
     # the three decoupled problems share one analysis per input kind, one mode
     # solve per kind and one synthesis; each must come out bit for bit as the
-    # one-problem solve of its own data, debug records included
+    # one-problem solve of its own data
     grid = Grid2D(nx, ny)
     F, G, phi = _random_linear_data(grid, np.random.default_rng(15))
-    debug, alone = [], []
-    u = solve_linear_system(F, G, phi, debug)
+    u = solve_linear_system(F, G, phi)
     f = np.tensordot(DECOUPLE, F.values, axes=1)
     p = DECOUPLE @ phi.values
-    v = [solve_scalar(f[0], p[0], None, alone), solve_scalar(f[1], p[1], G[0], alone),
-         solve_scalar(f[2], p[2], G[1], alone)]
+    v = [solve_scalar(f[0], p[0]), solve_scalar(f[1], p[1], G[0]), solve_scalar(f[2], p[2], G[1])]
     assert np.array_equal(u.values, np.tensordot(RECOMPOSE, np.stack(v), axes=1))
-    assert debug == alone
-    assert [r["kind"] for r in debug[::ny]] == ["dirichlet", "mixed", "mixed"]   # ny per problem
 
 
 def test_round_off_in_one_problem_beside_order_one_data_does_not_warn(grid_small):
@@ -614,34 +612,19 @@ def test_scalar_solve_names_an_input_of_the_wrong_ny(grid_small, which):
         solve_scalar(f, data["phi_out"], data["g"])
 
 
-def test_mode_debug_records(grid_small):
-    rng = np.random.default_rng(7)
-    debug = []
-    solve_scalar(random_smooth_field(grid_small, rng),
-                 random_smooth_map(grid_small.ny, rng), debug=debug)
-    ks = sorted({r["k"] for r in debug})
-    assert ks == list(range(grid_small.ny // 2 + 1))
-    assert all(r["path"] == "collocation" for r in debug)
-    text = mode_debug_csv(debug)
-    assert text.splitlines()[0] == "k,part,kind,path,residual"
-    assert len(text.splitlines()) == len(debug) + 1
-
-
 @pytest.mark.parametrize("ny", [8, 9])
 def test_each_solved_mode_column_has_one_record(ny):
     # ny columns per problem: the cosine of each k <= ny / 2 and the sine of
     # each k with 0 < 2k < ny, which on an odd grid includes the top mode
+    # (the other sines are zero).  Each column of the solution's spectrum,
+    # read in cos/sin coefficient units, meets a'' - (2 pi k)^2 a = f_k
     nx, y = 16, np.arange(ny) / ny
     x = cheb_nodes(nx)
     f = np.outer(1.0 - x ** 2, np.cos(2 * np.pi * y))
-    expected = sorted([(k, "cos") for k in range(ny // 2 + 1)]
-                      + [(k, "sin") for k in range(1, ny) if 2 * k < ny])
-    assert len(expected) == ny
     for g in (None, 0.1 * np.cos(2 * np.pi * y)):
-        debug = []
-        solve_scalar(f, np.sin(2 * np.pi * y), g, debug=debug)
-        assert sorted((r["k"], r["part"]) for r in debug) == expected, (ny, g is None)
-        assert max(r["residual"] for r in debug) < 1e-10
+        v = solve_scalar(f, np.sin(2 * np.pi * y), g)
+        a, fk = ((np.fft.rfft(w) * _cos_sin_weight(ny)).view(float) for w in (v, f))
+        assert _ode_defect(a, _pair_lam2(ny), fk).max() < 1e-10, (ny, g is None)
 
 
 # ---------------------------------------------------------------------------

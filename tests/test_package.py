@@ -78,6 +78,18 @@ def test_no_module_moves_an_array_axis():
         assert not moves, (name, moves)
 
 
+def test_no_function_takes_a_debug_parameter():
+    # the linear solve has one code path and one output: no function carries
+    # a side channel for diagnostics
+    package = os.path.dirname(trijunction.__file__)
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        debug = [node.lineno for node in ast.walk(tree)      # ast.arg: a parameter
+                 if isinstance(node, ast.arg) and node.arg == "debug"]
+        assert not debug, (name, debug)
+
+
 def test_only_the_fields_differentiate():
     # the jet (and the data proxy of boundary maps) is the one place that
     # calls the spectral derivative helpers; every other derivative is read

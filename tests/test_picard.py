@@ -192,6 +192,10 @@ def test_fixed_point_reapplication(grid, cutoff, frame):
     u, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
     again = picard_step(u, phi, cutoff, frame)
     assert (again - u).sup() < 10 * OPTS.tol
+    # the returned iterate is step 2 applied to step 1's iterate, bit for bit
+    u1, _ = solve_nonlinear(phi, SolveOptions(tol=1.0), grid, cutoff, frame)
+    assert report.iterations == 2
+    assert np.array_equal(picard_step(u1, phi, cutoff, frame).values, u.values)
 
 
 def test_guard_violation_on_large_data(grid, cutoff, frame):
@@ -377,29 +381,6 @@ def test_solution_grid_independent(cutoff, frame):
     d = max(np.max(np.abs(interpolate(sols[(48, 64)].values[i], X, Y)
                           - interpolate(sols[(64, 96)].values[i], X, Y))) for i in range(3))
     assert d < 1e-10
-
-
-def test_debug_holds_the_modes_of_the_last_completed_step(grid_small, cutoff, frame):
-    rng = np.random.default_rng(31)
-    phi = random_boundary(grid_small.ny, rng, 0.004)
-    u, report = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame)
-    debug = []
-    u_dbg, report_dbg = solve_nonlinear(phi, OPTS, grid_small, cutoff, frame, debug=debug)
-    assert report.iterations == report_dbg.iterations == 2
-    assert np.array_equal(u.values, u_dbg.values)
-    # the returned iterate is step 2 applied to step 1's iterate
-    u1, _ = solve_nonlinear(phi, SolveOptions(tol=1.0), grid_small, cutoff, frame)
-    step2 = []
-    u2 = picard_step(u1, phi, cutoff, frame, debug=step2)
-    assert np.array_equal(u2.values, u.values)
-    assert debug == step2 and len(debug) == 3 * grid_small.ny
-    # a one-step run holds the first linear solve's records
-    first = []
-    solve_nonlinear(phi, SolveOptions(tol=1.0), grid_small, cutoff, frame, debug=first)
-    zero = np.zeros(grid_small.ny)
-    step1 = []
-    solve_linear_system(TripleField.zero(grid_small), (zero, zero), phi, debug=step1)
-    assert first == step1 and first != step2
 
 
 def test_two_threads_share_fields_and_reports_bit_for_bit(cutoff, frame):
