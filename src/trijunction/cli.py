@@ -32,7 +32,7 @@ import numpy as np
 from .curvature import DegenerateMetric
 from .fields import BoundaryTriple, Grid2D, TripleField
 from .geometry import (CompatibilityViolation, CutoffProfile, SurfaceMesh,
-                       check_mesh_resolution, frame_vectors, mesh_surface, spine_samples)
+                       check_mesh_resolution, mesh_surface, spine_samples)
 from .oracles import exact_family, fd_mean_curvature, junction_angle_check
 from .picard import (GuardViolation, NoConvergence, ResidualRecord, SolveFailure, SolveOptions,
                      SolveReport, _trace_errors, residual_record, solve_nonlinear)
@@ -45,7 +45,22 @@ EXIT_GUARD = 3
 EXIT_CONFIG = 4
 EXIT_GATES = 5
 
-RESIDUAL_GATES = {"conormal_sup": 1e-6, "trace_sum": 1e-10, "outer_trace": 1e-10}
+# Every certificate of a solution once, in the order verify prints its rows:
+# its verify row label (None: no row), its bound (None: reported, not gated),
+# the commands it gates, and what it is independent of.  Its name is the
+# ResidualRecord field it reads, or the oracle or check cmd_verify runs.
+CERTIFICATES = {
+    "fd_mean_curvature": ("mean curvature (FD oracle)", 1e-4, ("verify",), "the jet and H"),
+    "junction_angles": ("junction angles", 1e-4, ("verify",), "F, but not G: it reads _conormals"),
+    "laplace": (None, None, (), "nothing: the solve's own record"),
+    "boundary": ("junction conditions", 1e-6, ("verify",), "the solve: it recomputes"),
+    "conormal_sup": (None, 1e-6, ("solve",), "nothing: the solve's own record"),
+    "trace_sum": ("trace sum", 1e-10, ("solve", "verify"), "every derivative: values only"),
+    "outer_trace": ("outer trace", 1e-10, ("solve", "verify"), "every derivative: values only"),
+    "stored_match": ("stored residual match", 1e-9, ("verify",), "the solve: it recomputes"),
+}
+RESIDUAL_GATES = {name: bound for name, (_, bound, gates, _) in CERTIFICATES.items()
+                  if "solve" in gates}
 
 # verify's finite-difference probes: x in PROBE_X plus the cutoff joins
 # delta, 2 delta, where the solution is least smooth, times y in PROBE_Y; a
@@ -53,10 +68,6 @@ RESIDUAL_GATES = {"conormal_sup": 1e-6, "trace_sum": 1e-10, "outer_trace": 1e-10
 PROBE_X = (0.3, 0.5, 0.7)
 PROBE_Y = (0.1, 0.45, 0.8)
 FD_STEP = 1e-3
-# verify's bounds: max FD |H|, max junction-angle deviation (rad), junction defect
-FD_BOUND = 1e-4
-ANGLE_BOUND = 1e-4
-JUNCTION_BOUND = 1e-6
 
 # the exit code and the stderr label of each way a solve can fail
 SOLVE_FAILURES = {GuardViolation: (EXIT_GUARD, "guard violation"),
@@ -471,6 +482,14 @@ def load_artifacts(path: str) -> tuple[RunConfig, TripleField, BoundaryTriple, d
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def check_certificates(command: str, found: dict) -> list[tuple[str, bool, str]]:
+    """(row label, verdict, text) of each certificate ``command`` gates, in table
+    order; ``found`` maps a name to its (value, text), or to None for no row."""
+    return [(label, found[name][0] <= bound, found[name][1])
+            for name, (label, bound, gates, _) in CERTIFICATES.items()
+            if command in gates and found[name] is not None]
+
+
 def cmd_solve(args) -> int:
     try:
         cfg = build_config(args)
@@ -494,9 +513,8 @@ def cmd_solve(args) -> int:
         print(report_summary(report), file=sys.stderr)
         return code
     print(report_summary(report))
-    gates_ok = all(getattr(report.final_residuals, name) <= bound
-                   for name, bound in RESIDUAL_GATES.items())
-    if not gates_ok:
+    found = {name: (value, "") for name, value in vars(report.final_residuals).items()}
+    if not all(ok for _, ok, _ in check_certificates("solve", found)):
         print("converged, but residual gates failed", file=sys.stderr)
         return EXIT_GATES
     print(f"artifacts written to {cfg.out}")
@@ -506,65 +524,46 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     cfg, u, phi, stored = load_artifacts(args.artifacts)
     cutoff = CutoffProfile(cfg.delta)
-    frame = frame_vectors()
-
-    results: list[tuple[str, bool, str]] = []
-
-    xs = [x for x in sorted({*PROBE_X, cfg.delta, 2 * cfg.delta})
-          if 2 * FD_STEP <= x <= 1.0 - 2 * FD_STEP]
-    points = np.array([(x, y) for x in xs for y in PROBE_Y])
+    points = np.array([(x, y) for x in sorted({*PROBE_X, cfg.delta, 2 * cfg.delta})
+                       for y in PROBE_Y if 2 * FD_STEP <= x <= 1.0 - 2 * FD_STEP])
+    found = {"stored_match": None}      # certificate name: (value, row text)
     # a field far out of the regime may overflow: its inf or NaN certificates
-    # fail their tests, without numpy warnings
+    # fail their bounds, without numpy warnings
     with np.errstate(all="ignore"):
-        H = np.abs([fd_mean_curvature(i, u, points, FD_STEP, cutoff, frame) for i in (1, 2, 3)])
+        H = np.abs([fd_mean_curvature(i, u, points, FD_STEP, cutoff) for i in (1, 2, 3)])
         if np.isfinite(H).all():
             i, j = np.unravel_index(np.argmax(H), H.shape)
-            worst = float(H[i, j])
-            results.append(("mean curvature (FD oracle)", worst <= FD_BOUND,
-                            f"max |H| = {worst:.3e} (h = {FD_STEP}) at sheet {i + 1}, "
-                            f"(x, y) = ({points[j, 0]:.6g}, {points[j, 1]:.6g})"))
-        else:
-            # argmax would name the first NaN, a location that says nothing
-            results.append(("mean curvature (FD oracle)", False,
-                            f"|H| is non-finite at {np.count_nonzero(~np.isfinite(H))} of "
-                            f"{H.size} probes (h = {FD_STEP})"))
-
+            found["fd_mean_curvature"] = H[i, j], (
+                f"max |H| = {H[i, j]:.3e} (h = {FD_STEP}) at sheet {i + 1}, "
+                f"(x, y) = ({points[j, 0]:.6g}, {points[j, 1]:.6g})")
+        else:       # argmax would name the first NaN, a location that says nothing
+            found["fd_mean_curvature"] = np.nan, (
+                f"|H| is non-finite at {np.count_nonzero(~np.isfinite(H))} of "
+                f"{H.size} probes (h = {FD_STEP})")
         try:
-            angles = junction_angle_check(u, frame)
-            results.append(("junction angles", angles.max_deviation <= ANGLE_BOUND,
-                            f"max deviation from 120 deg = {angles.max_deviation:.3e} rad"))
+            dev = junction_angle_check(u).max_deviation
+            found["junction_angles"] = dev, f"max deviation from 120 deg = {dev:.3e} rad"
         except CompatibilityViolation as exc:
-            results.append(("junction angles", False, f"no common spine: {exc}"))
-
-        rec = None
+            found["junction_angles"] = np.nan, f"no common spine: {exc}"
         try:
-            rec = residual_record(u, phi, cutoff, frame)
-            results.append(("junction conditions", rec.boundary <= JUNCTION_BOUND,
-                            f"defect = {rec.boundary:.3e}"))
+            rec = residual_record(u, phi, cutoff)
+            found["boundary"] = rec.boundary, f"defect = {rec.boundary:.3e}"
+            # in units of 1e-3 + |recomputed|, 1e-9 is 1e-12 absolute plus 1e-9 relative
+            worst = np.max([abs(stored.get(name, np.nan) - value) / (1e-3 + abs(value))
+                            for name, value in vars(rec).items()])
+            found["stored_match"] = worst, "recomputed residuals reproduce stored values"
         except DegenerateMetric as exc:
-            results.append(("junction conditions", False,
-                            f"field outside the embeddable regime: {exc}"))
+            found["boundary"] = np.nan, f"field outside the embeddable regime: {exc}"
         except CompatibilityViolation as exc:
-            results.append(("junction conditions", False, f"no common spine: {exc}"))
+            found["boundary"] = np.nan, f"no common spine: {exc}"
         # the trace rows read the values alone, so every artifact set gets them
-        outer_trace, trace_sum = _trace_errors(u, phi)
-    results.append(("trace sum", trace_sum <= RESIDUAL_GATES["trace_sum"], f"{trace_sum:.3e}"))
-    results.append(("outer trace", outer_trace <= RESIDUAL_GATES["outer_trace"],
-                    f"{outer_trace:.3e}"))
-    if rec is not None:
-        stored_ok = all(
-            abs(stored.get(name, np.nan) - getattr(rec, name))
-            <= 1e-12 + 1e-9 * abs(getattr(rec, name))
-            for name in RESIDUAL_NAMES)
-        results.append(("stored residual match", stored_ok,
-                        "recomputed residuals reproduce stored values"))
-
-    width = max(len(name) for name, _, _ in results)
-    all_ok = True
-    for name, ok, detail in results:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-        all_ok &= ok
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+        for name, value in zip(("outer_trace", "trace_sum"), _trace_errors(u, phi)):
+            found[name] = value, f"{value:.3e}"
+    rows = check_certificates("verify", found)
+    width = max(len(label) for label, _, _ in rows)
+    for label, ok, text in rows:
+        print(f"{label:<{width}}  {'PASS' if ok else 'FAIL'}  {text}")
+    return EXIT_OK if all(ok for _, ok, _ in rows) else EXIT_VERIFY_FAIL
 
 
 def cmd_sweep(args) -> int:

@@ -78,8 +78,8 @@ class CutoffProfile:
     delta: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
+        if not 1.8e-154 <= self.delta < 0.5:    # eta'' = 10/(sqrt(3) delta^2) overflows below
+            raise ValueError(f"delta must lie in [1.8e-154, 1/2), got {self.delta!r}")
 
     def __call__(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (eta, eta', eta'') at x; x must lie in [0, 1]."""

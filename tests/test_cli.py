@@ -124,6 +124,10 @@ def test_solve_converged_but_gates_failed(tmp_path):
 def test_solve_config_errors(tmp_path):
     assert run(["solve", "--family", "bogus:1", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--delta", "0.7", "--out", str(tmp_path)]) == EXIT_CONFIG
+    # a delta so small that the cutoff's eta'' overflows
+    for delta in ("1e-200", "1e-320"):
+        assert run(["solve", "--delta", delta, "--phi1", "1:1e-6:0", "--phi2", "1:-1e-6:0",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG, delta
     assert run(["solve", "--ny", "63", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--phi1", "a:1:2", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert run(["solve", "--family", "translate:0.01,0", "--phi1", "0:1:0",
@@ -276,6 +280,50 @@ def test_verify_detects_corruption(tmp_path):
     lines[header_end + 10] = ",".join(f"{v:.17g}" for v in row)
     open(path, "w").write("\n".join(lines) + "\n")
     assert run(["verify", out]) == EXIT_VERIFY_FAIL
+
+
+SMALL_PHI = ["--phi1", "1:1e-5:0", "--phi2", "2:0:1e-5", "--phi3", "0:2e-6:0"]
+
+
+def _verdicts(printed: str) -> dict[str, str]:
+    rows = (re.match(r"(.+?) {2,}(PASS|FAIL)  ", ln) for ln in printed.splitlines())
+    return {row[1]: row[2] for row in rows}
+
+
+def test_every_verdict_reads_the_certificate_table(tmp_path, monkeypatch, capsys):
+    # a bound just below what a passing run measures fails exactly its own
+    # verify row (verify exits 1) and, when solve gates it, the solve (exit
+    # 5): every verdict reads its bound from the one table when it is made
+    assert list(cli.RESIDUAL_GATES.items()) == [
+        ("conormal_sup", 1e-6), ("trace_sum", 1e-10), ("outer_trace", 1e-10)]
+    measured, check = {}, cli.check_certificates
+
+    def spy(command, found):
+        measured.update((name, pair[0]) for name, pair in found.items() if pair is not None)
+        return check(command, found)
+
+    out = str(tmp_path / "run")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "check_certificates", spy)
+        assert run(["solve", *SMALL_PHI, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["verify", out]) == EXIT_OK
+    labels = list(_verdicts(capsys.readouterr().out))
+    assert labels == [label for label, *_ in cli.CERTIFICATES.values() if label]
+    for name, (label, bound, gates, independent) in cli.CERTIFICATES.items():
+        if bound is None:
+            assert not gates and label is None, name
+            continue
+        with monkeypatch.context() as m:
+            m.setitem(cli.CERTIFICATES, name,
+                      (label, np.nextafter(measured[name], -np.inf), gates, independent))
+            capsys.readouterr()
+            assert run(["verify", out]) == (EXIT_VERIFY_FAIL if label else EXIT_OK), name
+            verdicts = _verdicts(capsys.readouterr().out)
+            assert list(verdicts) == labels
+            assert [lbl for lbl, v in verdicts.items() if v == "FAIL"] == [label] * bool(label)
+            code = run(["solve", *SMALL_PHI, "--out", str(tmp_path / name)])
+            assert code == (EXIT_GATES if "solve" in gates else EXIT_OK), name
 
 
 def test_verify_unreadable(tmp_path):

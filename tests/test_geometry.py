@@ -102,6 +102,18 @@ def test_cutoff_rejects_out_of_range():
         prof(1.2)
     with pytest.raises(ValueError):
         CutoffProfile(0.6)
+    # below 1.8e-154 eta'' = 10/(sqrt(3) delta^2) overflows, and further down
+    # delta^2 underflows to 0, so the plateau nodes would divide 0 by 0
+    for delta in (1.79e-154, 1e-200, 1e-320):
+        with pytest.raises(ValueError, match=r"\[1\.8e-154, 1/2\)"):
+            CutoffProfile(delta)
+
+
+def test_cutoff_at_the_smallest_delta_has_a_finite_second_derivative():
+    d = 1.8e-154
+    x = 2 * d - np.linspace(0.0, 1.0, 1001) * d
+    _, _, eta2 = CutoffProfile(d)(x)
+    assert np.isfinite(eta2).all() and np.abs(eta2).max() > 1e308
 
 
 def test_wall_offset_zero_and_constant(grid, frame):

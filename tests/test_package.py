@@ -8,6 +8,7 @@ import re
 import numpy as np
 
 import trijunction
+from trijunction import cli
 from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, TripleField,
                          frame_vectors, junction_angle_check, mesh_surface,
                          structural_certificate)
@@ -109,11 +110,27 @@ def test_only_the_fields_differentiate():
             assert not [m for m in imported if "spectral" in m], imported
 
 
-def test_declared_numpy_floor_has_the_fft_out_argument():
+def test_declared_numpy_floor_has_fft_out_and_reshape_copy():
     # spectral.fourier_derivative passes out= to np.fft.irfft, which numpy
-    # added in 2.0.0; an older numpy raises TypeError on the hot path
+    # added in 2.0, and fields._y_lag passes copy=False to np.reshape, which
+    # numpy added in 2.1; an older numpy raises TypeError on the hot path
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml")) as fh:
         spec = re.search(r'"numpy>=([0-9.]+)"', fh.read())
     assert spec is not None
-    assert tuple(int(part) for part in spec.group(1).split(".")[:2]) >= (2, 0)
+    assert tuple(int(part) for part in spec.group(1).split(".")[:2]) >= (2, 1)
+
+
+def test_the_benchmark_copies_of_verify_s_step_and_bounds_match_the_table():
+    # perfbench/worker.py restates verify's FD step and two bounds instead of
+    # importing them; read them with ast, so the benchmark is neither imported
+    # nor changed.  Its probe points are left out: they already differ.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "worker.py")) as fh:
+        tree = ast.parse(fh.read())
+    copied = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("FD_STEP", "FD_BOUND", "ANGLE_BOUND")}
+    assert copied == {"FD_STEP": cli.FD_STEP,
+                      "FD_BOUND": cli.CERTIFICATES["fd_mean_curvature"][1],
+                      "ANGLE_BOUND": cli.CERTIFICATES["junction_angles"][1]}
