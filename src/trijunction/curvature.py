@@ -20,9 +20,12 @@ by term.
 
 Every derivative is read from the field's jet: the walls and the spine are
 linear in the inner traces, so their y-derivatives are the same formulas on
-the jet's inner rows of u_y and u_yy.  H is evaluated in place, into work
-arrays the three sheets share, and is bit for bit the value of its
-closed-form expression.
+the jet's inner rows of u_y and u_yy.  H uses the identity D N = sqrt(det g)
+between the unit normal's length N, the wall factor D = 1 - eta' <w,n> and
+the metric, so it takes one square root and one division (see
+:func:`_sheet_scalars`).  It is evaluated in place, for the sheet groups of
+``Grid2D.sheet_groups`` (all three sheets per numpy call on small grids),
+and is bit for bit the value of its closed-form expression.
 """
 
 from __future__ import annotations
@@ -46,76 +49,87 @@ def _wall_data(u: TripleField, cutoff: CutoffProfile):
     return (*map(wall_scalars, rows), *cutoff.on_grid(u.grid))
 
 
-def _sheet_scalars(i: int, jet: Jet, wall, work: np.ndarray, out: np.ndarray):
-    """Mean curvature tr(g^{-1} h) of sheet i, from its row of the jet and the
-    wall data, written into the (nx, ny) ``out``.
+def _sheet_scalars(sheets: slice, jet: Jet, wall, work: np.ndarray, out: np.ndarray):
+    """Mean curvature tr(g^{-1} h) of a group of sheets, from their rows of the
+    jet and the wall data, written into the (k, nx, ny) ``out``.
 
     With a1 = eta' <w,n> - 1 and a2 = eta <w',n> the n-components of the
     tangents e1 = (-n + u_x nu + eta' w, 0) and e2 = (u_y nu + eta w', 1),
-    whose nu-components are u_x and u_y:
+    whose nu-components are u_x and u_y, and D = 1 - eta' <w,n>:
 
         g11 = a1^2 + u_x^2,  g12 = a1 a2 + u_x u_y,  g22 = a2^2 + u_y^2 + 1,
-        beta = u_x / (1 - eta' <w,n>),  gamma = -u_y - beta eta <w',n>,
-        h11 = (u_xx + beta eta'' <w,n>) / N,  h12 = (u_xy + beta eta' <w',n>) / N,
-        h22 = (u_yy + beta eta <w'',n>) / N,  N = sqrt(1 + beta^2 + gamma^2),
-        H = (g22 h11 - 2 g12 h12 + g11 h22) / det g.
+        H = (g22 (D u_xx + u_x eta'' <w,n>) - 2 g12 (D u_xy + u_x eta' <w',n>)
+             + g11 (D u_yy + u_x eta <w'',n>)) / (det g sqrt(det g)).
 
-    The code evaluates these into the eight (nx, ny) arrays of ``work`` one
-    operation at a time, in the order Python evaluates the expressions
-    above, so H is the value they give, bit for bit.
+    This is (g22 h11 - 2 g12 h12 + g11 h22) / det g with h_jk the second
+    fundamental form: the unit normal's length N = sqrt(1 + beta^2 + gamma^2),
+    beta = u_x / D and gamma = -u_y - beta eta <w',n>, is exactly
+    sqrt(det g) / D, so D N = sqrt(det g), and h_jk carries the factor D
+    in its numerator.  The code evaluates the expression above into the
+    eight (k, nx, ny) arrays of ``work`` one operation at a time, in the
+    order Python evaluates it, so H is its value, bit for bit.
+
+    Raises :class:`DegenerateMetric`, naming the group's first sheet and the
+    group's minima, when D or det g is too small; under numpy's ``errstate`` an
+    overflow raises FloatingPointError.
     """
-    ux, uy, uxx, uxy, uyy = (a[i - 1] for a in (jet.ux, jet.uy, jet.uxx, jet.uxy, jet.uyy))
+    ux, uy, uxx, uxy, uyy = (a[sheets] for a in jet)
     w, w1, w2, E, E1, E2 = wall
-    W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
-    a1, a2, g11, g12, g22, det, denom, tmp = work
+    W, W1, W2 = (r[sheets, None] for r in (w, w1, w2))
+    a1, a2, g11, g12, g22, det, D, tmp = work
 
-    np.multiply(E1, W, out=denom)               # eta' <w,n>, until it becomes denom
-    np.subtract(denom, 1.0, out=a1)
+    np.multiply(E1, W, out=D)                   # eta' <w,n>, until it becomes D
+    np.subtract(D, 1.0, out=a1)
     np.multiply(E, W1, out=a2)
     np.add(np.square(a1, out=g11), np.square(ux, out=tmp), out=g11)
     np.add(np.multiply(a1, a2, out=g12), np.multiply(ux, uy, out=tmp), out=g12)
     np.add(np.square(a2, out=g22), np.square(uy, out=tmp), out=g22)
     np.add(g22, 1.0, out=g22)
     np.subtract(np.multiply(g11, g22, out=det), np.square(g12, out=tmp), out=det)
-    np.subtract(1.0, denom, out=denom)
-    if denom.min() < 1e-3 or det.min() < 1e-6:
-        raise DegenerateMetric(f"sheet {i}: min(1 - eta' <w,n>) = {denom.min():.3e}, "
-                               f"min det g = {det.min():.3e}")
+    np.subtract(1.0, D, out=D)
+    if D.min() < 1e-3 or det.min() < 1e-6:
+        raise DegenerateMetric(f"sheet {sheets.start + 1}: min(1 - eta' <w,n>) = "
+                               f"{D.min():.3e}, min det g = {det.min():.3e}")
 
-    # a1 and a2 are free from here on: they hold beta, then gamma and each h
-    beta = np.divide(ux, denom, out=a1)
-    gamma = np.multiply(np.multiply(beta, E, out=a2), W1, out=a2)
-    np.subtract(np.negative(uy, out=tmp), gamma, out=gamma)
-    norm = np.add(np.square(beta, out=denom), 1.0, out=denom)
-    np.sqrt(np.add(norm, np.square(gamma, out=tmp), out=norm), out=norm)
-
-    def h(u2, Ek, Wk):
-        """(u2 + beta Ek Wk) / N, into a2."""
-        hk = np.multiply(np.multiply(beta, Ek, out=a2), Wk, out=a2)
-        return np.divide(np.add(u2, hk, out=hk), norm, out=hk)
-
-    np.multiply(g22, h(uxx, E2, W), out=out)
-    out -= np.multiply(np.multiply(2.0, g12, out=tmp), h(uxy, E1, W1), out=tmp)
-    out += np.multiply(g11, h(uyy, E, W2), out=tmp)
-    out /= det
+    # a1 and a2 are free from here on: a1 takes each bracket of H in turn
+    np.multiply(np.multiply(ux, E2, out=a1), W, out=a1)
+    np.add(np.multiply(D, uxx, out=a2), a1, out=a1)
+    np.multiply(g22, a1, out=out)
+    np.multiply(np.multiply(ux, E1, out=a1), W1, out=a1)
+    np.add(np.multiply(D, uxy, out=a2), a1, out=a1)
+    out -= np.multiply(np.multiply(2.0, g12, out=tmp), a1, out=tmp)
+    np.multiply(np.multiply(ux, E, out=a1), W2, out=a1)
+    np.add(np.multiply(D, uyy, out=a2), a1, out=a1)
+    out += np.multiply(g11, a1, out=tmp)
+    out /= np.multiply(det, np.sqrt(det, out=tmp), out=tmp)
 
 
 def mean_curvature(u: TripleField, cutoff: CutoffProfile) -> np.ndarray:
     """Mean curvature tr(g^{-1} h) of the three sheets, one (3, nx, ny) array.
 
-    The three sheets share one set of eight (nx, ny) work arrays.  Raises
-    :class:`DegenerateMetric` when a sheet's metric loses definiteness or
-    is not finite: an overflowing or invalid operation stops the evaluation.
+    The sheets are evaluated in the groups of ``Grid2D.sheet_groups``, into
+    one set of eight work arrays.  Raises :class:`DegenerateMetric` when a
+    sheet's metric loses definiteness or is not finite: an overflowing or
+    invalid operation stops the evaluation.  The error names the first
+    failing sheet and that sheet's own minima, as groups of one do: a group
+    that fails is evaluated again one sheet at a time.
     """
     wall = _wall_data(u, cutoff)
     H = np.empty(u.values.shape)
-    work = np.empty((8,) + u.values.shape[1:])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i in (1, 2, 3):
-                _sheet_scalars(i, u.jet, wall, work, H[i - 1])
-    except FloatingPointError as exc:
-        raise DegenerateMetric(f"sheet {i}: the metric is not finite ({exc})") from None
+    groups = u.grid.sheet_groups()
+    work = np.empty((8, groups[0].stop - groups[0].start) + u.values.shape[1:])
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for sheets in groups:
+                _sheet_scalars(sheets, u.jet, wall, work, H[sheets])
+            return H
+        except (DegenerateMetric, FloatingPointError):
+            pass
+        for i in range(3):
+            try:
+                _sheet_scalars(slice(i, i + 1), u.jet, wall, work[:, :1], H[i:i + 1])
+            except FloatingPointError as exc:
+                raise DegenerateMetric(f"sheet {i + 1}: the metric is not finite ({exc})") from None
     return H
 
 

@@ -1,11 +1,14 @@
 """Verification of the production path: independent oracles and empirical certificates.
 
-The oracles deliberately avoid the closed-form geometry and the spectral
-solvers: mean curvature is re-derived from finite differences of embedded
-surface points alone, and the linear problems are re-solved with
-second-order finite differences on a uniform grid, or mode by mode with the
-closed-form exponential-kernel solutions.  Agreement between these oracles
-and the production paths is what certifies the latter.
+Most oracles avoid the closed-form geometry and the spectral solvers: mean
+curvature is re-derived from finite differences of embedded surface points
+alone, and the linear problems are re-solved with second-order finite
+differences on a uniform grid, or mode by mode with the closed-form
+exponential-kernel solutions.  Agreement between these oracles and the
+production paths is what certifies the latter.  One shares production code:
+the junction-angle check reads the conormals of ``curvature._conormals``,
+which G also reads, so it is independent of F but not of G (as the
+"independent of" column of ``cli.CERTIFICATES`` says).
 
 The certificates run the production path itself on random inputs and
 report the constants the fixed-point argument needs, as measured, not

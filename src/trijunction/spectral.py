@@ -262,24 +262,41 @@ def _derivative_factors(n: int, orders: tuple[int, ...], ndim: int) -> np.ndarra
     return factors
 
 
-def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...],
-                       out: np.ndarray | None = None) -> np.ndarray:
+def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...]) -> np.ndarray:
     """Spectral y-derivative of periodic samples (last axis).
 
     ``order`` is an int, or a tuple of ints for several derivatives from one
     forward transform and one inverse transform of the stacked products,
     stacked along a new leading axis.  An odd derivative zeroes the Nyquist
-    mode on an even grid.  The result is written into ``out`` when given,
-    and returned.
+    mode on an even grid.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     orders = order if isinstance(order, tuple) else (order,)
-    if out is not None and not isinstance(order, tuple):
-        out = out[None]
     factors = _derivative_factors(n, orders, values.ndim)
-    out = np.fft.irfft(np.fft.rfft(values) * factors, n=n, out=out)
+    out = np.fft.irfft(np.fft.rfft(values) * factors, n=n)
     return out if isinstance(order, tuple) else out[0]
+
+
+def fourier_jet(values: np.ndarray, ux: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The y-derivatives u_y, u_yy and u_xy of a jet, written into the three
+    slots of ``out``, a (3,) + ``values.shape`` array, in that order, and
+    returned.
+
+    ``values`` holds the periodic samples u and ``ux`` their x-derivative, of
+    one shape.  Their two spectra go into one complex buffer, the factors
+    (2 pi i k)^m are applied in place, and one inverse transform fills the
+    three slots: each is bit for bit :func:`fourier_derivative` of its data.
+    """
+    n = values.shape[-1]
+    d1, d2 = _derivative_factors(n, (1, 2), values.ndim)
+    X = np.empty((3,) + values.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    np.fft.rfft(values, out=X[0])
+    np.multiply(X[0], d2, out=X[1])
+    X[0] *= d1
+    np.fft.rfft(ux, out=X[2])
+    X[2] *= d1
+    return np.fft.irfft(X, n=n, out=out)
 
 
 def fourier_interpolate(values: np.ndarray, yq) -> np.ndarray:

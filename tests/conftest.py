@@ -97,3 +97,16 @@ def count_calls(monkeypatch, module, names):
     for name in names:
         monkeypatch.setattr(module, name, counting(name))
     return calls
+
+
+ONE_GROUP = (slice(0, 3),)
+PER_SHEET = (slice(0, 1), slice(1, 2), slice(2, 3))
+# a grid on each side of the sheet-group size rule: its shape, the groups the
+# rule gives it, and the other grouping
+GROUPING_GRIDS = [pytest.param((48, 64), ONE_GROUP, PER_SHEET, id="48x64"),
+                  pytest.param((96, 256), PER_SHEET, ONE_GROUP, id="96x256")]
+
+
+def regrouped(monkeypatch, groups):
+    """Make every grid take its sheets in ``groups``."""
+    monkeypatch.setattr(Grid2D, "sheet_groups", lambda self: groups)

@@ -659,16 +659,16 @@ def test_verify_names_no_location_for_a_non_finite_fd_curvature(tmp_path, capsys
 
 
 def test_verify_differentiates_the_stored_field_once(tmp_path, monkeypatch, capsys):
-    # the jet is verify's one Fourier derivative pass (u_y with u_yy, then
-    # u_xy): the angle check and the residuals read the wall and spine slopes
-    # from it; an in-regime run prints its six rows in order
+    # the jet is verify's one Fourier pass (u_y, u_yy and u_xy): the angle
+    # check and the residuals read the wall and spine slopes from it; an
+    # in-regime run prints its six rows in order
     from trijunction import spectral
     out = str(tmp_path / "run")
     assert run(["solve", "--family", "translate:0.01,0", "--out", out]) == EXIT_OK
     capsys.readouterr()
-    calls = count_calls(monkeypatch, spectral, ("fourier_derivative",))
+    calls = count_calls(monkeypatch, spectral, ("fourier_derivative", "fourier_jet"))
     assert run(["verify", out]) == EXIT_OK
-    assert calls == {"fourier_derivative": 2}
+    assert calls == {"fourier_derivative": 0, "fourier_jet": 1}
     printed = capsys.readouterr().out.splitlines()
     assert [ln.split("  ")[0] for ln in printed] == VERIFY_ROWS + ["stored residual match"]
 

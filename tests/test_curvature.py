@@ -11,7 +11,7 @@ from trijunction.geometry import spine_samples, wall_scalars
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.spectral import fourier_derivative
 
-from conftest import rotation_field, translation_field
+from conftest import GROUPING_GRIDS, regrouped, rotation_field, translation_field
 
 
 def G_sup(u, frame):
@@ -65,7 +65,7 @@ def test_F_eval_reads_the_metric_shape_mean_curvature(grid, cutoff, frame):
 
 def _expression_H(u, cutoff, i):
     """H of sheet i as the closed-form expression, one temporary per operation.
-    Returns (H, denom, det); H is None when the metric is degenerate."""
+    Returns (H, D, det); H is None when the metric is degenerate."""
     ux, uy, uxx, uxy, uyy = (a[i - 1] for a in (u.jet.ux, u.jet.uy, u.jet.uxx,
                                                    u.jet.uxy, u.jet.uyy))
     w, w1, w2, E, E1, E2 = _wall_data(u, cutoff)
@@ -77,16 +77,34 @@ def _expression_H(u, cutoff, i):
     g12 = a1 * a2 + ux * uy
     g22 = a2 ** 2 + uy ** 2 + 1.0
     det = g11 * g22 - g12 ** 2
-    denom = 1.0 - E1W
-    if denom.min() < 1e-3 or det.min() < 1e-6:
-        return None, denom, det
-    beta = ux / denom
+    D = 1.0 - E1W
+    if D.min() < 1e-3 or det.min() < 1e-6:
+        return None, D, det
+    num = (g22 * (D * uxx + ux * E2 * W) - 2.0 * g12 * (D * uxy + ux * E1 * W1)
+           + g11 * (D * uyy + ux * E * W2))
+    return num / (det * np.sqrt(det)), D, det
+
+
+def _second_fundamental_form_H(u, cutoff, i, dtype):
+    """H of sheet i as (g22 h11 - 2 g12 h12 + g11 h22) / det g, with the unit
+    normal's length N = sqrt(1 + beta^2 + gamma^2) taken from the slopes
+    beta and gamma, evaluated in ``dtype`` from the float jet and wall data."""
+    ux, uy, uxx, uxy, uyy = (np.asarray(a[i - 1], dtype) for a in u.jet)
+    w, w1, w2, E, E1, E2 = (np.asarray(a, dtype) for a in _wall_data(u, cutoff))
+    W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
+    a1 = E1 * W - 1.0
+    a2 = E * W1
+    g11 = a1 ** 2 + ux ** 2
+    g12 = a1 * a2 + ux * uy
+    g22 = a2 ** 2 + uy ** 2 + 1.0
+    det = g11 * g22 - g12 ** 2
+    beta = ux / (1.0 - E1 * W)
     gamma = -uy - beta * E * W1
     norm = np.sqrt(1.0 + beta ** 2 + gamma ** 2)
     h11 = (uxx + beta * E2 * W) / norm
     h12 = (uxy + beta * E1 * W1) / norm
     h22 = (uyy + beta * E * W2) / norm
-    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det, denom, det
+    return (g22 * h11 - 2.0 * g12 * h12 + g11 * h22) / det
 
 
 @pytest.mark.parametrize("proxy,seed", [(0.001, 1), (0.02, 2), (0.2, 3)])
@@ -95,6 +113,55 @@ def test_mean_curvature_equals_the_expression_bit_for_bit(grid, cutoff, frame, p
     H = mean_curvature(u, cutoff)
     for i in (1, 2, 3):
         assert np.array_equal(H[i - 1], _expression_H(u, cutoff, i)[0]), i
+
+
+@pytest.mark.parametrize("proxy,seed", [(0.001, 1), (0.02, 2), (0.2, 3)])
+def test_mean_curvature_is_as_accurate_as_the_second_fundamental_form(grid, cutoff, frame,
+                                                                        proxy, seed):
+    # D N = sqrt(det g) is an identity, so the closed form divides once where
+    # the beta, gamma, N form divides five times; against that form in
+    # extended precision, its round-off is at most twice the float form's
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps / 100
+    u = random_small(grid, frame, proxy, seed)
+    H = mean_curvature(u, cutoff)
+    exact = np.stack([_second_fundamental_form_H(u, cutoff, i, np.longdouble) for i in (1, 2, 3)])
+    before = np.stack([_second_fundamental_form_H(u, cutoff, i, float) for i in (1, 2, 3)])
+    assert np.abs(H - exact).max() <= 2.0 * np.abs(before - exact).max()
+
+
+@pytest.mark.parametrize("shape,rule,other", GROUPING_GRIDS)
+def test_a_group_of_three_gives_the_curvature_of_three_groups_of_one(shape, rule, other,
+                                                                      cutoff, frame, monkeypatch):
+    grid = Grid2D(*shape)
+    assert grid.sheet_groups() == rule
+    for proxy, seed in [(0.001, 1), (0.02, 2), (0.2, 3)]:
+        u = random_small(grid, frame, proxy, seed)
+        H = mean_curvature(u, cutoff)
+        with monkeypatch.context() as mp:
+            regrouped(mp, other)
+            assert np.array_equal(mean_curvature(u, cutoff), H), seed
+
+
+@pytest.mark.parametrize("shape,rule,other", GROUPING_GRIDS)
+@pytest.mark.parametrize("heights,first", [((0.0, -1.0, 1.0), 2), ((1.0, -1.0, -1.0), 3)],
+                         ids=["sheet2", "sheet3"])
+def test_a_degenerate_group_names_its_first_failing_sheet_and_its_own_minima(
+        shape, rule, other, heights, first, cutoff, frame, monkeypatch):
+    # constant offsets of +-delta tilt the walls until 1 - eta' <w,n> < 0; in
+    # the first case sheet 3 fails too, with lower minima than sheet 2's
+    grid = Grid2D(*shape)
+    offsets = cutoff.delta * np.array(heights)[:, None, None]
+    u = TripleField(grid, random_small(grid, frame, 0.3, 0).values + offsets)
+    failing = [i for i in (1, 2, 3) if _expression_H(u, cutoff, i)[0] is None]
+    assert failing[0] == first
+    _, D, det = _expression_H(u, cutoff, first)
+    expected = f"sheet {first}: min(1 - eta' <w,n>) = {D.min():.3e}, min det g = {det.min():.3e}"
+    for groups in (rule, other):
+        with monkeypatch.context() as mp:
+            regrouped(mp, groups)
+            with pytest.raises(DegenerateMetric) as exc_info:
+                mean_curvature(u, cutoff)
+        assert str(exc_info.value) == expected and exc_info.value.__context__ is None
 
 
 @pytest.mark.filterwarnings("ignore::trijunction.fields.AliasingWarning")   # out-of-regime data
@@ -107,9 +174,9 @@ def test_degenerate_metric_message_names_the_expression_minima(cutoff, frame):
     with pytest.raises(GuardViolation) as exc_info:
         solve_nonlinear(phi, SolveOptions(r_guard=1e6), grid, cutoff, frame)
     u = exc_info.value.field
-    i, (_, denom, det) = next((i, r) for i in (1, 2, 3)
-                              if (r := _expression_H(u, cutoff, i))[0] is None)
-    expected = (f"sheet {i}: min(1 - eta' <w,n>) = {denom.min():.3e}, "
+    i, (_, D, det) = next((i, r) for i in (1, 2, 3)
+                          if (r := _expression_H(u, cutoff, i))[0] is None)
+    expected = (f"sheet {i}: min(1 - eta' <w,n>) = {D.min():.3e}, "
                 f"min det g = {det.min():.3e}")
     assert str(exc_info.value.__cause__) == expected
     with pytest.raises(DegenerateMetric) as direct:

@@ -17,7 +17,8 @@ from trijunction.fields import (_dyadic_lags, _holder_seminorm_1d, _holder_semin
                                checked_spectrum)
 from trijunction.spectral import bary_matrix, fourier_interpolate, interpolate
 
-from conftest import benchmark_inputs, count_calls, translation_field
+from conftest import (GROUPING_GRIDS, ONE_GROUP, PER_SHEET, benchmark_inputs, count_calls,
+                      regrouped, translation_field)
 
 
 def sampled(grid, fn):
@@ -165,6 +166,11 @@ def test_norm_proxy_triangle_inequality(grid_small):
         assert norm_proxy(a + b, 0.5) <= norm_proxy(a, 0.5) + norm_proxy(b, 0.5) + 1e-12
 
 
+def _seminorm_2d(arrays, grid, alpha):
+    """The best-first search on one sheet whose slots are ``arrays``."""
+    return _holder_seminorm_2d(np.asarray(arrays)[:, None], grid, alpha)[0]
+
+
 def _roll_seminorm_2d(arrays, grid, alpha):
     """Reference: every periodic y-lag as an ``np.roll`` copy, one array at a
     time, combined by np.maximum, so that a NaN anywhere gives NaN."""
@@ -198,7 +204,7 @@ def test_holder_seminorms_equal_roll_reference(nx, ny, alpha):
     grid = Grid2D(nx, ny)
     for _ in range(4):
         arrays = list(rng.standard_normal((3, nx, ny)))
-        assert _holder_seminorm_2d(arrays, grid, alpha) == _roll_seminorm_2d(arrays, grid, alpha)
+        assert _seminorm_2d(arrays, grid, alpha) == _roll_seminorm_2d(arrays, grid, alpha)
         row = rng.standard_normal(ny)
         assert _holder_seminorm_1d(row, alpha) == _roll_seminorm_1d(row, alpha)
 
@@ -231,7 +237,7 @@ def test_pruned_seminorm_equals_roll_reference_on_solver_iterates(nx, ny, n):
     for u in iterates:
         for arrays in _top_derivatives(u):
             for alpha in (0.1, 0.5, 1.0):
-                assert (_holder_seminorm_2d(arrays, grid, alpha)
+                assert (_seminorm_2d(arrays, grid, alpha)
                         == _roll_seminorm_2d(arrays, grid, alpha))
 
 
@@ -253,7 +259,7 @@ def test_pruned_seminorm_equals_roll_reference_on_spikes_steps_and_constants(nx,
              [corner, zero, zero], [zero + 1.75] * 3, [zero] * 3,
              [ramp, zero, zero], [zero, wave, 0.5 * ramp]]
     for arrays in cases:
-        assert (_holder_seminorm_2d(arrays, grid, alpha)
+        assert (_seminorm_2d(arrays, grid, alpha)
                 == _roll_seminorm_2d(arrays, grid, alpha))
 
 
@@ -288,7 +294,7 @@ def test_lag_passes_equal_roll_reference_on_any_layout(nx, ny):
             assert fields._y_lag(ref, lag, diff) == np.abs(np.roll(ref, -lag, -1) - ref).max()
             assert np.array_equal(diff, np.roll(ref, -lag, -1) - ref), (name, lag)
         for alpha in (0.1, 0.5, 1.0):
-            assert (_holder_seminorm_2d(A, grid, alpha)
+            assert (_seminorm_2d(A, grid, alpha)
                     == _roll_seminorm_2d(ref, grid, alpha)), (name, alpha)
     # periodic rows: contiguous, strided and reversed
     wide = rng.standard_normal(2 * ny)
@@ -306,7 +312,7 @@ def test_seminorm_of_jet_block_views_equals_roll_reference_on_96x256_iterates():
             view = u._jet_block[2:, i]
             assert np.shares_memory(view.reshape(3, -1), u._jet_block)
             for alpha in (0.1, 0.5, 1.0):
-                assert (_holder_seminorm_2d(view, grid, alpha)
+                assert (_seminorm_2d(view, grid, alpha)
                         == _roll_seminorm_2d(view, grid, alpha))
 
 
@@ -336,10 +342,43 @@ def test_lag_passes_propagate_nan_and_inf_as_abs_max(frac):
                     ref = np.abs(A[:, lag:] - A[:, :-lag]).max(axis=(0, 2))
                     assert np.array_equal(rows, ref, equal_nan=True), (name, lag)
                 for alpha in (0.1, 0.5, 1.0):
-                    assert np.array_equal(_holder_seminorm_2d(A[:1], grid, alpha),
+                    assert np.array_equal(_seminorm_2d(A[:1], grid, alpha),
                                           _roll_seminorm_2d(A[:1], grid, alpha), equal_nan=True)
                     assert np.array_equal(_holder_seminorm_1d(A[0, 0], alpha),
                                           _roll_seminorm_1d(A[0, 0], alpha), equal_nan=True)
+
+
+@pytest.mark.parametrize("shape,rule,other", GROUPING_GRIDS)
+def test_a_group_of_three_gives_the_norm_proxy_of_three_groups_of_one(shape, rule, other,
+                                                                       monkeypatch):
+    # a sheet that did not need a lag the group ran reads a value no larger
+    # than its bound, so the grouping cannot change any proxy
+    grid, iterates = _benchmark_iterates(*shape, 2)
+    assert grid.sheet_groups() == rule
+    cases = iterates + [random_triple(grid, 16),
+                        sampled(grid, lambda X, Y: X * np.sin(2 * np.pi * Y))]
+    proxies = [norm_proxy(u, alpha, order) for u in cases
+               for alpha in (0.1, 0.5, 1.0) for order in (0, 1, 2)]
+    regrouped(monkeypatch, other)
+    assert proxies == [norm_proxy(u, alpha, order) for u in cases
+                       for alpha in (0.1, 0.5, 1.0) for order in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.02, 0.3])
+def test_grouped_seminorms_with_nan_or_inf_spans_equal_roll_reference(frac):
+    # a non-finite span in one sheet evaluates every lag of the group; every
+    # sheet still reads the roll reference's value, in either grouping
+    rng = np.random.default_rng(7 + int(frac * 100))
+    grid = Grid2D(9, 10)
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            stack = _with_non_finite(rng, (3, 3, 9, 10), frac)
+            stack[:, rng.integers(3)] = rng.standard_normal((3, 9, 10))   # one finite sheet
+            for alpha in (0.1, 0.5, 1.0):
+                ref = [_roll_seminorm_2d(stack[:, i], grid, alpha) for i in range(3)]
+                for groups in (ONE_GROUP, PER_SHEET):
+                    got = [v for s in groups for v in _holder_seminorm_2d(stack[:, s], grid, alpha)]
+                    assert np.array_equal(got, ref, equal_nan=True), (groups, alpha)
 
 
 def test_a_nan_reaches_the_seminorm_and_the_periodic_proxy():
@@ -367,7 +406,7 @@ def test_seminorm_evaluates_at_most_four_lags_on_benchmark_iterates(monkeypatch)
         for u in iterates:
             for arrays in _top_derivatives(u):
                 calls.clear()
-                _holder_seminorm_2d(arrays, grid, SolveOptions().alpha)
+                _seminorm_2d(arrays, grid, SolveOptions().alpha)
                 assert 2 <= len(calls) <= 4, (nx, ny, calls)
 
 
@@ -496,15 +535,15 @@ def test_triple_sheets_are_read_only_views(grid_small):
 def test_jet_is_cached_and_matches_fresh_derivatives(grid_small, monkeypatch):
     from trijunction import spectral
     calls = []
-    for name in ("cheb_coefficients", "fourier_derivative"):
+    for name in ("cheb_coefficients", "fourier_derivative", "fourier_jet"):
         fn = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
     u = random_triple(grid_small, 4)
     assert u.jet is u.jet
-    # one pass over the whole (3, nx, ny) array: one Chebyshev analysis, one
-    # Fourier derivative call for u_y and u_yy, one for u_xy
-    assert sorted(calls) == ["cheb_coefficients", "fourier_derivative", "fourier_derivative"]
+    # one pass over the whole (3, nx, ny) array: one Chebyshev analysis, and
+    # one Fourier pass for u_y, u_yy and u_xy
+    assert sorted(calls) == ["cheb_coefficients", "fourier_jet"]
     fresh = TripleField(grid_small, u.values)
     for name, arr in u.jet._asdict().items():
         assert np.array_equal(arr, getattr(fresh.jet, name)), name
@@ -512,12 +551,13 @@ def test_jet_is_cached_and_matches_fresh_derivatives(grid_small, monkeypatch):
 
 def test_jet_takes_no_fft_along_x(grid_small, monkeypatch):
     # the Chebyshev analysis is a matrix product: the only transforms of a
-    # warm jet are the two Fourier derivative passes along y
+    # warm jet are the Fourier pass along y, the spectra of u and u_x and one
+    # inverse transform of the three products
     random_triple(grid_small, 4).jet                     # warm the per-grid caches
     u = random_triple(grid_small, 5)
     calls = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
     u.jet
-    assert calls == {"rfft": 2, "irfft": 2}
+    assert calls == {"rfft": 2, "irfft": 1}
 
 
 def test_jet_rows_are_contiguous_and_equal_the_per_sheet_derivatives(grid_small):
@@ -591,7 +631,7 @@ def _stacked_norm_proxy(u, alpha, order):
     sups = np.max([np.abs(a).max(axis=(1, 2)) for group in groups for a in group], axis=0)
     total = 0.0
     for i in range(3):
-        total += float(sups[i]) + _holder_seminorm_2d(np.stack([a[i] for a in groups[-1]]),
+        total += float(sups[i]) + _seminorm_2d(np.stack([a[i] for a in groups[-1]]),
                                                       u.grid, alpha)
     return total
 

@@ -111,8 +111,8 @@ def test_only_the_fields_differentiate():
 
 
 def test_declared_numpy_floor_has_fft_out_and_reshape_copy():
-    # spectral.fourier_derivative passes out= to np.fft.irfft, which numpy
-    # added in 2.0, and fields._y_lag passes copy=False to np.reshape, which
+    # spectral.fourier_jet passes out= to np.fft.rfft and np.fft.irfft, which
+    # numpy added in 2.0, and fields._y_lag passes copy=False to np.reshape, which
     # numpy added in 2.1; an older numpy raises TypeError on the hot path
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml")) as fh:

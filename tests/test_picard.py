@@ -129,19 +129,19 @@ def test_converged_solution_passes_residuals_and_guards(grid, cutoff, frame, mon
 
 
 def test_a_warm_solve_differentiates_each_iterate_once(grid, cutoff, frame, monkeypatch):
-    # the jet is the one derivative pass: u1 and u2 make two Fourier
-    # derivative calls each (u_y with u_yy, then u_xy), and the wall and spine
-    # slopes are read from it; the FFTs are the two jets' 4 + 4 and the two
-    # linear solves' spectra of their data
+    # the jet is the one derivative pass: u1 and u2 make one Fourier pass
+    # each (u_y, u_yy and u_xy), and the wall and spine slopes are read from
+    # it; the FFTs are the two jets' 3 + 3 and the two linear solves' spectra
+    # of their data
     from trijunction import spectral
     phi = random_boundary(grid.ny, np.random.default_rng(20), 0.005)
     solve_nonlinear(phi, OPTS, grid, cutoff, frame)           # warm the per-grid caches
-    calls = count_calls(monkeypatch, spectral, ("fourier_derivative",))
+    calls = count_calls(monkeypatch, spectral, ("fourier_derivative", "fourier_jet"))
     ffts = count_calls(monkeypatch, np.fft, ("rfft", "irfft"))
     _, report = solve_nonlinear(phi, OPTS, grid, cutoff, frame)
     assert report.iterations == 2
-    assert calls == {"fourier_derivative": 4}
-    assert ffts == {"rfft": 8, "irfft": 6}
+    assert calls == {"fourier_derivative": 0, "fourier_jet": 2}
+    assert ffts == {"rfft": 8, "irfft": 4}
 
 
 @pytest.mark.parametrize("nx,ny", [(48, 64), (96, 256)])
