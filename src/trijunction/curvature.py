@@ -33,8 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Jet, TripleField
-from .geometry import (SQRT3, CutoffProfile, JunctionFrame, check_compatibility,
-                       frame_vectors, spine_samples, wall_scalars)
+from .geometry import (FRAME, SQRT3, CutoffProfile, JunctionFrame, check_compatibility,
+                       spine_samples, wall_scalars)
 from .linear import DECOUPLE
 
 
@@ -163,7 +163,7 @@ def _conormals(u: TripleField, frame: JunctionFrame):
     return proj / np.linalg.norm(proj, axis=2, keepdims=True), dxu0, vprime
 
 
-def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
+def G_eval(u: TripleField, frame: JunctionFrame = FRAME) -> np.ndarray:
     """Junction defect G = N(u) + P, one (2, ny) array on the y grid.
 
     N(u) = ``DECOUPLE[1:] @ dn`` are the two Neumann combinations of the
@@ -176,14 +176,14 @@ def G_eval(u: TripleField, frame: JunctionFrame | None = None) -> np.ndarray:
     so G is quadratically small, and the fixed-point equations N(u) = G are
     equivalent to S = 0.
     """
-    return _junction_defect(u, frame or frame_vectors())[0]
+    return _junction_defect(u, frame)[0]
 
 
 def _junction_defect(u: TripleField, frame: JunctionFrame):
     """(G, P, S) from one spine and conormal pass; see :func:`G_eval`."""
     xi, dxu0, vprime = _conormals(u, frame)
     S = xi[0] + xi[1] + xi[2]
-    e = np.stack([frame.n_vec(1), frame.nu_vec(1)])
+    e = np.stack([frame.n[0], frame.nu[0]])
     b = np.empty((2, u.grid.ny, 3))         # b_1 and b_2 at every y
     b[..., :2] = e[:, None]
     b[..., 2] = -(e @ vprime)

@@ -37,33 +37,33 @@ def _check_sheet(i: int):
         raise ValueError(f"sheet index must be 1, 2 or 3, got {i!r}")
 
 
+# the standard frame: n_1 = (-1, 0), the others rotated by +-120 degrees;
+# nu_i is n_i rotated by +90 degrees.  One row per sheet, read-only.
+N = np.array([[-1.0, 0.0], [0.5, -SQRT3 / 2.0], [0.5, SQRT3 / 2.0]])
+NU = np.array([[0.0, -1.0], [SQRT3 / 2.0, 0.5], [-SQRT3 / 2.0, 0.5]])
+N.flags.writeable = NU.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class JunctionFrame:
-    """The six unit vectors of the junction: ray directions n_i, normals nu_i."""
+    """The six unit vectors of the junction: ray directions n_i, normals nu_i,
+    row i - 1 for sheet i.
+
+    Only the standard frame (:data:`N`, :data:`NU`) is meant: the closed forms
+    of :func:`wall_scalars` (the 1/sqrt 3 and the cyclic rows), G's -2/sqrt 3
+    and ``linear.DECOUPLE``'s Neumann rows hold for it alone.
+    """
 
     n: np.ndarray           # (3, 2)
     nu: np.ndarray          # (3, 2)
 
-    def n_vec(self, i: int) -> np.ndarray:
-        _check_sheet(i)
-        return self.n[i - 1]
 
-    def nu_vec(self, i: int) -> np.ndarray:
-        _check_sheet(i)
-        return self.nu[i - 1]
+FRAME = JunctionFrame(N, NU)
 
 
 def frame_vectors() -> JunctionFrame:
-    """The standard frame: n_1 = (-1, 0), the others rotated by +-120 degrees."""
-    n = np.array([[-1.0, 0.0],
-                  [0.5, -SQRT3 / 2.0],
-                  [0.5, SQRT3 / 2.0]])
-    nu = np.array([[0.0, -1.0],
-                   [SQRT3 / 2.0, 0.5],
-                   [-SQRT3 / 2.0, 0.5]])
-    n.flags.writeable = False
-    nu.flags.writeable = False
-    return JunctionFrame(n, nu)
+    """A new frame of the standard vectors :data:`N` and :data:`NU`."""
+    return JunctionFrame(N, NU)
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,11 @@ class CutoffProfile:
             return float(eta), float(eta1), float(eta2)
         return eta, eta1, eta2
 
+    @property
+    def smallness_radius(self) -> float:
+        """delta/10: the proxy radius of the smallness regime, the default trust radius."""
+        return self.delta / 10.0
+
     @lru_cache(maxsize=None)
     def on_grid(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eta, eta', eta'') at the grid's x nodes, read-only (nx, 1) columns, once per grid."""
@@ -130,16 +135,15 @@ def check_compatibility(traces: np.ndarray):
             "the three sheets do not meet along a common spine")
 
 
-def spine_samples(rows: np.ndarray, frame: JunctionFrame | None = None) -> np.ndarray:
+def spine_samples(rows: np.ndarray, frame: JunctionFrame = FRAME) -> np.ndarray:
     """The sheet-1 formula v = <w_1, n_1> n_1 + u_1 nu_1 on (3, ny) rows, shape (2, ny).
 
     On the inner traces it is the spine at the y nodes (all three sheets'
     formulas agree when the traces pass :func:`check_compatibility`, which
     it does not check); it is linear, so on the rows of d_y u(0, .) it is v'.
     """
-    frame = frame or frame_vectors()
     rows = np.asarray(rows, dtype=float)
-    return np.outer(frame.n_vec(1), wall_scalars(rows)[0]) + np.outer(frame.nu_vec(1), rows[0])
+    return np.outer(frame.n[0], wall_scalars(rows)[0]) + np.outer(frame.nu[0], rows[0])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +174,9 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
 
 def _sheet_map(i: int, x, height, offset, frame: JunctionFrame) -> np.ndarray:
     """(p1, p2) of sheet i: -x n_i + u_i nu_i + eta w_i n_i, broadcast over the inputs."""
-    return (np.multiply.outer(-x, frame.n_vec(i))
-            + np.multiply.outer(height, frame.nu_vec(i))
-            + np.multiply.outer(offset, frame.n_vec(i)))
+    return (np.multiply.outer(-x, frame.n[i - 1])
+            + np.multiply.outer(height, frame.nu[i - 1])
+            + np.multiply.outer(offset, frame.n[i - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def check_mesh_resolution(resolution: tuple[int, int]):
 
 
 def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProfile,
-                 frame: JunctionFrame | None = None) -> SurfaceMesh:
+                 frame: JunctionFrame = FRAME) -> SurfaceMesh:
     """Triangulate the perturbed surface.
 
     The y seam at 0 is cut (vertices at y = 0 and y = 1 are distinct), and
@@ -223,7 +227,6 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     """
     check_mesh_resolution(resolution)
     mx, my = resolution
-    frame = frame or frame_vectors()
     xs = np.linspace(0.0, 1.0, mx)[1:]          # x = 0 is the spine row
     ys = np.linspace(0.0, 1.0, my + 1)          # duplicated seam
 

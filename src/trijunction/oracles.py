@@ -26,7 +26,7 @@ import numpy as np
 from . import spectral
 from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy, norm_proxy,
                      periodic_proxy)
-from .geometry import CutoffProfile, JunctionFrame, embed_point, frame_vectors
+from .geometry import FRAME, CutoffProfile, JunctionFrame, embed_point
 from .curvature import F_eval, G_eval, _conormals
 from .linear import DECOUPLE, RECOMPOSE, Kind, solve_linear_system
 from .picard import (GuardViolation, SolveOptions, _assemble_report, _guard_record,
@@ -42,7 +42,7 @@ _N_QUAD = 96
 
 def fd_mean_curvature(i: int, u: TripleField, point: tuple[float, float] | np.ndarray,
                       h: float, cutoff: CutoffProfile,
-                      frame: JunctionFrame | None = None) -> float | np.ndarray:
+                      frame: JunctionFrame = FRAME) -> float | np.ndarray:
     """Mean curvature of sheet i at interior points, from surface samples.
 
     Builds the first and second fundamental forms by centered differences of
@@ -53,7 +53,6 @@ def fd_mean_curvature(i: int, u: TripleField, point: tuple[float, float] | np.nd
     Wholly independent of the closed-form curvature path: only the sheet
     parametrization is shared.
     """
-    frame = frame or frame_vectors()
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("step size h must lie in [1e-5, 1e-2]")
     pts = np.asarray(point, dtype=float)
@@ -267,9 +266,8 @@ class AngleReport:
     max_deviation: float        # from 2 pi / 3
 
 
-def junction_angle_check(u: TripleField, frame: JunctionFrame | None = None) -> AngleReport:
+def junction_angle_check(u: TripleField, frame: JunctionFrame = FRAME) -> AngleReport:
     """Angles between the sheet conormals along the spine; 120 degrees at stationarity."""
-    frame = frame or frame_vectors()
     xi, _, _ = _conormals(u, frame)
     pairs = ((0, 1), (1, 2), (2, 0))
     angles = np.stack([
@@ -279,7 +277,7 @@ def junction_angle_check(u: TripleField, frame: JunctionFrame | None = None) -> 
 
 
 def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
-                 frame: JunctionFrame | None = None) -> tuple[BoundaryTriple, TripleField]:
+                 frame: JunctionFrame = FRAME) -> tuple[BoundaryTriple, TripleField]:
     """Boundary data and exact solution of a rigid-motion family.
 
     ``translate``: the cone shifted by a plane vector c gives constant
@@ -287,7 +285,6 @@ def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
     slope beta gives u_i = beta x.  Both are genuinely stationary, so they
     serve as end-to-end regression targets.
     """
-    frame = frame or frame_vectors()
     limit = cutoff.delta / 20.0
     if kind == "translate":
         c = np.asarray(value, dtype=float)
@@ -296,7 +293,7 @@ def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
         if np.linalg.norm(c) > limit:
             raise ValueError(f"|c| = {np.linalg.norm(c):.3g} exceeds the "
                              f"smallness limit delta/20 = {limit:.3g}")
-        arrays = [np.full((grid.nx, grid.ny), float(frame.nu_vec(i) @ c))
+        arrays = [np.full((grid.nx, grid.ny), float(frame.nu[i - 1] @ c))
                   for i in (1, 2, 3)]
     elif kind == "rotate":
         beta = float(value)
@@ -322,7 +319,7 @@ def _trig_sum(c: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
-                            frame: JunctionFrame | None = None,
+                            frame: JunctionFrame = FRAME,
                             max_mode: int = 3, amplitude: float = 1.0) -> TripleField:
     """Random smooth triple field whose inner traces sum to zero.
 
@@ -330,7 +327,6 @@ def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
     compatibility holds by construction; a random interior part vanishing at
     x = 0 is added on top.
     """
-    frame = frame or frame_vectors()
     x, y = grid.x, grid.y
     K = max_mode + 1
     vc = rng.standard_normal((2, K))
@@ -339,7 +335,7 @@ def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
     profile = np.cos(0.5 * np.pi * x)[:, None]          # 1 at x=0, 0 at x=1
     arrays = []
     for i in (1, 2, 3):
-        tr_part = (frame.nu_vec(i) @ vy)[None, :] * profile
+        tr_part = (frame.nu[i - 1] @ vy)[None, :] * profile
         bulk_c = rng.standard_normal((3, K))
         bulk_s = rng.standard_normal((3, K))
         modes = _trig_sum(bulk_c, bulk_s, y)            # (3, ny)
@@ -370,18 +366,17 @@ class StructuralCertificate:
 
 
 def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
-                           cutoff: CutoffProfile, frame: JunctionFrame | None = None,
+                           cutoff: CutoffProfile, frame: JunctionFrame = FRAME,
                            alpha: float = 0.5, seed: int = 0) -> StructuralCertificate:
     """Estimate the smallest constants with ||F||, ||G|| <= C * proxy(u)^2.
 
     Samples random compatible fields of the given proxy radius.  The radius
-    must respect the smallness regime (at most delta / 10).
+    must respect the smallness regime (at most ``cutoff.smallness_radius``).
     """
-    if sample_radius > cutoff.delta / 10.0:
+    if sample_radius > cutoff.smallness_radius:
         raise ValueError("sample radius exceeds the smallness regime delta/10")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    frame = frame or frame_vectors()
     rng = np.random.default_rng(seed)
     qF, qG = [], []
     for _ in range(n_samples):
@@ -463,7 +458,7 @@ _ROUND_OFF_PROXY = 1e-11
 
 
 def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
-                            cutoff: CutoffProfile, frame: JunctionFrame | None = None,
+                            cutoff: CutoffProfile, frame: JunctionFrame = FRAME,
                             n_iter: int = 6, seed: int = 0,
                             start_scale: float = 1e-4) -> tuple[ContractionEstimates, list[float]]:
     """Measure the step map's Lipschitz behavior along two nearby orbits.
@@ -475,7 +470,6 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     difference quotients along the orbits; c1 is None when the orbit of zero
     and the data are both at round-off.
     """
-    frame = frame or frame_vectors()
     rng = np.random.default_rng(seed)
     u = TripleField.zero(grid)
     v = scaled_to_proxy(random_compatible_field(grid, rng, frame), start_scale, opts.alpha)

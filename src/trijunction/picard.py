@@ -23,7 +23,7 @@ import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect, mean_curvature
 from .fields import BoundaryTriple, Grid2D, TripleField, norm_proxy
-from .geometry import CutoffProfile, JunctionFrame, embed_margin, frame_vectors
+from .geometry import FRAME, CutoffProfile, JunctionFrame, embed_margin
 from .linear import DECOUPLE, solve_harmonic, solve_linear_system
 
 
@@ -48,9 +48,9 @@ class GuardViolation(SolveFailure):
 class SolveOptions:
     """Knobs of the fixed-point driver.
 
-    ``r_guard`` defaults to delta/10: the smallness radius the embedding
-    argument needs.  ``alpha`` is the Hoelder exponent of the
-    guard proxy.
+    ``r_guard`` defaults to ``CutoffProfile.smallness_radius``, the radius
+    delta/10 the embedding argument needs.  ``alpha`` is the Hoelder
+    exponent of the guard proxy.
     """
 
     tol: float = 1e-10
@@ -69,9 +69,6 @@ class SolveOptions:
             raise ValueError(f"r_guard must be finite and positive, got {self.r_guard!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-
-    def guard_radius(self, delta: float) -> float:
-        return self.r_guard if self.r_guard is not None else delta / 10.0
 
 
 @dataclass(frozen=True)
@@ -105,16 +102,16 @@ class SolveReport:
 
 
 def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
-                frame: JunctionFrame | None = None) -> TripleField:
+                frame: JunctionFrame = FRAME) -> TripleField:
     """One application of the step map: linear solve with frozen nonlinearities."""
     return solve_linear_system(F_eval(u, cutoff), G_eval(u, frame), phi)
 
 
 def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
-                    frame: JunctionFrame | None = None) -> ResidualRecord:
+                    frame: JunctionFrame = FRAME) -> ResidualRecord:
     """Evaluate all stationarity residuals of a candidate solution."""
     H = mean_curvature(u, cutoff)
-    _, P, S = _junction_defect(u, frame or frame_vectors())
+    _, P, S = _junction_defect(u, frame)
     return ResidualRecord(float(np.abs(H[:, 1:-1]).max()), float(np.abs(P).max()),
                           float(np.linalg.norm(S, axis=1).max()), *_trace_errors(u, phi))
 
@@ -129,26 +126,25 @@ def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> 
     # a jet beyond the float range reads as an inf or NaN proxy: a failed guard
     with np.errstate(over="ignore", invalid="ignore"):
         proxy = norm_proxy(u, opts.alpha)
-    r = opts.guard_radius(cutoff.delta)
+    r = opts.r_guard if opts.r_guard is not None else cutoff.smallness_radius
     return GuardRecord(
         norm_proxy=proxy,
         r_guard=r,
         within_guard=bool(proxy <= r),
         embed_margin=embed_margin(u, cutoff),
-        smallness_ok=bool(proxy < cutoff.delta / 10.0),
+        smallness_ok=bool(proxy < cutoff.smallness_radius),
     )
 
 
 def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
                     cutoff: CutoffProfile,
-                    frame: JunctionFrame | None = None) -> tuple[TripleField, SolveReport]:
+                    frame: JunctionFrame = FRAME) -> tuple[TripleField, SolveReport]:
     """Iterate the step map from zero until the sup-norm update drops below tol.
 
     Raises :class:`GuardViolation` when an iterate leaves the trust ball and
     :class:`NoConvergence` when the iteration budget runs out; both are a
     :class:`SolveFailure` and carry the last iterate and the full report for
     post-mortem inspection."""
-    frame = frame or frame_vectors()
     if phi.ny != grid.ny:
         raise ValueError("boundary data and grid disagree on ny")
 

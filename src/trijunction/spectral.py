@@ -219,23 +219,13 @@ def cheb_cumulative_integral(values: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Clenshaw-Curtis nodes and weights on [0, 1] (n Lobatto points)."""
-    N = n - 1
-    j = np.arange(n)
+    # integral over [-1, 1] of T_m is 2/(1-m^2) for even m and 0 for odd m;
+    # fold the analysis matrix into per-node weights, halved for the [0, 1] map
+    m = np.arange(n)
+    moments = np.zeros(n)
+    moments[::2] = 2.0 / (1.0 - m[::2] ** 2)
     nodes = cheb_nodes(n)
-    # integral over [-1, 1] of T_m is 2/(1-m^2) for even m; fold the DCT
-    # analysis into per-node weights, then halve for the [0, 1] map.
-    m = np.arange(0, N + 1, 2)
-    moments = 2.0 / (1.0 - m ** 2)
-    cm = np.ones_like(m, dtype=float)
-    if m[0] == 0:
-        cm[0] = 2.0
-    if m[-1] == N:
-        cm[-1] = 2.0
-    cj = np.ones(n)
-    cj[0] = cj[-1] = 2.0
-    cosmat = np.cos(np.pi * np.outer(j, m) / N)     # (n, |m|)
-    w = (2.0 / (N * cj)) * (cosmat @ (moments / cm))
-    w *= 0.5
+    w = 0.5 * _cheb_analysis_matrix(n).T @ moments
     nodes.flags.writeable = False
     w.flags.writeable = False
     return nodes, w
@@ -262,20 +252,15 @@ def _derivative_factors(n: int, orders: tuple[int, ...], ndim: int) -> np.ndarra
     return factors
 
 
-def fourier_derivative(values: np.ndarray, order: int | tuple[int, ...]) -> np.ndarray:
-    """Spectral y-derivative of periodic samples (last axis).
+def fourier_derivative(values: np.ndarray, order: int) -> np.ndarray:
+    """Spectral y-derivative of periodic samples (last axis), one rfft/irfft pair.
 
-    ``order`` is an int, or a tuple of ints for several derivatives from one
-    forward transform and one inverse transform of the stacked products,
-    stacked along a new leading axis.  An odd derivative zeroes the Nyquist
-    mode on an even grid.
+    An odd derivative zeroes the Nyquist mode on an even grid.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    orders = order if isinstance(order, tuple) else (order,)
-    factors = _derivative_factors(n, orders, values.ndim)
-    out = np.fft.irfft(np.fft.rfft(values) * factors, n=n)
-    return out if isinstance(order, tuple) else out[0]
+    factor = _derivative_factors(n, (order,), values.ndim)[0]
+    return np.fft.irfft(np.fft.rfft(values) * factor, n=n)
 
 
 def fourier_jet(values: np.ndarray, ux: np.ndarray, out: np.ndarray) -> np.ndarray:

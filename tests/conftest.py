@@ -37,7 +37,7 @@ def translation_field(grid, frame, c):
     """Exact stationary family: constant heights <c, nu_i>."""
     c = np.asarray(c, dtype=float)
     return TripleField(
-        grid, [np.full((grid.nx, grid.ny), float(frame.nu_vec(i) @ c)) for i in (1, 2, 3)])
+        grid, [np.full((grid.nx, grid.ny), float(frame.nu[i - 1] @ c)) for i in (1, 2, 3)])
 
 
 def spine_series(traces, frame, ys=None):

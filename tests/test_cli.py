@@ -767,8 +767,8 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
     rec = residual_record(u, phi, CutoffProfile(cfg.delta))
     # the spine rows are the samples of v = <w_1, n_1> n_1 + u_1(0, .) nu_1
     frame = frame_vectors()
-    spine = (np.outer(wall_scalars(u.traces())[0], frame.n_vec(1))
-             + np.outer(u.traces()[0], frame.nu_vec(1)))
+    spine = (np.outer(wall_scalars(u.traces())[0], frame.n[0])
+             + np.outer(u.traces()[0], frame.nu[0]))
     ys = np.arange(cfg.ny) / cfg.ny
     expected = {
         "phi.csv": head + ["ny", str(phi.ny)]
@@ -790,9 +790,9 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
 def test_verify_probes_the_cutoff_joins(tmp_path, monkeypatch, capsys):
     probes = []
 
-    def spy(i, u, points, h, cutoff, frame=None):
+    def spy(i, u, points, h, cutoff, *frame):
         probes.append(np.asarray(points))
-        return fd_mean_curvature(i, u, points, h, cutoff, frame)
+        return fd_mean_curvature(i, u, points, h, cutoff, *frame)
 
     monkeypatch.setattr(cli, "fd_mean_curvature", spy)
     for delta, xs in (("0.2", [0.2, 0.3, 0.4, 0.5, 0.7]),

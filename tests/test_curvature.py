@@ -220,7 +220,7 @@ def test_conormal_flat(grid, frame):
     u0 = TripleField.zero(grid)
     for i in (1, 2, 3):
         xi = _conormals(u0, frame)[0][i - 1]
-        expected = np.concatenate([-frame.n_vec(i), [0.0]])
+        expected = np.concatenate([-frame.n[i - 1], [0.0]])
         assert np.max(np.abs(xi - expected)) < 1e-15
 
 
@@ -241,7 +241,7 @@ def test_conormal_rotation_closed_form(grid, frame):
     ub = rotation_field(grid, beta)
     for i in (1, 2, 3):
         xi = _conormals(ub, frame)[0][i - 1]
-        expected = np.concatenate([(-frame.n_vec(i) + beta * frame.nu_vec(i)), [0.0]])
+        expected = np.concatenate([(-frame.n[i - 1] + beta * frame.nu[i - 1]), [0.0]])
         expected /= np.sqrt(1.0 + beta ** 2)
         assert np.max(np.abs(xi - expected)) < 1e-13
 
@@ -302,9 +302,9 @@ def test_G_is_junction_condition_minus_projection(grid_small, frame):
     S = conormal_sum(u, frame)
     dn = -u.jet.ux[:, 0]                     # the outward normal at x = 0 is -x
     dy0 = fourier_derivative(u.traces(), 1)
-    b1 = np.column_stack([np.tile(frame.n_vec(1), (grid_small.ny, 1)),
+    b1 = np.column_stack([np.tile(frame.n[0], (grid_small.ny, 1)),
                           (dy0[1] - dy0[2]) / SQRT3])
-    b2 = np.column_stack([np.tile(frame.nu_vec(1), (grid_small.ny, 1)), -dy0[0]])
+    b2 = np.column_stack([np.tile(frame.nu[0], (grid_small.ny, 1)), -dy0[0]])
     lhs1 = (dn[1] - dn[2]) - G1
     lhs2 = (dn[0] - 0.5 * (dn[1] + dn[2])) - G2
     assert np.max(np.abs(lhs1 - (2.0 / SQRT3) * (S * b1).sum(1))) < 1e-14

@@ -7,7 +7,8 @@ from trijunction import (CompatibilityViolation, CutoffProfile, SolveOptions, Tr
                          embed_margin, embed_point, frame_vectors, mesh_surface, spectral)
 from trijunction.cli import mesh_to_obj
 from trijunction.curvature import _conormals
-from trijunction.geometry import SurfaceMesh, check_compatibility, spine_samples, wall_scalars
+from trijunction.geometry import (FRAME, N, NU, SurfaceMesh, check_compatibility, spine_samples,
+                                 wall_scalars)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.picard import _guard_record
 
@@ -18,27 +19,40 @@ PRED = (3, 1, 2)            # cyclic order 1 -> 2 -> 3 -> 1: PRED[i - 1] precede
 SUCC = (2, 3, 1)
 
 
-def test_cyclic_indexing(frame):
+def test_cyclic_indexing(grid, frame, cutoff):
     # the wall scalar of sheet i is (u_pred(i) - u_succ(i)) / sqrt 3
     traces = np.random.default_rng(0).standard_normal((3, 8))
     w = wall_scalars(traces)
     for i in (1, 2, 3):
         expected = (traces[PRED[i - 1] - 1] - traces[SUCC[i - 1] - 1]) / np.sqrt(3.0)
         assert np.array_equal(w[i - 1], expected)
-    with pytest.raises(ValueError):
-        frame.n_vec(0)
-    with pytest.raises(ValueError):
-        frame.nu_vec(4)
+    # sheets are numbered 1, 2, 3 where a caller names one
+    u = TripleField.zero(grid)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="sheet index"):
+            embed_point(i, 0.5, 0.0, u, frame, cutoff)
 
 
 def test_frame_vector_values(frame):
     s3h = np.sqrt(3.0) / 2.0
-    assert np.array_equal(frame.n_vec(1), [-1.0, 0.0])
-    assert np.max(np.abs(frame.n_vec(2) - [0.5, -s3h])) <= ULP4
-    assert np.max(np.abs(frame.n_vec(3) - [0.5, s3h])) <= ULP4
-    assert np.array_equal(frame.nu_vec(1), [0.0, -1.0])
-    assert np.max(np.abs(frame.nu_vec(2) - [s3h, 0.5])) <= ULP4
-    assert np.max(np.abs(frame.nu_vec(3) - [-s3h, 0.5])) <= ULP4
+    assert np.array_equal(frame.n[0], [-1.0, 0.0])
+    assert np.max(np.abs(frame.n[1] - [0.5, -s3h])) <= ULP4
+    assert np.max(np.abs(frame.n[2] - [0.5, s3h])) <= ULP4
+    assert np.array_equal(frame.nu[0], [0.0, -1.0])
+    assert np.max(np.abs(frame.nu[1] - [s3h, 0.5])) <= ULP4
+    assert np.max(np.abs(frame.nu[2] - [-s3h, 0.5])) <= ULP4
+
+
+def test_the_frame_constants_are_shared_and_read_only():
+    # FRAME is every frame parameter's default: a writable row would carry
+    # one caller's edit into every later solve
+    for a in (N, NU, FRAME.n, FRAME.nu):
+        assert a.shape == (3, 2) and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    assert FRAME.n is N and FRAME.nu is NU
+    made = frame_vectors()
+    assert made is not FRAME and made.n is N and made.nu is NU
 
 
 def test_frame_sums_and_inner_products(frame):
@@ -46,15 +60,15 @@ def test_frame_sums_and_inner_products(frame):
     assert np.max(np.abs(frame.nu.sum(axis=0))) <= ULP4
     s3h = np.sqrt(3.0) / 2.0
     for i in (1, 2, 3):
-        assert abs(np.dot(frame.n_vec(i), frame.n_vec(i)) - 1.0) <= ULP4
-        assert abs(np.dot(frame.nu_vec(i), frame.nu_vec(i)) - 1.0) <= ULP4
-        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(i))) <= ULP4
+        assert abs(np.dot(frame.n[i - 1], frame.n[i - 1]) - 1.0) <= ULP4
+        assert abs(np.dot(frame.nu[i - 1], frame.nu[i - 1]) - 1.0) <= ULP4
+        assert abs(np.dot(frame.n[i - 1], frame.nu[i - 1])) <= ULP4
         for j in (1, 2, 3):
             if i != j:
-                assert abs(np.dot(frame.n_vec(i), frame.n_vec(j)) + 0.5) <= ULP4
-                assert abs(np.dot(frame.nu_vec(i), frame.nu_vec(j)) + 0.5) <= ULP4
-        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(PRED[i - 1])) - s3h) <= ULP4
-        assert abs(np.dot(frame.n_vec(i), frame.nu_vec(SUCC[i - 1])) + s3h) <= ULP4
+                assert abs(np.dot(frame.n[i - 1], frame.n[j - 1]) + 0.5) <= ULP4
+                assert abs(np.dot(frame.nu[i - 1], frame.nu[j - 1]) + 0.5) <= ULP4
+        assert abs(np.dot(frame.n[i - 1], frame.nu[PRED[i - 1] - 1]) - s3h) <= ULP4
+        assert abs(np.dot(frame.n[i - 1], frame.nu[SUCC[i - 1] - 1]) + s3h) <= ULP4
 
 
 def test_cutoff_plateaus_and_midpoint():
@@ -119,11 +133,11 @@ def test_cutoff_at_the_smallest_delta_has_a_finite_second_derivative():
 def test_wall_offset_zero_and_constant(grid, frame):
     ny = grid.ny
     zeros = np.zeros((3, ny))
-    assert np.max(np.abs(np.outer(wall_scalars(zeros)[0], frame.n_vec(1)))) == 0.0
+    assert np.max(np.abs(np.outer(wall_scalars(zeros)[0], frame.n[0]))) == 0.0
 
     c = np.array([0.01, 0.0])
-    traces = np.stack([np.full(ny, frame.nu_vec(i) @ c) for i in (1, 2, 3)])
-    w1 = np.outer(wall_scalars(traces)[0], frame.n_vec(1))
+    traces = np.stack([np.full(ny, frame.nu[i - 1] @ c) for i in (1, 2, 3)])
+    w1 = np.outer(wall_scalars(traces)[0], frame.n[0])
     # equals <c, n_1> n_1 = (0.01, 0)
     assert np.max(np.abs(w1 - np.array([0.01, 0.0]))) < 1e-15
 
@@ -135,11 +149,11 @@ def test_wall_offset_matches_spine_projection(frame):
     y = np.arange(ny) / ny
     vx = 0.01 * np.cos(2 * np.pi * y) + 0.003 * np.sin(4 * np.pi * y)
     vy = -0.004 + 0.008 * np.sin(2 * np.pi * y)
-    traces = [vx * frame.nu_vec(i)[0] + vy * frame.nu_vec(i)[1] for i in (1, 2, 3)]
+    traces = [vx * frame.nu[i - 1, 0] + vy * frame.nu[i - 1, 1] for i in (1, 2, 3)]
     v = spine_series(np.stack(traces), frame)
     for i in (1, 2, 3):
-        wi = np.outer(wall_scalars(np.stack(traces))[i - 1], frame.n_vec(i))
-        expected = np.outer(frame.n_vec(i) @ v, frame.n_vec(i))
+        wi = np.outer(wall_scalars(np.stack(traces))[i - 1], frame.n[i - 1])
+        expected = np.outer(frame.n[i - 1] @ v, frame.n[i - 1])
         assert np.max(np.abs(wi - expected)) < 1e-12
 
 
@@ -148,7 +162,7 @@ def test_spine_from_traces_examples(grid, frame):
     assert np.max(np.abs(spine_series(np.zeros((3, ny)), frame))) == 0.0
 
     c = np.array([0.01, 0.0])
-    traces = np.stack([np.full(ny, frame.nu_vec(i) @ c) for i in (1, 2, 3)])
+    traces = np.stack([np.full(ny, frame.nu[i - 1] @ c) for i in (1, 2, 3)])
     assert np.max(np.abs(spine_series(traces, frame) - c[:, None])) < 1e-15
     ys = np.arange(4 * ny) / (4 * ny)           # a refined grid
     assert np.max(np.linalg.norm(spine_series(traces, frame, ys), axis=0)) \
@@ -162,9 +176,9 @@ def test_spine_reconstructions_agree_for_all_sheets(frame):
     y = np.arange(ny) / ny
     v = np.stack([0.01 * np.cos(2 * np.pi * y) - 0.002 * np.sin(6 * np.pi * y),
                   0.007 * np.sin(2 * np.pi * y) + 0.001 * np.cos(4 * np.pi * y)])
-    traces = np.stack([frame.nu_vec(i) @ v for i in (1, 2, 3)])
+    traces = np.stack([frame.nu[i - 1] @ v for i in (1, 2, 3)])
     w = wall_scalars(traces)
-    recon = [w[i - 1][:, None] * frame.n_vec(i) + traces[i - 1][:, None] * frame.nu_vec(i)
+    recon = [w[i - 1][:, None] * frame.n[i - 1] + traces[i - 1][:, None] * frame.nu[i - 1]
              for i in (1, 2, 3)]
     spread = max(np.max(np.abs(recon[a] - recon[b])) for a in range(3) for b in range(3))
     assert spread < 1e-12
@@ -179,11 +193,11 @@ def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
         arg = 2 * np.pi * np.outer(np.arange(4), np.arange(ny) / ny)
         v = 0.01 * (rng.standard_normal((2, 4)) @ np.cos(arg)
                     + rng.standard_normal((2, 4)) @ np.sin(arg))
-        traces = np.stack([frame.nu_vec(i) @ v for i in (1, 2, 3)])
+        traces = np.stack([frame.nu[i - 1] @ v for i in (1, 2, 3)])
         traces[2] = -traces[0] - traces[1]
         samples = spine_samples(traces, frame)
-        assert np.array_equal(samples, np.outer(frame.n_vec(1), wall_scalars(traces)[0])
-                              + np.outer(frame.nu_vec(1), traces[0]))
+        assert np.array_equal(samples, np.outer(frame.n[0], wall_scalars(traces)[0])
+                              + np.outer(frame.nu[0], traces[0]))
         series = spine_series(traces, frame)
         sup = np.max(np.abs(samples))
         assert np.max(np.abs(series - samples)) <= 16 * np.spacing(sup)
@@ -226,7 +240,7 @@ def test_embed_point_spine_independence(grid, frame, cutoff):
     rng = np.random.default_rng(8)
     y = grid.y
     v = np.stack([0.01 * np.cos(2 * np.pi * y), 0.005 * np.sin(2 * np.pi * y)])
-    arrays = [np.tile(frame.nu_vec(i) @ v, (grid.nx, 1)) for i in (1, 2, 3)]
+    arrays = [np.tile(frame.nu[i - 1] @ v, (grid.nx, 1)) for i in (1, 2, 3)]
     u = TripleField(grid, arrays)
     ys = np.array([0.0, 0.11, 0.5, 0.93])
     pts = [embed_point(i, np.zeros_like(ys), ys, u, frame, cutoff) for i in (1, 2, 3)]
@@ -242,7 +256,7 @@ def test_embed_point_equivariance(grid, frame, cutoff):
     arrays = []
     for i in (1, 2, 3):
         interior = 0.002 * np.outer(grid.x, np.sin(2 * np.pi * y + i))
-        arrays.append(np.tile(frame.nu_vec(i) @ v, (grid.nx, 1)) + interior)
+        arrays.append(np.tile(frame.nu[i - 1] @ v, (grid.nx, 1)) + interior)
     u = TripleField(grid, arrays)
     shifted = TripleField(grid, u.values[[2, 0, 1]])
 
@@ -269,8 +283,8 @@ def test_embed_point_interpolates_the_sheet_and_its_traces_once(grid, frame, cut
     for i in (1, 2, 3):
         height = spectral.interpolate(u.values[i - 1], xs, ys)
         wall = spectral.fourier_interpolate(wall_scalars(u.traces())[i - 1], ys)
-        ref = (np.multiply.outer(-xs, frame.n_vec(i)) + np.multiply.outer(height, frame.nu_vec(i))
-               + np.multiply.outer(eta * wall, frame.n_vec(i)))
+        ref = (np.multiply.outer(-xs, frame.n[i - 1]) + np.multiply.outer(height, frame.nu[i - 1])
+               + np.multiply.outer(eta * wall, frame.n[i - 1]))
         with monkeypatch.context() as mp:
             calls = count_calls(mp, spectral, ("fourier_interpolate",))
             rffts = count_calls(mp, np.fft, ("rfft",))

@@ -91,6 +91,29 @@ def test_no_function_takes_a_debug_parameter():
         assert not debug, (name, debug)
 
 
+def test_the_frame_is_one_constant_built_in_geometry():
+    # the junction frame is a fixed datum: a frame parameter defaults to the
+    # one constant FRAME, and only geometry builds a frame
+    package = os.path.dirname(trijunction.__file__)
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        defaults = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                positional = node.args.posonlyargs + node.args.args
+                pairs = [*zip(positional[len(positional) - len(node.args.defaults):],
+                              node.args.defaults),
+                         *zip(node.args.kwonlyargs, node.args.kw_defaults)]
+                defaults += [(node.lineno, ast.unparse(d)) for a, d in pairs
+                             if a.arg == "frame" and d is not None]
+        assert all(d == "FRAME" for _, d in defaults), (name, defaults)
+        builds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("frame_vectors", "JunctionFrame")]
+        assert bool(builds) == (name == "geometry.py"), (name, builds)
+
+
 def test_only_the_fields_differentiate():
     # the jet (and the data proxy of boundary maps) is the one place that
     # calls the spectral derivative helpers; every other derivative is read
