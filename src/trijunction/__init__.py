@@ -10,7 +10,7 @@ finite-difference verification oracles.
 from .fields import (AliasingWarning, BoundaryTriple, Grid2D, TripleField, boundary_proxy,
                      norm_proxy, periodic_proxy)
 from .geometry import (CompatibilityViolation, CutoffProfile, embed_margin, embed_point,
-                       frame_vectors, mesh_surface)
+                       mesh_surface)
 from .curvature import DegenerateMetric, F_eval, G_eval, mean_curvature
 from .linear import DECOUPLE, RECOMPOSE, boundary_operator, solve_linear_system, solve_scalar
 from .picard import (GuardViolation, NoConvergence, SolveFailure, SolveOptions, picard_step,
@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasingWarning", "BoundaryTriple", "Grid2D", "TripleField", "boundary_proxy",
     "norm_proxy", "periodic_proxy",
-    "CompatibilityViolation", "CutoffProfile", "embed_margin", "embed_point",
-    "frame_vectors", "mesh_surface",
+    "CompatibilityViolation", "CutoffProfile", "embed_margin", "embed_point", "mesh_surface",
     "DegenerateMetric", "F_eval", "G_eval", "mean_curvature",
     "DECOUPLE", "RECOMPOSE", "boundary_operator", "solve_linear_system", "solve_scalar",
     "GuardViolation", "NoConvergence", "SolveFailure", "SolveOptions", "picard_step",

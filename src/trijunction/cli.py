@@ -525,7 +525,7 @@ def cmd_verify(args) -> int:
     cfg, u, phi, stored = load_artifacts(args.artifacts)
     cutoff = CutoffProfile(cfg.delta)
     points = np.array([(x, y) for x in sorted({*PROBE_X, cfg.delta, 2 * cfg.delta})
-                       for y in PROBE_Y if 2 * FD_STEP <= x <= 1.0 - 2 * FD_STEP])
+                       for y in PROBE_Y if FD_STEP <= x <= 1.0 - FD_STEP])
     found = {"stored_match": None}      # certificate name: (value, row text)
     # a field far out of the regime may overflow: its inf or NaN certificates
     # fail their bounds, without numpy warnings
@@ -584,19 +584,19 @@ def cmd_sweep(args) -> int:
     for scale in scales:
         try:
             phi = boundary_from_config(cfg, grid, cutoff, scale=scale)
-            u, report = solve_nonlinear(phi, opts, grid, cutoff)
-            res = max(report.final_residuals.laplace, report.final_residuals.boundary)
-            ratio = report.contraction_ratios[-1] if report.contraction_ratios else float("nan")
-            rows.append(f"{scale},converged,{report.iterations},{res:.6e},{ratio:.6e}")
+            _, report = solve_nonlinear(phi, opts, grid, cutoff)
+            status = "converged"
             iter_counts.append((scale, report.iterations))
-        except GuardViolation as exc:
-            rows.append(f"{scale},guard_violation,{exc.report.iterations},,")
-        except NoConvergence as exc:
-            rows.append(f"{scale},no_convergence,{exc.report.iterations},"
-                        f"{exc.report.update_norms[-1]:.6e},")
+        except SolveFailure as exc:
+            report, status = exc.report, SOLVE_FAILURES[type(exc)][1].replace(" ", "_")
         except ValueError as exc:
             rows.append(f"{scale},error,,,")
             print(f"scale {scale}: {exc}", file=sys.stderr)
+            continue
+        # NaN where the last metric degenerated: np.maximum keeps it, max may not
+        res = np.maximum(report.final_residuals.laplace, report.final_residuals.boundary)
+        ratio = report.contraction_ratios[-1] if report.contraction_ratios else float("nan")
+        rows.append(f"{scale},{status},{report.iterations},{res:.6e},{ratio:.6e}")
 
     print("\n".join(rows))
     path = os.path.join(cfg.out, "sweep.csv")

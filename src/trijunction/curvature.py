@@ -33,8 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Jet, TripleField
-from .geometry import (FRAME, SQRT3, CutoffProfile, JunctionFrame, check_compatibility,
-                       spine_samples, wall_scalars)
+from .geometry import (N, NU, SQRT3, CutoffProfile, check_compatibility, spine_samples,
+                       wall_scalars)
 from .linear import DECOUPLE
 
 
@@ -144,7 +144,7 @@ def F_eval(u: TripleField, cutoff: CutoffProfile) -> TripleField:
 # Conormal balance on the spine
 # ---------------------------------------------------------------------------
 
-def _conormals(u: TripleField, frame: JunctionFrame):
+def _conormals(u: TripleField):
     """The unit conormals of the spine inside the three sheets, one (3, ny, 3)
     array, the inner rows of d_x u_i, and the (2, ny) spine slope v'; raises
     CompatibilityViolation unless the traces share a spine.
@@ -155,15 +155,15 @@ def _conormals(u: TripleField, frame: JunctionFrame):
     """
     check_compatibility(u.traces())
     dxu0, ny = u.jet.ux[:, 0], u.grid.ny
-    vprime = spine_samples(u.jet.uy[:, 0], frame)
+    vprime = spine_samples(u.jet.uy[:, 0])
     T = np.column_stack([*vprime, np.ones(ny)])
     tau = np.zeros((3, ny, 3))
-    tau[..., :2] = -frame.n[:, None] + dxu0[..., None] * frame.nu[:, None]
+    tau[..., :2] = -N[:, None] + dxu0[..., None] * NU[:, None]
     proj = tau - ((tau * T).sum(axis=2) / (T * T).sum(axis=1))[..., None] * T
     return proj / np.linalg.norm(proj, axis=2, keepdims=True), dxu0, vprime
 
 
-def G_eval(u: TripleField, frame: JunctionFrame = FRAME) -> np.ndarray:
+def G_eval(u: TripleField) -> np.ndarray:
     """Junction defect G = N(u) + P, one (2, ny) array on the y grid.
 
     N(u) = ``DECOUPLE[1:] @ dn`` are the two Neumann combinations of the
@@ -176,14 +176,14 @@ def G_eval(u: TripleField, frame: JunctionFrame = FRAME) -> np.ndarray:
     so G is quadratically small, and the fixed-point equations N(u) = G are
     equivalent to S = 0.
     """
-    return _junction_defect(u, frame)[0]
+    return _junction_defect(u)[0]
 
 
-def _junction_defect(u: TripleField, frame: JunctionFrame):
+def _junction_defect(u: TripleField):
     """(G, P, S) from one spine and conormal pass; see :func:`G_eval`."""
-    xi, dxu0, vprime = _conormals(u, frame)
+    xi, dxu0, vprime = _conormals(u)
     S = xi[0] + xi[1] + xi[2]
-    e = np.stack([frame.n[0], frame.nu[0]])
+    e = np.stack([N[0], NU[0]])
     b = np.empty((2, u.grid.ny, 3))         # b_1 and b_2 at every y
     b[..., :2] = e[:, None]
     b[..., 2] = -(e @ vprime)

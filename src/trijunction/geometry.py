@@ -51,7 +51,8 @@ class JunctionFrame:
 
     Only the standard frame (:data:`N`, :data:`NU`) is meant: the closed forms
     of :func:`wall_scalars` (the 1/sqrt 3 and the cyclic rows), G's -2/sqrt 3
-    and ``linear.DECOUPLE``'s Neumann rows hold for it alone.
+    and ``linear.DECOUPLE``'s Neumann rows hold for it alone, so the entry
+    points that take a frame reject any other (:func:`check_frame`).
     """
 
     n: np.ndarray           # (3, 2)
@@ -64,6 +65,12 @@ FRAME = JunctionFrame(N, NU)
 def frame_vectors() -> JunctionFrame:
     """A new frame of the standard vectors :data:`N` and :data:`NU`."""
     return JunctionFrame(N, NU)
+
+
+def check_frame(candidate: JunctionFrame):
+    """Raise ValueError unless ``candidate`` holds the vectors :data:`N` and :data:`NU`."""
+    if not (np.array_equal(candidate.n, N) and np.array_equal(candidate.nu, NU)):
+        raise ValueError("the junction frame must be the standard one (N, NU)")
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def check_compatibility(traces: np.ndarray):
             "the three sheets do not meet along a common spine")
 
 
-def spine_samples(rows: np.ndarray, frame: JunctionFrame = FRAME) -> np.ndarray:
+def spine_samples(rows: np.ndarray) -> np.ndarray:
     """The sheet-1 formula v = <w_1, n_1> n_1 + u_1 nu_1 on (3, ny) rows, shape (2, ny).
 
     On the inner traces it is the spine at the y nodes (all three sheets'
@@ -143,15 +150,14 @@ def spine_samples(rows: np.ndarray, frame: JunctionFrame = FRAME) -> np.ndarray:
     it does not check); it is linear, so on the rows of d_y u(0, .) it is v'.
     """
     rows = np.asarray(rows, dtype=float)
-    return np.outer(frame.n[0], wall_scalars(rows)[0]) + np.outer(frame.nu[0], rows[0])
+    return np.outer(N[0], wall_scalars(rows)[0]) + np.outer(NU[0], rows[0])
 
 
 # ---------------------------------------------------------------------------
 # Sheet parametrization
 # ---------------------------------------------------------------------------
 
-def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
-                cutoff: CutoffProfile) -> np.ndarray:
+def embed_point(i: int, x, y, u: TripleField, cutoff: CutoffProfile) -> np.ndarray:
     """Map parameter points of sheet i into R^2 x S^1 (unrolled as R^3).
 
     Returns (..., 3) arrays (p1, p2, y); scalar inputs give a flat (3,)
@@ -168,15 +174,15 @@ def embed_point(i: int, x, y, u: TripleField, frame: JunctionFrame,
     ui = spectral.bary_eval(cols[:nx], x)
     wi = wall_scalars(cols[nx:])[i - 1].reshape(x.shape)
     eta, _, _ = cutoff(x)
-    p = _sheet_map(i, x, ui, eta * wi, frame)
+    p = _sheet_map(i, x, ui, eta * wi)
     return np.concatenate([p, np.mod(y, 1.0)[..., None]], axis=-1)
 
 
-def _sheet_map(i: int, x, height, offset, frame: JunctionFrame) -> np.ndarray:
+def _sheet_map(i: int, x, height, offset) -> np.ndarray:
     """(p1, p2) of sheet i: -x n_i + u_i nu_i + eta w_i n_i, broadcast over the inputs."""
-    return (np.multiply.outer(-x, frame.n[i - 1])
-            + np.multiply.outer(height, frame.nu[i - 1])
-            + np.multiply.outer(offset, frame.n[i - 1]))
+    return (np.multiply.outer(-x, N[i - 1])
+            + np.multiply.outer(height, NU[i - 1])
+            + np.multiply.outer(offset, N[i - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +220,8 @@ def check_mesh_resolution(resolution: tuple[int, int]):
         raise ValueError(f"mesh resolution must be at least 2x3, got {mx}x{my}")
 
 
-def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProfile,
-                 frame: JunctionFrame = FRAME) -> SurfaceMesh:
+def mesh_surface(u: TripleField, resolution: tuple[int, int],
+                 cutoff: CutoffProfile) -> SurfaceMesh:
     """Triangulate the perturbed surface.
 
     The y seam at 0 is cut (vertices at y = 0 and y = 1 are distinct), and
@@ -233,12 +239,12 @@ def mesh_surface(u: TripleField, resolution: tuple[int, int], cutoff: CutoffProf
     cols = spectral.fourier_interpolate(u.values, ys)               # (3, nx, my+1)
     heights = spectral.bary_matrix(u.grid.nx, xs) @ cols           # (3, mx-1, my+1)
     # the interpolated traces are row x = 0; meshing never refuses incompatible ones
-    spine_pts = np.column_stack([*spine_samples(cols[:, 0], frame), ys])
+    spine_pts = np.column_stack([*spine_samples(cols[:, 0]), ys])
     walls = wall_scalars(cols[:, 0])
     eta, _, _ = cutoff(xs)
     verts = [spine_pts]
     for i in (1, 2, 3):
-        p = _sheet_map(i, xs[:, None], heights[i - 1], np.outer(eta, walls[i - 1]), frame)
+        p = _sheet_map(i, xs[:, None], heights[i - 1], np.outer(eta, walls[i - 1]))
         z = np.broadcast_to(ys, p.shape[:2])[..., None]
         verts.append(np.concatenate([p, z], axis=-1).reshape(-1, 3))
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import spectral
 from .fields import (BoundaryTriple, Grid2D, TripleField, boundary_proxy, norm_proxy,
                      periodic_proxy)
-from .geometry import FRAME, CutoffProfile, JunctionFrame, embed_point
+from .geometry import FRAME, NU, CutoffProfile, JunctionFrame, check_frame, embed_point
 from .curvature import F_eval, G_eval, _conormals
 from .linear import DECOUPLE, RECOMPOSE, Kind, solve_linear_system
 from .picard import (GuardViolation, SolveOptions, _assemble_report, _guard_record,
@@ -46,33 +46,34 @@ def fd_mean_curvature(i: int, u: TripleField, point: tuple[float, float] | np.nd
     """Mean curvature of sheet i at interior points, from surface samples.
 
     Builds the first and second fundamental forms by centered differences of
-    a 5 x 5 block of embedded points at spacing h in the unrolled chart
+    a 3 x 3 block of embedded points at spacing h in the unrolled chart
     (where the ambient metric is the identity) and returns tr(g^{-1} h).
     ``point`` is one (x, y) pair, which gives a float, or an (n, 2) array,
-    which gives n values from one embedding of all n stencils.
+    which gives n values from one embedding of all n stencils (x in [h, 1 - h]).
     Wholly independent of the closed-form curvature path: only the sheet
     parametrization is shared.
     """
+    check_frame(frame)
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("step size h must lie in [1e-5, 1e-2]")
     pts = np.asarray(point, dtype=float)
     x0, y0 = pts.reshape(-1, 2).T
-    if np.any(x0 - 2 * h < 0.0) or np.any(x0 + 2 * h > 1.0):
+    if np.any(x0 - h < 0.0) or np.any(x0 + h > 1.0):
         raise ValueError("finite-difference stencil leaves the domain")
 
-    offs = h * np.arange(-2, 3)
-    X = np.broadcast_to(x0[:, None, None] + offs[:, None], (x0.size, 5, 5))
-    Y = np.broadcast_to(y0[:, None, None] + offs[None, :], (x0.size, 5, 5))
-    P = embed_point(i, X, Y, u, frame, cutoff)           # (n, 5, 5, 3), y wraps
+    offs = h * np.arange(-1, 2)
+    X = np.broadcast_to(x0[:, None, None] + offs[:, None], (x0.size, 3, 3))
+    Y = np.broadcast_to(y0[:, None, None] + offs[None, :], (x0.size, 3, 3))
+    P = embed_point(i, X, Y, u, cutoff)                  # (n, 3, 3, 3), y wraps
     # undo the seam wrap so differences across y = 0 stay smooth
     P[..., 2] = Y
 
-    c = P[:, 2, 2]
-    Px = (P[:, 3, 2] - P[:, 1, 2]) / (2 * h)
-    Py = (P[:, 2, 3] - P[:, 2, 1]) / (2 * h)
-    Pxx = (P[:, 3, 2] - 2 * c + P[:, 1, 2]) / h ** 2
-    Pyy = (P[:, 2, 3] - 2 * c + P[:, 2, 1]) / h ** 2
-    Pxy = (P[:, 3, 3] - P[:, 3, 1] - P[:, 1, 3] + P[:, 1, 1]) / (4 * h ** 2)
+    c = P[:, 1, 1]
+    Px = (P[:, 2, 1] - P[:, 0, 1]) / (2 * h)
+    Py = (P[:, 1, 2] - P[:, 1, 0]) / (2 * h)
+    Pxx = (P[:, 2, 1] - 2 * c + P[:, 0, 1]) / h ** 2
+    Pyy = (P[:, 1, 2] - 2 * c + P[:, 1, 0]) / h ** 2
+    Pxy = (P[:, 2, 2] - P[:, 2, 0] - P[:, 0, 2] + P[:, 0, 0]) / (4 * h ** 2)
 
     E = np.einsum("nk,nk->n", Px, Px)
     Fm = np.einsum("nk,nk->n", Px, Py)
@@ -268,7 +269,8 @@ class AngleReport:
 
 def junction_angle_check(u: TripleField, frame: JunctionFrame = FRAME) -> AngleReport:
     """Angles between the sheet conormals along the spine; 120 degrees at stationarity."""
-    xi, _, _ = _conormals(u, frame)
+    check_frame(frame)
+    xi, _, _ = _conormals(u)
     pairs = ((0, 1), (1, 2), (2, 0))
     angles = np.stack([
         np.arccos(np.clip((xi[a] * xi[b]).sum(axis=1), -1.0, 1.0)) for a, b in pairs])
@@ -276,8 +278,8 @@ def junction_angle_check(u: TripleField, frame: JunctionFrame = FRAME) -> AngleR
                        max_deviation=float(np.max(np.abs(angles - 2.0 * np.pi / 3.0))))
 
 
-def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
-                 frame: JunctionFrame = FRAME) -> tuple[BoundaryTriple, TripleField]:
+def exact_family(kind: str, value, grid: Grid2D,
+                 cutoff: CutoffProfile) -> tuple[BoundaryTriple, TripleField]:
     """Boundary data and exact solution of a rigid-motion family.
 
     ``translate``: the cone shifted by a plane vector c gives constant
@@ -293,8 +295,7 @@ def exact_family(kind: str, value, grid: Grid2D, cutoff: CutoffProfile,
         if np.linalg.norm(c) > limit:
             raise ValueError(f"|c| = {np.linalg.norm(c):.3g} exceeds the "
                              f"smallness limit delta/20 = {limit:.3g}")
-        arrays = [np.full((grid.nx, grid.ny), float(frame.nu[i - 1] @ c))
-                  for i in (1, 2, 3)]
+        arrays = [np.full((grid.nx, grid.ny), float(NU[i - 1] @ c)) for i in (1, 2, 3)]
     elif kind == "rotate":
         beta = float(value)
         if abs(beta) > limit:
@@ -319,7 +320,6 @@ def _trig_sum(c: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
-                            frame: JunctionFrame = FRAME,
                             max_mode: int = 3, amplitude: float = 1.0) -> TripleField:
     """Random smooth triple field whose inner traces sum to zero.
 
@@ -335,7 +335,7 @@ def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
     profile = np.cos(0.5 * np.pi * x)[:, None]          # 1 at x=0, 0 at x=1
     arrays = []
     for i in (1, 2, 3):
-        tr_part = (frame.nu[i - 1] @ vy)[None, :] * profile
+        tr_part = (NU[i - 1] @ vy)[None, :] * profile
         bulk_c = rng.standard_normal((3, K))
         bulk_s = rng.standard_normal((3, K))
         modes = _trig_sum(bulk_c, bulk_s, y)            # (3, ny)
@@ -366,8 +366,8 @@ class StructuralCertificate:
 
 
 def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
-                           cutoff: CutoffProfile, frame: JunctionFrame = FRAME,
-                           alpha: float = 0.5, seed: int = 0) -> StructuralCertificate:
+                           cutoff: CutoffProfile, alpha: float = 0.5,
+                           seed: int = 0) -> StructuralCertificate:
     """Estimate the smallest constants with ||F||, ||G|| <= C * proxy(u)^2.
 
     Samples random compatible fields of the given proxy radius.  The radius
@@ -380,10 +380,10 @@ def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
     rng = np.random.default_rng(seed)
     qF, qG = [], []
     for _ in range(n_samples):
-        u = scaled_to_proxy(random_compatible_field(grid, rng, frame), sample_radius, alpha)
+        u = scaled_to_proxy(random_compatible_field(grid, rng), sample_radius, alpha)
         p2 = sample_radius ** 2
         qF.append(F_eval(u, cutoff).sup() / p2)
-        qG.append(np.abs(G_eval(u, frame)).max() / p2)
+        qG.append(np.abs(G_eval(u)).max() / p2)
     return StructuralCertificate(
         c_F=float(np.max(qF)), c_G=float(np.max(qG)),
         sample_radius=sample_radius, n_samples=n_samples, alpha=alpha,
@@ -458,8 +458,7 @@ _ROUND_OFF_PROXY = 1e-11
 
 
 def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
-                            cutoff: CutoffProfile, frame: JunctionFrame = FRAME,
-                            n_iter: int = 6, seed: int = 0,
+                            cutoff: CutoffProfile, n_iter: int = 6, seed: int = 0,
                             start_scale: float = 1e-4) -> tuple[ContractionEstimates, list[float]]:
     """Measure the step map's Lipschitz behavior along two nearby orbits.
 
@@ -472,7 +471,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     """
     rng = np.random.default_rng(seed)
     u = TripleField.zero(grid)
-    v = scaled_to_proxy(random_compatible_field(grid, rng, frame), start_scale, opts.alpha)
+    v = scaled_to_proxy(random_compatible_field(grid, rng), start_scale, opts.alpha)
 
     updates: list[float] = []           # the sup-norm updates of the orbit of zero
     orbit_proxies = [norm_proxy(u, opts.alpha)]     # proxy of u_n = A^n(0), n = 0, 1, ...
@@ -486,15 +485,14 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
         # the solve's own round-off level in proxy units)
         if du < max(1e-9 * max(nu, nv), _ROUND_OFF_PROXY):
             break
-        Au = picard_step(u, phi, cutoff, frame)
-        Av = picard_step(v, phi, cutoff, frame)
+        Au = picard_step(u, phi, cutoff)
+        Av = picard_step(v, phi, cutoff)
         updates.append(float(np.abs(Au.values - u.values).max()))
         guards = _guard_record(Au, opts, cutoff)
         if not guards.within_guard:
             # the orbits left the trust ball: the data is outside the
             # contraction regime and must fail loudly, not produce quiet ratios
-            report = _assemble_report(updates, Au, phi, cutoff, frame, guards,
-                                      converged=False)
+            report = _assemble_report(updates, Au, phi, cutoff, guards, converged=False)
             raise GuardViolation(
                 f"diagnostic orbit left the trust ball at iteration {it + 1} "
                 f"(proxy {guards.norm_proxy:.3e} > guard {guards.r_guard:.3e})", Au, report)
@@ -513,7 +511,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     # orbit of zero at u_1 .. u_m, continuing the orbit the loop above walked
     m = min(n_iter, 4)
     while len(orbit_proxies) < m + 2:
-        u = picard_step(u, phi, cutoff, frame)
+        u = picard_step(u, phi, cutoff)
         orbit_proxies.append(norm_proxy(u, opts.alpha))
     phi_norm = boundary_proxy(phi, opts.alpha)
     # a denominator at round-off (below the square of the merge test's

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curvature import DegenerateMetric, F_eval, G_eval, _junction_defect, mean_curvature
 from .fields import BoundaryTriple, Grid2D, TripleField, norm_proxy
-from .geometry import FRAME, CutoffProfile, JunctionFrame, embed_margin
+from .geometry import FRAME, CutoffProfile, JunctionFrame, check_frame, embed_margin
 from .linear import DECOUPLE, solve_harmonic, solve_linear_system
 
 
@@ -101,17 +101,15 @@ class SolveReport:
     converged: bool
 
 
-def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
-                frame: JunctionFrame = FRAME) -> TripleField:
+def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile) -> TripleField:
     """One application of the step map: linear solve with frozen nonlinearities."""
-    return solve_linear_system(F_eval(u, cutoff), G_eval(u, frame), phi)
+    return solve_linear_system(F_eval(u, cutoff), G_eval(u), phi)
 
 
-def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile,
-                    frame: JunctionFrame = FRAME) -> ResidualRecord:
+def residual_record(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile) -> ResidualRecord:
     """Evaluate all stationarity residuals of a candidate solution."""
     H = mean_curvature(u, cutoff)
-    _, P, S = _junction_defect(u, frame)
+    _, P, S = _junction_defect(u)
     return ResidualRecord(float(np.abs(H[:, 1:-1]).max()), float(np.abs(P).max()),
                           float(np.linalg.norm(S, axis=1).max()), *_trace_errors(u, phi))
 
@@ -145,6 +143,7 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
     :class:`NoConvergence` when the iteration budget runs out; both are a
     :class:`SolveFailure` and carry the last iterate and the full report for
     post-mortem inspection."""
+    check_frame(frame)
     if phi.ny != grid.ny:
         raise ValueError("boundary data and grid disagree on ny")
 
@@ -160,7 +159,7 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
                 # the zero start is the stationary cone, where F and G vanish:
                 # the first step is the harmonic solve of the boundary data
                 u_next = (solve_harmonic(phi, grid) if it == 1 else
-                          picard_step(u, phi, cutoff, frame))
+                          picard_step(u, phi, cutoff))
         except DegenerateMetric as exc:
             # only steps after the first evaluate the metric: the previous
             # iterate already left the embeddable regime
@@ -192,21 +191,19 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
 
     if guards is None:              # the first step failed: report the zero start
         guards = _guard_record(u, opts, cutoff)
-    report = _assemble_report(updates, u, phi, cutoff, frame, guards,
-                              converged=failure is None)
+    report = _assemble_report(updates, u, phi, cutoff, guards, converged=failure is None)
     if failure is not None:
         raise failure(msg, u, report) from cause
     return u, report
 
 
 def _assemble_report(updates: list[float], u: TripleField, phi: BoundaryTriple,
-                     cutoff: CutoffProfile, frame: JunctionFrame, guards: GuardRecord,
-                     converged: bool) -> SolveReport:
+                     cutoff: CutoffProfile, guards: GuardRecord, converged: bool) -> SolveReport:
     """The report of the iterate ``u`` that the sup-norm ``updates`` led to."""
     ratios = tuple(updates[j + 1] / updates[j]
                    for j in range(len(updates) - 1) if updates[j] > 0.0)
     try:
-        residuals = residual_record(u, phi, cutoff, frame)
+        residuals = residual_record(u, phi, cutoff)
     except DegenerateMetric:
         # the iterate is outside the regime where the defects make sense;
         # report what can still be evaluated

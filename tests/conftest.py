@@ -4,16 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, TripleField,
-                         boundary_proxy, frame_vectors)
-from trijunction.geometry import spine_samples
+from trijunction import BoundaryTriple, CutoffProfile, Grid2D, TripleField, boundary_proxy
+from trijunction.geometry import NU, spine_samples
 from trijunction.linear import _solve_modes
 from trijunction.spectral import fourier_interpolate, fourier_nodes
-
-
-@pytest.fixture(scope="session")
-def frame():
-    return frame_vectors()
 
 
 @pytest.fixture(scope="session")
@@ -33,17 +27,17 @@ def grid_small():
     return Grid2D(32, 32)
 
 
-def translation_field(grid, frame, c):
+def translation_field(grid, c):
     """Exact stationary family: constant heights <c, nu_i>."""
     c = np.asarray(c, dtype=float)
     return TripleField(
-        grid, [np.full((grid.nx, grid.ny), float(frame.nu[i - 1] @ c)) for i in (1, 2, 3)])
+        grid, [np.full((grid.nx, grid.ny), float(NU[i - 1] @ c)) for i in (1, 2, 3)])
 
 
-def spine_series(traces, frame, ys=None):
+def spine_series(traces, ys=None):
     """The Fourier series of the spine samples at ``ys`` (default: the y nodes), (2, len(ys))."""
     ys = fourier_nodes(np.shape(traces)[1]) if ys is None else np.asarray(ys, float)
-    return fourier_interpolate(spine_samples(traces, frame), ys)
+    return fourier_interpolate(spine_samples(traces), ys)
 
 
 def benchmark_inputs():

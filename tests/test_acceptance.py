@@ -12,7 +12,7 @@ import pytest
 from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem,
                          SolveFailure, SolveOptions,
                          TripleField, boundary_operator, exact_family,
-                         fd_linear_solve, fd_mean_curvature, frame_vectors,
+                         fd_linear_solve, fd_mean_curvature,
                          junction_angle_check, mean_curvature, solve_linear_system,
                          solve_nonlinear, solve_scalar, F_eval, G_eval)
 from trijunction.linear import DECOUPLE, RECOMPOSE
@@ -23,7 +23,6 @@ from trijunction.spectral import cheb_nodes, interpolate
 from conftest import mode_solve_collocation, random_boundary
 
 GRID = Grid2D(48, 64)
-FRAME = frame_vectors()
 
 
 def report(n, ok, detail):
@@ -39,9 +38,9 @@ def test_criterion_1_exact_family_reproduction():
     for kind, value, delta in (("translate", (0.01, 0.0), 0.25),
                                ("rotate", 0.01, 0.35)):
         cutoff = CutoffProfile(delta)
-        phi, exact = exact_family(kind, value, GRID, cutoff, FRAME)
+        phi, exact = exact_family(kind, value, GRID, cutoff)
         t0 = time.perf_counter()
-        u, rep = solve_nonlinear(phi, SolveOptions(), GRID, cutoff, FRAME)
+        u, rep = solve_nonlinear(phi, SolveOptions(), GRID, cutoff)
         elapsed = time.perf_counter() - t0
         err = (u - exact).sup()
         results.append((kind, err, rep.iterations, elapsed))
@@ -58,13 +57,13 @@ def test_criterion_2_stationarity_certification():
     worst = {"H": 0.0, "angle": 0.0, "trace_sum": 0.0, "outer": 0.0}
     for _ in range(5):
         phi = random_boundary(GRID.ny, rng, 0.005)
-        u, rep = solve_nonlinear(phi, SolveOptions(), GRID, cutoff, FRAME)
+        u, rep = solve_nonlinear(phi, SolveOptions(), GRID, cutoff)
         assert rep.converged
-        h_max = max(abs(fd_mean_curvature(i, u, pt, 1e-3, cutoff, FRAME))
+        h_max = max(abs(fd_mean_curvature(i, u, pt, 1e-3, cutoff))
                     for i in (1, 2, 3) for pt in pts)
         worst["H"] = max(worst["H"], h_max)
         worst["angle"] = max(worst["angle"],
-                             junction_angle_check(u, FRAME).max_deviation)
+                             junction_angle_check(u).max_deviation)
         worst["trace_sum"] = max(worst["trace_sum"], rep.final_residuals.trace_sum)
         worst["outer"] = max(worst["outer"], rep.final_residuals.outer_trace)
     ok = (worst["H"] <= 1e-4 and worst["angle"] <= 1e-4
@@ -112,12 +111,12 @@ def test_criterion_4_quadratic_smallness():
     rng = np.random.default_rng(202)
     worst_F, worst_G = np.inf, np.inf
     for _ in range(20):
-        u = scaled_to_proxy(random_compatible_field(GRID, rng, FRAME),
+        u = scaled_to_proxy(random_compatible_field(GRID, rng),
                             cutoff.delta / 20.0, 0.5)
         f1 = F_eval(u, cutoff).sup()
         f2 = F_eval(0.5 * u, cutoff).sup()
-        g1 = max(np.max(np.abs(g)) for g in G_eval(u, FRAME))
-        g2 = max(np.max(np.abs(g)) for g in G_eval(0.5 * u, FRAME))
+        g1 = max(np.max(np.abs(g)) for g in G_eval(u))
+        g2 = max(np.max(np.abs(g)) for g in G_eval(0.5 * u))
         worst_F = min(worst_F, f1 / f2)
         worst_G = min(worst_G, g1 / g2)
     ok = worst_F >= 3.5 and worst_G >= 3.5
@@ -133,7 +132,7 @@ def test_criterion_5_contraction_behavior():
     details = []
     for _ in range(3):
         phi = random_boundary(GRID.ny, rng, 0.005)
-        _, rep = solve_nonlinear(phi, opts, GRID, cutoff, FRAME)
+        _, rep = solve_nonlinear(phi, opts, GRID, cutoff)
         ratios = rep.contraction_ratios
         ok = all(r < 1.0 for r in ratios) and all(r < 0.6 for r in ratios[1:])
         all_ok &= ok and len(ratios) >= 1
@@ -168,10 +167,10 @@ def test_criterion_7_fd_oracle_orders():
     """Both finite-difference oracles converge at second order."""
     cutoff = CutoffProfile(0.25)
     rng = np.random.default_rng(505)
-    u = scaled_to_proxy(random_compatible_field(GRID, rng, FRAME), 0.012, 0.5)
+    u = scaled_to_proxy(random_compatible_field(GRID, rng), 0.012, 0.5)
     pt = (0.52, 0.77)
     ref = interpolate(mean_curvature(u, cutoff)[1], *pt)
-    errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff, FRAME) - ref)
+    errs = [abs(fd_mean_curvature(2, u, pt, h, cutoff) - ref)
             for h in (8e-3, 4e-3, 2e-3)]
     slopes_h = [np.log2(errs[j] / errs[j + 1]) for j in range(2)]
 
@@ -196,7 +195,7 @@ def test_criterion_8_guard_behavior():
     rng = np.random.default_rng(606)
     phi = random_boundary(GRID.ny, rng, cutoff.delta)
     try:
-        solve_nonlinear(phi, SolveOptions(), GRID, cutoff, FRAME)
+        solve_nonlinear(phi, SolveOptions(), GRID, cutoff)
         report(8, False, "oversized data converged silently")
         return
     except SolveFailure as exc:

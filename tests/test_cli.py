@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trijunction
-from trijunction import (AliasingWarning, CutoffProfile, Grid2D, SolveOptions, fd_mean_curvature,
-                         frame_vectors)
+from trijunction import AliasingWarning, CutoffProfile, Grid2D, SolveOptions, fd_mean_curvature
 from trijunction import cli
 from trijunction.cli import (EXIT_CONFIG, EXIT_GATES, EXIT_GUARD, EXIT_NO_CONVERGENCE,
                              EXIT_OK, EXIT_VERIFY_FAIL, RESIDUAL_NAMES, RunConfig,
                              apply_config_values, load_artifacts, main, read_table,
                              report_to_csv)
-from trijunction.geometry import wall_scalars
-from trijunction.picard import SolveReport, residual_record
+from trijunction.geometry import N, NU, wall_scalars
+from trijunction.picard import SolveFailure, SolveReport, residual_record, solve_nonlinear
 from trijunction.spectral import cheb_coefficients
 
 from conftest import count_calls
@@ -366,6 +365,32 @@ def test_sweep_without_convergence_exits_no_convergence(tmp_path):
                 "--out", out]) == EXIT_NO_CONVERGENCE
     lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
     assert [ln.split(",")[1] for ln in lines[1:]] == ["guard_violation"] * 2
+
+
+def test_sweep_failure_rows_hold_the_report_residual(tmp_path, monkeypatch):
+    # every row with a report writes max(laplace, boundary) of its final
+    # residuals and its last contraction ratio, whatever its status
+    reports = []
+
+    def spy(*args):
+        try:
+            u, report = solve_nonlinear(*args)
+        except SolveFailure as exc:
+            reports.append(exc.report)
+            raise
+        reports.append(report)
+        return u, report
+
+    monkeypatch.setattr(cli, "solve_nonlinear", spy)
+    out = str(tmp_path / "sweep4")
+    assert run(["sweep", "--family", "rotate:0.01", "--scales", "0.5,1.0", "--max-iter", "1",
+                "--out", out]) == EXIT_NO_CONVERGENCE
+    lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    assert len(reports) == 2
+    for line, status, rep in zip(lines[1:], ("no_convergence", "guard_violation"), reports):
+        res = max(rep.final_residuals.laplace, rep.final_residuals.boundary)
+        assert rep.iterations == 1 and res < 1e-10
+        assert line.split(",")[1:] == [status, "1", f"{res:.6e}", "nan"]
 
 
 def test_sweep_requires_boundary(tmp_path):
@@ -766,9 +791,7 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
     head = [f"# {k} = {v}" for k, v in cfg.echo().items()]
     rec = residual_record(u, phi, CutoffProfile(cfg.delta))
     # the spine rows are the samples of v = <w_1, n_1> n_1 + u_1(0, .) nu_1
-    frame = frame_vectors()
-    spine = (np.outer(wall_scalars(u.traces())[0], frame.n[0])
-             + np.outer(u.traces()[0], frame.nu[0]))
+    spine = np.outer(wall_scalars(u.traces())[0], N[0]) + np.outer(u.traces()[0], NU[0])
     ys = np.arange(cfg.ny) / cfg.ny
     expected = {
         "phi.csv": head + ["ny", str(phi.ny)]
@@ -790,15 +813,17 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
 def test_verify_probes_the_cutoff_joins(tmp_path, monkeypatch, capsys):
     probes = []
 
-    def spy(i, u, points, h, cutoff, *frame):
+    def spy(i, u, points, h, cutoff):
         probes.append(np.asarray(points))
-        return fd_mean_curvature(i, u, points, h, cutoff, *frame)
+        return fd_mean_curvature(i, u, points, h, cutoff)
 
     monkeypatch.setattr(cli, "fd_mean_curvature", spy)
     for delta, xs in (("0.2", [0.2, 0.3, 0.4, 0.5, 0.7]),
                       ("0.25", [0.25, 0.3, 0.5, 0.7]),
+                      # the x = delta stencil reaches x = 0 exactly
+                      ("0.001", [0.001, 0.002, 0.3, 0.5, 0.7]),
                       # the x = delta stencil would leave [0, 1]: skipped
-                      ("0.001", [0.002, 0.3, 0.5, 0.7])):
+                      ("0.0005", [0.001, 0.3, 0.5, 0.7])):
         out = str(tmp_path / delta)
         assert run(["solve", "--delta", delta, "--family", "translate:1e-5,0",
                     "--out", out]) == EXIT_OK

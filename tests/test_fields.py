@@ -143,9 +143,9 @@ def test_eval_interpolates(grid):
     assert interpolate(f, grid.x[3], grid.y[5]) == pytest.approx(f[3, 5], abs=1e-14)
 
 
-def test_norm_proxy_zero_and_translation(grid, frame):
+def test_norm_proxy_zero_and_translation(grid):
     assert norm_proxy(TripleField.zero(grid), 0.5) == 0.0
-    u = translation_field(grid, frame, (0.01, 0.0))
+    u = translation_field(grid, (0.01, 0.0))
     # constants keep only the zeroth-order term: 0.01 * (0 + 2 * sqrt(3)/2)
     assert norm_proxy(u, 0.5) == pytest.approx(0.01 * np.sqrt(3.0), rel=1e-9)
 

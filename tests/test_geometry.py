@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from trijunction import (CompatibilityViolation, CutoffProfile, SolveOptions, TripleField,
-                         embed_margin, embed_point, frame_vectors, mesh_surface, spectral)
+                         embed_margin, embed_point, mesh_surface, spectral)
 from trijunction.cli import mesh_to_obj
 from trijunction.curvature import _conormals
-from trijunction.geometry import (FRAME, N, NU, SurfaceMesh, check_compatibility, spine_samples,
-                                 wall_scalars)
+from trijunction.geometry import (FRAME, N, NU, SurfaceMesh, check_compatibility, frame_vectors,
+                                 spine_samples, wall_scalars)
 from trijunction.oracles import random_compatible_field, scaled_to_proxy
 from trijunction.picard import _guard_record
 
@@ -19,7 +19,7 @@ PRED = (3, 1, 2)            # cyclic order 1 -> 2 -> 3 -> 1: PRED[i - 1] precede
 SUCC = (2, 3, 1)
 
 
-def test_cyclic_indexing(grid, frame, cutoff):
+def test_cyclic_indexing(grid, cutoff):
     # the wall scalar of sheet i is (u_pred(i) - u_succ(i)) / sqrt 3
     traces = np.random.default_rng(0).standard_normal((3, 8))
     w = wall_scalars(traces)
@@ -30,22 +30,23 @@ def test_cyclic_indexing(grid, frame, cutoff):
     u = TripleField.zero(grid)
     for i in (0, 4):
         with pytest.raises(ValueError, match="sheet index"):
-            embed_point(i, 0.5, 0.0, u, frame, cutoff)
+            embed_point(i, 0.5, 0.0, u, cutoff)
 
 
-def test_frame_vector_values(frame):
+def test_frame_vector_values():
     s3h = np.sqrt(3.0) / 2.0
-    assert np.array_equal(frame.n[0], [-1.0, 0.0])
-    assert np.max(np.abs(frame.n[1] - [0.5, -s3h])) <= ULP4
-    assert np.max(np.abs(frame.n[2] - [0.5, s3h])) <= ULP4
-    assert np.array_equal(frame.nu[0], [0.0, -1.0])
-    assert np.max(np.abs(frame.nu[1] - [s3h, 0.5])) <= ULP4
-    assert np.max(np.abs(frame.nu[2] - [-s3h, 0.5])) <= ULP4
+    assert np.array_equal(N[0], [-1.0, 0.0])
+    assert np.max(np.abs(N[1] - [0.5, -s3h])) <= ULP4
+    assert np.max(np.abs(N[2] - [0.5, s3h])) <= ULP4
+    assert np.array_equal(NU[0], [0.0, -1.0])
+    assert np.max(np.abs(NU[1] - [s3h, 0.5])) <= ULP4
+    assert np.max(np.abs(NU[2] - [-s3h, 0.5])) <= ULP4
 
 
 def test_the_frame_constants_are_shared_and_read_only():
-    # FRAME is every frame parameter's default: a writable row would carry
-    # one caller's edit into every later solve
+    # every formula reads N and NU, and FRAME is the default of the three
+    # frame takers: a writable row would carry one caller's edit into every
+    # later solve
     for a in (N, NU, FRAME.n, FRAME.nu):
         assert a.shape == (3, 2) and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -55,20 +56,20 @@ def test_the_frame_constants_are_shared_and_read_only():
     assert made is not FRAME and made.n is N and made.nu is NU
 
 
-def test_frame_sums_and_inner_products(frame):
-    assert np.max(np.abs(frame.n.sum(axis=0))) <= ULP4
-    assert np.max(np.abs(frame.nu.sum(axis=0))) <= ULP4
+def test_frame_sums_and_inner_products():
+    assert np.max(np.abs(N.sum(axis=0))) <= ULP4
+    assert np.max(np.abs(NU.sum(axis=0))) <= ULP4
     s3h = np.sqrt(3.0) / 2.0
     for i in (1, 2, 3):
-        assert abs(np.dot(frame.n[i - 1], frame.n[i - 1]) - 1.0) <= ULP4
-        assert abs(np.dot(frame.nu[i - 1], frame.nu[i - 1]) - 1.0) <= ULP4
-        assert abs(np.dot(frame.n[i - 1], frame.nu[i - 1])) <= ULP4
+        assert abs(np.dot(N[i - 1], N[i - 1]) - 1.0) <= ULP4
+        assert abs(np.dot(NU[i - 1], NU[i - 1]) - 1.0) <= ULP4
+        assert abs(np.dot(N[i - 1], NU[i - 1])) <= ULP4
         for j in (1, 2, 3):
             if i != j:
-                assert abs(np.dot(frame.n[i - 1], frame.n[j - 1]) + 0.5) <= ULP4
-                assert abs(np.dot(frame.nu[i - 1], frame.nu[j - 1]) + 0.5) <= ULP4
-        assert abs(np.dot(frame.n[i - 1], frame.nu[PRED[i - 1] - 1]) - s3h) <= ULP4
-        assert abs(np.dot(frame.n[i - 1], frame.nu[SUCC[i - 1] - 1]) + s3h) <= ULP4
+                assert abs(np.dot(N[i - 1], N[j - 1]) + 0.5) <= ULP4
+                assert abs(np.dot(NU[i - 1], NU[j - 1]) + 0.5) <= ULP4
+        assert abs(np.dot(N[i - 1], NU[PRED[i - 1] - 1]) - s3h) <= ULP4
+        assert abs(np.dot(N[i - 1], NU[SUCC[i - 1] - 1]) + s3h) <= ULP4
 
 
 def test_cutoff_plateaus_and_midpoint():
@@ -130,61 +131,61 @@ def test_cutoff_at_the_smallest_delta_has_a_finite_second_derivative():
     assert np.isfinite(eta2).all() and np.abs(eta2).max() > 1e308
 
 
-def test_wall_offset_zero_and_constant(grid, frame):
+def test_wall_offset_zero_and_constant(grid):
     ny = grid.ny
     zeros = np.zeros((3, ny))
-    assert np.max(np.abs(np.outer(wall_scalars(zeros)[0], frame.n[0]))) == 0.0
+    assert np.max(np.abs(np.outer(wall_scalars(zeros)[0], N[0]))) == 0.0
 
     c = np.array([0.01, 0.0])
-    traces = np.stack([np.full(ny, frame.nu[i - 1] @ c) for i in (1, 2, 3)])
-    w1 = np.outer(wall_scalars(traces)[0], frame.n[0])
+    traces = np.stack([np.full(ny, NU[i - 1] @ c) for i in (1, 2, 3)])
+    w1 = np.outer(wall_scalars(traces)[0], N[0])
     # equals <c, n_1> n_1 = (0.01, 0)
     assert np.max(np.abs(w1 - np.array([0.01, 0.0]))) < 1e-15
 
 
-def test_wall_offset_matches_spine_projection(frame):
+def test_wall_offset_matches_spine_projection():
     # with compatible traces, w_i(y) = <v(y), n_i> n_i for the reconstructed spine
     ny = 64
     rng = np.random.default_rng(6)
     y = np.arange(ny) / ny
     vx = 0.01 * np.cos(2 * np.pi * y) + 0.003 * np.sin(4 * np.pi * y)
     vy = -0.004 + 0.008 * np.sin(2 * np.pi * y)
-    traces = [vx * frame.nu[i - 1, 0] + vy * frame.nu[i - 1, 1] for i in (1, 2, 3)]
-    v = spine_series(np.stack(traces), frame)
+    traces = [vx * NU[i - 1, 0] + vy * NU[i - 1, 1] for i in (1, 2, 3)]
+    v = spine_series(np.stack(traces))
     for i in (1, 2, 3):
-        wi = np.outer(wall_scalars(np.stack(traces))[i - 1], frame.n[i - 1])
-        expected = np.outer(frame.n[i - 1] @ v, frame.n[i - 1])
+        wi = np.outer(wall_scalars(np.stack(traces))[i - 1], N[i - 1])
+        expected = np.outer(N[i - 1] @ v, N[i - 1])
         assert np.max(np.abs(wi - expected)) < 1e-12
 
 
-def test_spine_from_traces_examples(grid, frame):
+def test_spine_from_traces_examples(grid):
     ny = grid.ny
-    assert np.max(np.abs(spine_series(np.zeros((3, ny)), frame))) == 0.0
+    assert np.max(np.abs(spine_series(np.zeros((3, ny))))) == 0.0
 
     c = np.array([0.01, 0.0])
-    traces = np.stack([np.full(ny, frame.nu[i - 1] @ c) for i in (1, 2, 3)])
-    assert np.max(np.abs(spine_series(traces, frame) - c[:, None])) < 1e-15
+    traces = np.stack([np.full(ny, NU[i - 1] @ c) for i in (1, 2, 3)])
+    assert np.max(np.abs(spine_series(traces) - c[:, None])) < 1e-15
     ys = np.arange(4 * ny) / (4 * ny)           # a refined grid
-    assert np.max(np.linalg.norm(spine_series(traces, frame, ys), axis=0)) \
+    assert np.max(np.linalg.norm(spine_series(traces, ys), axis=0)) \
         == pytest.approx(0.01, abs=1e-15)
 
 
-def test_spine_reconstructions_agree_for_all_sheets(frame):
+def test_spine_reconstructions_agree_for_all_sheets():
     # all three per-sheet formulas give the same curve when traces sum to zero
     ny = 64
     rng = np.random.default_rng(7)
     y = np.arange(ny) / ny
     v = np.stack([0.01 * np.cos(2 * np.pi * y) - 0.002 * np.sin(6 * np.pi * y),
                   0.007 * np.sin(2 * np.pi * y) + 0.001 * np.cos(4 * np.pi * y)])
-    traces = np.stack([frame.nu[i - 1] @ v for i in (1, 2, 3)])
+    traces = np.stack([NU[i - 1] @ v for i in (1, 2, 3)])
     w = wall_scalars(traces)
-    recon = [w[i - 1][:, None] * frame.n[i - 1] + traces[i - 1][:, None] * frame.nu[i - 1]
+    recon = [w[i - 1][:, None] * N[i - 1] + traces[i - 1][:, None] * NU[i - 1]
              for i in (1, 2, 3)]
     spread = max(np.max(np.abs(recon[a] - recon[b])) for a in range(3) for b in range(3))
     assert spread < 1e-12
 
 
-def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
+def test_spine_samples_are_the_formula_and_the_series_at_the_nodes():
     # spine.csv writes the samples; the Fourier series of a band-limited spine
     # reproduces them at the y nodes to within 16 ulp of sup |v|, the
     # round-off of its analysis and synthesis
@@ -193,17 +194,17 @@ def test_spine_samples_are_the_formula_and_the_series_at_the_nodes(frame):
         arg = 2 * np.pi * np.outer(np.arange(4), np.arange(ny) / ny)
         v = 0.01 * (rng.standard_normal((2, 4)) @ np.cos(arg)
                     + rng.standard_normal((2, 4)) @ np.sin(arg))
-        traces = np.stack([frame.nu[i - 1] @ v for i in (1, 2, 3)])
+        traces = np.stack([NU[i - 1] @ v for i in (1, 2, 3)])
         traces[2] = -traces[0] - traces[1]
-        samples = spine_samples(traces, frame)
-        assert np.array_equal(samples, np.outer(frame.n[0], wall_scalars(traces)[0])
-                              + np.outer(frame.nu[0], traces[0]))
-        series = spine_series(traces, frame)
+        samples = spine_samples(traces)
+        assert np.array_equal(samples, np.outer(N[0], wall_scalars(traces)[0])
+                              + np.outer(NU[0], traces[0]))
+        series = spine_series(traces)
         sup = np.max(np.abs(samples))
         assert np.max(np.abs(series - samples)) <= 16 * np.spacing(sup)
 
 
-def test_spine_rejects_incompatible_traces(grid_small, frame):
+def test_spine_rejects_incompatible_traces(grid_small):
     # check_compatibility is the one trace-sum policy: a sum below 1e-10
     # passes, one of 1e-6 is refused with the sum it reached, and so are the
     # conormals of a field whose traces reach it
@@ -217,37 +218,37 @@ def test_spine_rejects_incompatible_traces(grid_small, frame):
     values = np.zeros((3, grid_small.nx, grid_small.ny))
     values[:, 0] = traces
     with pytest.raises(CompatibilityViolation):
-        _conormals(TripleField(grid_small, values), frame)
+        _conormals(TripleField(grid_small, values))
 
 
-def test_embed_point_examples(grid, frame, cutoff):
+def test_embed_point_examples(grid, cutoff):
     u0 = TripleField.zero(grid)
-    assert np.allclose(embed_point(1, 0.5, 0.25, u0, frame, cutoff), [0.5, 0.0, 0.25],
+    assert np.allclose(embed_point(1, 0.5, 0.25, u0, cutoff), [0.5, 0.0, 0.25],
                        atol=1e-15)
 
     # spine point of the translated cone
-    ut = translation_field(grid, frame, (0.01, 0.0))
+    ut = translation_field(grid, (0.01, 0.0))
     for i in (1, 2, 3):
-        p = embed_point(i, 0.0, 0.37, ut, frame, cutoff)
+        p = embed_point(i, 0.0, 0.37, ut, cutoff)
         assert np.max(np.abs(p - [0.01, 0.0, 0.37])) < 1e-14
 
     ub = rotation_field(grid, 0.01)
-    p = embed_point(1, 1.0, 0.0, ub, frame, cutoff)
+    p = embed_point(1, 1.0, 0.0, ub, cutoff)
     assert np.max(np.abs(p - [1.0, -0.01, 0.0])) < 1e-14
 
 
-def test_embed_point_spine_independence(grid, frame, cutoff):
+def test_embed_point_spine_independence(grid, cutoff):
     rng = np.random.default_rng(8)
     y = grid.y
     v = np.stack([0.01 * np.cos(2 * np.pi * y), 0.005 * np.sin(2 * np.pi * y)])
-    arrays = [np.tile(frame.nu[i - 1] @ v, (grid.nx, 1)) for i in (1, 2, 3)]
+    arrays = [np.tile(NU[i - 1] @ v, (grid.nx, 1)) for i in (1, 2, 3)]
     u = TripleField(grid, arrays)
     ys = np.array([0.0, 0.11, 0.5, 0.93])
-    pts = [embed_point(i, np.zeros_like(ys), ys, u, frame, cutoff) for i in (1, 2, 3)]
+    pts = [embed_point(i, np.zeros_like(ys), ys, u, cutoff) for i in (1, 2, 3)]
     assert max(np.max(np.abs(pts[a] - pts[b])) for a in range(3) for b in range(3)) < 1e-13
 
 
-def test_embed_point_equivariance(grid, frame, cutoff):
+def test_embed_point_equivariance(grid, cutoff):
     # cyclic shift of the heights + 120 degree rotation of the plane leaves
     # the parametrized surface fixed
     rng = np.random.default_rng(9)
@@ -256,7 +257,7 @@ def test_embed_point_equivariance(grid, frame, cutoff):
     arrays = []
     for i in (1, 2, 3):
         interior = 0.002 * np.outer(grid.x, np.sin(2 * np.pi * y + i))
-        arrays.append(np.tile(frame.nu[i - 1] @ v, (grid.nx, 1)) + interior)
+        arrays.append(np.tile(NU[i - 1] @ v, (grid.nx, 1)) + interior)
     u = TripleField(grid, arrays)
     shifted = TripleField(grid, u.values[[2, 0, 1]])
 
@@ -265,37 +266,37 @@ def test_embed_point_equivariance(grid, frame, cutoff):
     xs = np.array([0.1, 0.45, 0.88])
     ys = np.array([0.3, 0.72, 0.05])
     for i in (1, 2, 3):
-        base = embed_point(PRED[i - 1], xs, ys, u, frame, cutoff)
-        rotated = embed_point(i, xs, ys, shifted, frame, cutoff)
+        base = embed_point(PRED[i - 1], xs, ys, u, cutoff)
+        rotated = embed_point(i, xs, ys, shifted, cutoff)
         assert np.max(np.abs(rotated[:, :2] - base[:, :2] @ R.T)) < 1e-13
         assert np.max(np.abs(rotated[:, 2] - base[:, 2])) < 1e-15
 
 
-def test_embed_point_interpolates_the_sheet_and_its_traces_once(grid, frame, cutoff,
+def test_embed_point_interpolates_the_sheet_and_its_traces_once(grid, cutoff,
                                                                   monkeypatch):
     # one trigonometric interpolation (one rfft) of the sheet's rows and the
     # three inner traces per call; the point is the sheet map of the sheet's
     # interpolant and of the wall interpolated on its own, to round-off
-    u = random_compatible_field(grid, np.random.default_rng(10), frame, amplitude=1e-2)
+    u = random_compatible_field(grid, np.random.default_rng(10), amplitude=1e-2)
     xs = np.array([[0.0, 0.1, 0.3], [0.45, 0.7, 1.0]])
     ys = np.array([[0.37, 0.02, 0.99], [0.5, 0.21, 0.0]])
     eta = cutoff(xs)[0]
     for i in (1, 2, 3):
         height = spectral.interpolate(u.values[i - 1], xs, ys)
         wall = spectral.fourier_interpolate(wall_scalars(u.traces())[i - 1], ys)
-        ref = (np.multiply.outer(-xs, frame.n[i - 1]) + np.multiply.outer(height, frame.nu[i - 1])
-               + np.multiply.outer(eta * wall, frame.n[i - 1]))
+        ref = (np.multiply.outer(-xs, N[i - 1]) + np.multiply.outer(height, NU[i - 1])
+               + np.multiply.outer(eta * wall, N[i - 1]))
         with monkeypatch.context() as mp:
             calls = count_calls(mp, spectral, ("fourier_interpolate",))
             rffts = count_calls(mp, np.fft, ("rfft",))
-            p = embed_point(i, xs, ys, u, frame, cutoff)
+            p = embed_point(i, xs, ys, u, cutoff)
         assert calls == {"fourier_interpolate": 1} and rffts == {"rfft": 1}
         assert p.shape == xs.shape + (3,)
         assert np.max(np.abs(p[..., :2] - ref)) <= 1e-15
         assert np.array_equal(p[..., 2], np.mod(ys, 1.0))
 
 
-def test_embed_margin_and_smallness_flag(grid, frame, cutoff):
+def test_embed_margin_and_smallness_flag(grid, cutoff):
     zero = TripleField.zero(grid)
     assert embed_margin(zero, cutoff) == 1.0
     assert _guard_record(zero, SolveOptions(), cutoff).smallness_ok
@@ -356,32 +357,32 @@ def face_areas(mesh):
     return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
 
 
-def test_mesh_surface_flat_and_translated(grid, frame, cutoff):
-    mesh = mesh_surface(TripleField.zero(grid), (4, 6), cutoff, frame)
+def test_mesh_surface_flat_and_translated(grid, cutoff):
+    mesh = mesh_surface(TripleField.zero(grid), (4, 6), cutoff)
     # spine collapses onto the axis (0, 0) x S^1
     spine_pts = mesh.vertices[:7]
     assert np.max(np.abs(spine_pts[:, :2])) < 1e-15
     assert np.all(face_areas(mesh) > 0.0)
 
-    ut = translation_field(grid, frame, (0.01, 0.0))
-    mesh = mesh_surface(ut, (4, 6), cutoff, frame)
+    ut = translation_field(grid, (0.01, 0.0))
+    mesh = mesh_surface(ut, (4, 6), cutoff)
     assert np.max(np.abs(mesh.vertices[:7, :2] - [0.01, 0.0])) < 1e-14
 
     with pytest.raises(ValueError):
-        mesh_surface(ut, (1, 6), cutoff, frame)
+        mesh_surface(ut, (1, 6), cutoff)
 
 
-def test_mesh_triangles_nonzero_on_random_field(grid_small, frame):
+def test_mesh_triangles_nonzero_on_random_field(grid_small):
     cutoff = CutoffProfile(0.25)
     rng = np.random.default_rng(10)
-    u = scaled_to_proxy(random_compatible_field(grid_small, rng, frame), 0.01, 0.5)
-    mesh = mesh_surface(u, (8, 12), cutoff, frame)
+    u = scaled_to_proxy(random_compatible_field(grid_small, rng), 0.01, 0.5)
+    mesh = mesh_surface(u, (8, 12), cutoff)
     assert np.min(face_areas(mesh)) > 0.0
 
 
-def test_obj_export_structure(grid, frame, cutoff, tmp_path):
-    ut = translation_field(grid, frame, (0.01, 0.0))
-    mesh = mesh_surface(ut, (3, 4), cutoff, frame)
+def test_obj_export_structure(grid, cutoff, tmp_path):
+    ut = translation_field(grid, (0.01, 0.0))
+    mesh = mesh_surface(ut, (3, 4), cutoff)
     text = mesh_to_obj(mesh, {"delta": 0.25, "nx": grid.nx})
     lines = text.splitlines()
     assert lines[0].startswith("#")
@@ -399,17 +400,17 @@ def test_obj_export_structure(grid, frame, cutoff, tmp_path):
             assert all(1 <= j <= nv for j in idx)
 
 
-def _mesh_per_point(u, resolution, cutoff, frame):
+def _mesh_per_point(u, resolution, cutoff):
     """Reference meshing: embed_point at every vertex, faces from a vertex-id double loop."""
     mx, my = resolution
     xs = np.linspace(0.0, 1.0, mx)
     ys = np.linspace(0.0, 1.0, my + 1)
-    verts = [np.column_stack([*spine_series(u.traces(), frame, ys), ys])]
+    verts = [np.column_stack([*spine_series(u.traces(), ys), ys])]
     faces, tags = [], []
     offset = my + 1
     for i in (1, 2, 3):
         X, Y = np.meshgrid(xs[1:], ys, indexing="ij")
-        pts = embed_point(i, X, Y, u, frame, cutoff).reshape(-1, 3)
+        pts = embed_point(i, X, Y, u, cutoff).reshape(-1, 3)
         pts[:, 2] = Y.reshape(-1)
         verts.append(pts)
 
@@ -438,36 +439,36 @@ def _obj_per_line(mesh, header):
 
 
 @pytest.mark.parametrize("resolution", [(2, 3), (4, 6), (33, 64)])
-def test_mesh_surface_matches_per_point_meshing(grid, frame, resolution):
+def test_mesh_surface_matches_per_point_meshing(grid, resolution):
     cutoff = CutoffProfile(0.2)
     rng = np.random.default_rng(11)
-    u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
-    mesh = mesh_surface(u, resolution, cutoff, frame)
-    verts, faces, tags = _mesh_per_point(u, resolution, cutoff, frame)
+    u = scaled_to_proxy(random_compatible_field(grid, rng), 0.01, 0.5)
+    mesh = mesh_surface(u, resolution, cutoff)
+    verts, faces, tags = _mesh_per_point(u, resolution, cutoff)
     assert np.array_equal(mesh.faces, faces)
     assert np.array_equal(mesh.face_sheet, tags)
     assert mesh.vertices.shape == verts.shape
     assert np.max(np.abs(mesh.vertices - verts)) <= 1e-14
 
 
-def test_mesh_surface_interpolates_the_field_once(grid, frame, cutoff, monkeypatch):
+def test_mesh_surface_interpolates_the_field_once(grid, cutoff, monkeypatch):
     # the spine row and the walls are the formulas of the interpolated traces,
     # not interpolants of their own
     from trijunction import spectral
-    u = scaled_to_proxy(random_compatible_field(grid, np.random.default_rng(12), frame),
+    u = scaled_to_proxy(random_compatible_field(grid, np.random.default_rng(12)),
                         0.01, 0.5)
     calls = count_calls(monkeypatch, spectral, ("fourier_interpolate",))
-    mesh = mesh_surface(u, (9, 16), cutoff, frame)
+    mesh = mesh_surface(u, (9, 16), cutoff)
     assert calls == {"fourier_interpolate": 1}
     ys = np.linspace(0.0, 1.0, 17)
     traces = spectral.fourier_interpolate(u.values, ys)[:, 0]
-    assert np.array_equal(mesh.vertices[:17, :2].T, spine_samples(traces, frame))
+    assert np.array_equal(mesh.vertices[:17, :2].T, spine_samples(traces))
 
 
-def test_obj_text_matches_per_line_writer(grid, frame, cutoff):
+def test_obj_text_matches_per_line_writer(grid, cutoff):
     rng = np.random.default_rng(12)
-    u = scaled_to_proxy(random_compatible_field(grid, rng, frame), 0.01, 0.5)
-    mesh = mesh_surface(u, (9, 16), cutoff, frame)
+    u = scaled_to_proxy(random_compatible_field(grid, rng), 0.01, 0.5)
+    mesh = mesh_surface(u, (9, 16), cutoff)
     header = {"delta": 0.25, "note": "a = b"}
     assert mesh_to_obj(mesh, header) == _obj_per_line(mesh, header)
     # awkward values: negative zero, subnormals, exponents, exact integers
@@ -477,18 +478,18 @@ def test_obj_text_matches_per_line_writer(grid, frame, cutoff):
     assert mesh_to_obj(odd, {}) == _obj_per_line(odd, {})
 
 
-def test_spine_stays_within_regime(grid_small, frame, cutoff):
+def test_spine_stays_within_regime(grid_small, cutoff):
     # in the smallness regime (proxy < delta/10) the spine stays within delta/5
     rng = np.random.default_rng(40)
     ys = np.arange(4 * grid_small.ny) / (4 * grid_small.ny)     # a refined grid
     for _ in range(3):
-        u = scaled_to_proxy(random_compatible_field(grid_small, rng, frame),
+        u = scaled_to_proxy(random_compatible_field(grid_small, rng),
                             cutoff.delta / 10.0 * 0.99, 0.5)
-        spine = spine_series(u.traces(), frame, ys)
+        spine = spine_series(u.traces(), ys)
         assert np.max(np.linalg.norm(spine, axis=0)) < cutoff.delta / 5.0
 
 
-def test_rotation_embed_margin_and_smallness_in_regime(grid, frame):
+def test_rotation_embed_margin_and_smallness_in_regime(grid):
     # u_i = beta x has triple proxy 3 beta; with delta = 0.35 it sits inside
     # the smallness regime, and its traces vanish, so the margin is exactly 1
     cutoff = CutoffProfile(0.35)

@@ -6,12 +6,14 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 import trijunction
 from trijunction import cli
-from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, TripleField,
-                         frame_vectors, junction_angle_check, mesh_surface,
-                         structural_certificate)
+from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, SolveOptions,
+                         TripleField, fd_mean_curvature, junction_angle_check, mesh_surface,
+                         solve_nonlinear, structural_certificate)
+from trijunction.geometry import N, NU, JunctionFrame, frame_vectors
 
 
 def test_public_names_resolve():
@@ -91,27 +93,51 @@ def test_no_function_takes_a_debug_parameter():
         assert not debug, (name, debug)
 
 
+# the entry points that still take a frame, each checking it against N and NU
+FRAME_TAKERS = {"solve_nonlinear", "fd_mean_curvature", "junction_angle_check"}
+
+
 def test_the_frame_is_one_constant_built_in_geometry():
-    # the junction frame is a fixed datum: a frame parameter defaults to the
-    # one constant FRAME, and only geometry builds a frame
+    # the junction frame is a fixed datum: the geometry reads N and NU, only
+    # the three entry points take a frame, defaulting to the one constant
+    # FRAME, and only geometry builds a frame
     package = os.path.dirname(trijunction.__file__)
+    takers = {}
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
         with open(os.path.join(package, name)) as fh:
             tree = ast.parse(fh.read(), filename=name)
-        defaults = []
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                positional = node.args.posonlyargs + node.args.args
-                pairs = [*zip(positional[len(positional) - len(node.args.defaults):],
-                              node.args.defaults),
-                         *zip(node.args.kwonlyargs, node.args.kw_defaults)]
-                defaults += [(node.lineno, ast.unparse(d)) for a, d in pairs
-                             if a.arg == "frame" and d is not None]
-        assert all(d == "FRAME" for _, d in defaults), (name, defaults)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = [*zip(positional, [None] * (len(positional) - len(args.defaults))
+                              + args.defaults),
+                         *zip(args.kwonlyargs, args.kw_defaults)]
+                for a, d in pairs:
+                    if a.arg == "frame":
+                        takers[getattr(node, "name", "<lambda>")] = d and ast.unparse(d)
         builds = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None))
                   in ("frame_vectors", "JunctionFrame")]
         assert bool(builds) == (name == "geometry.py"), (name, builds)
+    assert takers == dict.fromkeys(FRAME_TAKERS, "FRAME")
+
+
+def test_the_frame_takers_reject_any_frame_but_the_standard_one():
+    # the closed forms hold for the standard frame alone: a frame with one
+    # normal rotated by 1e-3 rad is refused, not silently used
+    grid, cutoff = Grid2D(8, 8), CutoffProfile(0.25)
+    u, phi = TripleField.zero(grid), BoundaryTriple.zero(grid.ny)
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    nu = NU.copy()
+    nu[1] = [c * NU[1, 0] - s * NU[1, 1], s * NU[1, 0] + c * NU[1, 1]]
+    calls = [lambda f: solve_nonlinear(phi, SolveOptions(), grid, cutoff, f),
+             lambda f: fd_mean_curvature(1, u, (0.5, 0.5), 1e-3, cutoff, f),
+             lambda f: junction_angle_check(u, f)]
+    for call in calls:
+        with pytest.raises(ValueError, match="standard"):
+            call(JunctionFrame(N, nu))
+        call(frame_vectors())
 
 
 def test_only_the_fields_differentiate():
