@@ -126,13 +126,17 @@ def parse_family(text: str) -> tuple[str, object]:
             cx, cy = (float(t) for t in rest.split(","))
         except ValueError as exc:
             raise ConfigError(f"translate family needs cx,cy, got {rest!r}") from exc
-        return kind, (cx, cy)
-    if kind == "rotate":
+        value = (cx, cy)
+    elif kind == "rotate":
         try:
-            return kind, float(rest)
+            value = float(rest)
         except ValueError as exc:
             raise ConfigError(f"rotate family needs beta, got {rest!r}") from exc
-    raise ConfigError(f"unknown family {kind!r} (use translate:cx,cy or rotate:beta)")
+    else:
+        raise ConfigError(f"unknown family {kind!r} (use translate:cx,cy or rotate:beta)")
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{kind} family values must be finite, got {rest!r}")
+    return kind, value
 
 
 # Every config key once, in the order the artifacts echo them: the parser of
@@ -171,8 +175,6 @@ class RunConfig:
     phi_coeffs: dict[int, list[tuple[int, float, float]]] = field(default_factory=dict)
     out: str = "run"
     mesh_resolution: tuple[int, int] = (33, 64)
-    # (kind, value) of the named family, set by validate()
-    parsed_family: tuple[str, object] | None = field(default=None, init=False, repr=False)
 
     def echo(self) -> dict[str, str]:
         values = {**vars(self), **{f"phi{i}": c for i, c in self.phi_coeffs.items()}}
@@ -194,7 +196,8 @@ class RunConfig:
                         f"points: modes above {self.ny // 2} alias to lower ones, and "
                         f"the sine of mode {self.ny // 2} vanishes at every node")
         check_mesh_resolution(self.mesh_resolution)
-        self.parsed_family = parse_family(self.family) if self.family else None
+        if self.family:
+            parse_family(self.family)
 
     def setup(self) -> tuple[Grid2D, CutoffProfile, SolveOptions]:
         """The grid, cutoff and solver options of this run; a value they
@@ -260,8 +263,8 @@ def make_out_dir(path: str):
 
 def boundary_from_config(cfg: RunConfig, grid: Grid2D, cutoff: CutoffProfile,
                          scale: float = 1.0) -> BoundaryTriple:
-    if cfg.parsed_family:
-        kind, value = cfg.parsed_family
+    if cfg.family:
+        kind, value = parse_family(cfg.family)
         phi, _ = exact_family(kind, np.multiply(value, scale), grid, cutoff)
         return phi
     rows = np.zeros((3, grid.ny))

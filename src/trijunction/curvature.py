@@ -73,7 +73,7 @@ def _sheet_scalars(sheets: slice, jet: Jet, wall, work: np.ndarray, out: np.ndar
     group's minima, when D or det g is too small; under numpy's ``errstate`` an
     overflow raises FloatingPointError.
     """
-    ux, uy, uxx, uxy, uyy = (a[sheets] for a in jet)
+    ux, uy, uyy, uxy, uxx = (a[sheets] for a in jet)
     w, w1, w2, E, E1, E2 = wall
     W, W1, W2 = (r[sheets, None] for r in (w, w1, w2))
     a1, a2, g11, g12, g22, det, D, tmp = work

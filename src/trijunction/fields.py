@@ -130,14 +130,15 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 
 class Jet(NamedTuple):
-    """Spectral first and second derivatives of a triple field: read-only,
-    C-contiguous (3, nx, ny) arrays, row i - 1 belonging to sheet i."""
+    """Spectral first and second derivatives of a triple field in the jet
+    block's slot order: read-only, C-contiguous (3, nx, ny) arrays, row i - 1
+    belonging to sheet i."""
 
     ux: np.ndarray
     uy: np.ndarray
-    uxx: np.ndarray
-    uxy: np.ndarray
     uyy: np.ndarray
+    uxy: np.ndarray
+    uxx: np.ndarray
 
 
 def _check_same_grid(a: Grid2D, b: Grid2D):
@@ -202,8 +203,7 @@ class TripleField:
         each sheet's row is one contiguous stretch of memory.  The field is
         immutable, so the cached arrays never go stale.
         """
-        ux, uy, uyy, uxy, uxx = self._jet_block
-        return Jet(ux=ux, uy=uy, uxx=uxx, uxy=uxy, uyy=uyy)
+        return Jet(*self._jet_block)
 
     def traces(self, end: str = "inner") -> np.ndarray:
         """(3, ny) boundary rows: 'inner' is the x = 0 circle, 'outer' the x = 1 circle."""
@@ -420,5 +420,5 @@ def periodic_proxy(values: np.ndarray, alpha: float, order: int = 2) -> float:
     return sup_part + _holder_seminorm_1d(derivs[-1], alpha)
 
 
-def boundary_proxy(phi: BoundaryTriple, alpha: float, order: int = 2) -> float:
-    return sum(periodic_proxy(row, alpha, order) for row in phi.values)
+def boundary_proxy(phi: BoundaryTriple, alpha: float) -> float:
+    return sum(periodic_proxy(row, alpha) for row in phi.values)

@@ -34,6 +34,7 @@ from .picard import (GuardViolation, SolveOptions, _assemble_report, _guard_reco
 
 _EXP_WINDOW = 45.0        # kernel tail cut: exp(-45) is far below double round-off
 _N_QUAD = 96
+_MAX_MODE = 3             # the random fields' highest Fourier mode, the maps' default
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,10 @@ class AngleReport:
     """Pairwise angles between the three spine conormals, per y node."""
 
     angles: np.ndarray          # (3, ny): pairs (1,2), (2,3), (3,1)
-    max_deviation: float        # from 2 pi / 3
+
+    @property
+    def max_deviation(self) -> float:       # from 2 pi / 3
+        return float(np.max(np.abs(self.angles - 2.0 * np.pi / 3.0)))
 
 
 def junction_angle_check(u: TripleField, frame: JunctionFrame = FRAME) -> AngleReport:
@@ -274,8 +278,7 @@ def junction_angle_check(u: TripleField, frame: JunctionFrame = FRAME) -> AngleR
     pairs = ((0, 1), (1, 2), (2, 0))
     angles = np.stack([
         np.arccos(np.clip((xi[a] * xi[b]).sum(axis=1), -1.0, 1.0)) for a, b in pairs])
-    return AngleReport(angles=angles,
-                       max_deviation=float(np.max(np.abs(angles - 2.0 * np.pi / 3.0))))
+    return AngleReport(angles=angles)
 
 
 def exact_family(kind: str, value, grid: Grid2D,
@@ -320,7 +323,7 @@ def _trig_sum(c: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
-                            max_mode: int = 3, amplitude: float = 1.0) -> TripleField:
+                            amplitude: float = 1.0) -> TripleField:
     """Random smooth triple field whose inner traces sum to zero.
 
     Traces are manufactured as <v(y), nu_i> for a random plane curve v, so
@@ -328,7 +331,7 @@ def random_compatible_field(grid: Grid2D, rng: np.random.Generator,
     x = 0 is added on top.
     """
     x, y = grid.x, grid.y
-    K = max_mode + 1
+    K = _MAX_MODE + 1
     vc = rng.standard_normal((2, K))
     vs = rng.standard_normal((2, K))
     vy = _trig_sum(vc, vs, y)                           # (2, ny)
@@ -358,11 +361,6 @@ class StructuralCertificate:
 
     c_F: float               # max ||F(u)||_inf / proxy(u)^2 over the samples
     c_G: float
-    sample_radius: float
-    n_samples: int
-    alpha: float
-    ratios_F: np.ndarray
-    ratios_G: np.ndarray
 
 
 def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
@@ -384,10 +382,7 @@ def structural_certificate(sample_radius: float, n_samples: int, grid: Grid2D,
         p2 = sample_radius ** 2
         qF.append(F_eval(u, cutoff).sup() / p2)
         qG.append(np.abs(G_eval(u)).max() / p2)
-    return StructuralCertificate(
-        c_F=float(np.max(qF)), c_G=float(np.max(qG)),
-        sample_radius=sample_radius, n_samples=n_samples, alpha=alpha,
-        ratios_F=np.array(qF), ratios_G=np.array(qG))
+    return StructuralCertificate(c_F=float(np.max(qF)), c_G=float(np.max(qG)))
 
 
 @dataclass
@@ -410,10 +405,9 @@ class ContractionEstimates:
         return min(1.0 / self.c1, 1.0 / (4.0 * self.c2), 1.0)
 
 
-def random_smooth_field(grid: Grid2D, rng: np.random.Generator,
-                        max_mode: int = 3) -> np.ndarray:
+def random_smooth_field(grid: Grid2D, rng: np.random.Generator) -> np.ndarray:
     """Band-limited random (nx, ny) samples: low Fourier modes in y, low polynomials in x."""
-    K = max_mode + 1
+    K = _MAX_MODE + 1
     c = rng.standard_normal((4, K))
     s = rng.standard_normal((4, K))
     modes = _trig_sum(c, s, grid.y)                     # (4, ny)
@@ -421,7 +415,7 @@ def random_smooth_field(grid: Grid2D, rng: np.random.Generator,
     return poly.T @ modes
 
 
-def random_smooth_map(ny: int, rng: np.random.Generator, max_mode: int = 3) -> np.ndarray:
+def random_smooth_map(ny: int, rng: np.random.Generator, max_mode: int = _MAX_MODE) -> np.ndarray:
     K = max_mode + 1
     c = rng.standard_normal(K)
     s = rng.standard_normal(K)
@@ -446,7 +440,7 @@ def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
                                                 for _ in range(3)]))
         data_norm = (norm_proxy(F, alpha, order=0)
                      + sum(periodic_proxy(g, alpha, order=1) for g in G)
-                     + sum(periodic_proxy(row, alpha, order=2) for row in phi.values))
+                     + boundary_proxy(phi, alpha))
         u = solve_linear_system(F, G, phi)
         ratios.append(norm_proxy(u, alpha) / data_norm)
     ratios = np.array(ratios)
@@ -455,10 +449,11 @@ def schauder_probe(n_samples: int, grid: Grid2D, alpha: float = 0.5,
 
 # the linear solve's own round-off level in proxy units
 _ROUND_OFF_PROXY = 1e-11
+_DIAGNOSTIC_STEPS = 6       # the most steps the two orbits take
 
 
 def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
-                            cutoff: CutoffProfile, n_iter: int = 6, seed: int = 0,
+                            cutoff: CutoffProfile, seed: int = 0,
                             start_scale: float = 1e-4) -> tuple[ContractionEstimates, list[float]]:
     """Measure the step map's Lipschitz behavior along two nearby orbits.
 
@@ -478,7 +473,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     ratios: list[float] = []
     diff_quotients: list[float] = []
     du = norm_proxy(u - v, opts.alpha)
-    for it in range(n_iter):
+    for it in range(_DIAGNOSTIC_STEPS):
         nu, nv = orbit_proxies[-1], norm_proxy(v, opts.alpha)
         # stop once the two orbits have merged to round-off: below that the
         # quotients measure noise, not the step map (the absolute floor covers
@@ -508,9 +503,8 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     c2 = max(diff_quotients) if diff_quotients else None
 
     # absorption constant: ||A(u)|| <= c1 (||u||^2 + ||phi||), probed on the
-    # orbit of zero at u_1 .. u_m, continuing the orbit the loop above walked
-    m = min(n_iter, 4)
-    while len(orbit_proxies) < m + 2:
+    # orbit of zero at u_1 .. u_4, continuing the orbit the loop above walked
+    while len(orbit_proxies) < 6:
         u = picard_step(u, phi, cutoff)
         orbit_proxies.append(norm_proxy(u, opts.alpha))
     phi_norm = boundary_proxy(phi, opts.alpha)
@@ -518,7 +512,7 @@ def contraction_diagnostics(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2
     # floor) divides noise by noise: zero data has an orbit of round-off and
     # no absorption constant to measure
     c1_samples = [after / (before ** 2 + phi_norm)
-                  for before, after in zip(orbit_proxies[1:m + 1], orbit_proxies[2:m + 2])
+                  for before, after in zip(orbit_proxies[1:5], orbit_proxies[2:6])
                   if before ** 2 + phi_norm > _ROUND_OFF_PROXY ** 2]
     c1 = max(c1_samples) if c1_samples else None
 

@@ -86,19 +86,29 @@ class ResidualRecord:
 class GuardRecord:
     norm_proxy: float
     r_guard: float
-    within_guard: bool
     embed_margin: float
-    smallness_ok: bool
+    smallness_ok: bool          # proxy < smallness radius, a radius not stored here
+
+    @property
+    def within_guard(self) -> bool:
+        return bool(self.norm_proxy <= self.r_guard)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
-    update_norms: tuple[float, ...]
-    contraction_ratios: tuple[float, ...]
+    update_norms: tuple[float, ...]         # the sup-norm update of each iteration
     final_residuals: ResidualRecord
     guards: GuardRecord
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.update_norms)
+
+    @property
+    def contraction_ratios(self) -> tuple[float, ...]:
+        u = self.update_norms               # each update over a nonzero one before it
+        return tuple(u[j + 1] / u[j] for j in range(len(u) - 1) if u[j] > 0.0)
 
 
 def picard_step(u: TripleField, phi: BoundaryTriple, cutoff: CutoffProfile) -> TripleField:
@@ -125,13 +135,7 @@ def _guard_record(u: TripleField, opts: SolveOptions, cutoff: CutoffProfile) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         proxy = norm_proxy(u, opts.alpha)
     r = opts.r_guard if opts.r_guard is not None else cutoff.smallness_radius
-    return GuardRecord(
-        norm_proxy=proxy,
-        r_guard=r,
-        within_guard=bool(proxy <= r),
-        embed_margin=embed_margin(u, cutoff),
-        smallness_ok=bool(proxy < cutoff.smallness_radius),
-    )
+    return GuardRecord(proxy, r, embed_margin(u, cutoff), bool(proxy < cutoff.smallness_radius))
 
 
 def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
@@ -200,8 +204,6 @@ def solve_nonlinear(phi: BoundaryTriple, opts: SolveOptions, grid: Grid2D,
 def _assemble_report(updates: list[float], u: TripleField, phi: BoundaryTriple,
                      cutoff: CutoffProfile, guards: GuardRecord, converged: bool) -> SolveReport:
     """The report of the iterate ``u`` that the sup-norm ``updates`` led to."""
-    ratios = tuple(updates[j + 1] / updates[j]
-                   for j in range(len(updates) - 1) if updates[j] > 0.0)
     try:
         residuals = residual_record(u, phi, cutoff)
     except DegenerateMetric:
@@ -209,11 +211,4 @@ def _assemble_report(updates: list[float], u: TripleField, phi: BoundaryTriple,
         # report what can still be evaluated
         nan = float("nan")
         residuals = ResidualRecord(nan, nan, nan, *_trace_errors(u, phi))
-    return SolveReport(
-        iterations=len(updates),
-        update_norms=tuple(updates),
-        contraction_ratios=ratios,
-        final_residuals=residuals,
-        guards=guards,
-        converged=converged,
-    )
+    return SolveReport(tuple(updates), residuals, guards, converged)

@@ -158,6 +158,28 @@ def test_a_malformed_family_is_a_config_error(tmp_path, monkeypatch, capsys, fam
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("family, text", [("translate:nan,0", "'nan,0'"),
+                                          ("rotate:nan", "'nan'"), ("rotate:inf", "'inf'"),
+                                          ("translate:0,-1e400", "'0,-1e400'")])
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--scales", "1"]],
+                         ids=["solve", "sweep"])
+def test_a_non_finite_family_is_a_config_error(tmp_path, monkeypatch, capsys, family, text,
+                                               command):
+    # a NaN or infinite family value is named as such before any solve, not
+    # met later as non-finite field values, a smallness verdict on inf, or
+    # an error row of sweep.csv
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "solve_nonlinear", no_solve)
+    out = tmp_path / "run"
+    assert run([*command, "--family", family, "--out", str(out)]) == EXIT_CONFIG
+    kind = family.partition(":")[0]
+    assert capsys.readouterr() == (
+        "", f"config error: {kind} family values must be finite, got {text}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("modes", [("64:0.001:0", "64:-0.001:0"),
                                    ("32:0:0.001", "32:0:-0.001")])
 def test_modes_the_grid_cannot_carry_are_config_errors(tmp_path, monkeypatch, capsys, modes):
@@ -804,10 +826,10 @@ def test_artifact_csv_text_matches_per_line_writers(tmp_path):
     for name, lines in expected.items():
         with open(os.path.join(out, name)) as fh:
             assert fh.read() == "\n".join(lines) + "\n", name
-    report = SolveReport(3, (0.5, 0.25, 0.0), (0.5,), rec, None, False)
+    report = SolveReport((0.5, 0.25, 0.0), rec, None, False)
     assert report_to_csv(report, {"a": 1}) == (
         "# a = 1\niteration,update_norm,contraction_ratio\n"
-        "1,0.5,\n2,0.25,0.5\n3,0,\n")
+        "1,0.5,\n2,0.25,0.5\n3,0,0\n")
 
 
 def test_verify_probes_the_cutoff_joins(tmp_path, monkeypatch, capsys):

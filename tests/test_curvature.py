@@ -89,7 +89,7 @@ def _second_fundamental_form_H(u, cutoff, i, dtype):
     """H of sheet i as (g22 h11 - 2 g12 h12 + g11 h22) / det g, with the unit
     normal's length N = sqrt(1 + beta^2 + gamma^2) taken from the slopes
     beta and gamma, evaluated in ``dtype`` from the float jet and wall data."""
-    ux, uy, uxx, uxy, uyy = (np.asarray(a[i - 1], dtype) for a in u.jet)
+    ux, uy, uyy, uxy, uxx = (np.asarray(a[i - 1], dtype) for a in u.jet)
     w, w1, w2, E, E1, E2 = (np.asarray(a, dtype) for a in _wall_data(u, cutoff))
     W, W1, W2 = w[i - 1], w1[i - 1], w2[i - 1]
     a1 = E1 * W - 1.0

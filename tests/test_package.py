@@ -2,6 +2,7 @@
 module layering."""
 
 import ast
+import dataclasses
 import os
 import re
 
@@ -14,6 +15,8 @@ from trijunction import (BoundaryTriple, CutoffProfile, Grid2D, ModeProblem, Sol
                          TripleField, fd_mean_curvature, junction_angle_check, mesh_surface,
                          solve_nonlinear, structural_certificate)
 from trijunction.geometry import N, NU, JunctionFrame, frame_vectors
+from trijunction.oracles import AngleReport, StructuralCertificate
+from trijunction.picard import GuardRecord, SolveReport
 
 
 def test_public_names_resolve():
@@ -45,6 +48,22 @@ def test_array_holding_dataclasses_compare_by_identity():
     # the grid and the cutoff hold scalars only and keep value equality
     assert Grid2D(8, 8) == grid and hash(Grid2D(8, 8)) == hash(grid)
     assert CutoffProfile(0.25) == cutoff
+
+
+def test_records_store_only_what_was_measured():
+    # a record holds the values a run measured, once; a value derived from
+    # them is a property over them, so no record can disagree with itself
+    stored = {SolveReport: ("update_norms", "final_residuals", "guards", "converged"),
+              GuardRecord: ("norm_proxy", "r_guard", "embed_margin", "smallness_ok"),
+              AngleReport: ("angles",),
+              StructuralCertificate: ("c_F", "c_G")}
+    for record, names in stored.items():
+        assert tuple(f.name for f in dataclasses.fields(record)) == names, record.__name__
+    derived = {SolveReport: ("iterations", "contraction_ratios"),
+               GuardRecord: ("within_guard",), AngleReport: ("max_deviation",)}
+    for record, names in derived.items():
+        for name in names:
+            assert isinstance(vars(record).get(name), property), (record.__name__, name)
 
 
 def test_only_the_cli_touches_files():
